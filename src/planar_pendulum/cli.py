@@ -33,8 +33,8 @@ from .core import (
 )
 from .cqes import (
     aligned_grid_state,
-    quadrature_switch_off_coefficients,
-    quadrature_switch_on_coefficients,
+    switch_off_coefficients,
+    switch_on_coefficients,
 )
 from .dynamics import (
     make_tau_grid,
@@ -236,16 +236,20 @@ def _resolve(args: argparse.Namespace, keys: Sequence[str],
 
 
 def _resolve_threads(resolved: Dict) -> Optional[int]:
-    if resolved.get("threads") is not None:
-        return int(resolved["threads"])
-    env = os.environ.get("PLANAR_PENDULUM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(
-                f"PLANAR_PENDULUM_THREADS={env!r} is not an integer")
-    return None
+    """--threads, else PLANAR_PENDULUM_THREADS, else None; must be >= 1."""
+    source, text = "--threads", resolved.get("threads")
+    if text is None:
+        source = "PLANAR_PENDULUM_THREADS"
+        text = os.environ.get(source) or None
+    if text is None:
+        return None
+    try:
+        threads = int(text)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{source}={text!r} is not an integer") from None
+    if threads < 1:
+        raise ConfigError(f"{source}={threads} must be >= 1")
+    return threads
 
 
 # --------------------------------------------------------------------------
@@ -298,16 +302,15 @@ def _run_crossings(resolved: Dict):
 def _run_switch_off(resolved: Dict):
     n0 = int(resolved["n0"])
     j_max = int(resolved["j-max"])
-    grid = make_grid(int(resolved["grid-points"]))
     rows = []
     series_rows = []
     for eta, zeta in _scan_points(resolved):
         spec = solve_spectrum(InteractionParams(eta, zeta),
                               max(n0 + 1, 4), j_max)
-        for rec in switch_off_populations(spec, n0, j_max, grid):
+        for rec in switch_off_populations(spec, n0, j_max):
             rows.append((eta, zeta, n0, rec.index, rec.probability))
         if resolved.get("tau-max") is not None:
-            coeffs = quadrature_switch_off_coefficients(spec, n0, j_max, grid)
+            coeffs = switch_off_coefficients(spec, n0, j_max)
             tau = make_tau_grid(float(resolved["tau-max"]),
                                 int(resolved["samples-per-period"]))
             ev = switch_off_evolution(coeffs, tau)
@@ -326,19 +329,18 @@ def _run_switch_on(resolved: Dict):
     j0 = int(resolved["j0"])
     j_max = int(resolved["j-max"])
     n_states = int(resolved["n-states"])
-    grid = make_grid(int(resolved["grid-points"]))
     rows = []
     series_rows = []
     for eta, zeta in _scan_points(resolved):
         spec = solve_spectrum(InteractionParams(eta, zeta), n_states, j_max)
-        for rec in switch_on_populations(spec, j0, grid):
+        for rec in switch_on_populations(spec, j0):
             label, n = rec.index
             rows.append((eta, zeta, j0, n, str(label), rec.probability))
         if resolved.get("tau-max") is not None:
-            coeffs = quadrature_switch_on_coefficients(spec, j0, grid)
+            coeffs = switch_on_coefficients(spec, j0)
             tau = make_tau_grid(float(resolved["tau-max"]),
                                 int(resolved["samples-per-period"]))
-            ser, _ = switch_on_evolution(spec, coeffs, tau, grid)
+            ser, _ = switch_on_evolution(spec, coeffs, tau)
             for i, t in enumerate(tau):
                 series_rows.append((eta, zeta, j0, float(t),
                                     ser["cos"].values[i], ser["cos2"].values[i],
@@ -499,10 +501,9 @@ _COMMON = {
     "output": dict(type=str, help="primary output path"),
     "format": dict(type=str, choices=("csv", "json"),
                    help="output format (default csv)"),
-    "threads": dict(type=int, help="worker threads "
-                    "(fallback: PLANAR_PENDULUM_THREADS)"),
+    "threads": dict(type=int, help="topology-map: >= 1, else ignored; "
+                    "single-threaded (fallback: PLANAR_PENDULUM_THREADS)"),
     "j-max": dict(type=int, help="free-rotor basis cutoff (default 64)"),
-    "grid-points": dict(type=int, help="angular grid size (default 512)"),
 }
 
 _FIELD_FLAGS = {
@@ -554,7 +555,9 @@ _COMMAND_FLAGS: Dict[str, Dict[str, Dict]] = {
                   "tau-end": dict(type=float,
                                   help="propagation window override"),
                   "sample-stride": dict(type=int,
-                                        help="steps between snapshots")},
+                                        help="steps between snapshots"),
+                  "grid-points": dict(type=int,
+                                      help="angular grid size (default 512)")},
     "topology-map": {"eta-range": dict(type=str, metavar="START:STOP:STEP",
                                        help="eta axis (>= 16 points)"),
                      "zeta-range": dict(type=str, metavar="START:STOP:STEP",
@@ -569,16 +572,14 @@ _COMMAND_FLAGS: Dict[str, Dict[str, Dict]] = {
 }
 
 _DEFAULTS: Dict[str, Dict] = {
-    "spectrum": {"n-states": 9, "j-max": 64, "grid-points": 512},
-    "crossings": {"resolution": 200, "eta-tol": 1e-9, "j-max": 64,
-                  "grid-points": 512},
-    "switch-off": {"n0": 0, "j-max": 64, "grid-points": 512,
-                   "samples-per-period": 512},
-    "switch-on": {"j0": 0, "n-states": 20, "j-max": 64, "grid-points": 512,
+    "spectrum": {"n-states": 9, "j-max": 64},
+    "crossings": {"resolution": 200, "eta-tol": 1e-9, "j-max": 64},
+    "switch-off": {"n0": 0, "j-max": 64, "samples-per-period": 512},
+    "switch-on": {"j0": 0, "n-states": 20, "j-max": 64,
                   "samples-per-period": 512},
     "propagate": {"dtau": 1e-3, "j-max": 64, "grid-points": 512},
     "topology-map": {"j0": 1, "tau-tilde": 4.0 * math.pi, "n-states": 20,
-                     "j-max": 64, "grid-points": 512},
+                     "j-max": 64},
     "validate": {},
 }
 

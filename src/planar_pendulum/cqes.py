@@ -18,8 +18,10 @@ The coefficient vectors v are obtained by least-squares projection of the
 numerically solved eigenfunction onto the ansatz basis. Expansion
 coefficients of a pendular state over free-rotor states (and of a rotor
 state over pendular states) then reduce to modified-Bessel sums with
-argument sqrt(zeta), evaluated here next to their quadrature twins for
-cross-validation.
+argument sqrt(zeta). In the parity-split Fourier basis they are exact
+coefficient lookups (switch_on/off_coefficients), with grid quadratures as
+independent twins. Every route shares the eigenvector signs that
+solve_spectrum fixes once (pi-aligned).
 """
 
 from __future__ import annotations
@@ -42,9 +44,6 @@ from .spectrum import PendularSpectrum
 
 CONDITION_LIMIT = 1e12
 
-# |f(pi)| below this fraction of max|f| falls back to the coefficient rule.
-_ALIGN_FLOOR = 1e-8
-
 
 class ConditioningError(RuntimeError):
     pass
@@ -52,23 +51,9 @@ class ConditioningError(RuntimeError):
 
 def aligned_grid_state(spec: PendularSpectrum, n: int,
                        grid: Optional[AngularGrid] = None) -> np.ndarray:
-    """Real grid samples of state n with a deterministic overall sign.
-
-    Even states: value at theta = pi positive. Odd states: slope at
-    theta = pi positive. If the pi-point value is degenerate-small the
-    stored largest-coefficient-positive convention is kept.
-    """
-    if grid is None:
-        grid = make_grid()
-    f = spec.wavefunction(n, grid).amplitudes.real
-    mid = grid.n_points // 2           # theta = pi exactly (even grid)
-    if spec.labels[n] is SymmetryLabel.A1:
-        probe = f[mid]
-    else:
-        probe = (f[mid + 1] - f[mid - 1]) / (2.0 * grid.dtheta)
-    if abs(probe) <= _ALIGN_FLOOR * float(np.max(np.abs(f))):
-        return f
-    return f if probe > 0 else -f
+    """Public alias of spec.wavefunction(n, grid).amplitudes.real; the
+    pi-aligned sign it carries is fixed once by solve_spectrum."""
+    return spec.wavefunction(n, grid).amplitudes.real
 
 
 @dataclass(frozen=True)
@@ -240,11 +225,30 @@ def analytic_switch_on_coefficient(ansatz: AnsatzCoefficients, j0: int) -> compl
     return val
 
 
+def switch_off_coefficients(spec: PendularSpectrum, n0: int,
+                            j_max: Optional[int] = None) -> SwitchCoefficients:
+    """<j|phi_n0> read exactly off the stored Fourier coefficients."""
+    if j_max is None:
+        j_max = spec.j_max
+    return SwitchCoefficients(kind="switch_off", origin=n0,
+                              c=spec.free_rotor_coefficients(n0, j_max),
+                              j_max=j_max, gamma=spec.labels[n0])
+
+
+def switch_on_coefficients(spec: PendularSpectrum,
+                           j0: int) -> SwitchCoefficients:
+    """<phi_n|j0> = conj(<j0|phi_n>) for every solved state, exact."""
+    jm = abs(j0)
+    rows = spec.free_rotor_coefficients(np.arange(spec.n_states), jm)
+    return SwitchCoefficients(kind="switch_on", origin=j0,
+                              c=np.conj(rows[:, jm + j0]), labels=spec.labels)
+
+
 def quadrature_switch_off_coefficients(spec: PendularSpectrum, n0: int,
                                        j_max: Optional[int] = None,
                                        grid: Optional[AngularGrid] = None
                                        ) -> SwitchCoefficients:
-    """<j|phi_n0> by spectral quadrature, pi-aligned sign convention."""
+    """<j|phi_n0> by grid quadrature; twin of switch_off_coefficients."""
     if j_max is None:
         j_max = spec.j_max
     if grid is None:
@@ -259,7 +263,7 @@ def quadrature_switch_off_coefficients(spec: PendularSpectrum, n0: int,
 def quadrature_switch_on_coefficients(spec: PendularSpectrum, j0: int,
                                       grid: Optional[AngularGrid] = None
                                       ) -> SwitchCoefficients:
-    """<phi_n|j0> for every solved state, pi-aligned sign convention."""
+    """<phi_n|j0> by grid quadrature; twin of switch_on_coefficients."""
     if grid is None:
         grid = make_grid()
     phase = np.exp(1j * j0 * grid.theta)

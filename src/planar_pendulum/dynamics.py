@@ -8,40 +8,35 @@ appears, the pendular populations are constant, and every observable
 splits into a static population term plus coherence oscillations at the
 level-gap frequencies within each symmetry sector.
 
-All coefficient/element products here are built from one consistent sign
-convention (the pi-aligned grid states), which keeps the cross terms
-meaningful; the stored eigenvector signs never enter alone.
+Everything here is computed in the parity-split Fourier basis: overlaps
+are exact coefficient lookups and element matrices are exact V^T O V
+products. The coherence cross terms depend on the relative signs of the
+eigenvectors, which solve_spectrum fixes once (pi-aligned) for every
+route, grid twins included.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import (
-    DEFAULT_J_MAX,
-    AngularGrid,
-    InteractionParams,
-    SymmetryLabel,
-    make_grid,
-)
+from .core import DEFAULT_J_MAX, InteractionParams, SymmetryLabel
 from .cqes import (
     SwitchCoefficients,
-    aligned_grid_state,
-    quadrature_switch_off_coefficients,
-    quadrature_switch_on_coefficients,
+    switch_off_coefficients,
+    switch_on_coefficients,
 )
-from .spectrum import PendularSpectrum, solve_spectrum
+from .elements import sector_element_matrix
+from .spectrum import PendularSpectrum, _odd_mask, solve_spectrum
 
 SAMPLES_PER_PERIOD = 512
 POPULATED_FLOOR = 1e-4      # |C|^2 above this counts as populated
 IMAG_RESIDUE_TOL = 1e-10
 _BOUNDS_SLACK = 1e-8
+_TAU_CHUNK = 512            # tau samples per phase-matrix block
 
 _OBSERVABLES = ("cos", "cos2", "J2", "energy")
 
@@ -91,6 +86,20 @@ def _realize(tau_grid: np.ndarray, values: np.ndarray,
                              observable=observable)
 
 
+def _phase_sum(tau_grid: np.ndarray, freq: np.ndarray,
+               weights: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] * exp(i*freq[k]*tau) at every tau, in _TAU_CHUNK
+    blocks of one reused frequency-major buffer (exp then walks along tau)."""
+    out = np.empty(len(tau_grid), dtype=complex)
+    buf = np.empty((len(freq), _TAU_CHUNK), dtype=complex)
+    for start in range(0, len(tau_grid), _TAU_CHUNK):
+        tau = tau_grid[start:start + _TAU_CHUNK]
+        phase = buf[:, :len(tau)]
+        np.exp(np.multiply.outer(freq, 1j * tau, out=phase), out=phase)
+        out[start:start + len(tau)] = weights @ phase
+    return out
+
+
 @dataclass(frozen=True)
 class PopulationRecord:
     index: Union[int, Tuple[SymmetryLabel, int]]
@@ -106,21 +115,18 @@ def total_population(records: Sequence[PopulationRecord]) -> float:
 
 
 def switch_off_populations(spectrum: PendularSpectrum, n0: int,
-                           j_max: int = DEFAULT_J_MAX,
-                           grid: Optional[AngularGrid] = None
+                           j_max: int = DEFAULT_J_MAX
                            ) -> List[PopulationRecord]:
-    """|<j|phi_n0>|^2 by quadrature, folded to j >= 0 rows.
+    """|<j|phi_n0>|^2, folded to j >= 0 rows.
 
     The underlying signed-j weights satisfy P(-j) = P(j); each reported
     row carries the combined +-j probability so the list sums to one.
     """
-    coeffs = quadrature_switch_off_coefficients(spectrum, n0, j_max, grid)
-    p = np.abs(coeffs.c) ** 2
-    records = [PopulationRecord(index=0, probability=float(p[j_max]))]
-    for j in range(1, j_max + 1):
-        records.append(PopulationRecord(
-            index=j, probability=float(p[j_max + j] + p[j_max - j])))
-    return records
+    p = np.abs(switch_off_coefficients(spectrum, n0, j_max).c) ** 2
+    folded = p[j_max:] + p[j_max::-1]
+    folded[0] = p[j_max]
+    return [PopulationRecord(index=j, probability=float(folded[j]))
+            for j in range(j_max + 1)]
 
 
 def switch_off_evolution(coeffs: SwitchCoefficients,
@@ -138,12 +144,13 @@ def switch_off_evolution(coeffs: SwitchCoefficients,
     j = np.arange(-jm, jm + 1)
 
     def band_sum(offset: int) -> np.ndarray:
-        # <exp(i*offset*theta)> plus its Hermitian mirror, kept complex so
-        # the realness of the total is a checked property, not an assumption
+        # <exp(i*offset*theta)> plus its Hermitian mirror, each summed on
+        # its own and kept complex, so the realness of the total is a
+        # checked property, not an assumption
         w_up = np.conj(c[offset:]) * c[:-offset]
         freq = (j[:-offset] + offset) ** 2 - j[:-offset] ** 2
-        up = np.exp(1j * np.outer(tau_grid, freq)) @ w_up
-        dn = np.exp(-1j * np.outer(tau_grid, freq)) @ np.conj(w_up)
+        up = _phase_sum(tau_grid, freq, w_up)
+        dn = _phase_sum(tau_grid, -freq, np.conj(w_up))
         return up + dn
 
     cos_vals = 0.5 * band_sum(1)
@@ -164,11 +171,10 @@ def switch_off_evolution(coeffs: SwitchCoefficients,
 # switch-on: free-rotor state released into the pendular spectrum
 
 
-def switch_on_populations(spectrum: PendularSpectrum, j0: int,
-                          grid: Optional[AngularGrid] = None
+def switch_on_populations(spectrum: PendularSpectrum, j0: int
                           ) -> List[PopulationRecord]:
     """|<phi_{Gamma,n}|j0>|^2 for every solved state."""
-    coeffs = quadrature_switch_on_coefficients(spectrum, j0, grid)
+    coeffs = switch_on_coefficients(spectrum, j0)
     return [
         PopulationRecord(index=(spectrum.labels[n], n),
                          probability=float(np.abs(coeffs.c[n]) ** 2))
@@ -187,27 +193,34 @@ def required_state_count(coeffs: SwitchCoefficients, tol: float = 1e-8) -> int:
     return int(hit[0]) + 1
 
 
-def _aligned_state_matrix(spec: PendularSpectrum,
-                          grid: AngularGrid) -> np.ndarray:
-    return np.stack([aligned_grid_state(spec, n, grid)
-                     for n in range(spec.n_states)])
+class _PairSum(NamedTuple):
+    """sum_ab conj(c_a) c_b M_ab e^{i(E_a - E_b)tau} as its static diagonal
+    plus the nonzero same-sector pairs a < b, each counting its mirror."""
+
+    population: float
+    weight: np.ndarray          # conj(c_a) * c_b * M_ab
+    gap: np.ndarray             # E_a - E_b
+    odd: np.ndarray             # pair lies in the A2 sector
 
 
-def _element_matrices(spec: PendularSpectrum, grid: AngularGrid,
-                      enforce_selection_rules: bool = True
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-    """cos and cos^2 element matrices in the pi-aligned sign convention."""
-    f = _aligned_state_matrix(spec, grid)
-    w = np.cos(grid.theta)
-    m_cos = (f * w) @ f.T * grid.dtheta
-    m_cos2 = (f * w ** 2) @ f.T * grid.dtheta
-    if enforce_selection_rules:
-        n = spec.n_states
-        same = np.array([[spec.labels[i] is spec.labels[j] for j in range(n)]
-                         for i in range(n)])
-        m_cos = np.where(same, m_cos, 0.0)
-        m_cos2 = np.where(same, m_cos2, 0.0)
-    return m_cos, m_cos2
+def _pair_sum(spectrum: PendularSpectrum, c: np.ndarray,
+              mat: np.ndarray) -> _PairSum:
+    odd = _odd_mask(spectrum.labels)
+    a, b = np.triu_indices(len(c), 1)
+    weight = np.conj(c[a]) * c[b] * mat[a, b]
+    keep = (odd[a] == odd[b]) & (weight != 0)
+    a, b = a[keep], b[keep]
+    return _PairSum(float(np.sum(np.abs(c) ** 2 * np.diag(mat).real)),
+                    weight[keep], spectrum.energies[a] - spectrum.energies[b],
+                    odd[a])
+
+
+def _check_switch_on(spectrum: PendularSpectrum,
+                     coeffs: SwitchCoefficients) -> None:
+    if coeffs.kind != "switch_on":
+        raise ValueError("needs switch_on coefficients")
+    if len(coeffs.c) != spectrum.n_states:
+        raise ValueError("coefficient vector does not match spectrum size")
 
 
 @dataclass(frozen=True)
@@ -227,35 +240,9 @@ class CoherenceDecomposition:
         return self.population + self.coherence_a1 + self.coherence_a2
 
 
-def _coherence_split(spec: PendularSpectrum, c: np.ndarray, mat: np.ndarray,
-                     tau_grid: np.ndarray, observable: str
-                     ) -> Tuple[np.ndarray, CoherenceDecomposition]:
-    pop = float(np.sum(np.abs(c) ** 2 * np.diag(mat).real))
-    parts = {SymmetryLabel.A1: np.zeros(len(tau_grid)),
-             SymmetryLabel.A2: np.zeros(len(tau_grid))}
-    n = spec.n_states
-    for a in range(n):
-        for b in range(a + 1, n):
-            if spec.labels[a] is not spec.labels[b]:
-                continue
-            z = np.conj(c[a]) * c[b] * mat[a, b]
-            if z == 0:
-                continue
-            delta = spec.energies[a] - spec.energies[b]
-            parts[spec.labels[a]] += 2.0 * np.real(
-                z * np.exp(1j * delta * tau_grid))
-    decomp = CoherenceDecomposition(observable=observable, tau_grid=tau_grid,
-                                    population=pop,
-                                    coherence_a1=parts[SymmetryLabel.A1],
-                                    coherence_a2=parts[SymmetryLabel.A2])
-    return decomp.recombined(), decomp
-
-
 def switch_on_evolution(spectrum: PendularSpectrum,
                         coeffs: SwitchCoefficients,
-                        tau_grid: np.ndarray,
-                        grid: Optional[AngularGrid] = None,
-                        enforce_selection_rules: bool = True
+                        tau_grid: np.ndarray
                         ) -> Tuple[Dict[str, ExpectationSeries],
                                    Dict[str, CoherenceDecomposition]]:
     """Series plus population/coherence decompositions after switch-on.
@@ -263,31 +250,28 @@ def switch_on_evolution(spectrum: PendularSpectrum,
     Returns ({cos, cos2, J2, energy} series, {cos, cos2} decompositions).
     <J^2>(tau) follows from energy conservation: <H> + eta<cos> + zeta<cos2>.
     """
-    if coeffs.kind != "switch_on":
-        raise ValueError("needs switch_on coefficients")
-    if len(coeffs.c) != spectrum.n_states:
-        raise ValueError("coefficient vector does not match spectrum size")
+    _check_switch_on(spectrum, coeffs)
     tau_grid = np.asarray(tau_grid, dtype=float)
-    if grid is None:
-        grid = make_grid()
-    m_cos, m_cos2 = _element_matrices(spectrum, grid, enforce_selection_rules)
     c = coeffs.c
-
-    cos_total, cos_dec = _coherence_split(spectrum, c, m_cos, tau_grid, "cos")
-    cos2_total, cos2_dec = _coherence_split(spectrum, c, m_cos2, tau_grid, "cos2")
+    totals, decomps = {}, {}
+    for name in ("cos", "cos2"):
+        pairs = _pair_sum(spectrum, c, sector_element_matrix(spectrum, name))
+        a1, a2 = (2.0 * np.real(_phase_sum(tau_grid, pairs.gap[sel],
+                                           pairs.weight[sel]))
+                  for sel in (~pairs.odd, pairs.odd))
+        decomps[name] = CoherenceDecomposition(
+            observable=name, tau_grid=tau_grid, population=pairs.population,
+            coherence_a1=a1, coherence_a2=a2)
+        totals[name] = decomps[name].recombined()
 
     energy = float(np.sum(np.abs(c) ** 2 * spectrum.energies))
     eta, zeta = spectrum.params.eta, spectrum.params.zeta
-    j2_vals = energy + eta * cos_total + zeta * cos2_total
+    j2_vals = energy + eta * totals["cos"] + zeta * totals["cos2"]
 
-    series = {
-        "cos": ExpectationSeries(tau_grid, cos_total, "cos"),
-        "cos2": ExpectationSeries(tau_grid, cos2_total, "cos2"),
-        "J2": ExpectationSeries(tau_grid, j2_vals, "J2"),
-        "energy": ExpectationSeries(tau_grid, np.full_like(tau_grid, energy),
-                                    "energy"),
-    }
-    return series, {"cos": cos_dec, "cos2": cos2_dec}
+    series = {name: ExpectationSeries(tau_grid, vals, name)
+              for name, vals in (*totals.items(), ("J2", j2_vals),
+                                 ("energy", np.full_like(tau_grid, energy)))}
+    return series, decomps
 
 
 def dominant_coherence_period(spectrum: PendularSpectrum,
@@ -302,23 +286,19 @@ def dominant_coherence_period(spectrum: PendularSpectrum,
     populated beat, whether or not it is the strongest line in any
     observable.
     """
-    if coeffs.kind != "switch_on":
-        raise ValueError("needs switch_on coefficients")
-    p = np.abs(coeffs.c) ** 2
-    populated = [n for n in range(spectrum.n_states) if p[n] > floor]
-    gaps = [abs(spectrum.energies[a] - spectrum.energies[b])
-            for i, a in enumerate(populated) for b in populated[i + 1:]
-            if spectrum.labels[a] is spectrum.labels[b]]
-    gaps = [g for g in gaps if g > 0]
-    if not gaps:
+    _check_switch_on(spectrum, coeffs)
+    populated = np.abs(coeffs.c) ** 2 > floor
+    pairs = _pair_sum(spectrum, coeffs.c,
+                      np.outer(populated, populated).astype(float))
+    gaps = np.abs(pairs.gap[pairs.gap != 0])
+    if not len(gaps):
         return math.inf
-    return 2.0 * math.pi / min(gaps)
+    return 2.0 * math.pi / float(gaps.min())
 
 
 def time_averaged_orientation(spectrum: PendularSpectrum,
                               coeffs: SwitchCoefficients,
-                              tau_tilde: float,
-                              grid: Optional[AngularGrid] = None) -> float:
+                              tau_tilde: float) -> float:
     """(1/tau_tilde) * integral of <cos>(tau) over [0, tau_tilde], closed form.
 
     Population term plus coherence terms filtered by the window transform
@@ -327,31 +307,14 @@ def time_averaged_orientation(spectrum: PendularSpectrum,
     """
     if tau_tilde <= 0:
         raise ValueError("tau_tilde must be > 0")
-    if coeffs.kind != "switch_on":
-        raise ValueError("needs switch_on coefficients")
-    if len(coeffs.c) != spectrum.n_states:
-        raise ValueError("coefficient vector does not match spectrum size")
-    if grid is None:
-        grid = make_grid()
-    m_cos, _ = _element_matrices(spectrum, grid)
-    c = coeffs.c
-    avg = float(np.sum(np.abs(c) ** 2 * np.diag(m_cos).real))
-    n = spectrum.n_states
-    for a in range(n):
-        for b in range(a + 1, n):
-            if spectrum.labels[a] is not spectrum.labels[b]:
-                continue
-            z = np.conj(c[a]) * c[b] * m_cos[a, b]
-            if z == 0:
-                continue
-            delta = float(spectrum.energies[a] - spectrum.energies[b])
-            if delta == 0.0:
-                avg += 2.0 * z.real
-                continue
-            x = delta * tau_tilde
-            window = (np.exp(1j * x) - 1.0) / (1j * x)
-            avg += 2.0 * (z * window).real
-    return avg
+    _check_switch_on(spectrum, coeffs)
+    pairs = _pair_sum(spectrum, coeffs.c,
+                      sector_element_matrix(spectrum, "cos"))
+    x = pairs.gap * tau_tilde
+    moving = x != 0.0
+    window = np.ones(len(x), dtype=complex)
+    window[moving] = (np.exp(1j * x[moving]) - 1.0) / (1j * x[moving])
+    return pairs.population + 2.0 * float(np.sum(pairs.weight * window).real)
 
 
 # ---------------------------------------------------------------------------
@@ -377,27 +340,18 @@ class TopologyMap:
     well_boundary: Optional[np.ndarray] = None
 
 
-def _default_thread_count() -> int:
-    env = os.environ.get("PLANAR_PENDULUM_THREADS")
-    if env:
-        try:
-            v = int(env)
-            if v >= 1:
-                return v
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
-
-
 def topology_map(zeta_range: Tuple[float, float], eta_range: Tuple[float, float],
                  j0: int, tau_tilde: float, resolution: Tuple[int, int],
                  n_states: int = 20, j_max: int = DEFAULT_J_MAX,
                  threads: Optional[int] = None) -> TopologyMap:
     """Map of the time-averaged orientation, with crossing-loci overlays.
 
-    resolution = (n_eta, n_zeta), both >= 16. Points are independent; the
-    map parallelizes over them and merges by index.
+    resolution = (n_eta, n_zeta), both >= 16. The points are evaluated in
+    one thread; threads is accepted and must be >= 1 when given, and the
+    result does not depend on it.
     """
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     n_eta, n_zeta = resolution
     if n_eta < 16 or n_zeta < 16:
         raise ValueError("resolution must be >= 16 per axis")
@@ -407,27 +361,14 @@ def topology_map(zeta_range: Tuple[float, float], eta_range: Tuple[float, float]
         raise ValueError("eta grid must stay <= 0")
     if np.any(zeta_values < 0):
         raise ValueError("zeta grid must stay >= 0")
-    grid = make_grid()
 
-    def one(point: Tuple[int, int]) -> Tuple[int, int, float]:
-        i, k = point
-        params = InteractionParams(float(eta_values[i]), float(zeta_values[k]))
-        spec = solve_spectrum(params, n_states, j_max)
-        coeffs = quadrature_switch_on_coefficients(spec, j0, grid)
-        return i, k, time_averaged_orientation(spec, coeffs, tau_tilde, grid)
-
-    points = [(i, k) for i in range(n_eta) for k in range(n_zeta)]
     values = np.empty((n_eta, n_zeta))
-    workers = threads if threads else _default_thread_count()
-    if workers == 1:
-        results = map(one, points)
-    else:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        results = pool.map(one, points)
-    for i, k, v in results:
-        values[i, k] = v
-    if workers != 1:
-        pool.shutdown()
+    for i, eta in enumerate(eta_values):
+        for k, zeta in enumerate(zeta_values):
+            spec = solve_spectrum(InteractionParams(float(eta), float(zeta)),
+                                  n_states, j_max)
+            values[i, k] = time_averaged_orientation(
+                spec, switch_on_coefficients(spec, j0), tau_tilde)
 
     zq = np.sqrt(np.maximum(zeta_values, 0.0))
     eta_lo = min(abs(eta_range[0]), abs(eta_range[1]))

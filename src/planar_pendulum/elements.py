@@ -1,6 +1,7 @@
-"""Matrix elements of cos(theta) and cos(theta)**2 between pendular states,
-by grid quadrature and by closed Bessel-sum formulas, plus the
-Hellmann-Feynman and kinetic-energy consistency identities.
+"""Matrix elements of cos(theta) and cos(theta)**2 between pendular states:
+exact in the parity-split basis, by grid quadrature (the twin) and by
+closed Bessel-sum formulas, plus the Hellmann-Feynman and kinetic-energy
+consistency identities.
 
 Bessel machinery
 ----------------
@@ -41,10 +42,10 @@ from .core import (
     AngularGrid,
     InteractionParams,
     SymmetryLabel,
-    Wavefunction,
     make_grid,
 )
-from .spectrum import PendularSpectrum, solve_spectrum
+from .spectrum import (PendularSpectrum, _odd_mask, _sector_operators,
+                       solve_spectrum)
 
 BESSEL_X_MAX = 700.0        # exp overflow guard for the Miller normalization
 _SERIES_CUTOFF = 2.0
@@ -277,19 +278,23 @@ def transition_element(spec: PendularSpectrum, n: int, n_prime: int,
     return TransitionElement(n, n_prime, spec.labels[n], operator, val)
 
 
-def sector_element_matrix(spec: PendularSpectrum, operator: str,
-                          grid: Optional[AngularGrid] = None) -> np.ndarray:
-    """Dense (n_states x n_states) element matrix with selection-rule zeros."""
-    if grid is None:
-        grid = make_grid(QUAD_GRID_POINTS)
-    n = spec.n_states
-    funcs = np.stack([spec.wavefunction(i, grid).amplitudes.real
-                      for i in range(n)])
-    w = _OPERATOR_FN[operator](grid.theta)
-    mat = (funcs * w) @ funcs.T * grid.dtheta
-    same = np.array([[spec.labels[i] is spec.labels[j] for j in range(n)]
-                     for i in range(n)])
-    return np.where(same, mat, 0.0)
+def sector_element_matrix(spec: PendularSpectrum, operator: str) -> np.ndarray:
+    """Dense (n_states x n_states) element matrix, exact in the basis.
+
+    V^T O V per parity sector from the stored coefficients and the sector
+    operator matrices of the Hamiltonian; cross-sector entries are zero by
+    construction. transition_element is the grid-quadrature twin.
+    """
+    if operator not in _OPERATOR_FN:
+        raise ValueError(f"unknown operator {operator!r}")
+    which = 1 if operator == "cos" else 2
+    even_ops, odd_ops = _sector_operators(spec.j_max)
+    odd = _odd_mask(spec.labels)
+    mat = np.zeros((spec.n_states, spec.n_states))
+    for mask, ops, first in ((~odd, even_ops, 0), (odd, odd_ops, 1)):
+        v = spec.coefficients[mask, first:]
+        mat[np.ix_(mask, mask)] = v @ ops[which] @ v.T
+    return mat
 
 
 def hellmann_feynman_residual(params: InteractionParams, n: int,

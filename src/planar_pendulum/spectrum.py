@@ -7,7 +7,7 @@ uses {1/sqrt(2*pi), cos(J*theta)/sqrt(pi)} and the odd (A2) sector
 {sin(J*theta)/sqrt(pi)}. Within a sector, cos(theta) couples |dJ| = 1 with
 strength 1/2 and cos(theta)**2 couples |dJ| = 2 with strength 1/4 plus a
 1/2 diagonal shift; rows touching J = 0 pick up sqrt(2) factors, and the
-J = 1 diagonal folds over (cos: 3/4 in the even sector, 1/4 in the odd).
+J = 1 diagonal folds over (cos**2: 3/4 in the even sector, 1/4 in the odd).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +44,36 @@ def _basis_tables(n_points: int, j_max: int) -> Tuple[np.ndarray, np.ndarray]:
 PARITY_NORM_TOL = 1e-10
 
 
+@lru_cache(maxsize=8)
+def _sector_operators(j_max: int) -> Tuple[Tuple[np.ndarray, ...], ...]:
+    """(J^2, cos, cos^2) of the even sector, then of the odd sector.
+
+    Cached read-only per j_max: every Hamiltonian and every element matrix
+    at this cutoff is a combination of these six matrices.
+    """
+    def band(n: int, value: float, k: int) -> np.ndarray:
+        return np.diag(np.full(n - k, value), k)
+
+    def symmetric(upper: np.ndarray) -> np.ndarray:
+        return upper + np.triu(upper, 1).T
+
+    j = np.arange(j_max + 1, dtype=float)
+    n1, n2 = j_max + 1, j_max
+    cos_even = band(n1, 0.5, 1)
+    cos_even[0, 1] = 1.0 / math.sqrt(2.0)
+    cos2_even = band(n1, 0.5, 0) + band(n1, 0.25, 2)
+    cos2_even[1, 1] = 0.75             # <cos J=1|cos^2|cos J=1>
+    cos2_even[0, 2] = math.sqrt(2.0) / 4.0
+    cos2_odd = band(n2, 0.5, 0) + band(n2, 0.25, 2)
+    cos2_odd[0, 0] = 0.25              # <sin J=1|cos^2|sin J=1>
+    ops = ((np.diag(j ** 2), symmetric(cos_even), symmetric(cos2_even)),
+           (np.diag(j[1:] ** 2), symmetric(band(n2, 0.5, 1)),
+            symmetric(cos2_odd)))
+    for m in (*ops[0], *ops[1]):
+        m.flags.writeable = False
+    return ops
+
+
 def build_hamiltonian(params: InteractionParams,
                       j_max: int = DEFAULT_J_MAX) -> Tuple[np.ndarray, np.ndarray]:
     """Real symmetric matrices (even sector, odd sector).
@@ -54,32 +84,8 @@ def build_hamiltonian(params: InteractionParams,
     if j_max < 8:
         raise ValueError(f"need j_max >= 8, got {j_max}")
     eta, zeta = params.eta, params.zeta
-
-    n1 = j_max + 1
-    h1 = np.zeros((n1, n1))
-    for j in range(n1):
-        h1[j, j] = j * j - 0.5 * zeta
-    h1[1, 1] -= 0.25 * zeta            # <cos J=1|cos^2|cos J=1> = 3/4
-    h1[0, 1] = h1[1, 0] = -eta / math.sqrt(2.0)
-    for j in range(1, n1 - 1):
-        h1[j, j + 1] = h1[j + 1, j] = -0.5 * eta
-    if n1 > 2:
-        h1[0, 2] = h1[2, 0] = -zeta * math.sqrt(2.0) / 4.0
-    for j in range(1, n1 - 2):
-        h1[j, j + 2] = h1[j + 2, j] = -0.25 * zeta
-
-    n2 = j_max
-    h2 = np.zeros((n2, n2))
-    for i in range(n2):
-        j = i + 1
-        h2[i, i] = j * j - 0.5 * zeta
-    h2[0, 0] += 0.25 * zeta            # <sin J=1|cos^2|sin J=1> = 1/4
-    for i in range(n2 - 1):
-        h2[i, i + 1] = h2[i + 1, i] = -0.5 * eta
-    for i in range(n2 - 2):
-        h2[i, i + 2] = h2[i + 2, i] = -0.25 * zeta
-
-    return h1, h2
+    (k1, c1, q1), (k2, c2, q2) = _sector_operators(j_max)
+    return k1 - eta * c1 - zeta * q1, k2 - eta * c2 - zeta * q2
 
 
 @dataclass(frozen=True)
@@ -119,38 +125,69 @@ class PendularSpectrum:
             f = c[1:] @ sin_t
         return Wavefunction(grid, f.astype(complex), normalize=False)
 
-    def free_rotor_coefficients(self, n: int, j_max: Optional[int] = None) -> np.ndarray:
-        """Signed-J expansion <j|phi_n> for j in [-j_max, j_max].
+    def free_rotor_coefficients(self, n, j_max: Optional[int] = None) -> np.ndarray:
+        """Signed-J expansion <j|phi_n>, j in [-j_max, j_max] at index j + j_max.
 
         Even sector: c_0 at j=0 and c_J/sqrt(2) at +-J. Odd sector:
-        -i*c_J/sqrt(2) at +J and +i*c_J/sqrt(2) at -J.
+        -i*c_J/sqrt(2) at +J and +i*c_J/sqrt(2) at -J; zero past the cutoff.
+        n is one state index or an index array (one row per state).
         """
         if j_max is None:
             j_max = self.j_max
         jm = min(j_max, self.j_max)
-        out = np.zeros(2 * j_max + 1, dtype=complex)
-        c = self.coefficients[n]
-        if self.labels[n] is SymmetryLabel.A1:
-            out[j_max] = c[0]
-            for j in range(1, jm + 1):
-                out[j_max + j] = c[j] / math.sqrt(2.0)
-                out[j_max - j] = c[j] / math.sqrt(2.0)
-        else:
-            for j in range(1, jm + 1):
-                out[j_max + j] = -1j * c[j] / math.sqrt(2.0)
-                out[j_max - j] = 1j * c[j] / math.sqrt(2.0)
+        idx = np.asarray(n)
+        c = self.coefficients[idx]
+        odd = _odd_mask(self.labels)[idx][..., None]
+        half = c[..., 1:jm + 1] / math.sqrt(2.0)
+        out = np.zeros(idx.shape + (2 * j_max + 1,), dtype=complex)
+        out[..., j_max] = c[..., 0]
+        out[..., j_max + 1:j_max + jm + 1] = np.where(odd, -1j * half, half)
+        out[..., j_max - jm:j_max] = np.where(odd, 1j * half, half)[..., ::-1]
         return out
 
 
-def _fix_sign(vec: np.ndarray) -> np.ndarray:
-    # Deterministic phase: largest-magnitude coefficient made positive.
-    k = int(np.argmax(np.abs(vec)))
-    return -vec if vec[k] < 0 else vec
+def _odd_mask(labels: Sequence[SymmetryLabel]) -> np.ndarray:
+    return np.array([lab is SymmetryLabel.A2 for lab in labels], dtype=bool)
+
+
+# A pi probe below this fraction of the sum of its terms' magnitudes is
+# treated as cancelled and falls back to the largest-coefficient rule.
+_ALIGN_FLOOR = 1e-8
+
+
+def _pi_probe_weights(n_coeffs: int):
+    """Weights w with f(pi) = c @ value (even) and f'(pi) = c @ slope (odd)."""
+    j = np.arange(n_coeffs)
+    value = (-1.0) ** j / math.sqrt(np.pi)
+    slope = j * value
+    value[0] = 1.0 / math.sqrt(2.0 * np.pi)
+    return value, slope
+
+
+def _pi_aligned(coeffs: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """Flip rows so that each state is positive (even) or rising (odd) at
+    theta = pi, exactly on the coefficients; below _ALIGN_FLOOR times
+    sum_J |c_J w_J| the largest-magnitude coefficient is made positive.
+
+    A public contract: the sign of wavefunction, aligned_grid_state and
+    the amplitudes built from them. Bilinear outputs do not depend on it.
+    """
+    value, slope = _pi_probe_weights(coeffs.shape[1])
+    weights = np.where(odd[:, None], slope, value)
+    probe = np.einsum("ij,ij->i", coeffs, weights)
+    scale = np.einsum("ij,ij->i", np.abs(coeffs), np.abs(weights))
+    largest = coeffs[np.arange(len(coeffs)), np.argmax(np.abs(coeffs), axis=1)]
+    probe = np.where(np.abs(probe) > _ALIGN_FLOOR * scale, probe, largest)
+    return np.where((probe < 0)[:, None], -coeffs, coeffs)
 
 
 def solve_spectrum(params: InteractionParams, n_states: int,
                    j_max: int = DEFAULT_J_MAX) -> PendularSpectrum:
-    """Diagonalize both parity sectors and merge the lowest n_states."""
+    """Diagonalize both parity sectors and merge the lowest n_states.
+
+    Each eigenvector's overall sign is fixed here, once, by the pi-aligned
+    rule of _pi_aligned; every grid or basis route downstream inherits it.
+    """
     if n_states < 1:
         raise ValueError("n_states must be >= 1")
     if n_states > 2 * j_max:
@@ -169,18 +206,14 @@ def solve_spectrum(params: InteractionParams, n_states: int,
     # Stable order: energy, then even sector first at exact degeneracies.
     order = np.lexsort((within, sector, energies))[:n_states]
 
+    odd = sector[order] == 1
     coeffs = np.zeros((n_states, j_max + 1))
-    labels = []
-    for row, idx in enumerate(order):
-        if sector[idx] == 0:
-            coeffs[row] = _fix_sign(v1[:, within[idx]])
-            labels.append(SymmetryLabel.A1)
-        else:
-            coeffs[row, 1:] = _fix_sign(v2[:, within[idx]])
-            labels.append(SymmetryLabel.A2)
+    coeffs[~odd] = v1[:, within[order[~odd]]].T
+    coeffs[odd, 1:] = v2[:, within[order[odd]]].T
+    labels = tuple(SymmetryLabel.A2 if o else SymmetryLabel.A1 for o in odd)
     return PendularSpectrum(params=params, energies=energies[order],
-                            coefficients=coeffs, labels=tuple(labels),
-                            j_max=j_max)
+                            coefficients=_pi_aligned(coeffs, odd),
+                            labels=labels, j_max=j_max)
 
 
 def classify_symmetry(psi: Wavefunction) -> SymmetryLabel:

@@ -7,6 +7,7 @@ import pytest
 
 from planar_pendulum import (
     InteractionParams,
+    aligned_grid_state,
     dominant_coherence_period,
     free_rotor_wavefunction,
     make_grid,
@@ -17,6 +18,7 @@ from planar_pendulum import (
     solve_spectrum,
     switch_off_evolution,
     switch_off_populations,
+    switch_on_coefficients,
     switch_on_evolution,
     switch_on_populations,
     time_averaged_orientation,
@@ -143,13 +145,20 @@ def test_coherence_split_recombines():
 
 
 def test_selection_enforcement_is_a_noop():
+    # basis route (same-sector pairs only) vs a grid twin: full double sum
+    # over every state pair with unmasked 512-point quadrature elements
     spec = solve_spectrum(InteractionParams(-10.0, 25.0), 20)
-    coeffs = quadrature_switch_on_coefficients(spec, 1)
     tau = make_tau_grid(math.pi, samples_per_period=32)
-    a, _ = switch_on_evolution(spec, coeffs, tau, enforce_selection_rules=True)
-    b, _ = switch_on_evolution(spec, coeffs, tau, enforce_selection_rules=False)
-    for name in ("cos", "cos2"):
-        assert np.abs(a[name].values - b[name].values).max() < 1e-12
+    a, _ = switch_on_evolution(spec, switch_on_coefficients(spec, 1), tau)
+    grid = make_grid(512)
+    f = np.stack([aligned_grid_state(spec, n, grid) for n in range(20)])
+    c = quadrature_switch_on_coefficients(spec, 1, grid).c
+    d = c * np.exp(-1j * np.outer(tau, spec.energies))
+    for name, w in (("cos", np.cos(grid.theta)),
+                    ("cos2", np.cos(grid.theta) ** 2)):
+        m = (f * w) @ f.T * grid.dtheta
+        b = np.einsum("ta,ab,tb->t", np.conj(d), m, d).real
+        assert np.abs(a[name].values - b).max() < 1e-12
 
 
 def test_dominant_coherence_period_frozen():

@@ -1,0 +1,56 @@
+"""Every `planar-pendulum` command in the README's code blocks runs as written."""
+
+import csv
+import re
+import shlex
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from planar_pendulum.cli import main, parse_range
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands():
+    text = README.read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, re.S | re.M)
+    commands = []
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line)
+            if words[:1] == ["planar-pendulum"] and "<command>" not in line:
+                commands.append(words[1:])
+    return commands
+
+
+COMMANDS = readme_commands()
+
+
+def test_readme_lists_every_command():
+    seen = {argv[0] for argv in COMMANDS}
+    assert seen == {"spectrum", "crossings", "switch-off", "switch-on",
+                    "propagate", "topology-map", "validate"}
+
+
+def _flag(argv, name):
+    return argv[argv.index(name) + 1]
+
+
+@pytest.mark.parametrize("argv", [a for a in COMMANDS if a[0] != "validate"],
+                         ids=lambda a: " ".join(a))
+def test_readme_example_runs(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "topology-map":
+        # the full map is slow; check that its ranges make a legal map
+        etas = parse_range(_flag(argv, "--eta-range"))
+        zetas = parse_range(_flag(argv, "--zeta-range"))
+        assert np.all(etas <= 0) and np.all(zetas >= 0)
+        assert len(etas) >= 16 and len(zetas) >= 16
+        return
+    assert main(list(argv)) == 0
+    output = _flag(argv, "--output") if "--output" in argv else f"{argv[0]}.csv"
+    with open(tmp_path / output) as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) >= 2, f"{output} has no data rows"
