@@ -4,11 +4,15 @@ Commands map one-to-one onto library operations and own every file
 format. CSV bodies are deterministic (header row, then rows with floats
 at 15 significant digits, newline line endings); every run writes a
 manifest JSON next to the primary output listing the resolved
-configuration, library version, and a checksum per output file.
+configuration (every default included), library version, and a checksum
+per output file.
 
-Flags have a JSON config-file mirror (--config): file keys use the long
-option names without the leading dashes, explicit flags override file
-values, unknown keys are rejected with the offending line.
+Each option is declared once, in OPTIONS, with its default (the library's
+own where it has one). A JSON config file (--config) is read as the flags
+its keys name, ahead of the command line: file values are typed and
+checked like flags (exit 2), explicit flags override them, and unknown
+keys are rejected with the offending line. propagate's 'schedule' is the
+one key without a flag.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    DEFAULT_GRID_POINTS,
+    DEFAULT_J_MAX,
     InteractionParams,
     Wavefunction,
     free_rotor_wavefunction,
@@ -37,6 +43,7 @@ from .cqes import (
     switch_on_coefficients,
 )
 from .dynamics import (
+    SAMPLES_PER_PERIOD,
     make_tau_grid,
     switch_off_evolution,
     switch_off_populations,
@@ -44,12 +51,10 @@ from .dynamics import (
     switch_on_populations,
     topology_map,
 )
-from .propagate import Profile, PulseSchedule, Segment, propagate
-from .spectrum import crossing_scan, solve_spectrum
+from .propagate import DEFAULT_DTAU, Profile, PulseSchedule, Segment, propagate
+from .spectrum import (CROSSING_ETA_TOL, CROSSING_RESOLUTION, crossing_scan,
+                       solve_spectrum)
 from .validation import run_all
-
-COMMANDS = ("spectrum", "crossings", "switch-off", "switch-on", "propagate",
-            "topology-map", "validate")
 
 
 class ConfigError(Exception):
@@ -86,9 +91,9 @@ def _axis_points(scalar, range_text, name: str) -> np.ndarray:
     if scalar is not None and range_text is not None:
         raise ConfigError(f"give either --{name} or --{name}-range, not both")
     if range_text is not None:
-        return parse_range(str(range_text))
+        return parse_range(range_text)
     if scalar is not None:
-        return np.array([float(scalar)])
+        return np.array([scalar])
     raise ConfigError(f"missing --{name} or --{name}-range")
 
 
@@ -136,13 +141,14 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(primary: str, command: str, resolved: Dict,
+def _write_manifest(primary: str, args: argparse.Namespace,
                     outputs: List[str]) -> str:
     stem, _ = os.path.splitext(primary)
     path = stem + ".manifest.json"
     manifest = {
-        "command": command,
-        "config": {k: v for k, v in sorted(resolved.items()) if v is not None},
+        "command": args.command,
+        "config": {dest.replace("_", "-"): v for dest, v in vars(args).items()
+                   if v is not None and dest != "command"},
         "version": __version__,
         "outputs": [
             {"path": p, "sha256": _sha256(p), "bytes": os.path.getsize(p)}
@@ -192,7 +198,8 @@ def _key_line(raw_text: str, key: str) -> Optional[int]:
 def _load_config(path: str, command: str,
                  known: Sequence[str]) -> Dict:
     try:
-        raw = open(path).read()
+        with open(path) as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", source=path) from None
     try:
@@ -217,27 +224,43 @@ def _load_config(path: str, command: str,
     return data
 
 
-def _resolve(args: argparse.Namespace, keys: Sequence[str],
-             defaults: Dict) -> Dict:
-    """defaults < config file < explicit flags."""
-    resolved = dict(defaults)
+def _file_flags(data: Dict) -> List[str]:
+    """Config-file keys as the flags they mirror: --key=value, or a list
+    as the values of one flag; null leaves the flag out. Other JSON values
+    keep their JSON spelling, so 2.7 or true fails an int flag as it would
+    on the command line."""
+    def text(value) -> str:
+        return value if isinstance(value, str) else json.dumps(value)
+
+    flags: List[str] = []
+    for key, value in data.items():
+        if key in ("command", "schedule") or value is None:
+            continue
+        if isinstance(value, list):
+            flags += [f"--{key}", *map(text, value)]
+        else:
+            flags.append(f"--{key}={text(value)}")
+    return flags
+
+
+def _with_config(parser: argparse.ArgumentParser, argv: List[str],
+                 args: argparse.Namespace) -> argparse.Namespace:
+    """Parse again with the file's flags ahead of argv's: defaults < file
+    < explicit flags. propagate's 'schedule' has no flag; it is kept aside."""
     command = args.command
-    if getattr(args, "config", None):
-        file_values = _load_config(args.config, command, list(keys))
-        for k, v in file_values.items():
-            if k != "command":
-                resolved[k] = v
-    for key in keys:
-        attr = key.replace("-", "_")
-        val = getattr(args, attr, None)
-        if val is not None:
-            resolved[key] = val
-    return resolved
+    known = list(OPTIONS[command])
+    if command == "propagate":
+        known.append("schedule")
+    data = _load_config(args.config, command, known)
+    at = argv.index(command) + 1
+    args = parser.parse_args([*argv[:at], *_file_flags(data), *argv[at:]])
+    args.schedule = data.get("schedule")
+    return args
 
 
-def _resolve_threads(resolved: Dict) -> Optional[int]:
+def _threads(flag: Optional[int]) -> Optional[int]:
     """--threads, else PLANAR_PENDULUM_THREADS, else None; must be >= 1."""
-    source, text = "--threads", resolved.get("threads")
+    source, text = "--threads", flag
     if text is None:
         source = "PLANAR_PENDULUM_THREADS"
         text = os.environ.get(source) or None
@@ -245,7 +268,7 @@ def _resolve_threads(resolved: Dict) -> Optional[int]:
         return None
     try:
         threads = int(text)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ConfigError(f"{source}={text!r} is not an integer") from None
     if threads < 1:
         raise ConfigError(f"{source}={threads} must be >= 1")
@@ -253,45 +276,40 @@ def _resolve_threads(resolved: Dict) -> Optional[int]:
 
 
 # --------------------------------------------------------------------------
-# command handlers: each returns (columns, rows, extra_outputs)
+# command handlers: each takes the parsed options and returns
+# (columns, rows, extra_outputs)
 
 
-def _scan_points(resolved: Dict) -> List[Tuple[float, float]]:
-    etas = _axis_points(resolved.get("eta"), resolved.get("eta-range"), "eta")
-    zetas = _axis_points(resolved.get("zeta"), resolved.get("zeta-range"),
-                         "zeta")
+def _scan_points(args: argparse.Namespace) -> List[Tuple[float, float]]:
+    etas = _axis_points(args.eta, args.eta_range, "eta")
+    zetas = _axis_points(args.zeta, args.zeta_range, "zeta")
     return [(float(e), float(z)) for z in zetas for e in etas]
 
 
-def _run_spectrum(resolved: Dict):
-    n_states = int(resolved["n-states"])
-    j_max = int(resolved["j-max"])
+def _run_spectrum(args: argparse.Namespace):
     rows = []
-    for eta, zeta in _scan_points(resolved):
-        spec = solve_spectrum(InteractionParams(eta, zeta), n_states, j_max)
+    for eta, zeta in _scan_points(args):
+        spec = solve_spectrum(InteractionParams(eta, zeta), args.n_states,
+                              args.j_max)
         for n in range(spec.n_states):
             rows.append((eta, zeta, n, str(spec.labels[n]),
                          float(spec.energies[n])))
     return ["eta", "zeta", "n", "symmetry", "energy"], rows, {}
 
 
-def _run_crossings(resolved: Dict):
-    if resolved.get("eta-range") is None:
+def _run_crossings(args: argparse.Namespace):
+    if args.eta_range is None:
         raise ConfigError("crossings needs --eta-range as the search window")
-    window = parse_range(str(resolved["eta-range"]))
-    zetas = _axis_points(resolved.get("zeta"), resolved.get("zeta-range"),
-                         "zeta")
-    pair = resolved["pair"]
-    if pair is None or len(pair) != 2:
+    window = parse_range(args.eta_range)
+    zetas = _axis_points(args.zeta, args.zeta_range, "zeta")
+    if args.pair is None:
         raise ConfigError("crossings needs --pair N M (adjacent states)")
-    pair = (int(pair[0]), int(pair[1]))
     rows = []
     for zeta in zetas:
         records = crossing_scan(
-            float(zeta), (float(window[0]), float(window[-1])), pair,
-            resolution=int(resolved["resolution"]),
-            j_max=int(resolved["j-max"]),
-            eta_tol=float(resolved["eta-tol"]))
+            float(zeta), (float(window[0]), float(window[-1])),
+            tuple(args.pair), resolution=args.resolution, j_max=args.j_max,
+            eta_tol=args.eta_tol)
         for r in records:
             rows.append((float(zeta), r.state_pair[0], r.state_pair[1],
                          r.eta_at_crossing, r.kappa, r.kind, r.min_gap))
@@ -299,20 +317,18 @@ def _run_crossings(resolved: Dict):
              "min_gap"], rows, {})
 
 
-def _run_switch_off(resolved: Dict):
-    n0 = int(resolved["n0"])
-    j_max = int(resolved["j-max"])
+def _run_switch_off(args: argparse.Namespace):
+    n0 = args.n0
     rows = []
     series_rows = []
-    for eta, zeta in _scan_points(resolved):
+    for eta, zeta in _scan_points(args):
         spec = solve_spectrum(InteractionParams(eta, zeta),
-                              max(n0 + 1, 4), j_max)
-        for rec in switch_off_populations(spec, n0, j_max):
+                              max(n0 + 1, 4), args.j_max)
+        for rec in switch_off_populations(spec, n0, args.j_max):
             rows.append((eta, zeta, n0, rec.index, rec.probability))
-        if resolved.get("tau-max") is not None:
-            coeffs = switch_off_coefficients(spec, n0, j_max)
-            tau = make_tau_grid(float(resolved["tau-max"]),
-                                int(resolved["samples-per-period"]))
+        if args.tau_max is not None:
+            coeffs = switch_off_coefficients(spec, n0, args.j_max)
+            tau = make_tau_grid(args.tau_max, args.samples_per_period)
             ev = switch_off_evolution(coeffs, tau)
             for i, t in enumerate(tau):
                 series_rows.append((eta, zeta, n0, float(t),
@@ -325,21 +341,19 @@ def _run_switch_off(resolved: Dict):
     return ["eta", "zeta", "n0", "J", "probability"], rows, extras
 
 
-def _run_switch_on(resolved: Dict):
-    j0 = int(resolved["j0"])
-    j_max = int(resolved["j-max"])
-    n_states = int(resolved["n-states"])
+def _run_switch_on(args: argparse.Namespace):
+    j0 = args.j0
     rows = []
     series_rows = []
-    for eta, zeta in _scan_points(resolved):
-        spec = solve_spectrum(InteractionParams(eta, zeta), n_states, j_max)
+    for eta, zeta in _scan_points(args):
+        spec = solve_spectrum(InteractionParams(eta, zeta), args.n_states,
+                              args.j_max)
         for rec in switch_on_populations(spec, j0):
             label, n = rec.index
             rows.append((eta, zeta, j0, n, str(label), rec.probability))
-        if resolved.get("tau-max") is not None:
+        if args.tau_max is not None:
             coeffs = switch_on_coefficients(spec, j0)
-            tau = make_tau_grid(float(resolved["tau-max"]),
-                                int(resolved["samples-per-period"]))
+            tau = make_tau_grid(args.tau_max, args.samples_per_period)
             ser, _ = switch_on_evolution(spec, coeffs, tau)
             for i, t in enumerate(tau):
                 series_rows.append((eta, zeta, j0, float(t),
@@ -387,47 +401,38 @@ def _schedule_from_config(obj) -> PulseSchedule:
     return PulseSchedule(segments)
 
 
-def _run_propagate(resolved: Dict):
-    ramp_flags = [resolved.get(k) is not None for k in
-                  ("eta-to", "zeta-to", "ramp-duration")]
-    if any(ramp_flags) and not all(ramp_flags):
+def _run_propagate(args: argparse.Namespace):
+    ramp = (args.eta_to, args.zeta_to, args.ramp_duration)
+    if any(v is not None for v in ramp) and None in ramp:
         raise ConfigError("a ramp needs --eta-to, --zeta-to and "
                           "--ramp-duration together")
-    if all(ramp_flags):
+    if None not in ramp:
         schedule = PulseSchedule.switch(
-            float(resolved.get("eta-from") or 0.0),
-            float(resolved.get("zeta-from") or 0.0),
-            float(resolved["eta-to"]), float(resolved["zeta-to"]),
-            float(resolved["ramp-duration"]),
-            float(resolved.get("hold-duration") or 0.0),
-            shape=str(resolved.get("shape") or "smooth_cosine"))
-    elif resolved.get("schedule") is not None:
-        schedule = _schedule_from_config(resolved["schedule"])
+            args.eta_from, args.zeta_from, args.eta_to, args.zeta_to,
+            args.ramp_duration, args.hold_duration, shape=args.shape)
+    elif getattr(args, "schedule", None) is not None:
+        schedule = _schedule_from_config(args.schedule)
     else:
         raise ConfigError("propagate needs ramp flags (--eta-to, --zeta-to, "
                           "--ramp-duration) or a 'schedule' in the config")
 
-    grid = make_grid(int(resolved["grid-points"]))
-    if resolved.get("n0") is not None and resolved.get("j0") is not None:
+    grid = make_grid(args.grid_points)
+    if args.n0 is not None and args.j0 is not None:
         raise ConfigError("give either --j0 or --n0, not both")
-    if resolved.get("n0") is not None:
+    if args.n0 is not None:
         eta0, zeta0 = schedule.fields_at(0.0)
-        n0 = int(resolved["n0"])
-        spec = solve_spectrum(InteractionParams(eta0, zeta0), n0 + 1,
-                              int(resolved["j-max"]))
+        spec = solve_spectrum(InteractionParams(eta0, zeta0), args.n0 + 1,
+                              args.j_max)
         psi0 = Wavefunction(grid,
-                            aligned_grid_state(spec, n0, grid).astype(complex),
+                            aligned_grid_state(spec, args.n0,
+                                               grid).astype(complex),
                             normalize=False)
     else:
-        psi0 = free_rotor_wavefunction(int(resolved.get("j0") or 0), grid)
+        psi0 = free_rotor_wavefunction(0 if args.j0 is None else args.j0,
+                                       grid)
 
-    duration = (float(resolved["tau-end"])
-                if resolved.get("tau-end") is not None else None)
-    traj = propagate(psi0, schedule, dtau=float(resolved["dtau"]),
-                     sample_stride=(int(resolved["sample-stride"])
-                                    if resolved.get("sample-stride") is not None
-                                    else None),
-                     duration=duration)
+    traj = propagate(psi0, schedule, dtau=args.dtau,
+                     sample_stride=args.sample_stride, duration=args.tau_end)
     rows = []
     for i, t in enumerate(traj.tau_samples):
         eta_t, zeta_t = schedule.fields_at(float(t))
@@ -441,20 +446,19 @@ def _run_propagate(resolved: Dict):
             rows, {})
 
 
-def _run_topology_map(resolved: Dict):
-    if resolved.get("eta-range") is None or resolved.get("zeta-range") is None:
+def _run_topology_map(args: argparse.Namespace):
+    if args.eta_range is None or args.zeta_range is None:
         raise ConfigError("topology-map needs --eta-range and --zeta-range")
-    etas = parse_range(str(resolved["eta-range"]))
-    zetas = parse_range(str(resolved["zeta-range"]))
+    etas = parse_range(args.eta_range)
+    zetas = parse_range(args.zeta_range)
     if len(etas) < 16 or len(zetas) < 16:
         raise ConfigError("topology-map needs at least 16 points per axis")
     tmap = topology_map(
         (float(zetas[0]), float(zetas[-1])),
         (float(etas[0]), float(etas[-1])),
-        int(resolved["j0"]), float(resolved["tau-tilde"]),
-        (len(etas), len(zetas)),
-        n_states=int(resolved["n-states"]), j_max=int(resolved["j-max"]),
-        threads=_resolve_threads(resolved))
+        args.j0, args.tau_tilde, (len(etas), len(zetas)),
+        n_states=args.n_states, j_max=args.j_max,
+        threads=_threads(args.threads))
     rows = []
     for i, eta in enumerate(tmap.eta_values):
         for k, zeta in enumerate(tmap.zeta_values):
@@ -477,11 +481,10 @@ def _run_topology_map(resolved: Dict):
     return ["eta", "zeta", "avg_cos"], rows, {"overlays": overlays}
 
 
-def _run_validate(resolved: Dict) -> int:
+def _run_validate(args: argparse.Namespace) -> int:
     names = None
-    if resolved.get("checks"):
-        names = [s.strip() for s in str(resolved["checks"]).split(",")
-                 if s.strip()]
+    if args.checks:
+        names = [s.strip() for s in args.checks.split(",") if s.strip()]
     def show(res):
         mark = "PASS" if res.passed else "FAIL"
         print(f"[{mark}] {res.name:24s} {res.detail} ({res.seconds:.2f}s)",
@@ -493,94 +496,79 @@ def _run_validate(resolved: Dict) -> int:
 
 
 # --------------------------------------------------------------------------
-# parser
+# options: per command, the add_argument spec of each --name with its
+# default and help; the names are the config-file keys too
 
 
-_COMMON = {
-    "config": dict(type=str, help="JSON config file mirroring the flags"),
-    "output": dict(type=str, help="primary output path"),
-    "format": dict(type=str, choices=("csv", "json"),
-                   help="output format (default csv)"),
-    "threads": dict(type=int, help="topology-map: >= 1, else ignored; "
-                    "single-threaded (fallback: PLANAR_PENDULUM_THREADS)"),
-    "j-max": dict(type=int, help="free-rotor basis cutoff (default 64)"),
+_EVERY = {
+    "config": dict(help="JSON config file whose keys are these flag names"),
+    "threads": dict(type=int, help="topology-map only: >= 1, fallback "
+                    "PLANAR_PENDULUM_THREADS; results do not depend on it"),
 }
-
-_FIELD_FLAGS = {
-    "eta": dict(type=float, help="orienting strength (eta <= 0)"),
-    "eta-range": dict(type=str, metavar="START:STOP:STEP",
-                      help="inclusive eta scan range"),
-    "zeta": dict(type=float, help="aligning strength (zeta >= 0)"),
-    "zeta-range": dict(type=str, metavar="START:STOP:STEP",
-                       help="inclusive zeta scan range"),
+_WRITER = {
+    **_EVERY,
+    "output": dict(help="primary output path (default {command}.{format})"),
+    "format": dict(choices=("csv", "json"), default="csv", help="encoding"),
+    "j-max": dict(type=int, default=DEFAULT_J_MAX, help="basis cutoff"),
 }
+_RANGE = dict(metavar="START:STOP:STEP")
+_ZETA = {"zeta": dict(type=float, help="aligning strength (zeta >= 0)"),
+         "zeta-range": dict(_RANGE, help="inclusive zeta scan range")}
+_FIELDS = {"eta": dict(type=float, help="orienting strength (eta <= 0)"),
+           "eta-range": dict(_RANGE, help="inclusive eta scan range"),
+           **_ZETA}
+_SERIES = {"tau-max": dict(type=float, help="also emit series up to tau"),
+           "samples-per-period": dict(type=int, default=SAMPLES_PER_PERIOD,
+                                      help="series sampling")}
 
-_COMMAND_FLAGS: Dict[str, Dict[str, Dict]] = {
-    "spectrum": {**_FIELD_FLAGS,
-                 "n-states": dict(type=int, help="states per point (default 9)")},
-    "crossings": {**_FIELD_FLAGS,
+OPTIONS: Dict[str, Dict[str, Dict]] = {
+    "spectrum": {**_WRITER, **_FIELDS,
+                 "n-states": dict(type=int, default=9, help="states per point")},
+    "crossings": {**_WRITER, **_ZETA,
+                  "eta-range": dict(_RANGE, help="eta search window"),
                   "pair": dict(type=int, nargs=2, metavar=("N", "M"),
                                help="adjacent state pair to track"),
-                  "resolution": dict(type=int,
-                                     help="coarse scan points (default 200)"),
-                  "eta-tol": dict(type=float,
-                                  help="refinement tolerance (default 1e-9)")},
-    "switch-off": {**_FIELD_FLAGS,
-                   "n0": dict(type=int, help="initial pendular state (default 0)"),
-                   "tau-max": dict(type=float,
-                                   help="also emit evolution series up to tau"),
-                   "samples-per-period": dict(type=int,
-                                              help="series sampling (default 512)")},
-    "switch-on": {**_FIELD_FLAGS,
-                  "j0": dict(type=int, help="initial rotor state (default 0)"),
-                  "n-states": dict(type=int,
-                                   help="pendular states per point (default 20)"),
-                  "tau-max": dict(type=float,
-                                  help="also emit evolution series up to tau"),
-                  "samples-per-period": dict(type=int,
-                                             help="series sampling (default 512)")},
-    "propagate": {"j0": dict(type=int, help="start from free-rotor state J0"),
+                  "resolution": dict(type=int, default=CROSSING_RESOLUTION,
+                                     help="coarse scan points"),
+                  "eta-tol": dict(type=float, default=CROSSING_ETA_TOL,
+                                  help="refinement tolerance, > 0")},
+    "switch-off": {**_WRITER, **_FIELDS, **_SERIES,
+                   "n0": dict(type=int, default=0, help="initial pendular state")},
+    "switch-on": {**_WRITER, **_FIELDS, **_SERIES,
+                  "j0": dict(type=int, default=0, help="initial rotor state"),
+                  "n-states": dict(type=int, default=20,
+                                   help="pendular states per point")},
+    "propagate": {**_WRITER,
+                  # no default: "not given" must differ from 0 beside --n0
+                  "j0": dict(type=int, help="start from free-rotor state J0 "
+                             "(0 without --n0)"),
                   "n0": dict(type=int,
                              help="start from eigenstate n0 of the initial fields"),
-                  "eta-from": dict(type=float, help="ramp start eta (default 0)"),
-                  "zeta-from": dict(type=float, help="ramp start zeta (default 0)"),
+                  "eta-from": dict(type=float, default=0.0, help="ramp start eta"),
+                  "zeta-from": dict(type=float, default=0.0,
+                                    help="ramp start zeta"),
                   "eta-to": dict(type=float, help="ramp target eta"),
                   "zeta-to": dict(type=float, help="ramp target zeta"),
                   "ramp-duration": dict(type=float, help="ramp length in tau"),
-                  "hold-duration": dict(type=float,
-                                        help="hold after the ramp (default 0)"),
-                  "shape": dict(type=str, choices=("linear", "smooth_cosine"),
-                                help="ramp profile (default smooth_cosine)"),
-                  "dtau": dict(type=float, help="time step (default 1e-3)"),
-                  "tau-end": dict(type=float,
-                                  help="propagation window override"),
-                  "sample-stride": dict(type=int,
-                                        help="steps between snapshots"),
-                  "grid-points": dict(type=int,
-                                      help="angular grid size (default 512)")},
-    "topology-map": {"eta-range": dict(type=str, metavar="START:STOP:STEP",
-                                       help="eta axis (>= 16 points)"),
-                     "zeta-range": dict(type=str, metavar="START:STOP:STEP",
-                                        help="zeta axis (>= 16 points)"),
-                     "j0": dict(type=int, help="initial rotor state (default 1)"),
-                     "tau-tilde": dict(type=float,
-                                       help="averaging window (default 4*pi)"),
-                     "n-states": dict(type=int,
-                                      help="states per point (default 20)")},
-    "validate": {"checks": dict(type=str,
-                                help="comma-separated subset of check names")},
-}
-
-_DEFAULTS: Dict[str, Dict] = {
-    "spectrum": {"n-states": 9, "j-max": 64},
-    "crossings": {"resolution": 200, "eta-tol": 1e-9, "j-max": 64},
-    "switch-off": {"n0": 0, "j-max": 64, "samples-per-period": 512},
-    "switch-on": {"j0": 0, "n-states": 20, "j-max": 64,
-                  "samples-per-period": 512},
-    "propagate": {"dtau": 1e-3, "j-max": 64, "grid-points": 512},
-    "topology-map": {"j0": 1, "tau-tilde": 4.0 * math.pi, "n-states": 20,
-                     "j-max": 64},
-    "validate": {},
+                  "hold-duration": dict(type=float, default=0.0,
+                                        help="hold after the ramp"),
+                  "shape": dict(choices=("linear", "smooth_cosine"),
+                                default="smooth_cosine", help="ramp profile"),
+                  "dtau": dict(type=float, default=DEFAULT_DTAU, help="time step"),
+                  "tau-end": dict(type=float, help="propagation window override"),
+                  "sample-stride": dict(type=int, help="steps between snapshots"),
+                  "grid-points": dict(type=int, default=DEFAULT_GRID_POINTS,
+                                      help="angular grid size")},
+    "topology-map": {**_WRITER,
+                     "eta-range": dict(_RANGE, help="eta axis (>= 16 points)"),
+                     "zeta-range": dict(_RANGE, help="zeta axis (>= 16 points)"),
+                     "j0": dict(type=int, default=1, help="initial rotor state"),
+                     "tau-tilde": dict(type=float, default=4.0 * math.pi,
+                                       help="averaging window"),
+                     "n-states": dict(type=int, default=20,
+                                      help="states per point")},
+    "validate": {**_EVERY,
+                 "checks": dict(help="comma-separated subset of check names")},
 }
 
 _RUNNERS = {
@@ -600,31 +588,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
+    for command, options in OPTIONS.items():
         p = sub.add_parser(command)
-        for name, spec in {**_COMMON, **_COMMAND_FLAGS[command]}.items():
-            p.add_argument(f"--{name}", default=None, **spec)
+        for name, spec in options.items():
+            if spec.get("default") is not None:
+                spec = dict(spec, help=spec["help"] + " (default %(default)s)")
+            p.add_argument(f"--{name}", **spec)
     return parser
 
 
-def _config_keys(command: str) -> List[str]:
-    keys = list(_COMMON) + list(_COMMAND_FLAGS[command])
-    if command == "propagate":
-        keys.append("schedule")
-    return keys
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = _preprocess_argv(list(sys.argv[1:] if argv is None else argv))
     parser = build_parser()
-    args = parser.parse_args(_preprocess_argv(list(argv)))
+    args = parser.parse_args(argv)
     command = args.command
     try:
-        resolved = _resolve(args, _config_keys(command), _DEFAULTS[command])
+        if args.config:
+            args = _with_config(parser, argv, args)
         if command == "validate":
-            return _run_validate(resolved)
-        columns, rows, extras = _RUNNERS[command](resolved)
+            return _run_validate(args)
+        columns, rows, extras = _RUNNERS[command](args)
     except ConfigError as exc:
         print(exc.render(), file=sys.stderr)
         return 2
@@ -632,13 +615,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {command}: {exc}", file=sys.stderr)
         return 1
 
-    fmt = resolved.get("format") or "csv"
-    ext = ".csv" if fmt == "csv" else ".json"
-    primary = resolved.get("output") or f"{command}{ext}"
-    outputs = []
-    writer = _write_csv if fmt == "csv" else _write_json_table
+    ext = "." + args.format
+    primary = args.output or f"{command}{ext}"
+    writer = _write_csv if args.format == "csv" else _write_json_table
     writer(primary, columns, rows)
-    outputs.append(primary)
+    outputs = [primary]
     stem, pext = os.path.splitext(primary)
     for name, extra in extras.items():
         if name == "overlays":
@@ -650,7 +631,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             path = f"{stem}_{name}{pext or ext}"
             writer(path, extra[0], extra[1])
         outputs.append(path)
-    manifest = _write_manifest(primary, command, resolved, outputs)
+    manifest = _write_manifest(primary, args, outputs)
     for p in outputs + [manifest]:
         print(p)
     return 0

@@ -228,6 +228,8 @@ def analytic_switch_on_coefficient(ansatz: AnsatzCoefficients, j0: int) -> compl
 def switch_off_coefficients(spec: PendularSpectrum, n0: int,
                             j_max: Optional[int] = None) -> SwitchCoefficients:
     """<j|phi_n0> read exactly off the stored Fourier coefficients."""
+    if not 0 <= n0 < spec.n_states:
+        raise ValueError(f"n0={n0} is not a solved state (0..{spec.n_states - 1})")
     if j_max is None:
         j_max = spec.j_max
     return SwitchCoefficients(kind="switch_off", origin=n0,

@@ -46,6 +46,9 @@ def make_tau_grid(tau_max: float, samples_per_period: int = SAMPLES_PER_PERIOD
     """Uniform [0, tau_max] grid at the default sampling density."""
     if tau_max <= 0:
         raise ValueError("tau_max must be > 0")
+    if samples_per_period < 1:
+        raise ValueError(f"samples_per_period must be >= 1, "
+                         f"got {samples_per_period}")
     n = max(2, round(samples_per_period * tau_max / (2.0 * math.pi)))
     return np.linspace(0.0, tau_max, n + 1)
 

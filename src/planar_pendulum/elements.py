@@ -58,30 +58,23 @@ QUAD_GRID_POINTS = 1024     # oracle quadratures run denser than the default
 def modified_bessel_i(order: int, x: float) -> float:
     """I_order(x) to ~1e-12 relative accuracy for 0 <= x <= 700.
 
-    Power series below x = 2, otherwise Miller's downward recurrence
-    normalized with exp(x) = I_0 + 2*sum_{k>=1} I_k. Negative orders are
-    accepted (I_{-n} = I_n).
+    One entry of BesselTable.build. Negative orders are accepted
+    (I_{-n} = I_n).
     """
     order = abs(int(order))
-    if x < 0:
-        raise ValueError("argument must be >= 0")
-    if x > BESSEL_X_MAX:
-        raise OverflowError(
-            f"x={x} exceeds {BESSEL_X_MAX}; rescale the problem or use an "
-            "exponentially scaled representation")
-    if x == 0.0:
-        return 1.0 if order == 0 else 0.0
-    if x < _SERIES_CUTOFF:
-        half = 0.5 * x
-        term = half ** order / math.factorial(order)
-        total = term
-        for k in range(1, 60):
-            term *= half * half / (k * (k + order))
-            total += term
-            if term < 1e-18 * total:
-                break
-        return total
-    return _miller_column(order, x)[order]
+    return BesselTable.build(x, order)[order]
+
+
+def _bessel_series(order: int, x: float) -> float:
+    half = 0.5 * x
+    term = half ** order / math.factorial(order)
+    total = term
+    for k in range(1, 60):
+        term *= half * half / (k * (k + order))
+        total += term
+        if term < 1e-18 * total:
+            break
+    return total
 
 
 def _miller_start(order: int, x: float) -> int:
@@ -115,13 +108,19 @@ class BesselTable:
 
     @classmethod
     def build(cls, argument: float, rho_max: int) -> "BesselTable":
+        """Power series below argument 2, otherwise Miller's downward
+        recurrence normalized with exp(x) = I_0 + 2*sum_{k>=1} I_k."""
         if argument < 0:
             raise ValueError("argument must be >= 0")
+        if argument > BESSEL_X_MAX:
+            raise OverflowError(
+                f"x={argument} exceeds {BESSEL_X_MAX}; rescale the problem or "
+                "use an exponentially scaled representation")
         if argument == 0.0:
             vals = np.zeros(rho_max + 1)
             vals[0] = 1.0
         elif argument < _SERIES_CUTOFF:
-            vals = np.array([modified_bessel_i(r, argument)
+            vals = np.array([_bessel_series(r, argument)
                              for r in range(rho_max + 1)])
         else:
             vals = _miller_column(rho_max, argument)

@@ -101,6 +101,8 @@ class PulseSchedule:
         if maker is None:
             raise ValueError(f"ramp shape must be linear or smooth_cosine, "
                              f"not {shape!r}")
+        if not hold_duration >= 0:
+            raise ValueError(f"hold_duration must be >= 0, got {hold_duration}")
         segs = [Segment(ramp_duration, maker(eta_from, eta_to),
                         maker(zeta_from, zeta_to))]
         if hold_duration > 0:

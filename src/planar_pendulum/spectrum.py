@@ -31,6 +31,9 @@ from .core import (
 # Gap below which a refined crossing counts as a genuine degeneracy.
 DEGENERACY_GAP_TOL = 1e-6
 
+CROSSING_RESOLUTION = 200   # crossing_scan: coarse eta points,
+CROSSING_ETA_TOL = 1e-9     # and the golden refinement's eta tolerance
+
 
 @lru_cache(maxsize=8)
 def _basis_tables(n_points: int, j_max: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -259,7 +262,9 @@ def _golden_min(f, lo: float, hi: float, tol: float) -> float:
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol:
+    width = math.inf        # the bracket stops shrinking at the float spacing
+    while tol < b - a < width:
+        width = b - a
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -272,9 +277,9 @@ def _golden_min(f, lo: float, hi: float, tol: float) -> float:
 
 
 def crossing_scan(zeta: float, eta_range: Tuple[float, float],
-                  pair: Tuple[int, int], resolution: int = 200,
+                  pair: Tuple[int, int], resolution: int = CROSSING_RESOLUTION,
                   j_max: int = DEFAULT_J_MAX,
-                  eta_tol: float = 1e-9) -> List[CrossingRecord]:
+                  eta_tol: float = CROSSING_ETA_TOL) -> List[CrossingRecord]:
     """Locate gap minima of the pair over an eta window.
 
     Coarse scan, then golden-section refinement of each interior bracket.
@@ -286,6 +291,8 @@ def crossing_scan(zeta: float, eta_range: Tuple[float, float],
     lo, hi = min(eta_range), max(eta_range)
     if resolution < 8:
         raise ValueError("resolution too small")
+    if not eta_tol > 0:
+        raise ValueError(f"eta_tol must be > 0, got {eta_tol}")
     etas = np.linspace(lo, hi, resolution)
     gaps = np.array([_gap(e, zeta, pair, j_max) for e in etas])
 

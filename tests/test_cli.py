@@ -84,6 +84,47 @@ def test_config_file_mirror_and_override(tmp_path, monkeypatch):
     assert len(read_csv(tmp_path / "d.csv")) == 2
 
 
+@pytest.mark.parametrize("command,value", [
+    ("spectrum", {"n-states": 2.7}),
+    ("spectrum", {"n-states": True}),
+    ("spectrum", {"format": "xml"}),
+    ("crossings", {"pair": 3}),
+])
+def test_config_values_are_typed_like_flags(tmp_path, monkeypatch, capsys,
+                                            command, value):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps({"zeta": 16, "eta-range": "-10:-6:0.1",
+                               "output": "o.csv", **value}))
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--config", str(cfg)])
+    assert exit_.value.code == 2
+    assert next(iter(value)) in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_config_and_flags_write_equal_manifests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["spectrum", "--eta", "-10", "--zeta", "25", "--n-states",
+                 "3", "--output", "flags.csv"]) == 0
+    cfg = tmp_path / "run.json"
+    # null leaves an option at its default
+    cfg.write_text(json.dumps({"command": "spectrum", "eta": -10, "zeta": 25,
+                               "n-states": 3, "j-max": None,
+                               "output": "file.csv"}))
+    assert main(["spectrum", "--config", str(cfg)]) == 0
+
+    def config(stem):
+        manifest = json.loads((tmp_path / f"{stem}.manifest.json").read_text())
+        return {k: v for k, v in manifest["config"].items()
+                if k not in ("config", "output")}
+
+    assert config("flags") == config("file")
+    assert repr(config("file")["eta"]) == "-10.0"
+    assert (tmp_path / "flags.csv").read_bytes() == \
+        (tmp_path / "file.csv").read_bytes()
+
+
 def test_config_unknown_key_is_line_referenced(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "bad.json"
@@ -215,6 +256,32 @@ def test_validate_subset(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 2
     assert "2/2" in out
+
+
+@pytest.mark.parametrize("flags", [["--j-max", "3"], ["--output", "x"],
+                                   ["--format", "json"]])
+def test_validate_takes_only_its_options(tmp_path, monkeypatch, flags):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        main(["validate", "--checks", "free-rotor-spectrum", *flags])
+    assert exit_.value.code == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["switch-off", "--eta", "-10", "--zeta", "25", "--n0", "-1"], "n0"),
+    (["switch-on", "--eta", "-10", "--zeta", "25", "--tau-max", "6.3",
+      "--samples-per-period", "0"], "samples_per_period"),
+    (["switch-off", "--eta", "-10", "--zeta", "25", "--tau-max", "6.3",
+      "--samples-per-period", "-5"], "samples_per_period"),
+    (["propagate", "--j0", "0", "--eta-to", "-10", "--zeta-to", "25",
+      "--ramp-duration", "0.1", "--hold-duration", "-5"], "hold_duration"),
+])
+def test_out_of_range_inputs_exit_one(tmp_path, monkeypatch, capsys, argv,
+                                      message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--output", "r.csv"]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_negative_values_after_flags(tmp_path, monkeypatch):

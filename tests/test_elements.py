@@ -8,6 +8,7 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from planar_pendulum import (
+    BesselTable,
     InteractionParams,
     SymmetryLabel,
     analytic_cos2_element,
@@ -44,11 +45,15 @@ def test_bessel_recurrence():
 
 
 def test_bessel_large_argument_guard():
-    # representable result near the overflow edge
-    assert modified_bessel_i(40, 700.0) == pytest.approx(
-        float(scipy.special.iv(40, 700.0)), rel=1e-11)
-    with pytest.raises(OverflowError):
-        modified_bessel_i(0, 800.0)
+    # the single evaluator and the table it reads from share one guard
+    for bessel in (modified_bessel_i,
+                   lambda order, x: BesselTable.build(x, order)[order]):
+        # representable result near the overflow edge
+        assert bessel(40, 700.0) == pytest.approx(
+            float(scipy.special.iv(40, 700.0)), rel=1e-11)
+        for x in (705.0, 800.0):
+            with pytest.raises(OverflowError):
+                bessel(0, x)
 
 
 @pytest.mark.parametrize("zeta", [4.0, 25.0])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import planar_pendulum.spectrum as spectrum_module
 from planar_pendulum import (
     InteractionParams,
     SymmetryLabel,
@@ -81,6 +82,39 @@ def test_avoided_crossing_frozen_gaps():
 
     r36 = crossing_scan(36.0, (-14.0, -10.0), (2, 3), resolution=41)[0]
     assert r36.min_gap == pytest.approx(0.02032028522071272, abs=1e-9)
+
+
+@pytest.fixture
+def counted_gaps(monkeypatch):
+    """Count gap evaluations and raise past a bound, so that a refinement
+    which never ends fails instead of hanging (a normal scan needs ~250)."""
+    calls = []
+    gap = spectrum_module._gap
+
+    def bounded(*args):
+        calls.append(args)
+        if len(calls) > 2000:
+            raise RuntimeError("gap evaluated more than 2000 times")
+        return gap(*args)
+
+    monkeypatch.setattr(spectrum_module, "_gap", bounded)
+    return calls
+
+
+@pytest.mark.parametrize("eta_tol", [0.0, -1e-9, float("nan")])
+def test_crossing_scan_rejects_non_positive_tolerance(counted_gaps, eta_tol):
+    with pytest.raises(ValueError, match="eta_tol"):
+        crossing_scan(16.0, (-10.0, -6.0), (2, 3), resolution=41,
+                      eta_tol=eta_tol)
+
+
+def test_crossing_refinement_ends_at_float_spacing(counted_gaps):
+    # 1e-15 is below the float spacing of eta near -8 (1.8e-15): the
+    # bracket stops shrinking before it reaches the tolerance
+    r = crossing_scan(16.0, (-10.0, -6.0), (2, 3), resolution=41,
+                      eta_tol=1e-15)[0]
+    assert r.eta_at_crossing == pytest.approx(-8.00347439924505, abs=1e-6)
+    assert len(counted_gaps) < 300
 
 
 def test_sector_bookkeeping():
