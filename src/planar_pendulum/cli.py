@@ -10,9 +10,13 @@ per output file.
 Each option is declared once, in OPTIONS, with its default (the library's
 own where it has one). A JSON config file (--config) is read as the flags
 its keys name, ahead of the command line: file values are typed and
-checked like flags (exit 2), explicit flags override them, and unknown
-keys are rejected with the offending line. propagate's 'schedule' is the
-one key without a flag.
+checked like flags (exit 2), explicit flags override them, and refused
+values and unknown keys are reported with the offending file:line.
+propagate's 'schedule' is the one key without a flag.
+
+The manifest also carries 'diagnostics' for every command that solves a
+spectrum: the largest basis cutoff used and basis tail seen, and for
+switch-on and topology-map the largest population deficit.
 """
 
 from __future__ import annotations
@@ -24,14 +28,13 @@ import math
 import os
 import re
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
 from .core import (
     DEFAULT_GRID_POINTS,
-    DEFAULT_J_MAX,
     InteractionParams,
     Wavefunction,
     free_rotor_wavefunction,
@@ -50,9 +53,11 @@ from .dynamics import (
     switch_on_evolution,
     switch_on_populations,
     topology_map,
+    total_population,
 )
 from .propagate import DEFAULT_DTAU, Profile, PulseSchedule, Segment, propagate
-from .spectrum import (CROSSING_ETA_TOL, CROSSING_RESOLUTION, crossing_scan,
+from .spectrum import (CROSSING_ETA_TOL, CROSSING_RESOLUTION, J_MAX_CAP,
+                       TAIL_TOL, PendularSpectrum, crossing_scan,
                        solve_spectrum)
 from .validation import run_all
 
@@ -141,8 +146,25 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+class _Limits:
+    """How close one run's solves came to their numerical limits: the
+    largest cutoff and basis tail and, for switch-on populations, the
+    largest deficit 1 - sum_n |C_n|^2. Deterministic, so the manifest
+    carries them beside the outputs."""
+
+    def __init__(self):
+        self.values: Dict[str, float] = {}
+
+    def note(self, **values) -> None:
+        for key, value in values.items():
+            self.values[key] = max(self.values.get(key, value), value)
+
+    def solved(self, spec: PendularSpectrum) -> None:
+        self.note(j_max=spec.j_max, basis_tail=spec.basis_tail)
+
+
 def _write_manifest(primary: str, args: argparse.Namespace,
-                    outputs: List[str]) -> str:
+                    outputs: List[str], limits: _Limits) -> str:
     stem, _ = os.path.splitext(primary)
     path = stem + ".manifest.json"
     manifest = {
@@ -155,6 +177,8 @@ def _write_manifest(primary: str, args: argparse.Namespace,
             for p in outputs
         ],
     }
+    if limits.values:
+        manifest["diagnostics"] = limits.values
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -195,8 +219,9 @@ def _key_line(raw_text: str, key: str) -> Optional[int]:
     return None
 
 
-def _load_config(path: str, command: str,
-                 known: Sequence[str]) -> Dict:
+def _load_config(path: str, command: str, known: Sequence[str]
+                 ) -> Tuple[Dict, Callable[[str], str]]:
+    """The file's keys, each known, and source(key): 'file:line' of it."""
     try:
         with open(path) as fh:
             raw = fh.read()
@@ -209,19 +234,21 @@ def _load_config(path: str, command: str,
                           source=f"{path}:{exc.lineno}") from None
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object", source=path)
+
+    def source(key: str) -> str:
+        line = _key_line(raw, key)
+        return f"{path}:{line}" if line else path
+
     for key in data:
         if key == "command":
             if data[key] != command:
-                line = _key_line(raw, key)
                 raise ConfigError(
                     f"config is for command {data[key]!r}, invoked {command!r}",
-                    source=f"{path}:{line}" if line else path)
-            continue
-        if key not in known:
-            line = _key_line(raw, key)
+                    source=source(key))
+        elif key not in known:
             raise ConfigError(f"unknown key {key!r} for command {command!r}",
-                              source=f"{path}:{line}" if line else path)
-    return data
+                              source=source(key))
+    return data, source
 
 
 def _file_flags(data: Dict) -> List[str]:
@@ -251,11 +278,35 @@ def _with_config(parser: argparse.ArgumentParser, argv: List[str],
     known = list(OPTIONS[command])
     if command == "propagate":
         known.append("schedule")
-    data = _load_config(args.config, command, known)
+    data, source = _load_config(args.config, command, known)
+    # each value alone through a copy of the command's parser that raises,
+    # so that a refused value is a usage error (exit 2) naming file:line
+    probe = argparse.ArgumentParser(prog=f"{parser.prog} {command}",
+                                    exit_on_error=False)
+    _add_options(probe, OPTIONS[command])
+    for key, value in data.items():
+        try:
+            _, extra = probe.parse_known_args(_file_flags({key: value}))
+        except argparse.ArgumentError as exc:
+            probe.error(f"{source(key)}: {exc}")
+        if extra:
+            probe.error(f"{source(key)}: argument --{key}: "
+                        f"unexpected values {extra}")
     at = argv.index(command) + 1
     args = parser.parse_args([*argv[:at], *_file_flags(data), *argv[at:]])
     args.schedule = data.get("schedule")
     return args
+
+
+def _cutoff(text: str) -> Optional[int]:
+    """--j-max: an integer, or 'auto' (None) for the automatic cutoff."""
+    if text == "auto":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer or 'auto', got {text!r}") from None
 
 
 def _threads(flag: Optional[int]) -> Optional[int]:
@@ -286,18 +337,19 @@ def _scan_points(args: argparse.Namespace) -> List[Tuple[float, float]]:
     return [(float(e), float(z)) for z in zetas for e in etas]
 
 
-def _run_spectrum(args: argparse.Namespace):
+def _run_spectrum(args: argparse.Namespace, limits: _Limits):
     rows = []
     for eta, zeta in _scan_points(args):
         spec = solve_spectrum(InteractionParams(eta, zeta), args.n_states,
                               args.j_max)
+        limits.solved(spec)
         for n in range(spec.n_states):
             rows.append((eta, zeta, n, str(spec.labels[n]),
                          float(spec.energies[n])))
     return ["eta", "zeta", "n", "symmetry", "energy"], rows, {}
 
 
-def _run_crossings(args: argparse.Namespace):
+def _run_crossings(args: argparse.Namespace, limits: _Limits):
     if args.eta_range is None:
         raise ConfigError("crossings needs --eta-range as the search window")
     window = parse_range(args.eta_range)
@@ -311,23 +363,25 @@ def _run_crossings(args: argparse.Namespace):
             tuple(args.pair), resolution=args.resolution, j_max=args.j_max,
             eta_tol=args.eta_tol)
         for r in records:
+            limits.note(j_max=r.j_max, basis_tail=r.basis_tail)
             rows.append((float(zeta), r.state_pair[0], r.state_pair[1],
                          r.eta_at_crossing, r.kappa, r.kind, r.min_gap))
     return (["zeta", "n_low", "n_high", "eta_cross", "kappa", "kind",
              "min_gap"], rows, {})
 
 
-def _run_switch_off(args: argparse.Namespace):
+def _run_switch_off(args: argparse.Namespace, limits: _Limits):
     n0 = args.n0
     rows = []
     series_rows = []
     for eta, zeta in _scan_points(args):
         spec = solve_spectrum(InteractionParams(eta, zeta),
                               max(n0 + 1, 4), args.j_max)
-        for rec in switch_off_populations(spec, n0, args.j_max):
+        limits.solved(spec)
+        for rec in switch_off_populations(spec, n0):
             rows.append((eta, zeta, n0, rec.index, rec.probability))
         if args.tau_max is not None:
-            coeffs = switch_off_coefficients(spec, n0, args.j_max)
+            coeffs = switch_off_coefficients(spec, n0)
             tau = make_tau_grid(args.tau_max, args.samples_per_period)
             ev = switch_off_evolution(coeffs, tau)
             for i, t in enumerate(tau):
@@ -341,14 +395,17 @@ def _run_switch_off(args: argparse.Namespace):
     return ["eta", "zeta", "n0", "J", "probability"], rows, extras
 
 
-def _run_switch_on(args: argparse.Namespace):
+def _run_switch_on(args: argparse.Namespace, limits: _Limits):
     j0 = args.j0
     rows = []
     series_rows = []
     for eta, zeta in _scan_points(args):
         spec = solve_spectrum(InteractionParams(eta, zeta), args.n_states,
                               args.j_max)
-        for rec in switch_on_populations(spec, j0):
+        limits.solved(spec)
+        records = switch_on_populations(spec, j0)
+        limits.note(population_deficit=1.0 - total_population(records))
+        for rec in records:
             label, n = rec.index
             rows.append((eta, zeta, j0, n, str(label), rec.probability))
         if args.tau_max is not None:
@@ -401,7 +458,7 @@ def _schedule_from_config(obj) -> PulseSchedule:
     return PulseSchedule(segments)
 
 
-def _run_propagate(args: argparse.Namespace):
+def _run_propagate(args: argparse.Namespace, limits: _Limits):
     ramp = (args.eta_to, args.zeta_to, args.ramp_duration)
     if any(v is not None for v in ramp) and None in ramp:
         raise ConfigError("a ramp needs --eta-to, --zeta-to and "
@@ -423,6 +480,7 @@ def _run_propagate(args: argparse.Namespace):
         eta0, zeta0 = schedule.fields_at(0.0)
         spec = solve_spectrum(InteractionParams(eta0, zeta0), args.n0 + 1,
                               args.j_max)
+        limits.solved(spec)
         psi0 = Wavefunction(grid,
                             aligned_grid_state(spec, args.n0,
                                                grid).astype(complex),
@@ -446,7 +504,7 @@ def _run_propagate(args: argparse.Namespace):
             rows, {})
 
 
-def _run_topology_map(args: argparse.Namespace):
+def _run_topology_map(args: argparse.Namespace, limits: _Limits):
     if args.eta_range is None or args.zeta_range is None:
         raise ConfigError("topology-map needs --eta-range and --zeta-range")
     etas = parse_range(args.eta_range)
@@ -459,6 +517,8 @@ def _run_topology_map(args: argparse.Namespace):
         args.j0, args.tau_tilde, (len(etas), len(zetas)),
         n_states=args.n_states, j_max=args.j_max,
         threads=_threads(args.threads))
+    limits.note(j_max=tmap.j_max, basis_tail=tmap.basis_tail,
+                population_deficit=tmap.population_deficit)
     rows = []
     for i, eta in enumerate(tmap.eta_values):
         for k, zeta in enumerate(tmap.zeta_values):
@@ -509,7 +569,9 @@ _WRITER = {
     **_EVERY,
     "output": dict(help="primary output path (default {command}.{format})"),
     "format": dict(choices=("csv", "json"), default="csv", help="encoding"),
-    "j-max": dict(type=int, default=DEFAULT_J_MAX, help="basis cutoff"),
+    "j-max": dict(type=_cutoff, help="basis cutoff, refused if its basis tail "
+                  f"is above {TAIL_TOL:g}; default auto: chosen per point and "
+                  f"grown up to {J_MAX_CAP} until the tail is below that"),
 }
 _RANGE = dict(metavar="START:STOP:STEP")
 _ZETA = {"zeta": dict(type=float, help="aligning strength (zeta >= 0)"),
@@ -589,12 +651,16 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, options in OPTIONS.items():
-        p = sub.add_parser(command)
-        for name, spec in options.items():
-            if spec.get("default") is not None:
-                spec = dict(spec, help=spec["help"] + " (default %(default)s)")
-            p.add_argument(f"--{name}", **spec)
+        _add_options(sub.add_parser(command), options)
     return parser
+
+
+def _add_options(parser: argparse.ArgumentParser,
+                 options: Dict[str, Dict]) -> None:
+    for name, spec in options.items():
+        if spec.get("default") is not None:
+            spec = dict(spec, help=spec["help"] + " (default %(default)s)")
+        parser.add_argument(f"--{name}", **spec)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -607,7 +673,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             args = _with_config(parser, argv, args)
         if command == "validate":
             return _run_validate(args)
-        columns, rows, extras = _RUNNERS[command](args)
+        limits = _Limits()
+        columns, rows, extras = _RUNNERS[command](args, limits)
     except ConfigError as exc:
         print(exc.render(), file=sys.stderr)
         return 2
@@ -631,7 +698,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             path = f"{stem}_{name}{pext or ext}"
             writer(path, extra[0], extra[1])
         outputs.append(path)
-    manifest = _write_manifest(primary, args, outputs)
+    manifest = _write_manifest(primary, args, outputs, limits)
     for p in outputs + [manifest]:
         print(p)
     return 0

@@ -225,13 +225,20 @@ def analytic_switch_on_coefficient(ansatz: AnsatzCoefficients, j0: int) -> compl
     return val
 
 
+def _signed_j_max(spec: PendularSpectrum) -> int:
+    """Default signed-j range of switch-off tables: max(DEFAULT_J_MAX,
+    spec.j_max), so that a table's length does not follow the cutoff."""
+    return max(DEFAULT_J_MAX, spec.j_max)
+
+
 def switch_off_coefficients(spec: PendularSpectrum, n0: int,
                             j_max: Optional[int] = None) -> SwitchCoefficients:
-    """<j|phi_n0> read exactly off the stored Fourier coefficients."""
+    """<j|phi_n0> read exactly off the stored Fourier coefficients, for
+    |j| <= j_max (default _signed_j_max(spec)), zero past the cutoff."""
     if not 0 <= n0 < spec.n_states:
         raise ValueError(f"n0={n0} is not a solved state (0..{spec.n_states - 1})")
     if j_max is None:
-        j_max = spec.j_max
+        j_max = _signed_j_max(spec)
     return SwitchCoefficients(kind="switch_off", origin=n0,
                               c=spec.free_rotor_coefficients(n0, j_max),
                               j_max=j_max, gamma=spec.labels[n0])
@@ -252,7 +259,7 @@ def quadrature_switch_off_coefficients(spec: PendularSpectrum, n0: int,
                                        ) -> SwitchCoefficients:
     """<j|phi_n0> by grid quadrature; twin of switch_off_coefficients."""
     if j_max is None:
-        j_max = spec.j_max
+        j_max = _signed_j_max(spec)
     if grid is None:
         grid = make_grid()
     f = aligned_grid_state(spec, n0, grid)

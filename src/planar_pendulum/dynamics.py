@@ -23,7 +23,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import DEFAULT_J_MAX, InteractionParams, SymmetryLabel
+from .core import InteractionParams, SymmetryLabel
 from .cqes import (
     SwitchCoefficients,
     switch_off_coefficients,
@@ -118,14 +118,17 @@ def total_population(records: Sequence[PopulationRecord]) -> float:
 
 
 def switch_off_populations(spectrum: PendularSpectrum, n0: int,
-                           j_max: int = DEFAULT_J_MAX
+                           j_max: Optional[int] = None
                            ) -> List[PopulationRecord]:
-    """|<j|phi_n0>|^2, folded to j >= 0 rows.
+    """|<j|phi_n0>|^2, folded to j >= 0 rows, j <= j_max (default
+    cqes._signed_j_max).
 
     The underlying signed-j weights satisfy P(-j) = P(j); each reported
     row carries the combined +-j probability so the list sums to one.
     """
-    p = np.abs(switch_off_coefficients(spectrum, n0, j_max).c) ** 2
+    coeffs = switch_off_coefficients(spectrum, n0, j_max)
+    j_max = coeffs.j_max
+    p = np.abs(coeffs.c) ** 2
     folded = p[j_max:] + p[j_max::-1]
     folded[0] = p[j_max]
     return [PopulationRecord(index=j, probability=float(folded[j]))
@@ -341,11 +344,16 @@ class TopologyMap:
     tau_tilde: float
     kappa_loci: Dict[int, np.ndarray] = field(default_factory=dict)
     well_boundary: Optional[np.ndarray] = None
+    # over all points: the largest cutoff, basis tail and population
+    # deficit 1 - sum_n |C_n|^2 of the solved states
+    j_max: int = 0
+    basis_tail: float = 0.0
+    population_deficit: float = 0.0
 
 
 def topology_map(zeta_range: Tuple[float, float], eta_range: Tuple[float, float],
                  j0: int, tau_tilde: float, resolution: Tuple[int, int],
-                 n_states: int = 20, j_max: int = DEFAULT_J_MAX,
+                 n_states: int = 20, j_max: Optional[int] = None,
                  threads: Optional[int] = None) -> TopologyMap:
     """Map of the time-averaged orientation, with crossing-loci overlays.
 
@@ -366,12 +374,16 @@ def topology_map(zeta_range: Tuple[float, float], eta_range: Tuple[float, float]
         raise ValueError("zeta grid must stay >= 0")
 
     values = np.empty((n_eta, n_zeta))
+    cutoff, tail, deficit = 0, 0.0, 0.0
     for i, eta in enumerate(eta_values):
         for k, zeta in enumerate(zeta_values):
             spec = solve_spectrum(InteractionParams(float(eta), float(zeta)),
                                   n_states, j_max)
-            values[i, k] = time_averaged_orientation(
-                spec, switch_on_coefficients(spec, j0), tau_tilde)
+            coeffs = switch_on_coefficients(spec, j0)
+            values[i, k] = time_averaged_orientation(spec, coeffs, tau_tilde)
+            cutoff = max(cutoff, spec.j_max)
+            tail = max(tail, spec.basis_tail)
+            deficit = max(deficit, 1.0 - coeffs.parseval())
 
     zq = np.sqrt(np.maximum(zeta_values, 0.0))
     eta_lo = min(abs(eta_range[0]), abs(eta_range[1]))
@@ -387,4 +399,6 @@ def topology_map(zeta_range: Tuple[float, float], eta_range: Tuple[float, float]
     boundary = -2.0 * zeta_values
     return TopologyMap(eta_values=eta_values, zeta_values=zeta_values,
                        values=values, j0=j0, tau_tilde=tau_tilde,
-                       kappa_loci=loci, well_boundary=boundary)
+                       kappa_loci=loci, well_boundary=boundary,
+                       j_max=cutoff, basis_tail=tail,
+                       population_deficit=deficit)

@@ -8,6 +8,11 @@ uses {1/sqrt(2*pi), cos(J*theta)/sqrt(pi)} and the odd (A2) sector
 strength 1/2 and cos(theta)**2 couples |dJ| = 2 with strength 1/4 plus a
 1/2 diagonal shift; rows touching J = 0 pick up sqrt(2) factors, and the
 J = 1 diagonal folds over (cos**2: 3/4 in the even sector, 1/4 in the odd).
+
+The basis is cut at |J| <= j_max, and every solve checks the cut: the
+largest |c_J| of any returned state over the last TAIL_ROWS functions must
+be <= TAIL_TOL. solve_spectrum picks and grows its own cutoff unless one
+is given, which is refused instead of grown.
 """
 
 from __future__ import annotations
@@ -34,6 +39,11 @@ DEGENERACY_GAP_TOL = 1e-6
 CROSSING_RESOLUTION = 200   # crossing_scan: coarse eta points,
 CROSSING_ETA_TOL = 1e-9     # and the golden refinement's eta tolerance
 
+TAIL_TOL = 1e-12    # largest |c_J| allowed over the last TAIL_ROWS basis
+TAIL_ROWS = 4       # functions of any returned state
+J_MAX_CAP = 512     # the automatic cutoff grows no further
+_TIE_ULPS = 4       # energies this many ulps of ||H|| apart are one level
+
 
 @lru_cache(maxsize=8)
 def _basis_tables(n_points: int, j_max: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -47,34 +57,47 @@ def _basis_tables(n_points: int, j_max: int) -> Tuple[np.ndarray, np.ndarray]:
 PARITY_NORM_TOL = 1e-10
 
 
+def _sector_bands(j_max: int, odd: bool) -> Tuple[np.ndarray, ...]:
+    """The nonzero diagonals of one sector's operators: J^2, the cos^2
+    main diagonal, the cos first off-diagonal, the cos^2 second one."""
+    j = np.arange(1 if odd else 0, j_max + 1, dtype=float)
+    n = len(j)
+    q0 = np.full(n, 0.5)
+    q0[0 if odd else 1] = 0.25 if odd else 0.75     # the folded J = 1 diagonal
+    c1 = np.full(n - 1, 0.5)
+    q2 = np.full(n - 2, 0.25)
+    if not odd:                                     # rows touching J = 0
+        c1[0] = 1.0 / math.sqrt(2.0)
+        q2[0] = math.sqrt(2.0) / 4.0
+    return j ** 2, q0, c1, q2
+
+
+def _banded(main, first, second) -> np.ndarray:
+    """Symmetric matrix from its main, first and second diagonals."""
+    n = len(main)
+    m = np.zeros((n, n))
+    flat = m.reshape(-1)
+    flat[::n + 1] = main
+    for k, band in ((1, first), (2, second)):      # above and below
+        flat[k:n * (n - k):n + 1] = flat[k * n::n + 1] = band
+    return m
+
+
 @lru_cache(maxsize=8)
 def _sector_operators(j_max: int) -> Tuple[Tuple[np.ndarray, ...], ...]:
     """(J^2, cos, cos^2) of the even sector, then of the odd sector.
 
-    Cached read-only per j_max: every Hamiltonian and every element matrix
-    at this cutoff is a combination of these six matrices.
+    Cached read-only per j_max for the element matrices; the Hamiltonian
+    is written from the same bands directly (build_hamiltonian).
     """
-    def band(n: int, value: float, k: int) -> np.ndarray:
-        return np.diag(np.full(n - k, value), k)
-
-    def symmetric(upper: np.ndarray) -> np.ndarray:
-        return upper + np.triu(upper, 1).T
-
-    j = np.arange(j_max + 1, dtype=float)
-    n1, n2 = j_max + 1, j_max
-    cos_even = band(n1, 0.5, 1)
-    cos_even[0, 1] = 1.0 / math.sqrt(2.0)
-    cos2_even = band(n1, 0.5, 0) + band(n1, 0.25, 2)
-    cos2_even[1, 1] = 0.75             # <cos J=1|cos^2|cos J=1>
-    cos2_even[0, 2] = math.sqrt(2.0) / 4.0
-    cos2_odd = band(n2, 0.5, 0) + band(n2, 0.25, 2)
-    cos2_odd[0, 0] = 0.25              # <sin J=1|cos^2|sin J=1>
-    ops = ((np.diag(j ** 2), symmetric(cos_even), symmetric(cos2_even)),
-           (np.diag(j[1:] ** 2), symmetric(band(n2, 0.5, 1)),
-            symmetric(cos2_odd)))
+    ops = []
+    for odd in (False, True):
+        j2, q0, c1, q2 = _sector_bands(j_max, odd)
+        ops.append((_banded(j2, 0.0, 0.0), _banded(np.zeros_like(j2), c1, 0.0),
+                    _banded(q0, 0.0, q2)))
     for m in (*ops[0], *ops[1]):
         m.flags.writeable = False
-    return ops
+    return tuple(ops)
 
 
 def build_hamiltonian(params: InteractionParams,
@@ -82,13 +105,19 @@ def build_hamiltonian(params: InteractionParams,
     """Real symmetric matrices (even sector, odd sector).
 
     Even sector is (j_max+1) x (j_max+1) with row 0 the J=0 constant;
-    odd sector is j_max x j_max with row i the J=i+1 sine state.
+    odd sector is j_max x j_max with row i the J=i+1 sine state. Each is
+    written from its bands: entry for entry K - eta*C - zeta*Q of
+    _sector_operators, by the same float operations, without building
+    the three dense operator matrices.
     """
     if j_max < 8:
         raise ValueError(f"need j_max >= 8, got {j_max}")
     eta, zeta = params.eta, params.zeta
-    (k1, c1, q1), (k2, c2, q2) = _sector_operators(j_max)
-    return k1 - eta * c1 - zeta * q1, k2 - eta * c2 - zeta * q2
+    sectors = []
+    for odd in (False, True):
+        j2, q0, c1, q2 = _sector_bands(j_max, odd)
+        sectors.append(_banded(j2 - zeta * q0, -eta * c1, -zeta * q2))
+    return sectors[0], sectors[1]
 
 
 @dataclass(frozen=True)
@@ -98,7 +127,8 @@ class PendularSpectrum:
     coefficients[i] holds the sector basis vector of state i padded to
     length j_max + 1: even-sector rows are (c_0, c_1, ..., c_jmax) over
     {1/sqrt(2*pi), cos(J*theta)/sqrt(pi)}, odd-sector rows store their
-    sine coefficients in slots 1..j_max with slot 0 zero.
+    sine coefficients in slots 1..j_max with slot 0 zero. basis_tail is
+    the largest |c_J| over the last TAIL_ROWS slots of any state.
     """
 
     params: InteractionParams
@@ -106,6 +136,7 @@ class PendularSpectrum:
     coefficients: np.ndarray
     labels: Tuple[SymmetryLabel, ...]
     j_max: int
+    basis_tail: float
 
     @property
     def n_states(self) -> int:
@@ -184,30 +215,54 @@ def _pi_aligned(coeffs: np.ndarray, odd: np.ndarray) -> np.ndarray:
     return np.where((probe < 0)[:, None], -coeffs, coeffs)
 
 
-def solve_spectrum(params: InteractionParams, n_states: int,
-                   j_max: int = DEFAULT_J_MAX) -> PendularSpectrum:
-    """Diagonalize both parity sectors and merge the lowest n_states.
+def _auto_j_max(params: InteractionParams, n_states: int) -> int:
+    """First cutoff tried when solve_spectrum chooses its own.
 
-    Each eigenvector's overall sign is fixed here, once, by the pi-aligned
-    rule of _pi_aligned; every grid or basis route downstream inherits it.
+    7.5*w + 2*sqrt(n_states) + 8 with w = (zeta + |eta|/2)**(1/4), at least
+    n_states/2 + 8, rounded up to a multiple of 8 (so that nearby points
+    share a cutoff and the element-operator cache) and at most J_MAX_CAP.
+    In the harmonic limit the ground state is exp(-J^2/(2*w^2)) in J,
+    which falls below TAIL_TOL at |J| = 7.4*w; the sqrt(n) term covers
+    excited well states, n/2 the weak-field levels (J ~ n/2), and 8 the
+    TAIL_ROWS checked functions.
     """
-    if n_states < 1:
-        raise ValueError("n_states must be >= 1")
+    depth = (params.zeta + 0.5 * abs(params.eta)) ** 0.25
+    spread = max(7.5 * depth + 2.0 * math.sqrt(n_states), 0.5 * n_states)
+    return min(J_MAX_CAP, _round_up8(spread + 8.0))
+
+
+def _round_up8(j: float) -> int:
+    return 8 * math.ceil(j / 8.0)
+
+
+def _lowest(h: np.ndarray, count: int) -> Tuple[np.ndarray, np.ndarray]:
+    try:
+        w, v = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"sector eigensolve failed: {exc}") from exc
+    return w[:count], v[:, :count].copy()       # drop the unused columns
+
+
+def _solve_at(params: InteractionParams, n_states: int,
+              j_max: int) -> PendularSpectrum:
     if n_states > 2 * j_max:
         raise ValueError(f"n_states={n_states} exceeds 2*j_max={2 * j_max}")
     h1, h2 = build_hamiltonian(params, j_max)
-    try:
-        w1, v1 = np.linalg.eigh(h1)
-        w2, v2 = np.linalg.eigh(h2)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"sector eigensolve failed: {exc}") from exc
+    w1, v1 = _lowest(h1, n_states)
+    w2, v2 = _lowest(h2, n_states)
 
     energies = np.concatenate([w1, w2])
     sector = np.concatenate([np.zeros(len(w1), dtype=int),
                              np.ones(len(w2), dtype=int)])
     within = np.concatenate([np.arange(len(w1)), np.arange(len(w2))])
-    # Stable order: energy, then even sector first at exact degeneracies.
-    order = np.lexsort((within, sector, energies))[:n_states]
+    # Energies within _TIE_ULPS ulps of ||H|| are one level, even sector
+    # first, so the state cut does not depend on eigh rounding; ||H|| is
+    # bounded by j_max^2 + |eta| + zeta.
+    tie = _TIE_ULPS * np.finfo(float).eps * (
+        j_max ** 2 + abs(params.eta) + params.zeta)
+    order = np.argsort(energies, kind="stable")
+    level = np.concatenate([[0], np.cumsum(np.diff(energies[order]) > tie)])
+    order = order[np.lexsort((within[order], sector[order], level))][:n_states]
 
     odd = sector[order] == 1
     coeffs = np.zeros((n_states, j_max + 1))
@@ -216,7 +271,41 @@ def solve_spectrum(params: InteractionParams, n_states: int,
     labels = tuple(SymmetryLabel.A2 if o else SymmetryLabel.A1 for o in odd)
     return PendularSpectrum(params=params, energies=energies[order],
                             coefficients=_pi_aligned(coeffs, odd),
-                            labels=labels, j_max=j_max)
+                            labels=labels, j_max=j_max,
+                            basis_tail=float(np.max(np.abs(
+                                coeffs[:, -TAIL_ROWS:]))))
+
+
+def solve_spectrum(params: InteractionParams, n_states: int,
+                   j_max: Optional[int] = None) -> PendularSpectrum:
+    """Diagonalize both parity sectors and merge the lowest n_states.
+
+    The basis tail, the largest |c_J| over the last TAIL_ROWS basis
+    functions of any returned state, must be <= TAIL_TOL. With j_max None
+    the cutoff starts at _auto_j_max and grows by a quarter (to a multiple
+    of 8) until it is; past J_MAX_CAP it raises ValueError. A given j_max
+    is checked the same way and refused, not grown.
+
+    Each eigenvector's overall sign is fixed here, once, by the pi-aligned
+    rule of _pi_aligned; every grid or basis route downstream inherits it.
+    """
+    if n_states < 1:
+        raise ValueError("n_states must be >= 1")
+    fixed = j_max is not None
+    if not fixed:
+        j_max = _auto_j_max(params, n_states)
+    while True:
+        spec = _solve_at(params, n_states, j_max)
+        if spec.basis_tail <= TAIL_TOL:
+            return spec
+        if fixed or j_max >= J_MAX_CAP:
+            break
+        j_max = min(J_MAX_CAP, _round_up8(1.25 * j_max))
+    raise ValueError(
+        f"basis tail {spec.basis_tail:.1e} > {TAIL_TOL:.0e} at j_max={j_max} "
+        f"(eta={params.eta}, zeta={params.zeta}, {n_states} states): "
+        + ("raise j_max or leave it to the automatic cutoff" if fixed
+           else f"the cutoff cap {J_MAX_CAP} is too small"))
 
 
 def classify_symmetry(psi: Wavefunction) -> SymmetryLabel:
@@ -247,11 +336,17 @@ class CrossingRecord:
     kappa: int
     kind: str          # 'genuine' | 'avoided'
     min_gap: float
+    j_max: int              # the window's cutoff
+    basis_tail: float       # at the refined point
+
+
+def _pair_gap(sp: PendularSpectrum, pair: Tuple[int, int]) -> float:
+    return float(sp.energies[pair[1]] - sp.energies[pair[0]])
 
 
 def _gap(eta: float, zeta: float, pair: Tuple[int, int], j_max: int) -> float:
-    sp = solve_spectrum(InteractionParams(eta, zeta), pair[1] + 1, j_max)
-    return float(sp.energies[pair[1]] - sp.energies[pair[0]])
+    return _pair_gap(
+        solve_spectrum(InteractionParams(eta, zeta), pair[1] + 1, j_max), pair)
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -278,13 +373,16 @@ def _golden_min(f, lo: float, hi: float, tol: float) -> float:
 
 def crossing_scan(zeta: float, eta_range: Tuple[float, float],
                   pair: Tuple[int, int], resolution: int = CROSSING_RESOLUTION,
-                  j_max: int = DEFAULT_J_MAX,
+                  j_max: Optional[int] = None,
                   eta_tol: float = CROSSING_ETA_TOL) -> List[CrossingRecord]:
     """Locate gap minima of the pair over an eta window.
 
     Coarse scan, then golden-section refinement of each interior bracket.
-    Genuine vs avoided follows the symmetry labels at the refined minimum;
-    an empty list means no interior minimum, not an error.
+    Every gap is taken in one basis: with j_max None, the cutoff
+    solve_spectrum settles on at the window's largest |eta| (an end point,
+    solved first); every solve still checks its basis tail. Genuine vs
+    avoided follows the symmetry labels at the refined minimum; an empty
+    list means no interior minimum, not an error.
     """
     if pair[1] != pair[0] + 1:
         raise ValueError("pair must be adjacent states (n, n+1)")
@@ -294,7 +392,12 @@ def crossing_scan(zeta: float, eta_range: Tuple[float, float],
     if not eta_tol > 0:
         raise ValueError(f"eta_tol must be > 0, got {eta_tol}")
     etas = np.linspace(lo, hi, resolution)
-    gaps = np.array([_gap(e, zeta, pair, j_max) for e in etas])
+    gaps = np.empty(resolution)
+    # largest |eta| first: that solve fixes the cutoff of every later one
+    for k in range(resolution)[::-1 if abs(hi) > abs(lo) else 1]:
+        sp = solve_spectrum(InteractionParams(etas[k], zeta), pair[1] + 1,
+                            j_max)
+        j_max, gaps[k] = sp.j_max, _pair_gap(sp, pair)
 
     records = []
     for k in range(1, resolution - 1):
@@ -303,11 +406,11 @@ def crossing_scan(zeta: float, eta_range: Tuple[float, float],
         eta_c = _golden_min(lambda e: _gap(e, zeta, pair, j_max),
                             etas[k - 1], etas[k + 1], eta_tol)
         sp = solve_spectrum(InteractionParams(eta_c, zeta), pair[1] + 1, j_max)
-        gap_c = float(sp.energies[pair[1]] - sp.energies[pair[0]])
         genuine = sp.labels[pair[0]] is not sp.labels[pair[1]]
         records.append(CrossingRecord(
             state_pair=pair, eta_at_crossing=eta_c, zeta=zeta,
             kappa=int(round(abs(eta_c) / math.sqrt(zeta))),
             kind="genuine" if genuine else "avoided",
-            min_gap=gap_c))
+            min_gap=_pair_gap(sp, pair), j_max=j_max,
+            basis_tail=sp.basis_tail))
     return records

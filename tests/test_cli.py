@@ -135,6 +135,41 @@ def test_config_unknown_key_is_line_referenced(tmp_path, monkeypatch, capsys):
     assert "ewa" in err
 
 
+def test_config_value_error_is_line_referenced(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text('{\n  "eta": -1,\n  "n-states": 2.7\n}\n')
+    with pytest.raises(SystemExit) as exit_:
+        main(["spectrum", "--zeta", "1", "--config", str(cfg)])
+    assert exit_.value.code == 2
+    assert f"{cfg}:3: argument --n-states" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
+def test_manifest_diagnostics(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+
+    def diagnostics(stem):
+        manifest = json.loads((tmp_path / f"{stem}.manifest.json").read_text())
+        return manifest.get("diagnostics")
+
+    assert main(["switch-on", "--eta", "-10", "--zeta", "25", "--j0", "1",
+                 "--output", "on.csv"]) == 0
+    on = diagnostics("on")
+    assert sorted(on) == ["basis_tail", "j_max", "population_deficit"]
+    assert 0 < on["basis_tail"] <= 1e-12 and on["j_max"] % 8 == 0
+    deficit = 1.0 - sum(r.probability for r in switch_on_populations(
+        solve_spectrum(InteractionParams(-10.0, 25.0), 20), 1))
+    assert on["population_deficit"] == deficit
+
+    assert main(["topology-map", "--eta-range", "-30:0:2", "--zeta-range",
+                 "5:35:2", "--n-states", "8", "--output", "map.csv"]) == 0
+    assert sorted(diagnostics("map")) == sorted(on)
+    assert main(["spectrum", "--eta", "-10", "--zeta", "25",
+                 "--output", "s.csv"]) == 0
+    assert sorted(diagnostics("s")) == ["basis_tail", "j_max"]
+
+
 def test_invalid_params_exit_one(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["spectrum", "--zeta", "-4", "--eta", "-1"]) == 1
