@@ -36,12 +36,10 @@ from . import __version__
 from .core import (
     DEFAULT_GRID_POINTS,
     InteractionParams,
-    Wavefunction,
     free_rotor_wavefunction,
     make_grid,
 )
 from .cqes import (
-    aligned_grid_state,
     switch_off_coefficients,
     switch_on_coefficients,
 )
@@ -309,23 +307,6 @@ def _cutoff(text: str) -> Optional[int]:
             f"expected an integer or 'auto', got {text!r}") from None
 
 
-def _threads(flag: Optional[int]) -> Optional[int]:
-    """--threads, else PLANAR_PENDULUM_THREADS, else None; must be >= 1."""
-    source, text = "--threads", flag
-    if text is None:
-        source = "PLANAR_PENDULUM_THREADS"
-        text = os.environ.get(source) or None
-    if text is None:
-        return None
-    try:
-        threads = int(text)
-    except ValueError:
-        raise ConfigError(f"{source}={text!r} is not an integer") from None
-    if threads < 1:
-        raise ConfigError(f"{source}={threads} must be >= 1")
-    return threads
-
-
 # --------------------------------------------------------------------------
 # command handlers: each takes the parsed options and returns
 # (columns, rows, extra_outputs)
@@ -481,10 +462,7 @@ def _run_propagate(args: argparse.Namespace, limits: _Limits):
         spec = solve_spectrum(InteractionParams(eta0, zeta0), args.n0 + 1,
                               args.j_max)
         limits.solved(spec)
-        psi0 = Wavefunction(grid,
-                            aligned_grid_state(spec, args.n0,
-                                               grid).astype(complex),
-                            normalize=False)
+        psi0 = spec.wavefunction(args.n0, grid)
     else:
         psi0 = free_rotor_wavefunction(0 if args.j0 is None else args.j0,
                                        grid)
@@ -515,8 +493,7 @@ def _run_topology_map(args: argparse.Namespace, limits: _Limits):
         (float(zetas[0]), float(zetas[-1])),
         (float(etas[0]), float(etas[-1])),
         args.j0, args.tau_tilde, (len(etas), len(zetas)),
-        n_states=args.n_states, j_max=args.j_max,
-        threads=_threads(args.threads))
+        n_states=args.n_states, j_max=args.j_max)
     limits.note(j_max=tmap.j_max, basis_tail=tmap.basis_tail,
                 population_deficit=tmap.population_deficit)
     rows = []
@@ -562,8 +539,8 @@ def _run_validate(args: argparse.Namespace) -> int:
 
 _EVERY = {
     "config": dict(help="JSON config file whose keys are these flag names"),
-    "threads": dict(type=int, help="topology-map only: >= 1, fallback "
-                    "PLANAR_PENDULUM_THREADS; results do not depend on it"),
+    "threads": dict(type=int, help="accepted and ignored: every command "
+                    "runs in one thread"),
 }
 _WRITER = {
     **_EVERY,

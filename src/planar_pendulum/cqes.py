@@ -10,15 +10,16 @@ quasi-exactly-solvable eigenfunctions take the form
 When the topological index kappa = |eta|/sqrt(zeta) is an odd integer,
 kappa of the low-lying states terminate at finite polynomial degree: the
 even sector holds (kappa+1)/2 of them with degree (kappa-1)/2 and the odd
-sector (kappa-1)/2 with degree (kappa-3)/2. For any other parameters the
-same basis still fits, just not exactly; the projection residual reports
-how well.
+sector (kappa-1)/2 with degree (kappa-3)/2.
 
-The coefficient vectors v are obtained by least-squares projection of the
-numerically solved eigenfunction onto the ansatz basis. Expansion
-coefficients of a pendular state over free-rotor states (and of a rotor
-state over pendular states) then reduce to modified-Bessel sums with
-argument sqrt(zeta). In the parity-split Fourier basis they are exact
+The coefficient vectors v and the energies come from the three-term
+recurrence that H + zeta induces on the powers u**l, u = sin(theta/2)**2
+(see _sector_states): at odd integer kappa its raising term vanishes at
+the top power, so a small tridiagonal eigenproblem gives the terminating
+states exactly, with no spectrum and no grid (algebraic_ansatz).
+Expansion coefficients of a pendular state over free-rotor states (and of
+a rotor state over pendular states) then reduce to modified-Bessel sums
+with argument sqrt(zeta). In the parity-split Fourier basis they are exact
 coefficient lookups (switch_on/off_coefficients), with grid quadratures as
 independent twins. Every route shares the eigenvector signs that
 solve_spectrum fixes once (pi-aligned).
@@ -35,25 +36,14 @@ import numpy as np
 from .core import (
     DEFAULT_J_MAX,
     AngularGrid,
+    InteractionParams,
     SymmetryLabel,
     Wavefunction,
     make_grid,
+    topological_index,
 )
 from .elements import BesselTable, _bracket, ansatz_norm_integral
 from .spectrum import PendularSpectrum
-
-CONDITION_LIMIT = 1e12
-
-
-class ConditioningError(RuntimeError):
-    pass
-
-
-def aligned_grid_state(spec: PendularSpectrum, n: int,
-                       grid: Optional[AngularGrid] = None) -> np.ndarray:
-    """Public alias of spec.wavefunction(n, grid).amplitudes.real; the
-    pi-aligned sign it carries is fixed once by solve_spectrum."""
-    return spec.wavefunction(n, grid).amplitudes.real
 
 
 @dataclass(frozen=True)
@@ -63,7 +53,7 @@ class AnsatzCoefficients:
     zeta: float
     v: np.ndarray
     normalization: float
-    fit_residual: float
+    energy: float
 
     @property
     def ell_max(self) -> int:
@@ -77,83 +67,78 @@ def algebraic_sector_size(kappa: int, gamma: SymmetryLabel) -> int:
     return (kappa + 1) // 2 if gamma is SymmetryLabel.A1 else (kappa - 1) // 2
 
 
-def _auto_ell_max(spec: PendularSpectrum, n: int) -> int:
-    gamma = spec.labels[n]
-    if spec.params.zeta == 0.0:
-        j = (n + 1) // 2
-        return j if gamma is SymmetryLabel.A1 else max(j - 1, 0)
-    kappa = spec.params.kappa
-    k = round(kappa)
-    if abs(kappa - k) < 1e-9 and k % 2 == 1 and n < k:
-        # terminating state: polynomial degree is known
-        deg = (k - 1) // 2 if gamma is SymmetryLabel.A1 else (k - 3) // 2
-        return max(int(deg), 0)
-    raise ValueError(
-        "state does not terminate at these parameters; pass ell_max explicitly")
+def _sector_states(kappa: int, a: float, gamma: SymmetryLabel):
+    """Eigenpairs of the recurrence on the sector's terminating powers.
 
+    With u = sin(theta/2)**2, g = exp(-a*cos(theta)) (times sin(theta) in
+    A2) and s = 0 (A1) or 1 (A2), H + zeta maps g*u**l to g times
 
-def ansatz_basis(gamma: SymmetryLabel, zeta: float, ell_max: int,
-                 grid: AngularGrid) -> np.ndarray:
-    """Columns exp(-sqrt(zeta)cos) * sin(theta/2)**(2l), times sin for A2."""
-    theta = grid.theta
-    w = np.exp(-math.sqrt(zeta) * np.cos(theta))
-    if gamma is SymmetryLabel.A2:
-        w = w * np.sin(theta)
-    s2 = np.sin(0.5 * theta) ** 2
-    cols = [w * s2 ** l for l in range(ell_max + 1)]
-    return np.stack(cols, axis=1)
+        [(l+s)**2 - 4a(l+s) + (kappa-1+2s)a] u**l - l(l-1/2+s) u**(l-1)
+        + 2a(2l-kappa+1+2s) u**(l+1),
 
-
-def project_ansatz(spec: PendularSpectrum, n: int,
-                   ell_max: Optional[int] = None,
-                   grid: Optional[AngularGrid] = None) -> AnsatzCoefficients:
-    """Least-squares fit of eigenstate n onto the ansatz basis.
-
-    The basis is QR-orthogonalized on the grid before solving; condition
-    numbers beyond 1e12 raise ConditioningError (reduce ell_max). The
-    returned v is scaled to max|v| = 1 and the normalization integral is
-    evaluated from the Bessel sums, so reconstructing with v/sqrt(N) gives
-    a unit-norm state.
+    whose last term vanishes at the top power, so the tridiagonal M below
+    is exact. Its opposite off-diagonals have a positive product, so
+    M = S T S^-1 with T symmetric and S diagonal. Returns the eigenvalues
+    of M (ascending) and its eigenvectors v as columns, max|v| = 1.
     """
-    if grid is None:
-        grid = make_grid()
-    if ell_max is None:
-        ell_max = _auto_ell_max(spec, n)
-    if ell_max < 0:
-        raise ValueError("ell_max must be >= 0")
-    gamma = spec.labels[n]
-    zeta = spec.params.zeta
-    f = aligned_grid_state(spec, n, grid)
+    s = 1 if gamma is SymmetryLabel.A2 else 0
+    ell = np.arange(algebraic_sector_size(kappa, gamma), dtype=float)
+    if len(ell) == 0:
+        return np.empty(0), np.empty((0, 0))
+    diag = (ell + s) ** 2 - 4.0 * a * (ell + s) + (kappa - 1 + 2 * s) * a
+    upper = -ell[1:] * (ell[1:] - 0.5 + s)                 # M[l-1, l]
+    lower = 2.0 * a * (2.0 * ell[1:] - kappa - 1 + 2 * s)  # M[l, l-1]
+    off = np.sqrt(upper * lower)
+    w, t_vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1)
+                               + np.diag(off, -1))
+    v = np.concatenate([[1.0], np.cumprod(off / upper)])[:, None] * t_vecs
+    return w, v / np.max(np.abs(v), axis=0)
 
-    basis = ansatz_basis(gamma, zeta, ell_max, grid)
-    sq = math.sqrt(grid.dtheta)
-    q, r = np.linalg.qr(basis * sq)
-    cond = np.linalg.cond(r)
-    if cond > CONDITION_LIMIT:
-        raise ConditioningError(
-            f"ansatz basis condition {cond:.2e} exceeds {CONDITION_LIMIT:.0e} "
-            f"at ell_max={ell_max}; reduce ell_max")
-    v = np.linalg.solve(r, q.T @ (f * sq))
-    residual = float(np.linalg.norm(basis * sq @ v - f * sq))
 
-    scale = float(np.max(np.abs(v)))
-    if scale == 0.0:
-        raise RuntimeError("degenerate fit: all coefficients zero")
-    v = v / scale
-    norm = ansatz_norm_integral(gamma, v, zeta)
-    if norm <= 0:
-        raise RuntimeError("non-positive normalization integral")
-    return AnsatzCoefficients(gamma=gamma, n=n, zeta=zeta, v=v,
-                              normalization=norm, fit_residual=residual)
+def algebraic_ansatz(params: InteractionParams) -> Tuple[AnsatzCoefficients, ...]:
+    """The kappa terminating states at odd integer kappa = |eta|/sqrt(zeta).
+
+    Exact eigenpairs of the recurrence at the odd integer kappa that
+    topological_index reports: energies are eig(M) - zeta, v the
+    polynomial coefficients scaled to max|v| = 1 and signed as
+    solve_spectrum signs its states (positive at theta = pi for A1,
+    rising there for A2: f'(pi) = -exp(a)*sum(v)). Entry n is state n of
+    solve_spectrum: energy order, exact ties to the even sector first. (At
+    weak fields a doublet split by less than the solver's tie width, 4 ulps
+    of its ||H||, comes here in true energy order, which the solver may
+    swap.) No spectrum and no grid are used. Raises ValueError unless kappa
+    is an odd integer (zeta = 0 included).
+    """
+    index = topological_index(params)
+    if index.parity != "odd":
+        raise ValueError(f"kappa={index.value:.12g} is not an odd integer; "
+                         "no state terminates")
+    kappa, zeta = index.nearest_integer, params.zeta
+    found = []
+    for gamma, sign in ((SymmetryLabel.A1, 1.0), (SymmetryLabel.A2, -1.0)):
+        w, v = _sector_states(kappa, math.sqrt(zeta), gamma)
+        for k in range(len(w)):
+            found.append((float(w[k]) - zeta, gamma,
+                          v[:, k] * np.copysign(1.0, sign * np.sum(v[:, k]))))
+    found.sort(key=lambda state: state[0])         # stable: A1 first on ties
+    return tuple(
+        AnsatzCoefficients(gamma=gamma, n=n, zeta=zeta, v=v, energy=energy,
+                           normalization=ansatz_norm_integral(gamma, v, zeta))
+        for n, (energy, gamma, v) in enumerate(found))
 
 
 def reconstruct_ansatz(ansatz: AnsatzCoefficients,
                        grid: Optional[AngularGrid] = None) -> Wavefunction:
-    """Materialize the ansatz state, unit norm via the Bessel normalization."""
+    """Materialize the ansatz state on a grid, the twin of the closed-form
+    sums; unit norm via the closed-form normalization."""
     if grid is None:
         grid = make_grid()
-    basis = ansatz_basis(ansatz.gamma, ansatz.zeta, ansatz.ell_max, grid)
-    f = basis @ ansatz.v / math.sqrt(ansatz.normalization)
+    theta = grid.theta
+    weight = np.exp(-math.sqrt(ansatz.zeta) * np.cos(theta))
+    if ansatz.gamma is SymmetryLabel.A2:
+        weight = weight * np.sin(theta)
+    poly = np.polyval(ansatz.v[::-1], np.sin(0.5 * theta) ** 2)
+    f = weight * poly / math.sqrt(ansatz.normalization)
     return Wavefunction(grid, f.astype(complex), normalize=False)
 
 
@@ -262,9 +247,7 @@ def quadrature_switch_off_coefficients(spec: PendularSpectrum, n0: int,
         j_max = _signed_j_max(spec)
     if grid is None:
         grid = make_grid()
-    f = aligned_grid_state(spec, n0, grid)
-    psi = Wavefunction(grid, f.astype(complex), normalize=False)
-    c = psi.free_rotor_coefficients(j_max)
+    c = spec.wavefunction(n0, grid).free_rotor_coefficients(j_max)
     return SwitchCoefficients(kind="switch_off", origin=n0, c=c, j_max=j_max,
                               gamma=spec.labels[n0])
 
@@ -278,7 +261,7 @@ def quadrature_switch_on_coefficients(spec: PendularSpectrum, j0: int,
     phase = np.exp(1j * j0 * grid.theta)
     c = np.empty(spec.n_states, dtype=complex)
     for n in range(spec.n_states):
-        f = aligned_grid_state(spec, n, grid)
+        f = spec.wavefunction(n, grid).amplitudes.real
         c[n] = np.sum(f * phase) * grid.dtheta / math.sqrt(2.0 * np.pi)
     return SwitchCoefficients(kind="switch_on", origin=j0, c=c,
                               labels=spec.labels)

@@ -353,16 +353,12 @@ class TopologyMap:
 
 def topology_map(zeta_range: Tuple[float, float], eta_range: Tuple[float, float],
                  j0: int, tau_tilde: float, resolution: Tuple[int, int],
-                 n_states: int = 20, j_max: Optional[int] = None,
-                 threads: Optional[int] = None) -> TopologyMap:
+                 n_states: int = 20,
+                 j_max: Optional[int] = None) -> TopologyMap:
     """Map of the time-averaged orientation, with crossing-loci overlays.
 
-    resolution = (n_eta, n_zeta), both >= 16. The points are evaluated in
-    one thread; threads is accepted and must be >= 1 when given, and the
-    result does not depend on it.
+    resolution = (n_eta, n_zeta), both >= 16.
     """
-    if threads is not None and threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     n_eta, n_zeta = resolution
     if n_eta < 16 or n_zeta < 16:
         raise ValueError("resolution must be >= 16 per axis")

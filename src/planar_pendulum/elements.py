@@ -1,11 +1,11 @@
 """Matrix elements of cos(theta) and cos(theta)**2 between pendular states:
-exact in the parity-split basis, by grid quadrature (the twin) and by
-closed Bessel-sum formulas, plus the Hellmann-Feynman and kinetic-energy
-consistency identities.
+exact in the parity-split basis, by grid quadrature (the twin) and in
+closed form between ansatz states, plus the Hellmann-Feynman and
+kinetic-energy consistency identities.
 
 Bessel machinery
 ----------------
-Every closed-form integral here reduces to
+exp_cos_integral and the switch coefficients of cqes reduce to
 
     integral over a period of exp(a*cos(theta)) * cos(q*theta)  =  2*pi*I_q(a)
 
@@ -21,12 +21,20 @@ test function under the exp(a*cos(theta)) weight:
     integral exp(a*cos) * cos(q*theta) * cos(theta/2)**(2L)
         = (2*pi / 2**(2L)) * B(L, q; a).
 
-The eigenfunction ansatz used downstream lives in the frame where the
-potential minimum is at theta = pi, i.e. carries exp(-sqrt(zeta)*cos) and
-sin(theta/2) powers; shifting theta by pi maps it onto the form above and
-multiplies each cos(q*theta) Fourier component by (-1)**q. Public
-exp_cos_integral stays in the unshifted frame; the private lab-frame helper
-applies the alternating signs.
+Ansatz integrals
+----------------
+The eigenfunction ansatz of cqes carries exp(-sqrt(zeta)*cos) times a
+polynomial in u = sin(theta/2)**2, whose states sit near u = 1 (theta =
+pi). Summed over powers of u their integrals cancel by 1e10 and more at
+strong fields, so they are re-expanded in w = cos(theta/2)**2 = 1 - u,
+centred on the well, and reduced to the moments
+
+    m_L(x) = integral exp(-x*cos(theta)) * w**L
+           = 2*pi * binom(2L, L)/4**L * exp(-x) * 1F1(1/2; L+1; 2x)
+
+(DLMF 13.4.1 with Kummer's transformation 13.2.39): a series of positive
+terms with no cancellation. The kernels cos, cos**2 and sin**2 are
+polynomials in w.
 """
 
 from __future__ import annotations
@@ -38,7 +46,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .core import (
-    DEFAULT_J_MAX,
     AngularGrid,
     InteractionParams,
     SymmetryLabel,
@@ -151,13 +158,6 @@ _FOURIER: Dict[str, Dict[int, float]] = {
 }
 _FOURIER["sin2"] = _FOURIER["sin"]
 
-# Kernels times sin(theta)**2, needed by odd-sector matrix elements.
-_FOURIER_ODD = {
-    "one":  _FOURIER["sin"],
-    "cos":  {1: 0.25, 3: -0.25},      # sin^2 * cos
-    "cos2": {0: 0.125, 4: -0.125},    # sin^2 * cos^2
-}
-
 
 def _kernel_table(zeta: float, l_sum_max: int, q_max: int) -> BesselTable:
     return BesselTable.build(2.0 * math.sqrt(zeta), l_sum_max + q_max + 1)
@@ -182,24 +182,47 @@ def exp_cos_integral(L: int, zeta: float, f_kind: str) -> float:
     return scale * sum(c * _bracket(table, L, q) for q, c in fourier.items())
 
 
-def _lab_sum(table: BesselTable, big_l: int, fourier: Dict[int, float]) -> float:
-    # pi-shifted frame: each cos(q*theta) component picks up (-1)**q.
-    scale = 2.0 * np.pi / 4.0 ** big_l
-    return scale * sum(c * (-1.0) ** q * _bracket(table, big_l, q)
-                       for q, c in fourier.items())
+# Kernels as polynomials in w = cos(theta/2)**2: cos = 2w - 1.
+_KERNEL_W = {"one": [1.0], "cos": [-1.0, 2.0], "cos2": [1.0, -4.0, 4.0]}
+_SIN2_W = [0.0, 4.0, -4.0]          # sin**2 = 4w(1 - w): the odd-sector weight
 
 
-def _pair_sum(v_row: np.ndarray, v_col: np.ndarray, table: BesselTable,
-              fourier: Dict[int, float]) -> float:
-    s = 0.0
-    for l, vl in enumerate(v_row):
-        if vl == 0.0:
-            continue
-        for lp, vlp in enumerate(v_col):
-            if vlp == 0.0:
-                continue
-            s += vl * vlp * _lab_sum(table, l + lp, fourier)
-    return s
+def _well_moments(x: float, count: int) -> np.ndarray:
+    """m_L(x) for L < count (module docstring), summed from exp(-x) up so
+    that no term overflows for x <= BESSEL_X_MAX."""
+    if x > BESSEL_X_MAX:
+        raise OverflowError(f"x={x} exceeds {BESSEL_X_MAX}")
+    ell = np.arange(count, dtype=float)
+    term = np.full(count, math.exp(-x))
+    total = term.copy()
+    n = 0
+    # terms rise up to n ~ 2x, then fall off geometrically
+    while n <= 2.0 * x or np.any(term > 1e-17 * total):
+        term = term * ((n + 0.5) * 2.0 * x / ((n + ell + 1.0) * (n + 1.0)))
+        total += term
+        n += 1
+    central = np.array([math.comb(2 * l, l) / 4.0 ** l for l in range(count)])
+    return 2.0 * np.pi * central * total
+
+
+def _well_coefficients(v: np.ndarray) -> np.ndarray:
+    """sum_l v_l u**l re-expanded over powers of w = 1 - u (Horner)."""
+    c = np.zeros(1)
+    for vl in v[::-1]:
+        c = np.convolve(c, [1.0, -1.0])
+        c[0] += vl
+    return c
+
+
+def _ansatz_integral(gamma: SymmetryLabel, v_a: np.ndarray, v_b: np.ndarray,
+                     zeta: float, kernel: str) -> float:
+    """integral exp(-2*sqrt(zeta)*cos) * P_a * P_b * kernel, times sin**2
+    in the odd sector, with P = sum_l v_l u**l."""
+    poly = np.convolve(np.convolve(_well_coefficients(v_a),
+                                   _well_coefficients(v_b)), _KERNEL_W[kernel])
+    if gamma is SymmetryLabel.A2:
+        poly = np.convolve(poly, _SIN2_W)
+    return float(poly @ _well_moments(2.0 * math.sqrt(zeta), len(poly)))
 
 
 def ansatz_norm_integral(gamma: SymmetryLabel, v: np.ndarray,
@@ -209,36 +232,29 @@ def ansatz_norm_integral(gamma: SymmetryLabel, v: np.ndarray,
     Even sector: weight exp(-2*sqrt(zeta)*cos) over sin(theta/2) powers.
     Odd sector: the same with an extra sin(theta)**2.
     """
-    l_max = len(v) - 1
-    table = _kernel_table(zeta, 2 * l_max, 4)
-    kernel = "one" if gamma is SymmetryLabel.A1 else "sin"
-    return _pair_sum(v, v, table, _FOURIER[kernel])
+    return _ansatz_integral(gamma, v, v, zeta, "one")
 
 
-def _analytic_element(a, b, fourier_even: Dict[int, float],
-                      fourier_odd: Dict[int, float]) -> float:
+def _analytic_element(a, b, kernel: str) -> float:
     if a.zeta != b.zeta:
         raise ValueError("ansatz pair built at different zeta")
     if a.gamma is not b.gamma:
         return 0.0                      # selection rule, exact
-    l_max = len(a.v) + len(b.v) - 2
-    table = _kernel_table(a.zeta, 2 * l_max, 4)
-    fourier = fourier_even if a.gamma is SymmetryLabel.A1 else fourier_odd
-    raw = _pair_sum(a.v, b.v, table, fourier)
+    raw = _ansatz_integral(a.gamma, a.v, b.v, a.zeta, kernel)
     return raw / math.sqrt(a.normalization * b.normalization)
 
 
 def analytic_cos_element(a, b) -> float:
-    """<phi_a|cos(theta)|phi_b> from the Bessel sums.
+    """<phi_a|cos(theta)|phi_b> from the well moments.
 
     Inputs are AnsatzCoefficients; cross-symmetry pairs return exactly 0.
     """
-    return _analytic_element(a, b, _FOURIER["cos"], _FOURIER_ODD["cos"])
+    return _analytic_element(a, b, "cos")
 
 
 def analytic_cos2_element(a, b) -> float:
-    """<phi_a|cos(theta)**2|phi_b> from the Bessel sums."""
-    return _analytic_element(a, b, _FOURIER["cos2"], _FOURIER_ODD["cos2"])
+    """<phi_a|cos(theta)**2|phi_b> from the well moments."""
+    return _analytic_element(a, b, "cos2")
 
 
 @dataclass(frozen=True)
@@ -298,12 +314,13 @@ def sector_element_matrix(spec: PendularSpectrum, operator: str) -> np.ndarray:
 
 def hellmann_feynman_residual(params: InteractionParams, n: int,
                               step: float = 1e-4,
-                              j_max: int = DEFAULT_J_MAX) -> Tuple[float, float]:
+                              j_max: Optional[int] = None) -> Tuple[float, float]:
     """|<cos> + d(eps_n)/d(eta)| and |<cos^2> + d(eps_n)/d(zeta)|.
 
     Central finite differences against quadrature expectations. Refuses
     states closer than 10*step (in energy) to a neighbor, where the
-    differentiated branch is ill-defined.
+    differentiated branch is ill-defined. j_max=None takes the guarded
+    automatic cutoff of solve_spectrum at params for the whole stencil.
     """
     if step <= 0:
         raise ValueError("step must be > 0")
@@ -314,6 +331,7 @@ def hellmann_feynman_residual(params: InteractionParams, n: int,
         raise ValueError(
             f"state {n} is within 10*step of a neighbor "
             f"(gap {min(gap_up, gap_dn):.3e}); derivative branch ill-defined")
+    j_max = spec.j_max                  # one cutoff for the whole stencil
 
     def energy(eta: float, zeta: float) -> float:
         # energies are even in eta (theta -> pi - theta maps +eta to -eta),
@@ -337,8 +355,9 @@ def hellmann_feynman_residual(params: InteractionParams, n: int,
 
 
 def kinetic_identity_residual(params: InteractionParams, n: int,
-                              j_max: int = DEFAULT_J_MAX) -> float:
-    """|<J^2> - eps_n - eta*<cos> - zeta*<cos^2>|, all from quadrature."""
+                              j_max: Optional[int] = None) -> float:
+    """|<J^2> - eps_n - eta*<cos> - zeta*<cos^2>|, all from quadrature;
+    j_max=None takes the guarded automatic cutoff of solve_spectrum."""
     spec = solve_spectrum(params, n + 1, j_max)
     grid = make_grid(QUAD_GRID_POINTS)
     psi = spec.wavefunction(n, grid)

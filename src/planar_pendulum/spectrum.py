@@ -203,8 +203,8 @@ def _pi_aligned(coeffs: np.ndarray, odd: np.ndarray) -> np.ndarray:
     theta = pi, exactly on the coefficients; below _ALIGN_FLOOR times
     sum_J |c_J w_J| the largest-magnitude coefficient is made positive.
 
-    A public contract: the sign of wavefunction, aligned_grid_state and
-    the amplitudes built from them. Bilinear outputs do not depend on it.
+    A public contract: the sign of wavefunction and the amplitudes built
+    from it. Bilinear outputs do not depend on it.
     """
     value, slope = _pi_probe_weights(coeffs.shape[1])
     weights = np.where(odd[:, None], slope, value)

@@ -19,19 +19,18 @@ import numpy as np
 from .core import (
     InteractionParams,
     SymmetryLabel,
-    Wavefunction,
     free_rotor_wavefunction,
     make_grid,
     potential_shape,
     topological_index,
 )
 from .cqes import (
-    aligned_grid_state,
+    algebraic_ansatz,
     analytic_switch_off_coefficients,
     analytic_switch_on_coefficient,
-    project_ansatz,
     quadrature_switch_off_coefficients,
     quadrature_switch_on_coefficients,
+    reconstruct_ansatz,
     reconstruct_from_free_rotor,
     switch_on_coefficients,
 )
@@ -178,7 +177,8 @@ def check_selection_rules() -> Tuple[bool, str]:
     grid = make_grid()
     worst = 0.0
     for op in ("cos", "cos2"):
-        f = np.stack([aligned_grid_state(spec, n, grid) for n in range(9)])
+        f = np.stack([spec.wavefunction(n, grid).amplitudes.real
+                      for n in range(9)])
         w = np.cos(grid.theta) if op == "cos" else np.cos(grid.theta) ** 2
         raw = (f * w) @ f.T * grid.dtheta
         for i in range(9):
@@ -213,11 +213,15 @@ def _algebraic_cases():
 
 def check_ansatz_fit() -> Tuple[bool, str]:
     worst = 0.0
+    grid = make_grid()
     for params, count in _algebraic_cases():
         spec = solve_spectrum(params, count + 2)
-        for n in range(count):
-            worst = max(worst, project_ansatz(spec, n).fit_residual)
-    return _fail_detail(worst, 1e-6, "max ansatz fit residual")
+        for ans in algebraic_ansatz(params):
+            gap = (reconstruct_ansatz(ans, grid).amplitudes.real
+                   - spec.wavefunction(ans.n, grid).amplitudes.real)
+            worst = max(worst, float(np.linalg.norm(gap))
+                        * math.sqrt(grid.dtheta))
+    return _fail_detail(worst, 1e-6, "max L2 distance, ansatz to solver state")
 
 
 def check_switch_off_routes() -> Tuple[bool, str]:
@@ -225,15 +229,14 @@ def check_switch_off_routes() -> Tuple[bool, str]:
     grid = make_grid()
     for params, count in _algebraic_cases():
         spec = solve_spectrum(params, count + 2)
-        for n in range(count):
-            ans = project_ansatz(spec, n)
+        for n, ans in enumerate(algebraic_ansatz(params)):
             ca = analytic_switch_off_coefficients(ans, j_max=64)
             cq = quadrature_switch_off_coefficients(spec, n, j_max=64, grid=grid)
             worst = max(worst, float(np.max(np.abs(ca.c - cq.c))))
             parse = max(parse, abs(ca.parseval() - 1.0))
             tail = max(tail, max(abs(ca.coefficient(j)) for j in range(55, 65)))
             wf = reconstruct_from_free_rotor(ca, grid)
-            tgt = aligned_grid_state(spec, n, grid)
+            tgt = spec.wavefunction(n, grid).amplitudes.real
             recon = max(recon, float(np.max(np.abs(wf.amplitudes.real - tgt))))
     ok = worst < 1e-8 and parse < 1e-8 and tail < 1e-10 and recon < 1e-7
     return ok, (f"route gap {worst:.1e}, Parseval {parse:.1e}, "
@@ -243,9 +246,9 @@ def check_switch_off_routes() -> Tuple[bool, str]:
 def check_switch_structure() -> Tuple[bool, str]:
     spec = solve_spectrum(InteractionParams(-15.0, 25.0), 4)
     worst = 0.0
+    states = algebraic_ansatz(spec.params)
     for n, want_a2 in ((0, False), (1, True), (2, False)):
-        ans = project_ansatz(spec, n)
-        c = analytic_switch_off_coefficients(ans, j_max=64).c
+        c = analytic_switch_off_coefficients(states[n], j_max=64).c
         if want_a2:
             worst = max(worst, float(np.max(np.abs(c + c[::-1]))))
             worst = max(worst, abs(c[64]))                       # C_0 = 0
@@ -264,10 +267,11 @@ def check_switch_on_routes() -> Tuple[bool, str]:
     worst = 0.0
     for params, count in _algebraic_cases():
         spec = solve_spectrum(params, count + 2)
+        states = algebraic_ansatz(params)
         for j0 in (0, 1, 2, 3):
             cq = quadrature_switch_on_coefficients(spec, j0)
-            for n in range(count):
-                ca = analytic_switch_on_coefficient(project_ansatz(spec, n), j0)
+            for n, ans in enumerate(states):
+                ca = analytic_switch_on_coefficient(ans, j0)
                 worst = max(worst, abs(ca - cq.c[n]))
     return _fail_detail(worst, 1e-8, "max |analytic - quadrature|")
 
@@ -309,7 +313,7 @@ def check_coherence_sector_split() -> Tuple[bool, str]:
     tau = make_tau_grid(2.0 * math.pi)
     basis, _ = switch_on_evolution(spec, switch_on_coefficients(spec, 1), tau)
     grid = make_grid()
-    f = np.stack([aligned_grid_state(spec, n, grid) for n in range(16)])
+    f = np.stack([spec.wavefunction(n, grid).amplitudes.real for n in range(16)])
     c = quadrature_switch_on_coefficients(spec, 1, grid).c
     d = c * np.exp(-1j * np.outer(tau, spec.energies))
     worst = 0.0
@@ -361,8 +365,7 @@ def check_free_rotor_phase() -> Tuple[bool, str]:
 def check_stationarity() -> Tuple[bool, str]:
     grid = make_grid()
     spec = solve_spectrum(InteractionParams(-10.0, 25.0), 2)
-    psi = Wavefunction(grid, aligned_grid_state(spec, 0, grid).astype(complex),
-                       normalize=False)
+    psi = spec.wavefunction(0, grid)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         tr = propagate(psi, PulseSchedule.frozen(-10.0, 25.0, 2.0 * math.pi),
@@ -393,7 +396,7 @@ def check_spectral_oracle() -> Tuple[bool, str]:
                                                  2.0 * math.pi),
                        dtau=1e-3, sample_stride=10 ** 9)
     spec = solve_spectrum(params, 30)
-    f = np.stack([aligned_grid_state(spec, n, grid) for n in range(30)])
+    f = np.stack([spec.wavefunction(n, grid).amplitudes.real for n in range(30)])
     c = f @ psi.amplitudes * grid.dtheta
     recon = (c * np.exp(-1j * spec.energies * 2.0 * math.pi)) @ f
     dev = math.sqrt(float(np.sum(np.abs(recon - tr.final_state.amplitudes) ** 2)
@@ -421,7 +424,7 @@ def check_sudden_limit() -> Tuple[bool, str]:
     psi = free_rotor_wavefunction(1, grid)
     spec = solve_spectrum(InteractionParams(-10.0, 25.0), 25)
     ref = np.array([r.probability for r in switch_on_populations(spec, 1)])
-    f = np.stack([aligned_grid_state(spec, n, grid) for n in range(25)])
+    f = np.stack([spec.wavefunction(n, grid).amplitudes.real for n in range(25)])
     errs = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -446,7 +449,7 @@ def check_adiabatic_limit() -> Tuple[bool, str]:
         warnings.simplefilter("ignore", RuntimeWarning)
         tr = propagate(psi, sch, dtau=2e-3, sample_stride=10 ** 9)
     spec = solve_spectrum(InteractionParams(-10.0, 25.0), 2)
-    phi0 = aligned_grid_state(spec, 0, grid)
+    phi0 = spec.wavefunction(0, grid).amplitudes.real
     overlap = complex(np.sum(phi0 * tr.final_state.amplitudes) * grid.dtheta)
     pop = abs(overlap) ** 2
     return pop >= 0.99, f"final ground-state population {pop:.6f}"

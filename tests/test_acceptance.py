@@ -17,7 +17,7 @@ from planar_pendulum import (
     InteractionParams,
     PulseSchedule,
     SymmetryLabel,
-    aligned_grid_state,
+    algebraic_ansatz,
     analytic_switch_off_coefficients,
     analytic_switch_on_coefficient,
     crossing_scan,
@@ -27,7 +27,6 @@ from planar_pendulum import (
     kinetic_identity_residual,
     make_grid,
     make_tau_grid,
-    project_ansatz,
     propagate,
     quadrature_switch_off_coefficients,
     quadrature_switch_on_coefficients,
@@ -91,7 +90,7 @@ def test_criterion_03_switch_coefficient_routes():
         eta = -kappa * math.sqrt(25.0)
         spec = solve_spectrum(InteractionParams(eta, 25.0), kappa + 2)
         for n in range(kappa):
-            ans = project_ansatz(spec, n)
+            ans = algebraic_ansatz(spec.params)[n]
             ca = analytic_switch_off_coefficients(ans, j_max=64)
             cq = quadrature_switch_off_coefficients(spec, n, j_max=64,
                                                     grid=grid)
@@ -111,8 +110,8 @@ def test_criterion_04_coefficient_structure():
     worst_sym = worst_parseval = worst_tail = worst_a2_on = 0.0
     # algebraic states at kappa=3 plus generic quadrature states at -10
     spec3 = solve_spectrum(InteractionParams(-15.0, 25.0), 5)
-    sets = [analytic_switch_off_coefficients(project_ansatz(spec3, n), j_max=jm)
-            for n in range(3)]
+    sets = [analytic_switch_off_coefficients(ans, j_max=jm)
+            for ans in algebraic_ansatz(spec3.params)]
     spec_g = solve_spectrum(InteractionParams(-10.0, 25.0), 6)
     sets += [quadrature_switch_off_coefficients(spec_g, n, j_max=jm)
              for n in range(4)]
@@ -292,7 +291,8 @@ def test_criterion_10_propagator_cross_validation():
     params = InteractionParams(-0.1, 0.25)
     psi0 = free_rotor_wavefunction(1, grid)
     spec = solve_spectrum(params, 30)
-    basis = np.stack([aligned_grid_state(spec, n, grid) for n in range(30)])
+    basis = np.stack([spec.wavefunction(n, grid).amplitudes.real
+                      for n in range(30)])
     amps = basis @ psi0.amplitudes * grid.dtheta
     ref = (amps * np.exp(-1j * spec.energies * TWO_PI)) @ basis
     traj = propagate(psi0, PulseSchedule.frozen(-0.1, 0.25, TWO_PI), dtau=1e-3)
@@ -309,7 +309,8 @@ def test_criterion_10_propagator_cross_validation():
     # (c) sudden limit: population error shrinks at least linearly in ramp
     spec_s = solve_spectrum(InteractionParams(-10.0, 25.0), 25)
     target = np.abs(quadrature_switch_on_coefficients(spec_s, 1).c) ** 2
-    f = np.stack([aligned_grid_state(spec_s, n, grid) for n in range(25)])
+    f = np.stack([spec_s.wavefunction(n, grid).amplitudes.real
+                  for n in range(25)])
     errs = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)

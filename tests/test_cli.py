@@ -327,25 +327,6 @@ def test_negative_values_after_flags(tmp_path, monkeypatch):
     assert len(read_csv(tmp_path / "neg.csv")) == 3
 
 
-@pytest.mark.parametrize("flags,env", [
-    (["--threads", "0"], None),
-    (["--threads", "-3"], None),
-    ([], "0"),
-])
-def test_thread_count_below_one_is_a_config_error(tmp_path, monkeypatch,
-                                                  capsys, flags, env):
-    monkeypatch.chdir(tmp_path)
-    if env is None:
-        monkeypatch.delenv("PLANAR_PENDULUM_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("PLANAR_PENDULUM_THREADS", env)
-    argv = ["topology-map", "--eta-range", "-32:-2:2", "--zeta-range",
-            "5:35:2", "--n-states", "8", "--j-max", "32", "--output", "t.csv"]
-    assert main(argv + flags) == 2
-    assert ">= 1" in capsys.readouterr().err
-    assert not (tmp_path / "t.csv").exists()
-
-
 @pytest.mark.parametrize("flags,env", [(["--threads", "0"], None),
                                        ([], "0"), ([], "many")])
 def test_thread_count_ignored_outside_topology_map(tmp_path, monkeypatch,

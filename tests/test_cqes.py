@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from planar_pendulum import (
-    ConditioningError,
     InteractionParams,
     SymmetryLabel,
-    aligned_grid_state,
+    algebraic_ansatz,
     algebraic_sector_size,
     analytic_switch_off_coefficients,
     analytic_switch_on_coefficient,
+    crossing_scan,
     make_grid,
-    project_ansatz,
     quadrature_switch_off_coefficients,
     quadrature_switch_on_coefficients,
     reconstruct_ansatz,
@@ -26,6 +25,13 @@ from planar_pendulum import (
 def _algebraic_spectrum(kappa, zeta=25.0, extra=2):
     eta = -kappa * math.sqrt(zeta)
     return solve_spectrum(InteractionParams(eta, zeta), kappa + extra)
+
+
+def _distance(ans, spec, grid):
+    """L2 grid distance between the ansatz state and solver state ans.n."""
+    gap = (reconstruct_ansatz(ans, grid).amplitudes.real
+           - spec.wavefunction(ans.n, grid).amplitudes.real)
+    return float(np.linalg.norm(gap)) * math.sqrt(grid.dtheta)
 
 
 def test_sector_sizes():
@@ -42,11 +48,11 @@ def test_unit_index_ground_is_pure_exponential(zeta):
     """At kappa=1 the ground state is exp(-sqrt(zeta)*cos(theta)) exactly."""
     spec = _algebraic_spectrum(1, zeta)
     grid = make_grid()
-    ans = project_ansatz(spec, 0)
-    assert ans.fit_residual < 1e-10
+    ans = algebraic_ansatz(spec.params)[0]
+    assert _distance(ans, spec, grid) < 1e-10
     assert ans.ell_max == 0                    # single-term polynomial
 
-    f = aligned_grid_state(spec, 0, grid)
+    f = spec.wavefunction(0, grid).amplitudes.real
     envelope = np.exp(-math.sqrt(zeta) * np.cos(grid.theta))
     ratio = f / envelope
     assert ratio.max() / ratio.min() - 1.0 < 1e-8
@@ -54,10 +60,11 @@ def test_unit_index_ground_is_pure_exponential(zeta):
 
 def test_index_three_ansatz_degrees():
     spec = _algebraic_spectrum(3)
+    grid = make_grid()
     degrees = {}
     for n in range(3):
-        ans = project_ansatz(spec, n)
-        assert ans.fit_residual < 1e-8
+        ans = algebraic_ansatz(spec.params)[n]
+        assert _distance(ans, spec, grid) < 1e-8
         degrees.setdefault(str(spec.labels[n]), []).append(ans.ell_max)
     assert sorted(degrees["A1"]) == [1, 1]
     assert degrees["A2"] == [0]
@@ -67,8 +74,8 @@ def test_reconstruct_ansatz_matches_eigenstate():
     spec = _algebraic_spectrum(3)
     grid = make_grid()
     for n in range(3):
-        wf = reconstruct_ansatz(project_ansatz(spec, n), grid)
-        target = aligned_grid_state(spec, n, grid)
+        wf = reconstruct_ansatz(algebraic_ansatz(spec.params)[n], grid)
+        target = spec.wavefunction(n, grid).amplitudes.real
         assert np.abs(wf.amplitudes.real - target).max() < 1e-7
 
 
@@ -77,7 +84,7 @@ def test_switch_off_two_routes_agree(kappa):
     spec = _algebraic_spectrum(kappa)
     grid = make_grid()
     for n in range(kappa):
-        ca = analytic_switch_off_coefficients(project_ansatz(spec, n))
+        ca = analytic_switch_off_coefficients(algebraic_ansatz(spec.params)[n])
         cq = quadrature_switch_off_coefficients(spec, n, grid=grid)
         assert np.abs(ca.c - cq.c).max() < 1e-8
 
@@ -86,7 +93,8 @@ def test_switch_off_symmetries_exact():
     spec = _algebraic_spectrum(3)
     jm = 64
     for n in range(3):
-        co = analytic_switch_off_coefficients(project_ansatz(spec, n), j_max=jm)
+        co = analytic_switch_off_coefficients(algebraic_ansatz(spec.params)[n],
+                                              j_max=jm)
         c = co.c
         if spec.labels[n] is SymmetryLabel.A1:
             assert np.all(c[jm + 1:] == c[:jm][::-1])      # mirror, bit-exact
@@ -99,7 +107,8 @@ def test_switch_off_symmetries_exact():
 
 def test_parseval_and_tail():
     spec = _algebraic_spectrum(1)
-    co = analytic_switch_off_coefficients(project_ansatz(spec, 0), j_max=64)
+    co = analytic_switch_off_coefficients(algebraic_ansatz(spec.params)[0],
+                                          j_max=64)
     assert abs(co.parseval() - 1.0) < 1e-8
     for j in range(55, 65):
         assert abs(co.coefficient(j)) < 1e-10
@@ -110,7 +119,7 @@ def test_switch_on_conjugation_rule():
     spec = _algebraic_spectrum(3)
     grid = make_grid()
     for n in range(3):
-        ans = project_ansatz(spec, n)
+        ans = algebraic_ansatz(spec.params)[n]
         off = analytic_switch_off_coefficients(ans)
         for j0 in (0, 1, 2, 5):
             on = analytic_switch_on_coefficient(ans, j0)
@@ -136,14 +145,55 @@ def test_switch_on_from_j0_zero_misses_odd_sector():
 def test_reconstruction_roundtrip():
     spec = _algebraic_spectrum(1)
     grid = make_grid()
-    co = analytic_switch_off_coefficients(project_ansatz(spec, 0))
+    co = analytic_switch_off_coefficients(algebraic_ansatz(spec.params)[0])
     wf = reconstruct_from_free_rotor(co, grid)
-    target = aligned_grid_state(spec, 0, grid)
+    target = spec.wavefunction(0, grid).amplitudes.real
     assert np.abs(wf.amplitudes.real - target).max() < 1e-7
     assert np.abs(wf.amplitudes.imag).max() < 1e-10
 
 
-def test_projection_conditioning_guard():
-    spec = _algebraic_spectrum(1)
-    with pytest.raises(ConditioningError):
-        project_ansatz(spec, 0, ell_max=40)
+@pytest.mark.parametrize("kappa", [1, 3, 5, 7])
+@pytest.mark.parametrize("zeta", [4.0, 25.0, 100.0])
+def test_recurrence_is_the_lowest_block_of_the_solver(kappa, zeta):
+    """The recurrence is an exact oracle: its kappa states are states
+    0..kappa-1 of solve_spectrum, in energy and in label."""
+    states = algebraic_ansatz(InteractionParams(-kappa * math.sqrt(zeta), zeta))
+    spec = _algebraic_spectrum(kappa, zeta)
+    assert [s.n for s in states] == list(range(kappa))
+    for s in states:
+        e = float(spec.energies[s.n])
+        assert abs(s.energy - e) <= 1e-11 * max(1.0, abs(e))
+        assert s.gamma is spec.labels[s.n]
+    for gamma in (SymmetryLabel.A1, SymmetryLabel.A2):
+        count = sum(s.gamma is gamma for s in states)
+        assert count == algebraic_sector_size(kappa, gamma)
+
+
+@pytest.mark.parametrize("kappa", [3, 5])
+def test_states_above_the_block_are_doublets(kappa):
+    spec = _algebraic_spectrum(kappa, 25.0, extra=12)
+    for n in range(kappa, kappa + 12, 2):
+        e_lo, e_hi = spec.energies[n], spec.energies[n + 1]
+        assert abs(e_hi - e_lo) <= 1e-10 * max(1.0, abs(e_lo))
+        assert {spec.labels[n], spec.labels[n + 1]} == {SymmetryLabel.A1,
+                                                        SymmetryLabel.A2}
+
+
+@pytest.mark.parametrize("eta,zeta", [(-10.0, 25.0),     # kappa = 2
+                                      (-7.0, 25.0),      # kappa = 1.4
+                                      (-5.0, 0.0)])      # kappa undefined
+def test_recurrence_needs_odd_integer_index(eta, zeta):
+    with pytest.raises(ValueError):
+        algebraic_ansatz(InteractionParams(eta, zeta))
+
+
+@pytest.mark.parametrize("kappa,pair", [(1, (1, 2)), (3, (3, 4))])
+@pytest.mark.parametrize("zeta", [16.0, 25.0, 36.0])
+def test_genuine_crossings_sit_on_the_qes_locus(kappa, pair, zeta):
+    """Above the block every level is an exact doublet at eta = -kappa*a,
+    so a genuine crossing found by bisection sits on that line."""
+    center = -kappa * math.sqrt(zeta)
+    recs = crossing_scan(zeta, (center - 2.0, center + 2.0), pair,
+                         resolution=41)
+    assert len(recs) == 1 and recs[0].kind == "genuine"
+    assert abs(recs[0].eta_at_crossing - center) <= 1e-9

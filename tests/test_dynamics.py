@@ -7,7 +7,6 @@ import pytest
 
 from planar_pendulum import (
     InteractionParams,
-    aligned_grid_state,
     dominant_coherence_period,
     free_rotor_wavefunction,
     make_grid,
@@ -151,7 +150,8 @@ def test_selection_enforcement_is_a_noop():
     tau = make_tau_grid(math.pi, samples_per_period=32)
     a, _ = switch_on_evolution(spec, switch_on_coefficients(spec, 1), tau)
     grid = make_grid(512)
-    f = np.stack([aligned_grid_state(spec, n, grid) for n in range(20)])
+    f = np.stack([spec.wavefunction(n, grid).amplitudes.real
+                  for n in range(20)])
     c = quadrature_switch_on_coefficients(spec, 1, grid).c
     d = c * np.exp(-1j * np.outer(tau, spec.energies))
     for name, w in (("cos", np.cos(grid.theta)),
@@ -186,18 +186,9 @@ def test_time_average_matches_series_mean():
     assert closed == pytest.approx(ref, abs=1e-6)
 
 
-def test_topology_map_thread_invariance():
-    kwargs = dict(j0=1, tau_tilde=4.0 * math.pi, n_states=12, j_max=32)
-    a = topology_map((5.0, 40.0), (-35.0, 0.0), resolution=(16, 16),
-                     threads=1, **kwargs)
-    b = topology_map((5.0, 40.0), (-35.0, 0.0), resolution=(16, 16),
-                     threads=3, **kwargs)
-    assert np.array_equal(a.values, b.values)
-
-
 def test_topology_map_overlays():
     tm = topology_map((5.0, 40.0), (-35.0, 0.0), 1, 4.0 * math.pi, (16, 16),
-                      n_states=8, j_max=32, threads=2)
+                      n_states=8, j_max=32)
     assert np.allclose(tm.kappa_loci[2], -2.0 * np.sqrt(tm.zeta_values))
     assert np.allclose(tm.well_boundary, -2.0 * tm.zeta_values)
     assert tm.values.shape == (16, 16)

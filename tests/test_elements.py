@@ -11,6 +11,7 @@ from planar_pendulum import (
     BesselTable,
     InteractionParams,
     SymmetryLabel,
+    algebraic_ansatz,
     analytic_cos2_element,
     analytic_cos_element,
     ansatz_norm_integral,
@@ -19,7 +20,6 @@ from planar_pendulum import (
     kinetic_identity_residual,
     make_grid,
     modified_bessel_i,
-    project_ansatz,
     reconstruct_ansatz,
     sector_element_matrix,
     solve_spectrum,
@@ -107,30 +107,29 @@ def test_sector_matrix_symmetric():
     assert np.abs(m - m.T).max() < 1e-12
 
 
-@pytest.mark.parametrize("kappa,zeta", [(3, 25.0), (5, 25.0)])
+# at (7, 100) sums over powers of u = sin(theta/2)**2 cancel by 2e10;
+# the well moments do not
+@pytest.mark.parametrize("kappa,zeta", [(3, 25.0), (5, 25.0), (7, 100.0)])
 def test_analytic_elements_match_quadrature(kappa, zeta):
-    """Bessel-sum matrix elements vs direct grid integration."""
+    """Closed-form matrix elements vs direct grid integration."""
     eta = -kappa * math.sqrt(zeta)
     spec = solve_spectrum(InteractionParams(eta, zeta), kappa)
-    ansatz = [project_ansatz(spec, n) for n in range(kappa)]
-    # the two routes fix state signs by different (both deterministic)
-    # conventions, so map between the gauges via overlap signs
+    ansatz = algebraic_ansatz(spec.params)
+    # both routes sign their states pi-aligned, so the gauges agree
     grid = make_grid()
-    sign = []
     for n in range(kappa):
         raw = spec.wavefunction(n, grid).amplitudes.real
         rec = reconstruct_ansatz(ansatz[n], grid).amplitudes.real
-        sign.append(1.0 if float(np.dot(raw, rec)) > 0 else -1.0)
+        assert float(np.dot(raw, rec)) > 0
     for a in range(kappa):
         for b in range(a, kappa):
             sym_pair = spec.labels[a] is spec.labels[b]
-            gauge = sign[a] * sign[b]
             ref_cos = transition_element(spec, a, b, "cos").value
             ref_cos2 = transition_element(spec, a, b, "cos2").value
             got_cos = analytic_cos_element(ansatz[a], ansatz[b])
             got_cos2 = analytic_cos2_element(ansatz[a], ansatz[b])
-            assert gauge * got_cos == pytest.approx(ref_cos, abs=1e-10)
-            assert gauge * got_cos2 == pytest.approx(ref_cos2, abs=1e-10)
+            assert got_cos == pytest.approx(ref_cos, abs=1e-10)
+            assert got_cos2 == pytest.approx(ref_cos2, abs=1e-10)
             if not sym_pair:
                 assert got_cos == 0.0          # exact, not merely small
                 assert got_cos2 == 0.0
@@ -160,6 +159,15 @@ def test_hellmann_feynman_zero_eta_boundary():
     r_eta, r_zeta = hellmann_feynman_residual(InteractionParams(0.0, 25.0), 0)
     assert r_zeta < 1e-6
     assert math.isfinite(r_eta)
+
+
+def test_identities_grow_the_cutoff_in_a_deep_well():
+    # a fixed j_max = 64 is refused here (basis tail 4e-5); the default
+    # automatic cutoff grows to 128
+    params = InteractionParams(-50000.0, 20000.0)
+    r_eta, r_zeta = hellmann_feynman_residual(params, 0)
+    assert r_eta < 1e-6 and r_zeta < 1e-6
+    assert kinetic_identity_residual(params, 0) < 1e-9
 
 
 def test_hellmann_feynman_refuses_degenerate():

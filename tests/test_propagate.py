@@ -12,7 +12,6 @@ from planar_pendulum import (
     PulseSchedule,
     Segment,
     Wavefunction,
-    aligned_grid_state,
     free_rotor_wavefunction,
     make_grid,
     propagate,
@@ -86,8 +85,7 @@ def test_free_rotor_revival_phase():
 def test_eigenstate_is_stationary():
     g = make_grid()
     spec = solve_spectrum(InteractionParams(-7.0, 25.0), 1)
-    psi = Wavefunction(g, aligned_grid_state(spec, 0, g).astype(complex),
-                       normalize=False)
+    psi = spec.wavefunction(0, g)
     traj = propagate(psi, PulseSchedule.frozen(-7.0, 25.0, 1.0), dtau=1e-3)
     overlap = complex(np.vdot(psi.amplitudes, traj.final_state.amplitudes)
                       * g.dtheta)
@@ -110,7 +108,8 @@ def test_matches_spectral_evolution_weak_field():
     params = InteractionParams(-0.1, 0.25)
     psi0 = free_rotor_wavefunction(1, g)
     spec = solve_spectrum(params, 30)
-    basis = np.stack([aligned_grid_state(spec, n, g) for n in range(30)])
+    basis = np.stack([spec.wavefunction(n, g).amplitudes.real
+                      for n in range(30)])
     amps0 = basis @ psi0.amplitudes * g.dtheta
     phased = amps0 * np.exp(-1j * spec.energies * TWO_PI)
     ref = phased @ basis
