@@ -15,8 +15,10 @@ values and unknown keys are reported with the offending file:line.
 propagate's 'schedule' is the one key without a flag.
 
 The manifest also carries 'diagnostics' for every command that solves a
-spectrum: the largest basis cutoff used and basis tail seen, and for
-switch-on and topology-map the largest population deficit.
+spectrum: the largest basis cutoff used and basis tail seen, for
+switch-on and topology-map the largest population deficit, and for
+crossings the largest window tail bound (noted for every window, with
+or without a crossing).
 """
 
 from __future__ import annotations
@@ -146,9 +148,10 @@ def _sha256(path: str) -> str:
 
 class _Limits:
     """How close one run's solves came to their numerical limits: the
-    largest cutoff and basis tail and, for switch-on populations, the
-    largest deficit 1 - sum_n |C_n|^2. Deterministic, so the manifest
-    carries them beside the outputs."""
+    largest cutoff and basis tail, for switch-on populations the largest
+    deficit 1 - sum_n |C_n|^2, and for crossing windows the largest tail
+    bound. Deterministic, so the manifest carries them beside the
+    outputs."""
 
     def __init__(self):
         self.values: Dict[str, float] = {}
@@ -343,8 +346,10 @@ def _run_crossings(args: argparse.Namespace, limits: _Limits):
             float(zeta), (float(window[0]), float(window[-1])),
             tuple(args.pair), resolution=args.resolution, j_max=args.j_max,
             eta_tol=args.eta_tol)
+        limits.note(j_max=records.j_max, basis_tail=records.basis_tail,
+                    tail_bound=records.tail_bound)
         for r in records:
-            limits.note(j_max=r.j_max, basis_tail=r.basis_tail)
+            limits.note(basis_tail=r.basis_tail)
             rows.append((float(zeta), r.state_pair[0], r.state_pair[1],
                          r.eta_at_crossing, r.kappa, r.kind, r.min_gap))
     return (["zeta", "n_low", "n_high", "eta_cross", "kappa", "kind",
@@ -570,7 +575,8 @@ OPTIONS: Dict[str, Dict[str, Dict]] = {
                   "resolution": dict(type=int, default=CROSSING_RESOLUTION,
                                      help="coarse scan points"),
                   "eta-tol": dict(type=float, default=CROSSING_ETA_TOL,
-                                  help="refinement tolerance, > 0")},
+                                  help="avoided-crossing refinement "
+                                  "tolerance, > 0")},
     "switch-off": {**_WRITER, **_FIELDS, **_SERIES,
                    "n0": dict(type=int, default=0, help="initial pendular state")},
     "switch-on": {**_WRITER, **_FIELDS, **_SERIES,

@@ -12,7 +12,9 @@ J = 1 diagonal folds over (cos**2: 3/4 in the even sector, 1/4 in the odd).
 The basis is cut at |J| <= j_max, and every solve checks the cut: the
 largest |c_J| of any returned state over the last TAIL_ROWS functions must
 be <= TAIL_TOL. solve_spectrum picks and grows its own cutoff unless one
-is given, which is refused instead of grown.
+is given, which is refused instead of grown. crossing_scan takes its gaps
+from sector eigenvalues alone, covered by one bound on the tail of every
+state of its window (_tail_bound) in place of the per-solve check.
 """
 
 from __future__ import annotations
@@ -235,12 +237,37 @@ def _round_up8(j: float) -> int:
     return 8 * math.ceil(j / 8.0)
 
 
-def _lowest(h: np.ndarray, count: int) -> Tuple[np.ndarray, np.ndarray]:
+def _lowest(h: np.ndarray, count: int, vectors: bool = True):
+    """The count lowest eigenvalues of h and, with vectors, their columns."""
     try:
+        if not vectors:
+            return np.linalg.eigvalsh(h)[:count]
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"sector eigensolve failed: {exc}") from exc
     return w[:count], v[:, :count].copy()       # drop the unused columns
+
+
+def _merge(params: InteractionParams, w1: np.ndarray, w2: np.ndarray,
+           n_states: int, j_max: int) -> Tuple[np.ndarray, ...]:
+    """The state cut: the lowest n_states of the ascending even (w1) and
+    odd (w2) sector energies, as (energies, odd, rank): the kept energies,
+    whether each state is odd, and its rank inside its sector.
+
+    Energies within _TIE_ULPS ulps of ||H|| are one level, even sector
+    first, so the cut does not depend on eigh rounding; ||H|| is bounded
+    by j_max^2 + |eta| + zeta.
+    """
+    energies = np.concatenate([w1, w2])
+    odd = np.concatenate([np.zeros(len(w1), dtype=bool),
+                          np.ones(len(w2), dtype=bool)])
+    rank = np.concatenate([np.arange(len(w1)), np.arange(len(w2))])
+    tie = _TIE_ULPS * np.finfo(float).eps * (
+        j_max ** 2 + abs(params.eta) + params.zeta)
+    order = np.argsort(energies, kind="stable")
+    level = np.concatenate([[0], np.cumsum(np.diff(energies[order]) > tie)])
+    order = order[np.lexsort((rank[order], odd[order], level))][:n_states]
+    return energies[order], odd[order], rank[order]
 
 
 def _solve_at(params: InteractionParams, n_states: int,
@@ -250,30 +277,51 @@ def _solve_at(params: InteractionParams, n_states: int,
     h1, h2 = build_hamiltonian(params, j_max)
     w1, v1 = _lowest(h1, n_states)
     w2, v2 = _lowest(h2, n_states)
-
-    energies = np.concatenate([w1, w2])
-    sector = np.concatenate([np.zeros(len(w1), dtype=int),
-                             np.ones(len(w2), dtype=int)])
-    within = np.concatenate([np.arange(len(w1)), np.arange(len(w2))])
-    # Energies within _TIE_ULPS ulps of ||H|| are one level, even sector
-    # first, so the state cut does not depend on eigh rounding; ||H|| is
-    # bounded by j_max^2 + |eta| + zeta.
-    tie = _TIE_ULPS * np.finfo(float).eps * (
-        j_max ** 2 + abs(params.eta) + params.zeta)
-    order = np.argsort(energies, kind="stable")
-    level = np.concatenate([[0], np.cumsum(np.diff(energies[order]) > tie)])
-    order = order[np.lexsort((within[order], sector[order], level))][:n_states]
-
-    odd = sector[order] == 1
+    energies, odd, rank = _merge(params, w1, w2, n_states, j_max)
     coeffs = np.zeros((n_states, j_max + 1))
-    coeffs[~odd] = v1[:, within[order[~odd]]].T
-    coeffs[odd, 1:] = v2[:, within[order[odd]]].T
+    coeffs[~odd] = v1[:, rank[~odd]].T
+    coeffs[odd, 1:] = v2[:, rank[odd]].T
     labels = tuple(SymmetryLabel.A2 if o else SymmetryLabel.A1 for o in odd)
-    return PendularSpectrum(params=params, energies=energies[order],
+    return PendularSpectrum(params=params, energies=energies,
                             coefficients=_pi_aligned(coeffs, odd),
                             labels=labels, j_max=j_max,
                             basis_tail=float(np.max(np.abs(
                                 coeffs[:, -TAIL_ROWS:]))))
+
+
+def _tail_bound(eta_abs: float, zeta: float, lam: float, j_max: int) -> float:
+    """Upper bound on the basis tail of every eigenvector with eigenvalue
+    <= lam of the j_max Hamiltonian at any |eta| <= eta_abs.
+
+    Row J of a sector has the diagonal d_J = J^2 - zeta*q0_J, couplings
+    l1_J = eta_abs*|c1| and l2_J = zeta*|q2| to rows J-1 and J-2, and u_J
+    to rows J+1 and J+2 together. For a unit eigenvector v and
+    m_J = max_{K>=J} |v_K|, the row equations give
+    m_J <= a_J*m_{J-1} + b_J*m_{J-2}, with a_J (b_J) the largest
+    l1_K/(d_K - lam - u_K) (l2_K/...) over K >= J, wherever all those
+    denominators are > 0; elsewhere m_J <= m_{J-1} <= 1. The bound is m at
+    the first of the last TAIL_ROWS rows, the larger of the two sectors.
+    """
+    bound = 0.0
+    for odd in (False, True):
+        j2, q0, c1, q2 = _sector_bands(j_max, odd)
+        n = len(j2)
+        lower1, lower2, upper = np.zeros(n), np.zeros(n), np.zeros(n)
+        lower1[1:] = eta_abs * c1
+        lower2[2:] = zeta * q2
+        upper[:-1] += lower1[1:]
+        upper[:-2] += lower2[2:]
+        den = j2 - zeta * q0 - lam - upper
+        valid = np.minimum.accumulate(den[::-1])[::-1] > 0
+        den = np.where(den > 0, den, np.inf)
+        a = np.maximum.accumulate((lower1 / den)[::-1])[::-1]
+        b = np.maximum.accumulate((lower2 / den)[::-1])[::-1]
+        m2 = m1 = 1.0                       # m_{J-2}, m_{J-1}
+        for row in range(n - TAIL_ROWS + 1):
+            m = min(m1, a[row] * m1 + b[row] * m2) if valid[row] else m1
+            m2, m1 = m1, m
+        bound = max(bound, m1)
+    return bound
 
 
 def solve_spectrum(params: InteractionParams, n_states: int,
@@ -335,18 +383,53 @@ class CrossingRecord:
     zeta: float
     kappa: int
     kind: str          # 'genuine' | 'avoided'
-    min_gap: float
+    min_gap: float          # |E_{n+1} - E_n| at the refined point
     j_max: int              # the window's cutoff
     basis_tail: float       # at the refined point
 
 
-def _pair_gap(sp: PendularSpectrum, pair: Tuple[int, int]) -> float:
-    return float(sp.energies[pair[1]] - sp.energies[pair[0]])
+class CrossingScan(List[CrossingRecord]):
+    """crossing_scan's records in eta order, with the window's numerical
+    limits: its cutoff j_max, the basis_tail of its end-point solve, and
+    tail_bound, the _tail_bound certificate of its eigenvalue-only gaps."""
+
+    def __init__(self, records: Sequence[CrossingRecord], j_max: int,
+                 basis_tail: float, tail_bound: float):
+        super().__init__(records)
+        self.j_max = j_max
+        self.basis_tail = basis_tail
+        self.tail_bound = tail_bound
 
 
-def _gap(eta: float, zeta: float, pair: Tuple[int, int], j_max: int) -> float:
-    return _pair_gap(
-        solve_spectrum(InteractionParams(eta, zeta), pair[1] + 1, j_max), pair)
+def _pair_gap(energies: np.ndarray, pair: Tuple[int, int]) -> float:
+    return float(energies[pair[1]] - energies[pair[0]])
+
+
+def _gap(eta: float, zeta: float, pair: Tuple[int, int], j_max: int,
+         certified: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """One gap evaluation of crossing_scan: the energies and odd flags of
+    the lowest pair[1] + 1 states at eta. A certified window takes them
+    from the sector eigenvalues and the state cut of _merge, with no
+    eigenvectors and so no tail check (see _tail_bound); any other window
+    from the guarded solve_spectrum."""
+    params, count = InteractionParams(eta, zeta), pair[1] + 1
+    if not certified:
+        sp = solve_spectrum(params, count, j_max)
+        return sp.energies, _odd_mask(sp.labels)
+    w1, w2 = (_lowest(h, count, vectors=False)
+              for h in build_hamiltonian(params, j_max))
+    return _merge(params, w1, w2, count, j_max)[:2]
+
+
+def _sector_difference(levels: Tuple[np.ndarray, np.ndarray],
+                       ranks: Tuple[int, int]) -> float:
+    """Even level ranks[0] minus odd level ranks[1]; nan if either is not
+    among the kept states."""
+    energies, odd = levels
+    even_levels, odd_levels = energies[~odd], energies[odd]
+    if ranks[0] < len(even_levels) and ranks[1] < len(odd_levels):
+        return float(even_levels[ranks[0]] - odd_levels[ranks[1]])
+    return math.nan
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -371,18 +454,44 @@ def _golden_min(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
+def _bisect(f, a: float, b: float, fa: float, fb: float) -> float:
+    """A sign change of f on [a, b] narrowed to adjacent floats; returns
+    the end where |f| is smaller."""
+    while a < 0.5 * (a + b) < b:
+        c = 0.5 * (a + b)
+        fc = f(c)
+        if fc == 0.0:
+            return c
+        if (fc < 0.0) == (fa < 0.0):
+            a, fa = c, fc
+        else:
+            b, fb = c, fc
+    return a if abs(fa) <= abs(fb) else b
+
+
 def crossing_scan(zeta: float, eta_range: Tuple[float, float],
                   pair: Tuple[int, int], resolution: int = CROSSING_RESOLUTION,
                   j_max: Optional[int] = None,
-                  eta_tol: float = CROSSING_ETA_TOL) -> List[CrossingRecord]:
+                  eta_tol: float = CROSSING_ETA_TOL) -> CrossingScan:
     """Locate gap minima of the pair over an eta window.
 
-    Coarse scan, then golden-section refinement of each interior bracket.
-    Every gap is taken in one basis: with j_max None, the cutoff
-    solve_spectrum settles on at the window's largest |eta| (an end point,
-    solved first); every solve still checks its basis tail. Genuine vs
-    avoided follows the symmetry labels at the refined minimum; an empty
-    list means no interior minimum, not an error.
+    One basis serves the window: with j_max None, the cutoff solve_spectrum
+    settles on at the window's largest |eta| (that end point is solved
+    first, guarded). The coarse scan and the refinements then take sector
+    eigenvalues alone (eigvalsh, then the state cut of _merge), once the
+    window is certified: with lam the largest kept energy of the coarse
+    scan plus one coarse step (every level is 1-Lipschitz in eta, so lam
+    covers the points between), _tail_bound at the window's largest |eta|
+    must be <= TAIL_TOL/2. Otherwise every gap is taken again with the
+    guarded solve_spectrum, as is the refined point of every record.
+
+    Each interior coarse minimum is refined inside its two neighbours.
+    Where the pair lies in opposite sectors there and the signed
+    difference of those two sector levels (by their rank inside each
+    sector) changes sign across the bracket, the difference is bisected
+    to the float spacing: a genuine crossing. Otherwise golden-section
+    search on the gap, to eta_tol, gives an avoided one. An empty result
+    means no interior minimum, not an error.
     """
     if pair[1] != pair[0] + 1:
         raise ValueError("pair must be adjacent states (n, n+1)")
@@ -392,25 +501,39 @@ def crossing_scan(zeta: float, eta_range: Tuple[float, float],
     if not eta_tol > 0:
         raise ValueError(f"eta_tol must be > 0, got {eta_tol}")
     etas = np.linspace(lo, hi, resolution)
-    gaps = np.empty(resolution)
-    # largest |eta| first: that solve fixes the cutoff of every later one
-    for k in range(resolution)[::-1 if abs(hi) > abs(lo) else 1]:
-        sp = solve_spectrum(InteractionParams(etas[k], zeta), pair[1] + 1,
-                            j_max)
-        j_max, gaps[k] = sp.j_max, _pair_gap(sp, pair)
+    far = etas[-1] if abs(hi) > abs(lo) else etas[0]
+    end = solve_spectrum(InteractionParams(far, zeta), pair[1] + 1, j_max)
+    j_max = end.j_max
+    levels = [_gap(eta, zeta, pair, j_max, True) for eta in etas]
+    lam = max(float(e.max()) for e, _ in levels) + (hi - lo) / (resolution - 1)
+    tail_bound = _tail_bound(max(abs(lo), abs(hi)), zeta, lam, j_max)
+    certified = tail_bound <= 0.5 * TAIL_TOL
+    if not certified:
+        levels = [_gap(eta, zeta, pair, j_max, False) for eta in etas]
 
+    def gap(eta: float) -> float:
+        return _pair_gap(_gap(eta, zeta, pair, j_max, certified)[0], pair)
+
+    gaps = [_pair_gap(e, pair) for e, _ in levels]
     records = []
     for k in range(1, resolution - 1):
         if not (gaps[k] < gaps[k - 1] and gaps[k] <= gaps[k + 1]):
             continue
-        eta_c = _golden_min(lambda e: _gap(e, zeta, pair, j_max),
-                            etas[k - 1], etas[k + 1], eta_tol)
+        odd = levels[k][1]          # the pair is the top two kept states
+        ranks = (int(np.sum(~odd)) - 1, int(np.sum(odd)) - 1)
+        fa, fb = (_sector_difference(levels[i], ranks) for i in (k - 1, k + 1))
+        genuine = odd[pair[0]] != odd[pair[1]] and fa * fb <= 0.0
+        if genuine:
+            eta_c = _bisect(lambda e: _sector_difference(
+                _gap(e, zeta, pair, j_max, certified), ranks),
+                etas[k - 1], etas[k + 1], fa, fb)
+        else:
+            eta_c = _golden_min(gap, etas[k - 1], etas[k + 1], eta_tol)
         sp = solve_spectrum(InteractionParams(eta_c, zeta), pair[1] + 1, j_max)
-        genuine = sp.labels[pair[0]] is not sp.labels[pair[1]]
         records.append(CrossingRecord(
             state_pair=pair, eta_at_crossing=eta_c, zeta=zeta,
             kappa=int(round(abs(eta_c) / math.sqrt(zeta))),
             kind="genuine" if genuine else "avoided",
-            min_gap=_pair_gap(sp, pair), j_max=j_max,
+            min_gap=abs(_pair_gap(sp.energies, pair)), j_max=j_max,
             basis_tail=sp.basis_tail))
-    return records
+    return CrossingScan(records, j_max, end.basis_tail, tail_bound)

@@ -26,6 +26,7 @@ from .core import (
 )
 from .cqes import (
     algebraic_ansatz,
+    algebraic_sector_size,
     analytic_switch_off_coefficients,
     analytic_switch_on_coefficient,
     quadrature_switch_off_coefficients,
@@ -222,6 +223,33 @@ def check_ansatz_fit() -> Tuple[bool, str]:
             worst = max(worst, float(np.linalg.norm(gap))
                         * math.sqrt(grid.dtheta))
     return _fail_detail(worst, 1e-6, "max L2 distance, ansatz to solver state")
+
+
+def check_qes_energies() -> Tuple[bool, str]:
+    """The recurrence's terminating states are the lowest kappa states of
+    solve_spectrum, in energy and in label, with both sectors filled."""
+    worst = 0.0
+    for kappa in (1, 3, 5):
+        for zeta in (4.0, 25.0):
+            params = InteractionParams(-kappa * math.sqrt(zeta), zeta)
+            states = algebraic_ansatz(params)
+            spec = solve_spectrum(params, kappa + 2)
+            if [s.n for s in states] != list(range(kappa)):
+                return False, (f"kappa={kappa}, zeta={zeta}: not states "
+                               f"0..{kappa - 1}")
+            for gamma in (SymmetryLabel.A1, SymmetryLabel.A2):
+                count = sum(s.gamma is gamma for s in states)
+                if count != algebraic_sector_size(kappa, gamma):
+                    return False, (f"kappa={kappa}, zeta={zeta}: {count} "
+                                   f"{gamma} states")
+            for s in states:
+                e = float(spec.energies[s.n])
+                if s.gamma is not spec.labels[s.n]:
+                    return False, (f"kappa={kappa}, zeta={zeta}: state "
+                                   f"{s.n} is {s.gamma}, solver says "
+                                   f"{spec.labels[s.n]}")
+                worst = max(worst, abs(s.energy - e) / max(1.0, abs(e)))
+    return _fail_detail(worst, 1e-11, "max |E_qes - E| / max(1, |E|)")
 
 
 def check_switch_off_routes() -> Tuple[bool, str]:
@@ -468,6 +496,7 @@ ALL_CHECKS: List[Tuple[str, Callable[[], Tuple[bool, str]]]] = [
     ("kinetic-identity", check_kinetic_identity),
     ("hellmann-feynman", check_hellmann_feynman),
     ("ansatz-fit", check_ansatz_fit),
+    ("qes-energies", check_qes_energies),
     ("switch-off-routes", check_switch_off_routes),
     ("switch-structure", check_switch_structure),
     ("switch-on-routes", check_switch_on_routes),

@@ -187,6 +187,22 @@ def test_crossings_output(tmp_path, monkeypatch):
     assert float(rows[0]["eta_cross"]) == pytest.approx(-4.0, abs=1e-5)
 
 
+def test_crossings_window_without_a_crossing_has_diagnostics(tmp_path,
+                                                             monkeypatch):
+    # the (1, 2) crossing at zeta = 16 is at eta = -4, outside the window
+    monkeypatch.chdir(tmp_path)
+    assert main(["crossings", "--zeta", "16", "--eta-range", "-10:-6:0.1",
+                 "--pair", "1", "2", "--output", "x.csv"]) == 0
+    assert read_csv(tmp_path / "x.csv") == []
+    manifest = json.loads((tmp_path / "x.manifest.json").read_text())
+    diag = manifest["diagnostics"]
+    assert sorted(diag) == ["basis_tail", "j_max", "tail_bound"]
+    assert diag["j_max"] == solve_spectrum(InteractionParams(-10.0, 16.0),
+                                           3).j_max
+    assert 0 < diag["basis_tail"] <= 1e-12
+    assert 0 < diag["tail_bound"] <= 0.5e-12
+
+
 def test_switch_on_populations_match_library(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["switch-on", "--zeta", "25", "--eta", "-10", "--j0", "1",

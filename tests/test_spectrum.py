@@ -15,6 +15,8 @@ from planar_pendulum import (
     make_grid,
     solve_spectrum,
 )
+from planar_pendulum.spectrum import (TAIL_TOL, _auto_j_max, _solve_at,
+                                     _tail_bound)
 
 # Full 9-state reference at (eta, zeta) = (-10, 25), checked against a
 # j_max=128 solve (agreement 7e-14) before freezing.
@@ -115,6 +117,78 @@ def test_crossing_refinement_ends_at_float_spacing(counted_gaps):
                       eta_tol=1e-15)[0]
     assert r.eta_at_crossing == pytest.approx(-8.00347439924505, abs=1e-6)
     assert len(counted_gaps) < 300
+
+
+@pytest.mark.parametrize("kappa,pair", [(1, (1, 2)), (3, (3, 4))])
+@pytest.mark.parametrize("zeta", [16.0, 25.0, 36.0])
+def test_genuine_crossings_at_float_spacing(kappa, pair, zeta):
+    """Bisection of the signed sector difference ends at the float
+    spacing of eta, on the exact doublet line eta = -kappa*sqrt(zeta)."""
+    center = -kappa * math.sqrt(zeta)
+    recs = crossing_scan(zeta, (center - 2.0, center + 2.0), pair,
+                         resolution=41)
+    assert len(recs) == 1 and recs[0].kind == "genuine"
+    eta_c = recs[0].eta_at_crossing
+    assert abs(eta_c - center) <= 1e-12 * max(1.0, abs(eta_c))
+    assert 0.0 <= recs[0].min_gap <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(eta=st.floats(1e-3, 3e3), zeta=st.floats(0.0, 1e4),
+       n_states=st.sampled_from([1, 4, 20]), offset=st.integers(-8, 8))
+def test_tail_bound_covers_the_measured_tail(eta, zeta, n_states, offset):
+    # 1e-14: the eigh rounding floor of a measured tail
+    params = InteractionParams(-eta, zeta)
+    j_max = max(8, _auto_j_max(params, n_states) + offset,
+                (n_states + 1) // 2)
+    sp = _solve_at(params, n_states, j_max)
+    bound = _tail_bound(eta, zeta, float(sp.energies.max()), j_max)
+    assert bound + 1e-14 >= sp.basis_tail
+
+
+# (zeta, window, pair): genuine (odd kappa), avoided (even kappa) and a
+# window with no interior minimum
+CROSSING_WINDOWS = [(25.0, (-7.0, -3.0), (1, 2)),
+                    (25.0, (-12.0, -8.0), (2, 3)),
+                    (36.0, (-20.0, -16.0), (3, 4)),
+                    (16.0, (-10.0, -6.0), (1, 2))]
+
+
+def test_uncertified_window_falls_back_to_guarded_solves(monkeypatch):
+    certified = [crossing_scan(z, w, p, resolution=41)
+                 for z, w, p in CROSSING_WINDOWS]
+    assert all(scan.tail_bound <= 0.5 * TAIL_TOL for scan in certified)
+    monkeypatch.setattr(spectrum_module, "_tail_bound",
+                        lambda *args: math.inf)
+    solves = []
+    solve = spectrum_module.solve_spectrum
+    monkeypatch.setattr(spectrum_module, "solve_spectrum",
+                        lambda *args: solves.append(args) or solve(*args))
+    for (z, w, p), want in zip(CROSSING_WINDOWS, certified):
+        del solves[:]
+        got = crossing_scan(z, w, p, resolution=41)
+        assert len(solves) > 41 + 2 * len(got)     # every gap was guarded
+        assert len(got) == len(want)
+        for g, r in zip(got, want):
+            assert g.kind == r.kind
+            # an avoided minimum is flat: golden search on gaps rounded
+            # at ~1e-14 places it only to ~sqrt(1e-14) = 1e-7
+            tol = 1e-9 if r.kind == "genuine" else 1e-7
+            assert abs(g.eta_at_crossing - r.eta_at_crossing) <= tol
+            assert abs(g.min_gap - r.min_gap) <= 1e-12
+
+
+def test_certified_window_solves_eigenvectors_once_per_record(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda h: calls.append(h.shape) or eigh(h))
+    for z, w, p in CROSSING_WINDOWS:
+        del calls[:]
+        scan = crossing_scan(z, w, p, resolution=41)
+        assert scan.tail_bound <= 0.5 * TAIL_TOL
+        # two sectors per solve: the end point, then one per record
+        assert len(calls) == 2 * (1 + len(scan))
 
 
 def test_sector_bookkeeping():
