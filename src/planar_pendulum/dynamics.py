@@ -13,6 +13,14 @@ are exact coefficient lookups and element matrices are exact V^T O V
 products. The coherence cross terms depend on the relative signs of the
 eigenvectors, which solve_spectrum fixes once (pi-aligned) for every
 route, grid twins included.
+
+Both series are evaluated from per-state amplitudes psi_k(tau) = c_k
+exp(-i(E_k - E_ref)tau), with the conserved <H> or <J^2> as reference:
+one exp per distinct level and tau sample, then small products over the
+states (the pair sums of the closed forms are never formed per tau). The
+phase arguments are carried exactly and corrected to first order, so the
+series stay at the rounding of exp at any tau; the time average and the
+coherence period still read the pairs off _pair_sum.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ SAMPLES_PER_PERIOD = 512
 POPULATED_FLOOR = 1e-4      # |C|^2 above this counts as populated
 IMAG_RESIDUE_TOL = 1e-10
 _BOUNDS_SLACK = 1e-8
-_TAU_CHUNK = 512            # tau samples per phase-matrix block
+_TAU_CHUNK = 512            # tau samples per phase block
 
 _OBSERVABLES = ("cos", "cos2", "J2", "energy")
 
@@ -44,8 +52,8 @@ _OBSERVABLES = ("cos", "cos2", "J2", "energy")
 def make_tau_grid(tau_max: float, samples_per_period: int = SAMPLES_PER_PERIOD
                   ) -> np.ndarray:
     """Uniform [0, tau_max] grid at the default sampling density."""
-    if tau_max <= 0:
-        raise ValueError("tau_max must be > 0")
+    if not (math.isfinite(tau_max) and tau_max > 0):
+        raise ValueError(f"tau_max must be finite and > 0, got {tau_max}")
     if samples_per_period < 1:
         raise ValueError(f"samples_per_period must be >= 1, "
                          f"got {samples_per_period}")
@@ -79,7 +87,8 @@ class ExpectationSeries:
 
 def _realize(tau_grid: np.ndarray, values: np.ndarray,
              observable: str) -> ExpectationSeries:
-    # Hermitian expectations: imaginary residue must be numerical noise
+    # the one-sided switch-off sums are real for a state of definite
+    # parity: an imaginary residue past rounding means that parity is broken
     resid = float(np.max(np.abs(values.imag))) if np.iscomplexobj(values) else 0.0
     if resid > IMAG_RESIDUE_TOL:
         raise RuntimeError(
@@ -89,18 +98,47 @@ def _realize(tau_grid: np.ndarray, values: np.ndarray,
                              observable=observable)
 
 
-def _phase_sum(tau_grid: np.ndarray, freq: np.ndarray,
-               weights: np.ndarray) -> np.ndarray:
-    """sum_k weights[k] * exp(i*freq[k]*tau) at every tau, in _TAU_CHUNK
-    blocks of one reused frequency-major buffer (exp then walks along tau)."""
-    out = np.empty(len(tau_grid), dtype=complex)
-    buf = np.empty((len(freq), _TAU_CHUNK), dtype=complex)
+def _split(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Dekker's split x = hi + lo, each half with at most 26 significant
+    bits, so products of halves are exact."""
+    t = x * 134217729.0                 # 2**27 + 1
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _phased_blocks(tau_grid: np.ndarray, c: np.ndarray, level: np.ndarray,
+                   reference: float):
+    """Yield (block slice, psi) with psi[k, t] = c[k] *
+    exp(-i*(level[k] - reference)*tau_t) over _TAU_CHUNK-sample blocks of
+    tau_grid, in one reused buffer.
+
+    One exp per distinct level and sample. The phase argument is carried
+    exactly, level - reference as a two-sum and its product with tau as
+    Dekker's two-product, and the rounding error of the argument handed to
+    exp is applied to first order, so every phase is as accurate as exp
+    itself at any tau.
+    """
+    distinct, which = np.unique(level, return_inverse=True)
+    shift = distinct - reference
+    back = shift - distinct
+    shift_lo = (distinct - (shift - back)) + (-reference - back)
+    s_hi, s_lo = _split(shift)
+    buf = np.empty((len(c), _TAU_CHUNK), dtype=complex)
     for start in range(0, len(tau_grid), _TAU_CHUNK):
         tau = tau_grid[start:start + _TAU_CHUNK]
-        phase = buf[:, :len(tau)]
-        np.exp(np.multiply.outer(freq, 1j * tau, out=phase), out=phase)
-        out[start:start + len(tau)] = weights @ phase
-    return out
+        t_hi, t_lo = _split(tau)
+        arg = np.multiply.outer(shift, tau)
+        err = np.multiply.outer(s_hi, t_hi) - arg
+        err += np.multiply.outer(s_hi, t_lo)
+        err += np.multiply.outer(s_lo, t_hi)
+        err += np.multiply.outer(s_lo, t_lo)
+        err += np.multiply.outer(shift_lo, tau)
+        phase = np.exp(-1j * arg)
+        phase *= 1.0 - 1j * err
+        psi = buf[:, :len(tau)]
+        np.take(phase, which, axis=0, out=psi)
+        psi *= c[:, None]
+        yield slice(start, start + len(tau)), psi
 
 
 @dataclass(frozen=True)
@@ -139,8 +177,13 @@ def switch_off_evolution(coeffs: SwitchCoefficients,
                          tau_grid: np.ndarray) -> Dict[str, ExpectationSeries]:
     """Orientation, alignment, and kinetic-energy series after switch-off.
 
-    cos couples j to j+-1 (phase 2j+1), cos^2 couples j to j, j+-2
-    (phase 4j+4); <J^2> carries no cross terms and stays constant.
+    From the per-state amplitudes psi_j = c_j exp(-i(j^2 - <J^2>)tau) over
+    the nonzero support of c: <exp(i*o*theta)> = sum_j conj(psi_{j+o})
+    psi_j, cos = <exp(i*theta)> and cos^2 = sum|c|^2/2 + <exp(2i*theta)>/2;
+    <J^2> carries no cross terms and stays constant. The one-sided sums
+    are real only for a state of definite parity (c_{-j} = +-c_j, which
+    every released eigenstate has), so their checked imaginary residue
+    (IMAG_RESIDUE_TOL) tests that parity.
     """
     if coeffs.kind != "switch_off":
         raise ValueError("needs switch_off coefficients")
@@ -148,28 +191,24 @@ def switch_off_evolution(coeffs: SwitchCoefficients,
     jm = coeffs.j_max
     c = coeffs.c
     j = np.arange(-jm, jm + 1)
+    p = np.abs(c) ** 2
+    static = 0.5 * float(np.sum(p))
+    j2_const = float(np.sum(j ** 2 * p))
 
-    def band_sum(offset: int) -> np.ndarray:
-        # <exp(i*offset*theta)> plus its Hermitian mirror, each summed on
-        # its own and kept complex, so the realness of the total is a
-        # checked property, not an assumption
-        w_up = np.conj(c[offset:]) * c[:-offset]
-        freq = (j[:-offset] + offset) ** 2 - j[:-offset] ** 2
-        up = _phase_sum(tau_grid, freq, w_up)
-        dn = _phase_sum(tau_grid, -freq, np.conj(w_up))
-        return up + dn
-
-    cos_vals = 0.5 * band_sum(1)
-    static = 0.5 * float(np.sum(np.abs(c) ** 2))
-    cos2_vals = static + 0.25 * band_sum(2)
-
-    j2_const = float(np.sum(j ** 2 * np.abs(c) ** 2))
-    j2_vals = np.full_like(tau_grid, j2_const)
+    support = np.flatnonzero(c)
+    lo, hi = (support[0], support[-1] + 1) if len(support) else (0, 0)
+    bands = np.zeros((2, len(tau_grid)), dtype=complex)   # offsets 1 and 2
+    for block, psi in _phased_blocks(tau_grid, c[lo:hi],
+                                     (j[lo:hi] ** 2).astype(float), j2_const):
+        for o in (1, 2):
+            bands[o - 1, block] = np.einsum("jt,jt->t", np.conj(psi[o:]),
+                                            psi[:-o])
 
     return {
-        "cos": _realize(tau_grid, cos_vals, "cos"),
-        "cos2": _realize(tau_grid, cos2_vals, "cos2"),
-        "J2": ExpectationSeries(tau_grid, j2_vals, "J2"),
+        "cos": _realize(tau_grid, bands[0], "cos"),
+        "cos2": _realize(tau_grid, static + 0.5 * bands[1], "cos2"),
+        "J2": ExpectationSeries(tau_grid, np.full_like(tau_grid, j2_const),
+                                "J2"),
     }
 
 
@@ -209,6 +248,11 @@ class _PairSum(NamedTuple):
     odd: np.ndarray             # pair lies in the A2 sector
 
 
+def _population(c: np.ndarray, mat: np.ndarray) -> float:
+    """Static population term sum_n |c_n|^2 M_nn."""
+    return float(np.sum(np.abs(c) ** 2 * np.diag(mat).real))
+
+
 def _pair_sum(spectrum: PendularSpectrum, c: np.ndarray,
               mat: np.ndarray) -> _PairSum:
     odd = _odd_mask(spectrum.labels)
@@ -216,9 +260,8 @@ def _pair_sum(spectrum: PendularSpectrum, c: np.ndarray,
     weight = np.conj(c[a]) * c[b] * mat[a, b]
     keep = (odd[a] == odd[b]) & (weight != 0)
     a, b = a[keep], b[keep]
-    return _PairSum(float(np.sum(np.abs(c) ** 2 * np.diag(mat).real)),
-                    weight[keep], spectrum.energies[a] - spectrum.energies[b],
-                    odd[a])
+    return _PairSum(_population(c, mat), weight[keep],
+                    spectrum.energies[a] - spectrum.energies[b], odd[a])
 
 
 def _check_switch_on(spectrum: PendularSpectrum,
@@ -254,23 +297,44 @@ def switch_on_evolution(spectrum: PendularSpectrum,
     """Series plus population/coherence decompositions after switch-on.
 
     Returns ({cos, cos2, J2, energy} series, {cos, cos2} decompositions).
+    From the per-state amplitudes psi_n = c_n exp(-i(E_n - <H>)tau), with
+    the conserved energy <H> = sum|c_n|^2 E_n as phase reference, each
+    sector's coherence part is Re psi^H (M - diag M) psi over the populated
+    states of that sector; the population term is sum|c_n|^2 M_nn.
     <J^2>(tau) follows from energy conservation: <H> + eta<cos> + zeta<cos2>.
     """
     _check_switch_on(spectrum, coeffs)
     tau_grid = np.asarray(tau_grid, dtype=float)
     c = coeffs.c
+    energy = float(np.sum(np.abs(c) ** 2 * spectrum.energies))
+    mats = {name: sector_element_matrix(spectrum, name)
+            for name in ("cos", "cos2")}
+    # populated states, A1 sector first; the element matrices vanish
+    # across sectors, so each sector's rows of psi^H M psi are its own part
+    odd = _odd_mask(spectrum.labels)
+    populated = np.flatnonzero(c)
+    order = populated[np.argsort(odd[populated], kind="stable")]
+    n_a1 = int(np.count_nonzero(~odd[order]))
+    coupling = {}
+    for name, mat in mats.items():
+        coupling[name] = mat[np.ix_(order, order)]
+        np.fill_diagonal(coupling[name], 0.0)
+    coherence = {name: np.zeros((2, len(tau_grid))) for name in mats}
+    for block, psi in _phased_blocks(tau_grid, c[order],
+                                     spectrum.energies[order], energy):
+        for name, m in coupling.items():
+            terms = np.real(np.conj(psi) * (m @ psi))
+            coherence[name][0, block] = terms[:n_a1].sum(axis=0)
+            coherence[name][1, block] = terms[n_a1:].sum(axis=0)
+
     totals, decomps = {}, {}
-    for name in ("cos", "cos2"):
-        pairs = _pair_sum(spectrum, c, sector_element_matrix(spectrum, name))
-        a1, a2 = (2.0 * np.real(_phase_sum(tau_grid, pairs.gap[sel],
-                                           pairs.weight[sel]))
-                  for sel in (~pairs.odd, pairs.odd))
+    for name, mat in mats.items():
         decomps[name] = CoherenceDecomposition(
-            observable=name, tau_grid=tau_grid, population=pairs.population,
-            coherence_a1=a1, coherence_a2=a2)
+            observable=name, tau_grid=tau_grid,
+            population=_population(c, mat),
+            coherence_a1=coherence[name][0], coherence_a2=coherence[name][1])
         totals[name] = decomps[name].recombined()
 
-    energy = float(np.sum(np.abs(c) ** 2 * spectrum.energies))
     eta, zeta = spectrum.params.eta, spectrum.params.zeta
     j2_vals = energy + eta * totals["cos"] + zeta * totals["cos2"]
 

@@ -194,14 +194,15 @@ def propagate(psi0: Wavefunction, schedule: PulseSchedule,
     duration defaults to the schedule's span; a longer duration holds the
     final field values. The first and last instants are always sampled.
     """
-    if dtau <= 0:
-        raise ValueError("dtau must be > 0")
+    if not (math.isfinite(dtau) and dtau > 0):
+        raise ValueError(f"dtau must be finite and > 0, got {dtau}")
     if abs(psi0.norm() - 1.0) > _NORM_TOL:
         raise ValueError("initial state must be unit-normalized")
     if duration is None:
         duration = schedule.total_duration
-    if duration <= 0:
-        raise ValueError("propagation window must have positive duration")
+    if not (math.isfinite(duration) and duration > 0):
+        raise ValueError(f"propagation window must be finite and > 0, "
+                         f"got {duration}")
     grid = psi0.grid
     _stability_check(grid, dtau)
     nsteps = max(1, round(duration / dtau))

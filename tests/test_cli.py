@@ -3,12 +3,14 @@
 import csv
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planar_pendulum import InteractionParams, solve_spectrum, switch_on_populations
-from planar_pendulum.cli import ConfigError, main, parse_range
+from planar_pendulum.cli import ConfigError, _fmt, _write_csv, main, parse_range
 
 
 def read_csv(path):
@@ -318,14 +320,28 @@ def test_validate_takes_only_its_options(tmp_path, monkeypatch, flags):
     assert exit_.value.code == 2
 
 
+_RAMP = ["propagate", "--j0", "0", "--eta-to", "-10", "--zeta-to", "25",
+         "--ramp-duration", "0.1"]
+
+
 @pytest.mark.parametrize("argv,message", [
     (["switch-off", "--eta", "-10", "--zeta", "25", "--n0", "-1"], "n0"),
     (["switch-on", "--eta", "-10", "--zeta", "25", "--tau-max", "6.3",
       "--samples-per-period", "0"], "samples_per_period"),
     (["switch-off", "--eta", "-10", "--zeta", "25", "--tau-max", "6.3",
       "--samples-per-period", "-5"], "samples_per_period"),
-    (["propagate", "--j0", "0", "--eta-to", "-10", "--zeta-to", "25",
-      "--ramp-duration", "0.1", "--hold-duration", "-5"], "hold_duration"),
+    (_RAMP + ["--hold-duration", "-5"], "hold_duration"),
+    *(pytest.param(argv,
+                   f"{name} must be finite and > 0, got {argv[-1]}",
+                   id=f"{argv[-2][2:]}-{argv[-1]}")
+      for name, argv in [
+          ("tau_max", ["switch-off", "--eta", "-10", "--zeta", "25",
+                       "--tau-max", "inf"]),
+          ("tau_max", ["switch-on", "--eta", "-10", "--zeta", "25",
+                       "--tau-max", "nan"]),
+          ("dtau", _RAMP + ["--dtau", "inf"]),
+          ("dtau", _RAMP + ["--dtau", "nan"]),
+          ("propagation window", _RAMP + ["--tau-end", "inf"])]),
 ])
 def test_out_of_range_inputs_exit_one(tmp_path, monkeypatch, capsys, argv,
                                       message):
@@ -333,6 +349,28 @@ def test_out_of_range_inputs_exit_one(tmp_path, monkeypatch, capsys, argv,
     assert main(argv + ["--output", "r.csv"]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+# one column per kind of cell, and one that mixes ints and floats
+_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+                    st.floats())
+_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8)
+_ROW = st.tuples(st.booleans(), st.integers(),
+                 st.integers(-2**63, 2**63 - 1).map(np.int64), _FLOATS,
+                 _FLOATS.map(np.float64), _TEXT,
+                 st.one_of(st.integers(), _FLOATS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(_ROW, max_size=12))
+def test_csv_cells_are_written_as_fmt(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    columns = ["b", "i", "i64", "f", "f64", "s", "mixed"]
+    _write_csv(str(path), columns, [list(r) for r in rows])
+    with open(path, newline="") as fh:
+        text = fh.read()
+    assert text == "".join(",".join(_fmt(v) for v in row) + "\n"
+                           for row in [columns, *rows])
 
 
 def test_negative_values_after_flags(tmp_path, monkeypatch):

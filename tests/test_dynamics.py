@@ -1,5 +1,6 @@
 """Post-switch evolution: closed-form series, populations, averages."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from planar_pendulum import (
     quadrature_switch_on_coefficients,
     required_state_count,
     solve_spectrum,
+    switch_off_coefficients,
     switch_off_evolution,
     switch_off_populations,
     switch_on_coefficients,
@@ -24,6 +26,8 @@ from planar_pendulum import (
     topology_map,
     total_population,
 )
+from planar_pendulum.elements import sector_element_matrix
+from planar_pendulum.spectrum import _odd_mask
 
 # switch-on from J0=1 at (eta, zeta) = (-10, 25): leading populations
 SWITCH_ON_POPULATIONS = [0.207017, 0.096841, 0.038754, 0.223015, 0.316612]
@@ -192,3 +196,95 @@ def test_topology_map_overlays():
     assert np.allclose(tm.kappa_loci[2], -2.0 * np.sqrt(tm.zeta_values))
     assert np.allclose(tm.well_boundary, -2.0 * tm.zeta_values)
     assert tm.values.shape == (16, 16)
+
+
+def test_switch_off_refuses_a_state_without_parity():
+    # the one-sided sums are real only for c_{-j} = +-c_j
+    tau = make_tau_grid(2.0 * math.pi, samples_per_period=64)
+    spec = solve_spectrum(InteractionParams(-10.0, 25.0), 4)
+    for n0 in (0, 1):
+        co = switch_off_coefficients(spec, n0)
+        switch_off_evolution(co, tau)
+        c = co.c.copy()
+        c[co.j_max - 1] *= -1.0                         # c_{-1}
+        with pytest.raises(RuntimeError, match="imaginary residue"):
+            switch_off_evolution(dataclasses.replace(co, c=c), tau)
+
+
+# --- series against an extended-precision evaluation -----------------------
+# The same energies, coefficients and element matrices, summed pair by pair
+# with 40-digit phases at late tau, where the phase arguments are largest.
+
+ORACLE_TAU = np.linspace(85.0, 100.5, 12)
+ORACLE_POINTS = [(-10.0, 25.0, 1), (-3.3, 12.1, 2), (-19.5, 38.0, 1)]
+
+
+def _mp_complex(mp, z):
+    z = complex(z)
+    return mp.mpc(z.real, z.imag)
+
+
+def _mp_switch_on(mp, spec, c, name):
+    """Same-sector sum of conj(c_a) c_b M_ab exp(i(E_a - E_b)tau)."""
+    mat = sector_element_matrix(spec, name)
+    odd = _odd_mask(spec.labels)
+    pairs = [(a, b, mp.mpf(float(mat[a, b])))
+             for a in range(len(c)) for b in range(len(c))
+             if odd[a] == odd[b] and mat[a, b] != 0 and c[a] != 0 and c[b] != 0]
+    cs = [_mp_complex(mp, x) for x in c]
+    out = []
+    for tau in ORACLE_TAU:
+        psi = [x * mp.expj(-mp.mpf(float(e)) * mp.mpf(float(tau)))
+               for x, e in zip(cs, spec.energies)]
+        out.append(float(mp.re(mp.fsum(mp.conj(psi[a]) * psi[b] * m
+                                       for a, b, m in pairs))))
+    return np.array(out)
+
+
+def _mp_switch_off(mp, coeffs):
+    """cos = <e^{i theta}>, cos^2 = (sum|c|^2 + <e^{2i theta}>)/2."""
+    cs = [_mp_complex(mp, x) for x in coeffs.c]
+    j = range(-coeffs.j_max, coeffs.j_max + 1)
+    norm = mp.fsum(abs(x) ** 2 for x in cs)
+    cos, cos2 = [], []
+    for tau in ORACLE_TAU:
+        psi = [x * mp.expj(-k * k * mp.mpf(float(tau))) for x, k in zip(cs, j)]
+        band = [mp.fsum(mp.conj(psi[k + o]) * psi[k]
+                        for k in range(len(psi) - o)) for o in (1, 2)]
+        cos.append(float(mp.re(band[0])))
+        cos2.append(float((norm + mp.re(band[1])) / 2))
+    return np.array(cos), np.array(cos2)
+
+
+@pytest.fixture(scope="module")
+def series_errors():
+    """Largest |library - oracle| of cos and cos^2, per switch kind."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    worst = {"switch_on": 0.0, "switch_off": 0.0}
+    for eta, zeta, j0 in ORACLE_POINTS:
+        spec = solve_spectrum(InteractionParams(eta, zeta), 20)
+        coeffs = switch_on_coefficients(spec, j0)
+        series, _ = switch_on_evolution(spec, coeffs, ORACLE_TAU)
+        for name in ("cos", "cos2"):
+            err = np.abs(series[name].values
+                         - _mp_switch_on(mp, spec, coeffs.c, name)).max()
+            worst["switch_on"] = max(worst["switch_on"], err)
+        for n0 in (0, 1, 2):
+            coeffs = switch_off_coefficients(spec, n0)
+            series = switch_off_evolution(coeffs, ORACLE_TAU)
+            for name, want in zip(("cos", "cos2"), _mp_switch_off(mp, coeffs)):
+                err = np.abs(series[name].values - want).max()
+                worst["switch_off"] = max(worst["switch_off"], err)
+    return worst
+
+
+def test_series_match_extended_precision(series_errors):
+    assert series_errors["switch_on"] <= 2e-14
+    assert series_errors["switch_off"] <= 5e-14
+
+
+def test_series_phases_at_exp_rounding(series_errors):
+    # exact phase arguments: no error that grows with |E - E_ref| * tau
+    assert series_errors["switch_on"] <= 2e-15
+    assert series_errors["switch_off"] <= 2e-15
