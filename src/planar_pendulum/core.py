@@ -102,6 +102,20 @@ class AngularGrid:
     def theta(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.n_points) / self.n_points
 
+    @cached_property
+    def cos_theta(self) -> np.ndarray:
+        """cos(theta), computed once per grid and read-only."""
+        table = np.cos(self.theta)
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def cos2_theta(self) -> np.ndarray:
+        """cos(theta)**2, computed once per grid and read-only."""
+        table = self.cos_theta * self.cos_theta
+        table.flags.writeable = False
+        return table
+
     @property
     def dtheta(self) -> float:
         return 2.0 * np.pi / self.n_points
@@ -157,12 +171,12 @@ class Wavefunction:
 
     def expectation_cos(self) -> float:
         val = np.sum(np.abs(self.amplitudes) ** 2
-                     * np.cos(self.grid.theta)) * self.grid.dtheta
+                     * self.grid.cos_theta) * self.grid.dtheta
         return float(val)
 
     def expectation_cos2(self) -> float:
         val = np.sum(np.abs(self.amplitudes) ** 2
-                     * np.cos(self.grid.theta) ** 2) * self.grid.dtheta
+                     * self.grid.cos2_theta) * self.grid.dtheta
         return float(val)
 
     def expectation_kinetic(self) -> float:
@@ -171,8 +185,9 @@ class Wavefunction:
         return float(np.sum(np.abs(coeff) ** 2 * self.grid.wavenumbers ** 2))
 
     def expectation_potential(self, params: InteractionParams) -> float:
-        val = np.sum(np.abs(self.amplitudes) ** 2
-                     * params.potential(self.grid.theta)) * self.grid.dtheta
+        potential = (-params.eta * self.grid.cos_theta
+                     - params.zeta * self.grid.cos2_theta)
+        val = np.sum(np.abs(self.amplitudes) ** 2 * potential) * self.grid.dtheta
         return float(val)
 
     def expectation_energy(self, params: InteractionParams) -> float:

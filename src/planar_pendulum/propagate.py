@@ -10,6 +10,10 @@ The requested dtau is snapped to an exact divisor of the propagation
 window (dtau_eff = duration / round(duration / dtau)); without this the
 leftover fraction of a step turns into a spurious first-order phase error
 that buries the genuine splitting error.
+
+NaN and inf are absorbing under the FFT and under the unit-modulus
+kicks, so the stepper checks finiteness every FINITE_CHECK_STEPS steps and
+after the last one: a non-finite state still raises before it is returned.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +32,7 @@ DEFAULT_DTAU = 1e-3
 STABILITY_PHASE_LIMIT = 0.1
 _NORM_TOL = 1e-10
 _EXACT_REGIME = 1e-12
+FINITE_CHECK_STEPS = 64
 
 PROFILE_KINDS = ("constant", "linear", "smooth_cosine")
 
@@ -43,6 +48,11 @@ class Profile:
     def __post_init__(self):
         if self.kind not in PROFILE_KINDS:
             raise ValueError(f"unknown profile kind {self.kind!r}")
+        for name in ("start", "end"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{self.kind} profile {name} must be "
+                                 f"finite, got {value}")
         if self.kind == "constant" and self.start != self.end:
             raise ValueError("constant profile needs equal endpoints")
 
@@ -125,6 +135,37 @@ class PulseSchedule:
         seg = self.segments[-1]
         return seg.eta.value(1.0), seg.zeta.value(1.0)
 
+    def step_fields(self, dtau: float, nsteps: int
+                    ) -> Iterator[Tuple[float, float]]:
+        """fields_at((i + 0.5) * dtau) for i in range(nsteps), in one pass.
+
+        The midpoints rise, so the segments are walked once. A constant
+        segment, and the clamped span past the end, yield one tuple for
+        all of their steps without evaluating a profile.
+        """
+        ends = self._ends.tolist()
+        i = 0
+        for seg, start, end in zip(self.segments, [0.0, *ends[:-1]], ends):
+            if seg.duration == 0:
+                continue
+            held = None
+            if seg.eta.kind == seg.zeta.kind == "constant":
+                held = (seg.eta.start, seg.zeta.start)
+            while i < nsteps:
+                tau = (i + 0.5) * dtau
+                if not tau < end:
+                    break
+                if held is None:
+                    s = (tau - start) / seg.duration
+                    yield seg.eta.value(s), seg.zeta.value(s)
+                else:
+                    yield held
+                i += 1
+        seg = self.segments[-1]
+        held = (seg.eta.value(1.0), seg.zeta.value(1.0))
+        for _ in range(i, nsteps):
+            yield held
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -135,7 +176,7 @@ class Trajectory:
     def __post_init__(self):
         for t, wf in zip(self.tau_samples, self.states):
             drift = abs(wf.norm() - 1.0)
-            if drift > _NORM_TOL:
+            if not drift <= _NORM_TOL:      # NaN fails too
                 raise RuntimeError(
                     f"snapshot at tau={t:.6g} has norm drift {drift:.3e}")
 
@@ -154,34 +195,70 @@ def _stability_check(grid: AngularGrid, dtau: float) -> None:
             RuntimeWarning, stacklevel=3)
 
 
+def _kick_writer(grid: AngularGrid, dtau: float
+                 ) -> Callable[[float, float], np.ndarray]:
+    """(eta, zeta) -> the half-step kick exp(-i dtau V / 2) on the grid.
+
+    V(theta_k) = V(theta_{n-k}), so the phase is computed on k = 0..n/2
+    only, with cos and sin written straight into the real and imaginary
+    parts, and mirrored onto k = n/2+1..n-1. Every call overwrites and
+    returns the same array.
+    """
+    n = grid.n_points
+    half = n // 2 + 1
+    cos_half = grid.cos_theta[:half]
+    phase = np.empty(half)
+    kick = np.empty(n, dtype=complex)
+    kick_re, kick_im = kick.real[:half], kick.imag[:half]
+    mirror_to, mirror_from = kick[half:], kick[n // 2 - 1:0:-1]
+
+    def write(eta: float, zeta: float) -> np.ndarray:
+        # -dtau V / 2 = (dtau / 2) cos(theta) (eta + zeta cos(theta))
+        np.multiply(cos_half, 0.5 * dtau * zeta, out=phase)
+        np.add(phase, 0.5 * dtau * eta, out=phase)
+        np.multiply(phase, cos_half, out=phase)
+        np.cos(phase, out=kick_re)
+        np.sin(phase, out=kick_im)
+        mirror_to[...] = mirror_from
+        return kick
+
+    return write
+
+
 def _run(amps: np.ndarray, grid: AngularGrid, schedule: PulseSchedule,
          duration: float, nsteps: int,
          on_step: Optional[Callable[[int, np.ndarray], None]] = None
          ) -> np.ndarray:
-    """Core Strang loop; mutates and returns a working copy of amps."""
+    """Core Strang loop; mutates and returns a working copy of amps.
+
+    on_step(i, psi) sees the state after each full step i = 1..nsteps; on
+    a step that is checked for finiteness, the check comes after it.
+    """
     dtau = duration / nsteps
-    k2 = grid.wavenumbers ** 2
-    exp_kinetic = np.exp(-1j * k2 * dtau)
-    cos_t = np.cos(grid.theta)
-    cos2_t = cos_t * cos_t
+    exp_kinetic = np.exp(-1j * grid.wavenumbers ** 2 * dtau)
+    write_kick = _kick_writer(grid, dtau)
     psi = np.array(amps, dtype=complex)
+    buf = np.empty_like(psi)
+    kick = None
     last_fields: Optional[Tuple[float, float]] = None
-    exp_vhalf = np.ones_like(psi)
-    for i in range(nsteps):
-        fields = schedule.fields_at((i + 0.5) * dtau)
+    checked = 0
+    for i, fields in enumerate(schedule.step_fields(dtau, nsteps), start=1):
         if fields != last_fields:
-            eta, zeta = fields
-            v = -eta * cos_t - zeta * cos2_t
-            exp_vhalf = np.exp(-0.5j * v * dtau)
+            kick = write_kick(*fields)
             last_fields = fields
-        psi *= exp_vhalf
-        psi = np.fft.ifft(exp_kinetic * np.fft.fft(psi))
-        psi *= exp_vhalf
-        if not np.all(np.isfinite(psi)):
-            raise RuntimeError(f"non-finite amplitudes at step {i + 1} "
-                               f"(tau = {(i + 1) * dtau:.6g})")
+        psi *= kick
+        np.fft.fft(psi, out=buf)
+        buf *= exp_kinetic
+        np.fft.ifft(buf, out=psi)
+        psi *= kick
         if on_step is not None:
-            on_step(i + 1, psi)
+            on_step(i, psi)
+        if i % FINITE_CHECK_STEPS == 0 or i == nsteps:
+            if not np.isfinite(psi).all():
+                raise RuntimeError(
+                    f"non-finite amplitudes within steps {checked + 1}-{i} "
+                    f"(tau {checked * dtau:.6g} to {i * dtau:.6g})")
+            checked = i
     return psi
 
 
@@ -196,7 +273,7 @@ def propagate(psi0: Wavefunction, schedule: PulseSchedule,
     """
     if not (math.isfinite(dtau) and dtau > 0):
         raise ValueError(f"dtau must be finite and > 0, got {dtau}")
-    if abs(psi0.norm() - 1.0) > _NORM_TOL:
+    if not abs(psi0.norm() - 1.0) <= _NORM_TOL:     # NaN fails too
         raise ValueError("initial state must be unit-normalized")
     if duration is None:
         duration = schedule.total_duration
@@ -276,7 +353,7 @@ def second_order_accuracy_check(psi0: Wavefunction, schedule: PulseSchedule,
         tau_end = schedule.total_duration
     if tau_end <= 0:
         raise ValueError("tau_end must be > 0")
-    if abs(psi0.norm() - 1.0) > _NORM_TOL:
+    if not abs(psi0.norm() - 1.0) <= _NORM_TOL:     # NaN fails too
         raise ValueError("initial state must be unit-normalized")
     grid = psi0.grid
     base = max(1, round(tau_end / dtau))

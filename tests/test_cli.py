@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,6 +321,8 @@ def test_validate_takes_only_its_options(tmp_path, monkeypatch, flags):
     assert exit_.value.code == 2
 
 
+NAN_SCHEDULE = Path(__file__).parent / "data" / "nan_schedule.json"
+
 _RAMP = ["propagate", "--j0", "0", "--eta-to", "-10", "--zeta-to", "25",
          "--ramp-duration", "0.1"]
 
@@ -342,6 +345,14 @@ _RAMP = ["propagate", "--j0", "0", "--eta-to", "-10", "--zeta-to", "25",
           ("dtau", _RAMP + ["--dtau", "inf"]),
           ("dtau", _RAMP + ["--dtau", "nan"]),
           ("propagation window", _RAMP + ["--tau-end", "inf"])]),
+    pytest.param(["propagate", "--j0", "0", "--eta-to", "inf", "--zeta-to",
+                  "25", "--ramp-duration", "0.1"],
+                 "profile end must be finite, got inf", id="eta-to-inf"),
+    pytest.param(_RAMP + ["--zeta-from", "nan"],
+                 "profile start must be finite, got nan", id="zeta-from-nan"),
+    pytest.param(["propagate", "--config", str(NAN_SCHEDULE)],
+                 "constant profile start must be finite, got nan",
+                 id="config-schedule-nan"),
 ])
 def test_out_of_range_inputs_exit_one(tmp_path, monkeypatch, capsys, argv,
                                       message):

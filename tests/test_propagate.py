@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planar_pendulum import (
     InteractionParams,
@@ -18,7 +20,15 @@ from planar_pendulum import (
     second_order_accuracy_check,
     solve_spectrum,
 )
-from planar_pendulum.propagate import constant, linear, smooth_cosine
+from planar_pendulum.propagate import (
+    FINITE_CHECK_STEPS,
+    Trajectory,
+    _kick_writer,
+    _run,
+    constant,
+    linear,
+    smooth_cosine,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -178,3 +188,109 @@ def test_observable_sampling():
     for name in ("cos", "cos2", "J2", "energy"):
         assert len(traj.observables[name].values) == len(traj.tau_samples)
     assert traj.observables["J2"].values[0] == pytest.approx(0.0, abs=1e-10)
+
+
+def _nan_state(g):
+    amps = free_rotor_wavefunction(1, g).amplitudes.copy()
+    amps[3] = np.nan
+    return Wavefunction(g, amps, normalize=False)
+
+
+def test_nan_initial_state_is_refused():
+    g = make_grid(64)
+    sch = PulseSchedule.frozen(-1.0, 2.0, 0.1)
+    with pytest.raises(ValueError, match="unit-normalized"):
+        propagate(_nan_state(g), sch, dtau=1e-2)
+    with pytest.raises(ValueError, match="unit-normalized"):
+        second_order_accuracy_check(_nan_state(g), sch, dtau=1e-2)
+
+
+def test_nan_snapshot_is_refused():
+    g = make_grid(64)
+    with pytest.raises(RuntimeError, match="norm drift nan"):
+        Trajectory(tau_samples=np.array([0.0]), states=(_nan_state(g),),
+                   observables={})
+
+
+@pytest.mark.parametrize("make,name", [
+    pytest.param(lambda: PulseSchedule.frozen(math.nan, 25.0, 1.0), "start",
+                 id="frozen-nan"),
+    pytest.param(lambda: linear(0.0, math.inf), "end", id="linear-to-inf"),
+    pytest.param(lambda: smooth_cosine(-math.inf, 0.0), "start",
+                 id="smooth-from-minus-inf"),
+])
+def test_profile_refuses_non_finite_endpoints(make, name):
+    with pytest.raises(ValueError, match=f"profile {name} must be finite"):
+        make()
+
+
+def test_on_step_sees_every_full_step():
+    """on_step(i, psi) runs once per step i = 1..nsteps with the state
+    after that step: the state a shorter run of the same steps returns."""
+    g = make_grid(64)
+    psi0 = free_rotor_wavefunction(1, g).amplitudes
+    sch = PulseSchedule([Segment(0.05, linear(0.0, -10.0), linear(0.0, 25.0)),
+                         Segment(0.1, constant(-10.0), constant(25.0))])
+    nsteps, dtau = 150, 2.0 ** -10
+    seen = []
+    final = _run(psi0, g, sch, nsteps * dtau, nsteps,
+                 lambda i, psi: seen.append((i, psi.copy())))
+    assert [i for i, _ in seen] == list(range(1, nsteps + 1))
+    assert np.array_equal(seen[-1][1], final)
+    for i in (1, 2, FINITE_CHECK_STEPS, 97, nsteps - 1):
+        assert np.array_equal(seen[i - 1][1], _run(psi0, g, sch, i * dtau, i))
+
+
+@settings(max_examples=60, deadline=None)
+@given(eta=st.floats(-40.0, 0.0), zeta=st.floats(0.0, 80.0),
+       dtau=st.floats(1e-5, 1e-2), n_points=st.sampled_from([8, 256, 512]))
+def test_half_grid_kick_matches_full_grid(eta, zeta, dtau, n_points):
+    g = make_grid(n_points)
+    cos_t = np.cos(g.theta)
+    v = -eta * cos_t - zeta * cos_t ** 2
+    kick = _kick_writer(g, dtau)(eta, zeta)
+    assert np.max(np.abs(kick - np.exp(-0.5j * dtau * v))) <= 1e-15
+
+
+@pytest.mark.parametrize("bad_step", [1, 63, FINITE_CHECK_STEPS,
+                                      FINITE_CHECK_STEPS + 6, 99, 100])
+def test_nan_between_checks_still_raises(bad_step):
+    g = make_grid(64)
+    psi0 = free_rotor_wavefunction(1, g).amplitudes
+    sch = PulseSchedule.frozen(-10.0, 25.0, 0.1)
+
+    def poison(i, psi):
+        if i == bad_step:
+            psi[5] = np.nan
+
+    with pytest.raises(RuntimeError, match="non-finite amplitudes"):
+        _run(psi0, g, sch, 0.1, 100, poison)
+
+
+_ZERO_DURATION = [Segment(0.0, constant(-3.0), constant(4.0)),
+                  Segment(0.3, linear(0.0, -10.0), smooth_cosine(0.0, 25.0)),
+                  Segment(0.0, constant(-1.0), constant(1.0)),
+                  Segment(0.2, constant(-10.0), constant(25.0)),
+                  Segment(0.0, constant(-2.0), constant(2.0))]
+# 0.375 and 0.625 are the midpoints of steps 1 and 2 at dtau = 0.25; the
+# fields jump there, so the side a break belongs to shows
+_BREAKS_ON_MIDPOINTS = [
+    Segment(0.375, constant(-2.0), constant(4.0)),
+    Segment(0.25, linear(-1.0, -5.0), constant(9.0)),
+    Segment(0.875, smooth_cosine(-6.0, 0.0), linear(8.0, 1.0))]
+
+
+@pytest.mark.parametrize("segments,dtau,nsteps", [
+    pytest.param(_ZERO_DURATION, 1e-2, 50, id="zero-duration-segments"),
+    pytest.param(_BREAKS_ON_MIDPOINTS, 0.25, 6, id="breaks-on-midpoints"),
+    pytest.param([Segment(0.1, smooth_cosine(0.0, -7.0),
+                          smooth_cosine(0.0, 16.0))],
+                 1e-2, 35, id="past-the-span"),
+    pytest.param([Segment(0.1, constant(-7.0), constant(16.0)),
+                  Segment(0.1, linear(-7.0, -2.0), linear(16.0, 3.0))],
+                 3e-3, 120, id="hold-ramp-past-the-span"),
+])
+def test_step_fields_are_midpoint_lookups(segments, dtau, nsteps):
+    sch = PulseSchedule(segments)
+    assert list(sch.step_fields(dtau, nsteps)) == [
+        sch.fields_at((i + 0.5) * dtau) for i in range(nsteps)]
