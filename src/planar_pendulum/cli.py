@@ -15,10 +15,14 @@ values and unknown keys are reported with the offending file:line.
 propagate's 'schedule' is the one key without a flag.
 
 The manifest also carries 'diagnostics' for every command that solves a
-spectrum: the largest basis cutoff used and basis tail seen, for
-switch-on and topology-map the largest population deficit, and for
-crossings the largest window tail bound (noted for every window, with
-or without a crossing).
+spectrum: the largest basis cutoff used and basis tail seen, the smallest
+cut gap (lowest dropped level minus highest kept one), for switch-on and
+topology-map the largest population deficit, and for crossings the
+largest window tail bound (noted for every window, with or without a
+crossing).
+
+Scans over several (eta, zeta) points (spectrum, switch-on, topology-map)
+solve them in stacks (solve_stacks) and write their rows in scan order.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import math
 import os
 import re
 import sys
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,10 +43,12 @@ from . import __version__
 from .core import (
     DEFAULT_GRID_POINTS,
     InteractionParams,
+    SymmetryLabel,
     free_rotor_wavefunction,
     make_grid,
 )
 from .cqes import (
+    _switch_on_column,
     switch_off_coefficients,
     switch_on_coefficients,
 )
@@ -52,14 +58,11 @@ from .dynamics import (
     switch_off_evolution,
     switch_off_populations,
     switch_on_evolution,
-    switch_on_populations,
     topology_map,
-    total_population,
 )
 from .propagate import DEFAULT_DTAU, Profile, PulseSchedule, Segment, propagate
 from .spectrum import (CROSSING_ETA_TOL, CROSSING_RESOLUTION, J_MAX_CAP,
-                       TAIL_TOL, PendularSpectrum, crossing_scan,
-                       solve_spectrum)
+                       TAIL_TOL, crossing_scan, solve_spectrum, solve_stacks)
 from .validation import run_all
 
 
@@ -145,21 +148,17 @@ def _write_csv(path: str, columns: Sequence[str],
 
 
 def _write_json_table(path: str, columns: Sequence[str],
-                      rows: Sequence[Sequence]) -> None:
-    def keep(v):
-        if isinstance(v, str):
-            return v
-        if isinstance(v, (int, np.integer)):
-            return int(v)
-        return float(v)
-
-    body = {
-        "columns": list(columns),
-        "rows": [[keep(v) for v in row] for row in rows],
-    }
+                      rows: Iterable[Sequence]) -> None:
+    """{"columns": [...], "rows": [[...], ...]}, one row per line, each
+    through json's C encoder; floats keep their exact repr."""
+    dumps = json.JSONEncoder().encode
     with open(path, "w") as fh:
-        json.dump(body, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write('{"columns": ' + dumps(list(columns)) + ', "rows": [')
+        sep = "\n"
+        for row in rows:
+            fh.write(sep + dumps(list(row)))
+            sep = ",\n"
+        fh.write("\n]}\n")
 
 
 def _sha256(path: str) -> str:
@@ -172,10 +171,10 @@ def _sha256(path: str) -> str:
 
 class _Limits:
     """How close one run's solves came to their numerical limits: the
-    largest cutoff and basis tail, for switch-on populations the largest
-    deficit 1 - sum_n |C_n|^2, and for crossing windows the largest tail
-    bound. Deterministic, so the manifest carries them beside the
-    outputs."""
+    largest cutoff and basis tail, the smallest cut gap, for switch-on
+    populations the largest deficit 1 - sum_n |C_n|^2, and for crossing
+    windows the largest tail bound. Deterministic, so the manifest carries
+    them beside the outputs."""
 
     def __init__(self):
         self.values: Dict[str, float] = {}
@@ -184,8 +183,14 @@ class _Limits:
         for key, value in values.items():
             self.values[key] = max(self.values.get(key, value), value)
 
-    def solved(self, spec: PendularSpectrum) -> None:
-        self.note(j_max=spec.j_max, basis_tail=spec.basis_tail)
+    def least(self, **values) -> None:
+        for key, value in values.items():
+            self.values[key] = min(self.values.get(key, value), value)
+
+    def solved(self, spec) -> None:
+        """Note a PendularSpectrum, or a SpectrumStack's points."""
+        self.note(j_max=spec.j_max, basis_tail=float(np.max(spec.basis_tail)))
+        self.least(cut_gap=float(np.min(spec.cut_gap)))
 
 
 def _write_manifest(primary: str, args: argparse.Namespace,
@@ -345,16 +350,35 @@ def _scan_points(args: argparse.Namespace) -> List[Tuple[float, float]]:
     return [(float(e), float(z)) for z in zetas for e in etas]
 
 
+_LABEL_TEXT = (str(SymmetryLabel.A1), str(SymmetryLabel.A2))
+
+
+def _stacked_scan(args: argparse.Namespace, limits: _Limits):
+    """Yield (stack, points) for the scan points, args.n_states states
+    each, solved in stacks (solve_stacks): points[p] is the scan position,
+    eta, zeta and state labels of the stack's point p."""
+    points = _scan_points(args)
+    params = [InteractionParams(eta, zeta) for eta, zeta in points]
+    for stack in solve_stacks(params, args.n_states, args.j_max):
+        limits.solved(stack)
+        yield stack, [(i, *points[i], [_LABEL_TEXT[o] for o in odd])
+                      for i, odd in zip(stack.index.tolist(),
+                                        stack.odd.tolist())]
+
+
+def _in_scan_order(per_point: Dict[int, List]) -> List:
+    return list(chain.from_iterable(per_point[i] for i in sorted(per_point)))
+
+
 def _run_spectrum(args: argparse.Namespace, limits: _Limits):
-    rows = []
-    for eta, zeta in _scan_points(args):
-        spec = solve_spectrum(InteractionParams(eta, zeta), args.n_states,
-                              args.j_max)
-        limits.solved(spec)
-        for n in range(spec.n_states):
-            rows.append((eta, zeta, n, str(spec.labels[n]),
-                         float(spec.energies[n])))
-    return ["eta", "zeta", "n", "symmetry", "energy"], rows, {}
+    rows = {}
+    for stack, points in _stacked_scan(args, limits):
+        for (i, eta, zeta, labels), energies in zip(points,
+                                                    stack.energies.tolist()):
+            rows[i] = [(eta, zeta, n, lab, e)
+                       for n, (lab, e) in enumerate(zip(labels, energies))]
+    return (["eta", "zeta", "n", "symmetry", "energy"], _in_scan_order(rows),
+            {})
 
 
 def _run_crossings(args: argparse.Namespace, limits: _Limits):
@@ -372,6 +396,7 @@ def _run_crossings(args: argparse.Namespace, limits: _Limits):
             eta_tol=args.eta_tol)
         limits.note(j_max=records.j_max, basis_tail=records.basis_tail,
                     tail_bound=records.tail_bound)
+        limits.least(cut_gap=records.cut_gap)
         for r in records:
             limits.note(basis_tail=r.basis_tail)
             rows.append((float(zeta), r.state_pair[0], r.state_pair[1],
@@ -412,28 +437,28 @@ def _run_switch_off(args: argparse.Namespace, limits: _Limits):
 
 def _run_switch_on(args: argparse.Namespace, limits: _Limits):
     j0 = args.j0
-    rows = []
-    series_rows = []
-    for eta, zeta in _scan_points(args):
-        spec = solve_spectrum(InteractionParams(eta, zeta), args.n_states,
-                              args.j_max)
-        limits.solved(spec)
-        records = switch_on_populations(spec, j0)
-        limits.note(population_deficit=1.0 - total_population(records))
-        for rec in records:
-            label, n = rec.index
-            rows.append((eta, zeta, j0, n, str(label), rec.probability))
-        if args.tau_max is not None:
-            coeffs = switch_on_coefficients(spec, j0)
-            tau = make_tau_grid(args.tau_max, args.samples_per_period)
-            ser, _ = switch_on_evolution(spec, coeffs, tau)
-            series_rows += _series_rows((eta, zeta, j0), tau, ser,
-                                        ("cos", "cos2", "J2", "energy"))
+    rows, series_rows = {}, {}
+    for stack, points in _stacked_scan(args, limits):
+        populations = np.abs(_switch_on_column(stack.coefficients, stack.odd,
+                                               j0)) ** 2
+        for p, ((i, eta, zeta, labels), probs) in enumerate(
+                zip(points, populations.tolist())):
+            limits.note(population_deficit=1.0 - sum(probs))
+            rows[i] = [(eta, zeta, j0, n, lab, prob)
+                       for n, (lab, prob) in enumerate(zip(labels, probs))]
+            if args.tau_max is not None:
+                spec = stack.spectrum(p)
+                tau = make_tau_grid(args.tau_max, args.samples_per_period)
+                ser, _ = switch_on_evolution(
+                    spec, switch_on_coefficients(spec, j0), tau)
+                series_rows[i] = list(_series_rows(
+                    (eta, zeta, j0), tau, ser, ("cos", "cos2", "J2", "energy")))
     extras = {}
     if series_rows:
         extras["series"] = (["eta", "zeta", "j0", "tau", "cos", "cos2", "J2",
-                             "energy"], series_rows)
-    return ["eta", "zeta", "j0", "n", "symmetry", "probability"], rows, extras
+                             "energy"], _in_scan_order(series_rows))
+    return (["eta", "zeta", "j0", "n", "symmetry", "probability"],
+            _in_scan_order(rows), extras)
 
 
 def _profile_from_json(obj, where: str) -> Profile:
@@ -527,6 +552,7 @@ def _run_topology_map(args: argparse.Namespace, limits: _Limits):
         n_states=args.n_states, j_max=args.j_max)
     limits.note(j_max=tmap.j_max, basis_tail=tmap.basis_tail,
                 population_deficit=tmap.population_deficit)
+    limits.least(cut_gap=tmap.cut_gap)
     rows = []
     for i, eta in enumerate(tmap.eta_values):
         for k, zeta in enumerate(tmap.zeta_values):

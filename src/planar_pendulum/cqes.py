@@ -43,7 +43,7 @@ from .core import (
     topological_index,
 )
 from .elements import BesselTable, _bracket, ansatz_norm_integral
-from .spectrum import PendularSpectrum
+from .spectrum import PendularSpectrum, _odd_mask, _signed_expansion
 
 
 @dataclass(frozen=True)
@@ -232,10 +232,17 @@ def switch_off_coefficients(spec: PendularSpectrum, n0: int,
 def switch_on_coefficients(spec: PendularSpectrum,
                            j0: int) -> SwitchCoefficients:
     """<phi_n|j0> = conj(<j0|phi_n>) for every solved state, exact."""
+    return SwitchCoefficients(
+        kind="switch_on", origin=j0, labels=spec.labels,
+        c=_switch_on_column(spec.coefficients, _odd_mask(spec.labels), j0))
+
+
+def _switch_on_column(coefficients: np.ndarray, odd: np.ndarray,
+                      j0: int) -> np.ndarray:
+    """<phi_n|j0> of sector coefficient rows with any leading axes (one
+    spectrum, or a stack of them) and their odd flags."""
     jm = abs(j0)
-    rows = spec.free_rotor_coefficients(np.arange(spec.n_states), jm)
-    return SwitchCoefficients(kind="switch_on", origin=j0,
-                              c=np.conj(rows[:, jm + j0]), labels=spec.labels)
+    return np.conj(_signed_expansion(coefficients, odd, jm)[..., jm + j0])
 
 
 def quadrature_switch_off_coefficients(spec: PendularSpectrum, n0: int,

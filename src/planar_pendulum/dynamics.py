@@ -19,26 +19,28 @@ exp(-i(E_k - E_ref)tau), with the conserved <H> or <J^2> as reference:
 one exp per distinct level and tau sample, then small products over the
 states (the pair sums of the closed forms are never formed per tau). The
 phase arguments are carried exactly and corrected to first order, so the
-series stay at the rounding of exp at any tau; the time average and the
-coherence period still read the pairs off _pair_sum.
+series stay at the rounding of exp at any tau. The time average sums the
+same-sector pairs in closed form (_window_average), stacked over the
+points of a map chunk or for one spectrum alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .core import InteractionParams, SymmetryLabel
 from .cqes import (
     SwitchCoefficients,
+    _switch_on_column,
     switch_off_coefficients,
     switch_on_coefficients,
 )
-from .elements import sector_element_matrix
-from .spectrum import PendularSpectrum, _odd_mask, solve_spectrum
+from .elements import _element_stack, sector_element_matrix
+from .spectrum import PendularSpectrum, _odd_mask, solve_stacks
 
 SAMPLES_PER_PERIOD = 512
 POPULATED_FLOOR = 1e-4      # |C|^2 above this counts as populated
@@ -227,41 +229,26 @@ def switch_on_populations(spectrum: PendularSpectrum, j0: int
     ]
 
 
-def required_state_count(coeffs: SwitchCoefficients, tol: float = 1e-8) -> int:
-    """Smallest n_states whose cumulative population exceeds 1 - tol."""
-    cum = np.cumsum(np.abs(coeffs.c) ** 2)
-    hit = np.nonzero(cum > 1.0 - tol)[0]
-    if len(hit) == 0:
-        raise ValueError(
-            f"cumulative population reaches only {cum[-1]:.12f}; "
-            "solve more states")
-    return int(hit[0]) + 1
+def _population(c: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Static population term sum_n |c_n|^2 M_nn, over any leading axes."""
+    return np.sum(np.abs(c) ** 2 * np.diagonal(mat, axis1=-2, axis2=-1).real,
+                  axis=-1)
 
 
-class _PairSum(NamedTuple):
-    """sum_ab conj(c_a) c_b M_ab e^{i(E_a - E_b)tau} as its static diagonal
-    plus the nonzero same-sector pairs a < b, each counting its mirror."""
-
-    population: float
-    weight: np.ndarray          # conj(c_a) * c_b * M_ab
-    gap: np.ndarray             # E_a - E_b
-    odd: np.ndarray             # pair lies in the A2 sector
-
-
-def _population(c: np.ndarray, mat: np.ndarray) -> float:
-    """Static population term sum_n |c_n|^2 M_nn."""
-    return float(np.sum(np.abs(c) ** 2 * np.diag(mat).real))
-
-
-def _pair_sum(spectrum: PendularSpectrum, c: np.ndarray,
-              mat: np.ndarray) -> _PairSum:
-    odd = _odd_mask(spectrum.labels)
-    a, b = np.triu_indices(len(c), 1)
-    weight = np.conj(c[a]) * c[b] * mat[a, b]
-    keep = (odd[a] == odd[b]) & (weight != 0)
-    a, b = a[keep], b[keep]
-    return _PairSum(_population(c, mat), weight[keep],
-                    spectrum.energies[a] - spectrum.energies[b], odd[a])
+def _window_average(c: np.ndarray, energies: np.ndarray, mat: np.ndarray,
+                    tau_tilde: float) -> np.ndarray:
+    """sum_ab conj(c_a) c_b M_ab e^{i(E_a - E_b)tau} averaged over
+    [0, tau_tilde], over any leading axes: the static population term plus
+    every pair a < b (counting its mirror) filtered by the window transform
+    (e^{ix} - 1)/(ix), x = (E_a - E_b)*tau_tilde. Cross-sector pairs have
+    M_ab = 0 and add nothing."""
+    a, b = np.triu_indices(c.shape[-1], 1)
+    weight = np.conj(c[..., a]) * c[..., b] * mat[..., a, b]
+    x = (energies[..., a] - energies[..., b]) * tau_tilde
+    moving = x != 0.0
+    window = np.ones(x.shape, dtype=complex)
+    window[moving] = (np.exp(1j * x[moving]) - 1.0) / (1j * x[moving])
+    return _population(c, mat) + 2.0 * np.sum(weight * window, axis=-1).real
 
 
 def _check_switch_on(spectrum: PendularSpectrum,
@@ -331,7 +318,7 @@ def switch_on_evolution(spectrum: PendularSpectrum,
     for name, mat in mats.items():
         decomps[name] = CoherenceDecomposition(
             observable=name, tau_grid=tau_grid,
-            population=_population(c, mat),
+            population=float(_population(c, mat)),
             coherence_a1=coherence[name][0], coherence_a2=coherence[name][1])
         totals[name] = decomps[name].recombined()
 
@@ -358,9 +345,11 @@ def dominant_coherence_period(spectrum: PendularSpectrum,
     """
     _check_switch_on(spectrum, coeffs)
     populated = np.abs(coeffs.c) ** 2 > floor
-    pairs = _pair_sum(spectrum, coeffs.c,
-                      np.outer(populated, populated).astype(float))
-    gaps = np.abs(pairs.gap[pairs.gap != 0])
+    odd = _odd_mask(spectrum.labels)
+    a, b = np.triu_indices(len(populated), 1)
+    beat = populated[a] & populated[b] & (odd[a] == odd[b])
+    gaps = np.abs(spectrum.energies[a] - spectrum.energies[b])[beat]
+    gaps = gaps[gaps != 0]
     if not len(gaps):
         return math.inf
     return 2.0 * math.pi / float(gaps.min())
@@ -373,18 +362,14 @@ def time_averaged_orientation(spectrum: PendularSpectrum,
 
     Population term plus coherence terms filtered by the window transform
     (e^{i*delta*T} - 1)/(i*delta*T), which reduces to sinc for the real
-    cross weights that arise here.
+    cross weights that arise here: _window_average, as topology_map.
     """
     if tau_tilde <= 0:
         raise ValueError("tau_tilde must be > 0")
     _check_switch_on(spectrum, coeffs)
-    pairs = _pair_sum(spectrum, coeffs.c,
-                      sector_element_matrix(spectrum, "cos"))
-    x = pairs.gap * tau_tilde
-    moving = x != 0.0
-    window = np.ones(len(x), dtype=complex)
-    window[moving] = (np.exp(1j * x[moving]) - 1.0) / (1j * x[moving])
-    return pairs.population + 2.0 * float(np.sum(pairs.weight * window).real)
+    return float(_window_average(coeffs.c, spectrum.energies,
+                                 sector_element_matrix(spectrum, "cos"),
+                                 tau_tilde))
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +394,11 @@ class TopologyMap:
     kappa_loci: Dict[int, np.ndarray] = field(default_factory=dict)
     well_boundary: Optional[np.ndarray] = None
     # over all points: the largest cutoff, basis tail and population
-    # deficit 1 - sum_n |C_n|^2 of the solved states
+    # deficit 1 - sum_n |C_n|^2 of the solved states, the smallest cut gap
     j_max: int = 0
     basis_tail: float = 0.0
     population_deficit: float = 0.0
+    cut_gap: float = math.inf
 
 
 def topology_map(zeta_range: Tuple[float, float], eta_range: Tuple[float, float],
@@ -421,7 +407,10 @@ def topology_map(zeta_range: Tuple[float, float], eta_range: Tuple[float, float]
                  j_max: Optional[int] = None) -> TopologyMap:
     """Map of the time-averaged orientation, with crossing-loci overlays.
 
-    resolution = (n_eta, n_zeta), both >= 16.
+    resolution = (n_eta, n_zeta), both >= 16. The points are solved in
+    stacks (solve_stacks) and each stack's switch-on amplitudes, cos
+    element matrices and window averages are taken at once; every value
+    equals time_averaged_orientation of its point's own solve.
     """
     n_eta, n_zeta = resolution
     if n_eta < 16 or n_zeta < 16:
@@ -433,17 +422,22 @@ def topology_map(zeta_range: Tuple[float, float], eta_range: Tuple[float, float]
     if np.any(zeta_values < 0):
         raise ValueError("zeta grid must stay >= 0")
 
-    values = np.empty((n_eta, n_zeta))
-    cutoff, tail, deficit = 0, 0.0, 0.0
-    for i, eta in enumerate(eta_values):
-        for k, zeta in enumerate(zeta_values):
-            spec = solve_spectrum(InteractionParams(float(eta), float(zeta)),
-                                  n_states, j_max)
-            coeffs = switch_on_coefficients(spec, j0)
-            values[i, k] = time_averaged_orientation(spec, coeffs, tau_tilde)
-            cutoff = max(cutoff, spec.j_max)
-            tail = max(tail, spec.basis_tail)
-            deficit = max(deficit, 1.0 - coeffs.parseval())
+    if tau_tilde <= 0:
+        raise ValueError("tau_tilde must be > 0")
+    points = [InteractionParams(float(eta), float(zeta))
+              for eta in eta_values for zeta in zeta_values]
+    values = np.empty(len(points))
+    cutoff, tail, deficit, cut_gap = 0, 0.0, 0.0, math.inf
+    for stack in solve_stacks(points, n_states, j_max):
+        c = _switch_on_column(stack.coefficients, stack.odd, j0)
+        mat = _element_stack(stack.coefficients, stack.odd, stack.j_max, "cos")
+        values[stack.index] = _window_average(c, stack.energies, mat, tau_tilde)
+        cutoff = max(cutoff, stack.j_max)
+        tail = max(tail, float(stack.basis_tail.max()))
+        deficit = max(deficit, float(np.max(1.0 - np.sum(np.abs(c) ** 2,
+                                                          axis=-1))))
+        cut_gap = min(cut_gap, float(stack.cut_gap.min()))
+    values = values.reshape(n_eta, n_zeta)
 
     zq = np.sqrt(np.maximum(zeta_values, 0.0))
     eta_lo = min(abs(eta_range[0]), abs(eta_range[1]))
@@ -461,4 +455,4 @@ def topology_map(zeta_range: Tuple[float, float], eta_range: Tuple[float, float]
                        values=values, j0=j0, tau_tilde=tau_tilde,
                        kappa_loci=loci, well_boundary=boundary,
                        j_max=cutoff, basis_tail=tail,
-                       population_deficit=deficit)
+                       population_deficit=deficit, cut_gap=cut_gap)

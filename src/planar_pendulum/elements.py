@@ -300,15 +300,31 @@ def sector_element_matrix(spec: PendularSpectrum, operator: str) -> np.ndarray:
     operator matrices of the Hamiltonian; cross-sector entries are zero by
     construction. transition_element is the grid-quadrature twin.
     """
+    return _element_stack(spec.coefficients[None], _odd_mask(spec.labels)[None],
+                          spec.j_max, operator)[0]
+
+
+def _element_stack(coefficients: np.ndarray, odd: np.ndarray, j_max: int,
+                   operator: str) -> np.ndarray:
+    """sector_element_matrix of stacked points: (P, n, n) from their
+    (P, n, j_max + 1) coefficients and (P, n) odd flags.
+
+    Points with the same sector pattern share one stacked product per
+    sector, over exactly the rows of that sector, so that each point's
+    matrix does not depend on the others in the stack.
+    """
     if operator not in _OPERATOR_FN:
         raise ValueError(f"unknown operator {operator!r}")
     which = 1 if operator == "cos" else 2
-    even_ops, odd_ops = _sector_operators(spec.j_max)
-    odd = _odd_mask(spec.labels)
-    mat = np.zeros((spec.n_states, spec.n_states))
-    for mask, ops, first in ((~odd, even_ops, 0), (odd, odd_ops, 1)):
-        v = spec.coefficients[mask, first:]
-        mat[np.ix_(mask, mask)] = v @ ops[which] @ v.T
+    even_ops, odd_ops = _sector_operators(j_max)
+    mat = np.zeros(odd.shape + odd.shape[-1:])
+    patterns, group = np.unique(odd, axis=0, return_inverse=True)
+    for g, pattern in enumerate(patterns):
+        points = np.flatnonzero(group.ravel() == g)
+        for mask, ops, first in ((~pattern, even_ops, 0), (pattern, odd_ops, 1)):
+            rows = np.flatnonzero(mask)
+            v = coefficients[np.ix_(points, rows)][:, :, first:]
+            mat[np.ix_(points, rows, rows)] = v @ ops[which] @ v.transpose(0, 2, 1)
     return mat
 
 

@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planar_pendulum import InteractionParams, solve_spectrum, switch_on_populations
+from planar_pendulum import (
+    InteractionParams,
+    make_tau_grid,
+    solve_spectrum,
+    switch_off_coefficients,
+    switch_off_evolution,
+    switch_off_populations,
+    switch_on_populations,
+)
 from planar_pendulum.cli import ConfigError, _fmt, _write_csv, main, parse_range
 
 
@@ -159,18 +167,33 @@ def test_manifest_diagnostics(tmp_path, monkeypatch):
     assert main(["switch-on", "--eta", "-10", "--zeta", "25", "--j0", "1",
                  "--output", "on.csv"]) == 0
     on = diagnostics("on")
-    assert sorted(on) == ["basis_tail", "j_max", "population_deficit"]
+    assert sorted(on) == ["basis_tail", "cut_gap", "j_max",
+                          "population_deficit"]
     assert 0 < on["basis_tail"] <= 1e-12 and on["j_max"] % 8 == 0
-    deficit = 1.0 - sum(r.probability for r in switch_on_populations(
-        solve_spectrum(InteractionParams(-10.0, 25.0), 20), 1))
+    spec = solve_spectrum(InteractionParams(-10.0, 25.0), 20)
+    deficit = 1.0 - sum(r.probability for r in switch_on_populations(spec, 1))
     assert on["population_deficit"] == deficit
+    # the cut splits the tunnelling doublet of states 19 and 20
+    assert on["cut_gap"] == spec.cut_gap
+    assert 0 < on["cut_gap"] < 1e-8
 
     assert main(["topology-map", "--eta-range", "-30:0:2", "--zeta-range",
                  "5:35:2", "--n-states", "8", "--output", "map.csv"]) == 0
     assert sorted(diagnostics("map")) == sorted(on)
     assert main(["spectrum", "--eta", "-10", "--zeta", "25",
                  "--output", "s.csv"]) == 0
-    assert sorted(diagnostics("s")) == ["basis_tail", "j_max"]
+    assert sorted(diagnostics("s")) == ["basis_tail", "cut_gap", "j_max"]
+
+
+def test_a_near_doublet_at_the_state_cut_shows_in_the_cut_gap(tmp_path,
+                                                              monkeypatch):
+    # states 20 and 21 are an A1/A2 pair 1.4e-11 apart: which one is kept
+    # depends on the cutoff's rounding, so the manifest reports the gap
+    monkeypatch.chdir(tmp_path)
+    assert main(["spectrum", "--eta", "-28.494148325036885", "--zeta", "0",
+                 "--n-states", "20", "--output", "s.csv"]) == 0
+    manifest = json.loads((tmp_path / "s.manifest.json").read_text())
+    assert abs(manifest["diagnostics"]["cut_gap"]) < 1e-10
 
 
 def test_invalid_params_exit_one(tmp_path, monkeypatch, capsys):
@@ -199,7 +222,7 @@ def test_crossings_window_without_a_crossing_has_diagnostics(tmp_path,
     assert read_csv(tmp_path / "x.csv") == []
     manifest = json.loads((tmp_path / "x.manifest.json").read_text())
     diag = manifest["diagnostics"]
-    assert sorted(diag) == ["basis_tail", "j_max", "tail_bound"]
+    assert sorted(diag) == ["basis_tail", "cut_gap", "j_max", "tail_bound"]
     assert diag["j_max"] == solve_spectrum(InteractionParams(-10.0, 16.0),
                                            3).j_max
     assert 0 < diag["basis_tail"] <= 1e-12
@@ -301,6 +324,26 @@ def test_json_format(tmp_path, monkeypatch):
     assert body["columns"][:2] == ["eta", "zeta"]
     assert body["rows"][0][2] == 0          # state index stays an integer
     assert isinstance(body["rows"][0][4], float)
+
+
+def test_json_tables_load_back_to_the_library_floats(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["switch-off", "--eta", "-10", "--zeta", "25", "--n0", "1",
+                 "--tau-max", "6.2832", "--format", "json",
+                 "--output", "off.json"]) == 0
+    spec = solve_spectrum(InteractionParams(-10.0, 25.0), 4)
+    pops = json.loads((tmp_path / "off.json").read_text())
+    assert pops["columns"] == ["eta", "zeta", "n0", "J", "probability"]
+    assert [row[4] for row in pops["rows"]] == [
+        rec.probability for rec in switch_off_populations(spec, 1)]
+    body = json.loads((tmp_path / "off_series.json").read_text())
+    assert body["columns"] == ["eta", "zeta", "n0", "tau", "cos", "cos2", "J2"]
+    tau = make_tau_grid(6.2832)
+    series = switch_off_evolution(switch_off_coefficients(spec, 1), tau)
+    columns = list(zip(*body["rows"]))
+    assert list(columns[3]) == tau.tolist()
+    for k, name in enumerate(("cos", "cos2", "J2"), start=4):
+        assert list(columns[k]) == series[name].values.tolist()
 
 
 def test_validate_subset(tmp_path, monkeypatch, capsys):

@@ -14,7 +14,6 @@ from planar_pendulum import (
     make_tau_grid,
     quadrature_switch_off_coefficients,
     quadrature_switch_on_coefficients,
-    required_state_count,
     solve_spectrum,
     switch_off_coefficients,
     switch_off_evolution,
@@ -170,13 +169,6 @@ def test_dominant_coherence_period_frozen():
     coeffs = quadrature_switch_on_coefficients(spec, 1)
     period = dominant_coherence_period(spec, coeffs)
     assert period == pytest.approx(22.767311806294586 * math.pi, rel=1e-9)
-
-
-def test_required_state_count_frozen():
-    spec = solve_spectrum(InteractionParams(-10.0, 25.0), 40)
-    got = [required_state_count(quadrature_switch_on_coefficients(spec, j0))
-           for j0 in (0, 1, 2)]
-    assert got == [15, 17, 19]
 
 
 def test_time_average_matches_series_mean():

@@ -15,7 +15,7 @@ from planar_pendulum import (
     make_grid,
     solve_spectrum,
 )
-from planar_pendulum.spectrum import (TAIL_TOL, _auto_j_max, _solve_at,
+from planar_pendulum.spectrum import (TAIL_TOL, _auto_j_max, _solve_chunk,
                                      _tail_bound)
 
 # Full 9-state reference at (eta, zeta) = (-10, 25), checked against a
@@ -141,7 +141,7 @@ def test_tail_bound_covers_the_measured_tail(eta, zeta, n_states, offset):
     params = InteractionParams(-eta, zeta)
     j_max = max(8, _auto_j_max(params, n_states) + offset,
                 (n_states + 1) // 2)
-    sp = _solve_at(params, n_states, j_max)
+    sp = _solve_chunk([params], np.arange(1), n_states, j_max).spectrum(0)
     bound = _tail_bound(eta, zeta, float(sp.energies.max()), j_max)
     assert bound + 1e-14 >= sp.basis_tail
 

@@ -1,0 +1,138 @@
+"""Stacked scan solves: every point of solve_stacks equals its own
+solve_spectrum bit for bit, and the map, spectrum and switch-on scans that
+use the stacks keep the per-point results and errors."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from planar_pendulum import (
+    InteractionParams,
+    SymmetryLabel,
+    solve_spectrum,
+    solve_stacks,
+    switch_on_coefficients,
+    time_averaged_orientation,
+    topology_map,
+)
+from planar_pendulum.cli import main
+from planar_pendulum.spectrum import _chunk_size
+
+
+def assert_points_equal(points, n_states, j_max=None):
+    """Each point of solve_stacks once, equal to solve_spectrum."""
+    seen = []
+    for stack in solve_stacks(points, n_states, j_max):
+        for p, i in enumerate(stack.index.tolist()):
+            seen.append(i)
+            got, want = stack.spectrum(p), solve_spectrum(points[i], n_states,
+                                                          j_max)
+            assert got.params is points[i]
+            assert np.array_equal(got.energies, want.energies)
+            assert got.labels == want.labels
+            assert np.array_equal(got.coefficients, want.coefficients)
+            assert got.j_max == want.j_max == stack.j_max
+            assert got.basis_tail == want.basis_tail
+            assert got.cut_gap == want.cut_gap
+    assert sorted(seen) == list(range(len(points)))
+
+
+# the README map window, with its eta = 0 and zeta = 0 edges
+ETA = st.one_of(st.just(0.0), st.floats(-35.0, 0.0))
+ZETA = st.one_of(st.just(0.0), st.floats(0.0, 40.0))
+
+
+@settings(max_examples=20, deadline=None)
+@given(points=st.lists(st.tuples(ETA, ZETA), min_size=1, max_size=24),
+       n_states=st.sampled_from([1, 7, 20]))
+def test_stacked_points_equal_their_own_solves(points, n_states):
+    assert_points_equal([InteractionParams(e, z) for e, z in points],
+                        n_states)
+
+
+def test_a_point_that_grows_its_cutoff_among_ordinary_ones():
+    # (0, 2e5) and (-2e4, 1.9e5) share their first cutoff, 176, and fail
+    # their tails there; the first passes at 224, the second at 280
+    points = [InteractionParams(e, z) for e, z in
+              [(-10.0, 25.0), (0.0, 2e5), (0.0, 0.0), (-2e4, 1.9e5),
+               (-35.0, 5.0)]]
+    cutoffs = {}
+    for stack in solve_stacks(points, 20):
+        for i in stack.index.tolist():
+            cutoffs[i] = stack.j_max
+    assert [cutoffs[i] for i in range(5)] == [40, 224, 24, 280, 40]
+    assert_points_equal(points, 20)
+
+
+def test_the_near_doublet_keeps_its_member_in_a_stack():
+    # states 20 and 21 are an A1/A2 pair 1.4e-11 apart at this point
+    doublet = InteractionParams(-28.494148325036885, 0.0)
+    points = [InteractionParams(-28.0, 1.0), doublet,
+              InteractionParams(-29.0, 0.0)]
+    assert_points_equal(points, 20)
+    stack = next(s for s in solve_stacks(points, 20) if 1 in s.index)
+    p = stack.index.tolist().index(1)
+    assert stack.spectrum(p).labels[19] is SymmetryLabel.A2
+    assert 0 < stack.cut_gap[p] < 1e-10
+
+
+def test_chunks_split_a_long_scan():
+    points = [InteractionParams(-10.0 - 0.01 * k, 25.0) for k in range(45)]
+    stacks = list(solve_stacks(points, 9))
+    assert len(stacks) > 1
+    assert [len(s.index) for s in stacks[:-1]] == [
+        _chunk_size(s.j_max) for s in stacks[:-1]]
+    assert_points_equal(points, 9)
+
+
+def test_map_values_equal_the_time_average_of_each_solve():
+    tm = topology_map((0.0, 30.0), (-30.0, 0.0), 1, 4.0 * math.pi, (16, 16),
+                      n_states=8)
+    for i in (0, 5, 15):
+        for k in (0, 7, 15):
+            spec = solve_spectrum(InteractionParams(float(tm.eta_values[i]),
+                                                    float(tm.zeta_values[k])),
+                                  8)
+            want = time_averaged_orientation(
+                spec, switch_on_coefficients(spec, 1), 4.0 * math.pi)
+            assert tm.values[i, k] == want
+
+
+def test_a_short_fixed_cutoff_names_the_first_failing_point(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    monkeypatch.chdir(tmp_path)
+    etas, zetas = (-4.0, -2.0, 0.0), (10.0, 30.0, 50.0)
+    first = None
+    for zeta in zetas:                      # the CLI's scan order
+        for eta in etas:
+            try:
+                solve_spectrum(InteractionParams(eta, zeta), 9, 24)
+            except ValueError:
+                first = first or (eta, zeta)
+    assert first is not None and first != (etas[0], zetas[0])
+    for command in ("spectrum", "switch-on"):
+        assert main([command, "--eta-range", "-4:0:2", "--zeta-range",
+                     "10:50:20", "--n-states", "9", "--j-max", "24"]) == 1
+        err = capsys.readouterr().err
+        assert "basis tail" in err
+        assert f"eta={first[0]}, zeta={first[1]}," in err
+        assert not (tmp_path / f"{command}.csv").exists()
+
+
+def test_scan_rows_keep_scan_order(tmp_path, monkeypatch):
+    # the cutoff grows with zeta, so stacks come out of scan order
+    monkeypatch.chdir(tmp_path)
+    assert main(["spectrum", "--eta-range", "-2:0:1", "--zeta-range",
+                 "0:6000:3000", "--n-states", "3", "--output", "s.csv"]) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "s.csv").read_text().splitlines()[1:]]
+    points = [(float(r[0]), float(r[1])) for r in rows[::3]]
+    assert points == [(e, z) for z in (0.0, 3000.0, 6000.0)
+                      for e in (-2.0, -1.0, 0.0)]
+    for r in rows:
+        spec = solve_spectrum(InteractionParams(float(r[0]), float(r[1])), 3)
+        n = int(r[2])
+        assert r[3] == str(spec.labels[n])
+        assert r[4] == "%.15g" % spec.energies[n]
