@@ -19,7 +19,8 @@ spectrum: the largest basis cutoff used and basis tail seen, the smallest
 cut gap (lowest dropped level minus highest kept one), for switch-on and
 topology-map the largest population deficit, and for crossings the
 largest window tail bound (noted for every window, with or without a
-crossing).
+crossing). propagate records its largest snapshot norm drift and, when
+it has a hold, the largest hold cutoff and tail certificate.
 
 Scans over several (eta, zeta) points (spectrum, switch-on, topology-map)
 solve them in stacks (solve_stacks) and write their rows in scan order.
@@ -172,9 +173,10 @@ def _sha256(path: str) -> str:
 class _Limits:
     """How close one run's solves came to their numerical limits: the
     largest cutoff and basis tail, the smallest cut gap, for switch-on
-    populations the largest deficit 1 - sum_n |C_n|^2, and for crossing
-    windows the largest tail bound. Deterministic, so the manifest carries
-    them beside the outputs."""
+    populations the largest deficit 1 - sum_n |C_n|^2, for crossing
+    windows the largest tail bound, and for propagate the largest norm
+    drift, hold cutoff and hold tail certificate. Deterministic, so the
+    manifest carries them beside the outputs."""
 
     def __init__(self):
         self.values: Dict[str, float] = {}
@@ -525,6 +527,10 @@ def _run_propagate(args: argparse.Namespace, limits: _Limits):
 
     traj = propagate(psi0, schedule, dtau=args.dtau,
                      sample_stride=args.sample_stride, duration=args.tau_end)
+    limits.note(norm_drift=traj.norm_drift)
+    if traj.hold_limits:
+        cutoffs, tails = zip(*traj.hold_limits)
+        limits.note(hold_j_max=max(cutoffs), hold_tail=max(tails))
     rows = []
     for i, t in enumerate(traj.tau_samples):
         eta_t, zeta_t = schedule.fields_at(float(t))

@@ -1,10 +1,18 @@
-"""Split-operator integration of the rotor TDSE under a pulse schedule.
+"""Integration of the rotor TDSE under a pulse schedule.
 
-Strang stepping: half potential kick, full kinetic rotation in the
-wavenumber representation, half potential kick, with the fields sampled
-at the step midpoint so smooth time dependence keeps second order. The
-step is exactly unitary up to rounding, so norm drift is a diagnostic
-and is never corrected.
+Ramps take split-operator steps on the angular grid (_run): half potential
+kick, full kinetic rotation in the wavenumber representation, half
+potential kick, with the fields sampled at the step midpoint so smooth
+time dependence keeps second order. The step is exactly unitary up to
+rounding, so norm drift is a diagnostic and is never corrected.
+
+Holds are evolved exactly (_exact_hold): each maximal run of steps lying
+wholly inside a constant segment, or past the schedule's end, projects the
+grid state onto the two parity sectors, takes one eigh per sector at the
+hold fields and applies exp(-i E_n t) at each snapshot time. Its cutoff is
+guarded like solve_stacks's: discarded grid amplitudes and an all-time
+bound on the basis tail must be <= TAIL_TOL. _run alone remains the grid
+twin that validate and the tests check propagate against.
 
 The requested dtau is snapped to an exact divisor of the propagation
 window (dtau_eff = duration / round(duration / dtau)); without this the
@@ -20,19 +28,32 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import AngularGrid, Wavefunction
+from .core import AngularGrid, InteractionParams, Wavefunction
 from .dynamics import ExpectationSeries
+from .spectrum import (
+    TAIL_ROWS,
+    TAIL_TOL,
+    _auto_j_max,
+    _hamiltonian_stack,
+    _round_up8,
+    _signed_expansion,
+)
 
 DEFAULT_DTAU = 1e-3
 STABILITY_PHASE_LIMIT = 0.1
 _NORM_TOL = 1e-10
 _EXACT_REGIME = 1e-12
 FINITE_CHECK_STEPS = 64
+# Snapshots of a hold are evaluated this many at a time and transformed
+# into one array each, as _run's are: blocks of many states would raise
+# the peak resident memory, where small ones reuse freed memory.
+_HOLD_CHUNK = 16
 
 PROFILE_KINDS = ("constant", "linear", "smooth_cosine")
 
@@ -169,16 +190,25 @@ class PulseSchedule:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """Snapshots of one propagation. hold_limits holds the (cutoff, tail
+    certificate) of each exact hold; norm_drift is the largest
+    |norm - 1| over the snapshots, each of which must be <= 1e-10."""
+
     tau_samples: np.ndarray
     states: Tuple[Wavefunction, ...]
     observables: Dict[str, ExpectationSeries]
+    hold_limits: Tuple[Tuple[int, float], ...] = ()
+    norm_drift: float = field(init=False)
 
     def __post_init__(self):
+        largest = 0.0
         for t, wf in zip(self.tau_samples, self.states):
             drift = abs(wf.norm() - 1.0)
             if not drift <= _NORM_TOL:      # NaN fails too
                 raise RuntimeError(
                     f"snapshot at tau={t:.6g} has norm drift {drift:.3e}")
+            largest = max(largest, drift)
+        object.__setattr__(self, "norm_drift", largest)
 
     @property
     def final_state(self) -> Wavefunction:
@@ -262,6 +292,157 @@ def _run(amps: np.ndarray, grid: AngularGrid, schedule: PulseSchedule,
     return psi
 
 
+class _FromStep:
+    """The schedule as _run sees it from step `first` on: step i of the
+    view is step first + i of the schedule at the same dtau. _run reads
+    step_fields; fields_at is kept for readers of the schedule a _run call
+    was given, such as the per-step split of bench/tracing.py."""
+
+    def __init__(self, schedule: PulseSchedule, first: int, dtau: float):
+        self.schedule, self.first, self.offset = schedule, first, first * dtau
+
+    def step_fields(self, dtau: float, nsteps: int
+                    ) -> Iterator[Tuple[float, float]]:
+        return islice(self.schedule.step_fields(dtau, self.first + nsteps),
+                      self.first, None)
+
+    def fields_at(self, tau: float) -> Tuple[float, float]:
+        return self.schedule.fields_at(tau + self.offset)
+
+
+def _hold_runs(schedule: PulseSchedule, dtau: float, nsteps: int
+               ) -> List[Tuple[int, int, Tuple[float, float]]]:
+    """(first, last, fields) of each maximal run of steps first+1..last
+    (step i spans [(i-1)*dtau, i*dtau]) that lies wholly inside a constant
+    segment or past the schedule's end, in time order. A step that touches
+    a ramp belongs to none."""
+    spans, start = [], 0.0
+    for seg, end in zip(schedule.segments, schedule._ends.tolist()):
+        if seg.duration > 0 and seg.eta.kind == seg.zeta.kind == "constant":
+            spans.append((start, end, (seg.eta.start, seg.zeta.start)))
+        start = end
+    seg = schedule.segments[-1]
+    spans.append((start, math.inf, (seg.eta.value(1.0), seg.zeta.value(1.0))))
+    runs: List[Tuple[int, int, Tuple[float, float]]] = []
+    for lo, hi, fields in spans:
+        first = math.ceil(lo / dtau)        # the first step boundary >= lo
+        while first * dtau < lo:
+            first += 1
+        while first > 0 and (first - 1) * dtau >= lo:
+            first -= 1
+        last = nsteps                       # the last step boundary <= hi
+        if hi < nsteps * dtau:
+            last = math.floor(hi / dtau)
+            while last * dtau > hi:
+                last -= 1
+            while (last + 1) * dtau <= hi:
+                last += 1
+        if last <= first:
+            continue
+        if runs and runs[-1][1] == first and runs[-1][2] == fields:
+            first = runs.pop()[0]
+        runs.append((first, last, fields))
+    return runs
+
+
+def _sectors(amps: np.ndarray, grid: AngularGrid
+             ) -> Tuple[np.ndarray, np.ndarray]:
+    """Parity-sector coefficients of a grid state and its grid weight.
+
+    Returns the rows (even, odd), each of length n/2 over J = 0..n/2 - 1
+    with odd slot 0 zero: the inverse of spectrum._signed_expansion,
+    a_0 = c_0, a_J = (c_J + c_-J)/sqrt(2), b_J = i*(c_J - c_-J)/sqrt(2), from
+    Wavefunction.free_rotor_coefficients. The weight at J is
+    max(|c_J|, |c_-J|); its last entry, J = n/2, is the Nyquist amplitude.
+    """
+    band = grid.n_points // 2 - 1
+    c = Wavefunction(grid, amps, normalize=False).free_rotor_coefficients(band)
+    pos, neg = c[band + 1:], c[band - 1::-1]        # c_J and c_-J, J >= 1
+    rows = np.zeros((2, band + 1), dtype=complex)
+    rows[0, 0] = c[band]
+    rows[0, 1:] = (pos + neg) / math.sqrt(2.0)
+    rows[1, 1:] = 1j * (pos - neg) / math.sqrt(2.0)
+    nyquist = (abs(amps[::2].sum() - amps[1::2].sum()) * grid.dtheta
+               / math.sqrt(2.0 * np.pi))
+    weight = np.concatenate([[abs(c[band])], np.maximum(abs(pos), abs(neg)),
+                             [nyquist]])
+    return rows, weight
+
+
+def _grid_states(rows: np.ndarray, grid: AngularGrid) -> List[np.ndarray]:
+    """Grid amplitudes of sector rows (S, 2, j_max + 1), (even, odd) as
+    _sectors returns them: _signed_expansion of each row, summed, then one
+    inverse FFT per state into an array of its own."""
+    j_max = rows.shape[-1] - 1
+    n = grid.n_points
+    signed = _signed_expansion(rows, np.array([False, True]), j_max).sum(-2)
+    index = np.arange(-j_max, j_max + 1) % n
+    states = []
+    for coeffs in signed:
+        amps = np.zeros(n, dtype=complex)
+        amps[index] = coeffs
+        np.fft.ifft(amps, out=amps)
+        amps *= n / math.sqrt(2.0 * np.pi)
+        states.append(amps)
+    return states
+
+
+def _exact_hold(amps: np.ndarray, grid: AngularGrid,
+                fields: Tuple[float, float], times: np.ndarray
+                ) -> Tuple[List[np.ndarray], int, float]:
+    """The grid states at times t after the start of a hold at constant
+    fields, evolved exactly: one eigh per parity sector, then
+    exp(-i E_n t), then one inverse FFT per state. Returns the states
+    (one array each), the cutoff and the tail certificate.
+
+    The cutoff starts at _auto_j_max of the fields, raised to cover the
+    state's own extent (its last grid amplitude > TAIL_TOL) and TAIL_ROWS
+    more. It must discard no grid amplitude > TAIL_TOL, and the certificate
+    max over the last TAIL_ROWS rows J of sum_n |d_n| |V_Jn|, which bounds
+    |psi_J(t)| at every t, must be <= TAIL_TOL. Otherwise it grows by a
+    quarter (to a multiple of 8) up to the grid's band n/2 - 1, past which
+    it raises RuntimeError.
+    """
+    eta, zeta = fields
+    band = grid.n_points // 2 - 1
+    rows, weight = _sectors(amps, grid)
+    # the last J above TAIL_TOL; a unit state always has one
+    extent = int(np.flatnonzero(weight > TAIL_TOL)[-1])
+    # the guess depends on |eta| and the well depth only
+    guess = _auto_j_max(InteractionParams(-abs(eta), abs(zeta)), 1)
+    j_max = max(guess, _round_up8(extent + TAIL_ROWS))
+    while True:
+        j_max = min(j_max, band)
+        discarded = float(weight[j_max + 1:].max())
+        tail = math.inf
+        if j_max >= 8 and discarded <= TAIL_TOL:
+            tail, sectors = 0.0, []
+            for odd in (False, True):
+                h = _hamiltonian_stack(np.array([eta]), np.array([zeta]),
+                                       j_max, odd)[0]
+                w, v = np.linalg.eigh(h)
+                d = v.T @ rows[int(odd), int(odd):j_max + 1]
+                tail = max(tail, float((abs(v[-TAIL_ROWS:]) @ abs(d)).max()))
+                sectors.append((w, v, d))
+        if tail <= TAIL_TOL:
+            break
+        if j_max == band:
+            reason = (f"discarded grid amplitude {discarded:.1e}"
+                      if discarded > TAIL_TOL else f"basis tail bound {tail:.1e}")
+            raise RuntimeError(
+                f"hold at eta={eta}, zeta={zeta}: {reason} > {TAIL_TOL:.0e} "
+                f"at the grid's band j_max={band}; use more grid points")
+        j_max = _round_up8(1.25 * j_max)
+    states: List[np.ndarray] = []
+    for start in range(0, len(times), _HOLD_CHUNK):
+        t = times[start:start + _HOLD_CHUNK]
+        chunk = np.zeros((len(t), 2, j_max + 1), dtype=complex)
+        for odd, (w, v, d) in enumerate(sectors):
+            chunk[:, odd, odd:] = (np.exp(-1j * np.multiply.outer(t, w)) * d) @ v.T
+        states.extend(_grid_states(chunk, grid))
+    return states, j_max, tail
+
+
 def propagate(psi0: Wavefunction, schedule: PulseSchedule,
               dtau: float = DEFAULT_DTAU,
               sample_stride: Optional[int] = None,
@@ -270,6 +451,9 @@ def propagate(psi0: Wavefunction, schedule: PulseSchedule,
 
     duration defaults to the schedule's span; a longer duration holds the
     final field values. The first and last instants are always sampled.
+    Steps that touch a ramp take Strang steps on the grid (_run); each run
+    of steps inside a hold is evolved exactly (_exact_hold), on the same
+    step and snapshot times.
     """
     if not (math.isfinite(dtau) and dtau > 0):
         raise ValueError(f"dtau must be finite and > 0, got {dtau}")
@@ -297,10 +481,32 @@ def propagate(psi0: Wavefunction, schedule: PulseSchedule,
             taus.append(i * dtau_eff)
             snaps.append(psi.copy())
 
-    final = _run(psi0.amplitudes, grid, schedule, duration, nsteps, on_step)
+    psi = snaps[0]
+    done = 0
+    hold_limits = []
+    for first, last, fields in [*_hold_runs(schedule, dtau_eff, nsteps),
+                                (nsteps, nsteps, None)]:
+        if first > done:
+            psi = _run(psi, grid, _FromStep(schedule, done, dtau_eff),
+                       (first - done) * dtau_eff, first - done,
+                       lambda i, p, done=done: on_step(done + i, p))
+        if last > first:
+            # the steps on_step would sample, then the hold's last one
+            steps = list(range(first + sample_stride - first % sample_stride,
+                               last + 1, sample_stride))
+            if last == nsteps and steps[-1:] != [last]:
+                steps.append(last)
+            ends = steps if steps[-1:] == [last] else steps + [last]
+            states, j_max, tail = _exact_hold(
+                psi, grid, fields, (np.array(ends) - first) * dtau_eff)
+            taus.extend(i * dtau_eff for i in steps)
+            snaps.extend(states[:len(steps)])
+            psi = states[-1]
+            hold_limits.append((j_max, tail))
+        done = last
     if taus[-1] != duration:           # only if the last step wasn't sampled
         taus.append(duration)
-        snaps.append(final.copy())
+        snaps.append(psi.copy())
 
     states = tuple(Wavefunction(grid, a, normalize=False) for a in snaps)
     tau_arr = np.array(taus)
@@ -319,7 +525,8 @@ def propagate(psi0: Wavefunction, schedule: PulseSchedule,
         "energy": ExpectationSeries(tau_arr, energy_v, "energy"),
     }
     return Trajectory(tau_samples=tau_arr, states=states,
-                      observables=observables)
+                      observables=observables,
+                      hold_limits=tuple(hold_limits))
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,7 @@ from .elements import (
 )
 from .propagate import (
     PulseSchedule,
+    _run,
     propagate,
     second_order_accuracy_check,
 )
@@ -402,14 +403,19 @@ def check_stationarity() -> Tuple[bool, str]:
     return _fail_detail(drift, 1e-8, "ground-state population drift")
 
 
+# propagate evolves constant fields exactly, so the split-operator grid
+# stepper _run, its twin, is checked on frozen fields directly.
+
+def _l2(grid, amps: np.ndarray) -> float:
+    return math.sqrt(float(np.sum(np.abs(amps) ** 2)) * grid.dtheta)
+
+
 def check_unitarity() -> Tuple[bool, str]:
     grid = make_grid()
     psi = free_rotor_wavefunction(1, grid)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        tr = propagate(psi, PulseSchedule.frozen(-10.0, 25.0, 10.0),
-                       dtau=1e-3, sample_stride=10 ** 9)
-    drift = abs(tr.final_state.norm() - 1.0)
+    final = _run(psi.amplitudes, grid, PulseSchedule.frozen(-10.0, 25.0, 10.0),
+                 10.0, 10000)
+    drift = abs(_l2(grid, final) - 1.0)
     return _fail_detail(drift, 1e-10, "norm drift over 1e4 steps")
 
 
@@ -418,18 +424,38 @@ def check_spectral_oracle() -> Tuple[bool, str]:
     params = InteractionParams(-0.1, 0.25)
     grid = make_grid()
     psi = free_rotor_wavefunction(1, grid)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        tr = propagate(psi, PulseSchedule.frozen(params.eta, params.zeta,
-                                                 2.0 * math.pi),
-                       dtau=1e-3, sample_stride=10 ** 9)
+    final = _run(psi.amplitudes, grid,
+                 PulseSchedule.frozen(params.eta, params.zeta, 2.0 * math.pi),
+                 2.0 * math.pi, round(2.0 * math.pi / 1e-3))
     spec = solve_spectrum(params, 30)
     f = np.stack([spec.wavefunction(n, grid).amplitudes.real for n in range(30)])
     c = f @ psi.amplitudes * grid.dtheta
     recon = (c * np.exp(-1j * spec.energies * 2.0 * math.pi)) @ f
-    dev = math.sqrt(float(np.sum(np.abs(recon - tr.final_state.amplitudes) ** 2)
-                          * grid.dtheta))
+    dev = _l2(grid, recon - final)
     return _fail_detail(dev, 1e-7, "L2 deviation from spectral evolution")
+
+
+def check_exact_hold() -> Tuple[bool, str]:
+    """propagate (grid ramp, exact hold) against the grid twin _run on the
+    README ramp and hold. Both are second order in the ramp steps and the
+    twin in the hold steps too, so each run at dtau is off by 4/3 of its
+    difference from the run at dtau/2; the two final states may differ
+    by twice the sum of those two estimates."""
+    grid = make_grid()
+    psi = free_rotor_wavefunction(1, grid)
+    sch = PulseSchedule.switch(0.0, 0.0, -10.0, 25.0, 0.0628, 6.2832)
+    nsteps = round(sch.total_duration / 1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        prop = [propagate(psi, sch, dtau=1e-3 / k, sample_stride=10 ** 9)
+                .final_state.amplitudes for k in (1, 2)]
+    twin = [_run(psi.amplitudes, grid, sch, sch.total_duration, k * nsteps)
+            for k in (1, 2)]
+    dev = _l2(grid, prop[0] - twin[0])
+    tol = 2.0 * 4.0 / 3.0 * (_l2(grid, twin[0] - twin[1])
+                             + _l2(grid, prop[0] - prop[1]))
+    return dev <= tol, (f"L2 |propagate - grid twin| = {dev:.3e} (tol "
+                        f"{tol:.3e} from step doubling)")
 
 
 def check_splitting_order() -> Tuple[bool, str]:
@@ -509,6 +535,7 @@ ALL_CHECKS: List[Tuple[str, Callable[[], Tuple[bool, str]]]] = [
     ("eigenstate-stationarity", check_stationarity),
     ("unitarity", check_unitarity),
     ("spectral-oracle", check_spectral_oracle),
+    ("exact-hold", check_exact_hold),
     ("splitting-order", check_splitting_order),
     ("sudden-limit", check_sudden_limit),
     ("adiabatic-limit", check_adiabatic_limit),

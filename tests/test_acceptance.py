@@ -35,6 +35,7 @@ from planar_pendulum import (
     switch_on_evolution,
     topology_map,
 )
+from planar_pendulum.propagate import _run
 
 TWO_PI = 2.0 * math.pi
 
@@ -328,3 +329,26 @@ def test_criterion_10_propagator_cross_validation():
     assert report(10, ok, (f"spectral match {l2:.1e}, norm drift {drift:.1e}, "
                            "ramp errors "
                            + " > ".join(f"{e:.1e}" for e in errs)))
+
+
+def test_criterion_10_grid_twin():
+    """Criterion 10 (a) and (b) on the split-operator grid stepper itself,
+    which propagate no longer uses for frozen fields."""
+    grid = make_grid()
+    params = InteractionParams(-0.1, 0.25)
+    psi0 = free_rotor_wavefunction(1, grid)
+    spec = solve_spectrum(params, 30)
+    basis = np.stack([spec.wavefunction(n, grid).amplitudes.real
+                      for n in range(30)])
+    amps = basis @ psi0.amplitudes * grid.dtheta
+    ref = (amps * np.exp(-1j * spec.energies * TWO_PI)) @ basis
+    final = _run(psi0.amplitudes, grid, PulseSchedule.frozen(-0.1, 0.25, TWO_PI),
+                 TWO_PI, round(TWO_PI / 1e-3))
+    l2 = math.sqrt(float(np.sum(np.abs(final - ref) ** 2) * grid.dtheta))
+    drifted = _run(psi0.amplitudes, grid,
+                   PulseSchedule.frozen(-10.0, 25.0, 10.0), 10.0, 10000)
+    drift = abs(math.sqrt(float(np.sum(np.abs(drifted) ** 2)) * grid.dtheta)
+                - 1.0)
+    ok = l2 < 1e-7 and drift < 1e-10
+    assert report(10, ok, (f"grid twin: spectral match {l2:.1e}, "
+                           f"norm drift {drift:.1e}"))

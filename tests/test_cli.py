@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,22 @@ def test_manifest_diagnostics(tmp_path, monkeypatch):
     assert main(["spectrum", "--eta", "-10", "--zeta", "25",
                  "--output", "s.csv"]) == 0
     assert sorted(diagnostics("s")) == ["basis_tail", "cut_gap", "j_max"]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["propagate", "--n0", "1", "--eta-from", "-4",
+                     "--zeta-from", "9", "--eta-to", "-10", "--zeta-to", "25",
+                     "--ramp-duration", "0.1", "--hold-duration", "0.2",
+                     "--output", "p.csv"]) == 0
+        assert main(["propagate", "--j0", "1", "--eta-to", "-10",
+                     "--zeta-to", "25", "--ramp-duration", "0.1",
+                     "--output", "r.csv"]) == 0
+    held = diagnostics("p")
+    assert sorted(held) == ["basis_tail", "cut_gap", "hold_j_max",
+                            "hold_tail", "j_max", "norm_drift"]
+    assert held["hold_j_max"] % 8 == 0 and 0 < held["hold_tail"] <= 1e-12
+    assert 0 <= held["norm_drift"] <= 1e-10
+    assert sorted(diagnostics("r")) == ["norm_drift"]
 
 
 def test_a_near_doublet_at_the_state_cut_shows_in_the_cut_gap(tmp_path,

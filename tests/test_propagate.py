@@ -13,6 +13,7 @@ from planar_pendulum import (
     Profile,
     PulseSchedule,
     Segment,
+    SymmetryLabel,
     Wavefunction,
     free_rotor_wavefunction,
     make_grid,
@@ -20,15 +21,20 @@ from planar_pendulum import (
     second_order_accuracy_check,
     solve_spectrum,
 )
+from planar_pendulum.cli import main
 from planar_pendulum.propagate import (
     FINITE_CHECK_STEPS,
     Trajectory,
+    _grid_states,
+    _hold_runs,
     _kick_writer,
     _run,
+    _sectors,
     constant,
     linear,
     smooth_cosine,
 )
+from planar_pendulum.spectrum import _signed_expansion
 
 TWO_PI = 2.0 * math.pi
 
@@ -112,6 +118,14 @@ def test_norm_drift_ten_thousand_steps():
     assert abs(traj.final_state.norm() - 1.0) < 1e-10
 
 
+def test_norm_drift_ten_thousand_steps_grid_twin():
+    g = make_grid()
+    psi = free_rotor_wavefunction(1, g)
+    sch = PulseSchedule.frozen(-10.0, 25.0, duration=10.0)
+    final = _run(psi.amplitudes, g, sch, 10.0, 10000)
+    assert abs(Wavefunction(g, final, normalize=False).norm() - 1.0) < 1e-10
+
+
 def test_matches_spectral_evolution_weak_field():
     """Independent route: eigenphase evolution on 30 states."""
     g = make_grid()
@@ -127,6 +141,21 @@ def test_matches_spectral_evolution_weak_field():
     traj = propagate(psi0, PulseSchedule.frozen(-0.1, 0.25, TWO_PI), dtau=1e-3)
     err = math.sqrt(float(np.sum(np.abs(traj.final_state.amplitudes - ref) ** 2)
                           * g.dtheta))
+    assert err < 1e-7
+
+
+def test_matches_spectral_evolution_weak_field_grid_twin():
+    g = make_grid()
+    params = InteractionParams(-0.1, 0.25)
+    psi0 = free_rotor_wavefunction(1, g)
+    spec = solve_spectrum(params, 30)
+    basis = np.stack([spec.wavefunction(n, g).amplitudes.real
+                      for n in range(30)])
+    amps0 = basis @ psi0.amplitudes * g.dtheta
+    ref = (amps0 * np.exp(-1j * spec.energies * TWO_PI)) @ basis
+    final = _run(psi0.amplitudes, g, PulseSchedule.frozen(-0.1, 0.25, TWO_PI),
+                 TWO_PI, round(TWO_PI / 1e-3))
+    err = math.sqrt(float(np.sum(np.abs(final - ref) ** 2) * g.dtheta))
     assert err < 1e-7
 
 
@@ -294,3 +323,151 @@ def test_step_fields_are_midpoint_lookups(segments, dtau, nsteps):
     sch = PulseSchedule(segments)
     assert list(sch.step_fields(dtau, nsteps)) == [
         sch.fields_at((i + 0.5) * dtau) for i in range(nsteps)]
+
+
+# --------------------------------------------------------------------------
+# exact holds against the grid twin
+
+
+def _grid_twin(psi0, schedule, dtau, stride, duration):
+    """Snapshot times and (cos, cos2) rows of an all-grid run: every step a
+    Strang step of _run, sampled as propagate samples."""
+    nsteps = max(1, round(duration / dtau))
+    dtau_eff = duration / nsteps
+    taus, snaps = [0.0], [psi0.amplitudes.copy()]
+
+    def on_step(i, psi):
+        if i % stride == 0 or i == nsteps:
+            taus.append(i * dtau_eff)
+            snaps.append(psi.copy())
+
+    final = _run(psi0.amplitudes, psi0.grid, schedule, duration, nsteps, on_step)
+    if taus[-1] != duration:
+        taus.append(duration)
+        snaps.append(final.copy())
+    states = [Wavefunction(psi0.grid, a, normalize=False) for a in snaps]
+    return np.array(taus), np.array([(w.expectation_cos(), w.expectation_cos2())
+                                     for w in states])
+
+
+def _cos_rows(traj):
+    return np.stack([traj.observables["cos"].values,
+                     traj.observables["cos2"].values], axis=1)
+
+
+_HOLD_BETWEEN_RAMPS = [
+    Segment(0.5, linear(0.0, -8.0), linear(0.0, 16.0)),
+    Segment(1.0, constant(-8.0), constant(16.0)),
+    Segment(0.5, smooth_cosine(-8.0, -12.0), smooth_cosine(16.0, 30.0))]
+
+
+@pytest.mark.parametrize("j0,segments,duration", [
+    pytest.param(1, PulseSchedule.switch(0.0, 0.0, -10.0, 25.0, 0.0628,
+                                         6.2832).segments, None,
+                 id="readme-ramp"),
+    pytest.param(0, _ZERO_DURATION, None, id="zero-duration-segments"),
+    pytest.param(1, _HOLD_BETWEEN_RAMPS, None, id="hold-between-ramps"),
+    pytest.param(2, [Segment(0.3, smooth_cosine(0.0, -7.0),
+                             smooth_cosine(0.0, 16.0))], 2.0,
+                 id="tau-end-past-the-span"),
+])
+def test_exact_holds_match_the_grid_twin(j0, segments, duration):
+    """Same snapshot times as an all-grid run, bit for bit; cos and cos2
+    within twice the step-doubling error estimates of both routes (each
+    second order in its grid steps: the dtau run is off by 4/3 of its
+    difference from the dtau/2 run)."""
+    g = make_grid()
+    psi0 = free_rotor_wavefunction(j0, g)
+    sch = PulseSchedule(segments)
+    window = sch.total_duration if duration is None else duration
+    stride = math.ceil(round(window / 1e-3) / 512)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        prop = [propagate(psi0, sch, dtau=1e-3 / k, sample_stride=k * stride,
+                          duration=duration) for k in (1, 2)]
+    assert prop[0].hold_limits
+    taus, twin = _grid_twin(psi0, sch, 1e-3, stride, window)
+    _, twin_half = _grid_twin(psi0, sch, 5e-4, 2 * stride, window)
+    assert np.array_equal(prop[0].tau_samples, taus)
+    rows = _cos_rows(prop[0])
+    estimate = 4.0 / 3.0 * (np.abs(twin - twin_half).max()
+                            + np.abs(rows - _cos_rows(prop[1])).max())
+    assert np.abs(rows - twin).max() <= 2.0 * estimate
+
+
+@pytest.mark.parametrize("segments,dtau,nsteps", [
+    pytest.param(_ZERO_DURATION, 1e-2, 60, id="zero-duration-segments"),
+    pytest.param(_BREAKS_ON_MIDPOINTS, 0.25, 6, id="breaks-on-midpoints"),
+    pytest.param(_HOLD_BETWEEN_RAMPS, 0.03, 80, id="hold-between-ramps"),
+])
+def test_hold_runs_are_the_steps_without_a_ramp(segments, dtau, nsteps):
+    """A step is in a hold run iff it lies in a constant segment or past
+    the end, and then its midpoint fields are the run's."""
+    sch = PulseSchedule(segments)
+    fields = list(sch.step_fields(dtau, nsteps))
+    held = [None] * nsteps
+    for first, last, hold in _hold_runs(sch, dtau, nsteps):
+        for i in range(first, last):
+            assert held[i] is None and fields[i] == hold
+            held[i] = hold
+    start = 0.0
+    ramps = []
+    for seg, end in zip(sch.segments, sch._ends.tolist()):
+        if seg.duration > 0 and "constant" not in (seg.eta.kind, seg.zeta.kind):
+            ramps.append((start, end))
+        start = end
+    for i in range(nsteps):
+        touches = any(i * dtau < hi and (i + 1) * dtau > lo for lo, hi in ramps)
+        jumps = any(i * dtau < end < (i + 1) * dtau
+                    for end in sch._ends.tolist())
+        assert (held[i] is None) == (touches or jumps)
+
+
+def _band_limited_state(g, j_top, seed):
+    rng = np.random.default_rng(seed)
+    spec = np.zeros(g.n_points, dtype=complex)
+    js = np.arange(-j_top, j_top + 1) % g.n_points
+    spec[js] = rng.normal(size=len(js)) + 1j * rng.normal(size=len(js))
+    amps = np.fft.ifft(spec)
+    return amps / math.sqrt(float(np.sum(np.abs(amps) ** 2)) * g.dtheta)
+
+
+def test_sector_round_trip_is_exact():
+    g = make_grid(64)
+    for seed in range(4):
+        amps = _band_limited_state(g, 24, seed)
+        rows, weight = _sectors(amps, g)
+        assert np.max(np.abs(_grid_states(rows[None], g)[0] - amps)) <= 1e-15
+        assert weight[-1] <= 1e-15          # no Nyquist amplitude
+        signed = _signed_expansion(rows, np.array([False, True]), 31).sum(0)
+        assert np.max(np.abs(signed - Wavefunction(
+            g, amps, normalize=False).free_rotor_coefficients(31))) <= 1e-15
+
+
+def test_sectors_follow_the_spectrum_convention():
+    """An eigenstate's grid amplitudes project onto its own sector's
+    coefficient row, odd sine rows included, and nothing else."""
+    g = make_grid(128)
+    spec = solve_spectrum(InteractionParams(-3.0, 5.0), 6)
+    for n, label in enumerate(spec.labels):
+        rows, _ = _sectors(spec.wavefunction(n, g).amplitudes, g)
+        odd = int(label is SymmetryLabel.A2)
+        assert np.max(np.abs(rows[odd, :spec.j_max + 1]
+                             - spec.coefficients[n])) <= 1e-15
+        assert np.max(np.abs(rows[odd, spec.j_max + 1:])) <= 1e-15
+        assert np.max(np.abs(rows[1 - odd])) <= 1e-15
+        (back,) = _grid_states(rows[None, :, :spec.j_max + 1], g)
+        assert np.max(np.abs(back - spec.wavefunction(n, g).amplitudes)) <= 1e-15
+
+
+def test_hold_beyond_the_grid_band_exits_one(tmp_path, monkeypatch, capsys):
+    # the (-10, 25) hold needs a cutoff near 32; 32 points give a band of 15
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["propagate", "--j0", "0", "--eta-to", "-10",
+                     "--zeta-to", "25", "--ramp-duration", "0.1",
+                     "--hold-duration", "0.2", "--grid-points", "32",
+                     "--output", "p.csv"]) == 1
+    assert "grid's band j_max=15" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
