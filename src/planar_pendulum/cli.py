@@ -19,8 +19,8 @@ spectrum: the largest basis cutoff used and basis tail seen, the smallest
 cut gap (lowest dropped level minus highest kept one), for switch-on and
 topology-map the largest population deficit, and for crossings the
 largest window tail bound (noted for every window, with or without a
-crossing). propagate records its largest snapshot norm drift and, when
-it has a hold, the largest hold cutoff and tail certificate.
+crossing). propagate records the largest snapshot norm drift and grid
+tail, and with a hold the largest hold cutoff and tail certificate.
 
 Scans over several (eta, zeta) points (spectrum, switch-on, topology-map)
 solve them in stacks (solve_stacks) and write their rows in scan order.
@@ -89,6 +89,8 @@ def parse_range(text: str) -> np.ndarray:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"range {text!r} has non-numeric parts") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError(f"range {text!r} has non-finite parts")
     if step <= 0:
         raise ConfigError(f"range {text!r}: step must be > 0")
     if stop < start - 0.5 * step:
@@ -175,7 +177,7 @@ class _Limits:
     largest cutoff and basis tail, the smallest cut gap, for switch-on
     populations the largest deficit 1 - sum_n |C_n|^2, for crossing
     windows the largest tail bound, and for propagate the largest norm
-    drift, hold cutoff and hold tail certificate. Deterministic, so the
+    drift, grid tail, hold cutoff and hold tail bound. Deterministic, so the
     manifest carries them beside the outputs."""
 
     def __init__(self):
@@ -527,21 +529,15 @@ def _run_propagate(args: argparse.Namespace, limits: _Limits):
 
     traj = propagate(psi0, schedule, dtau=args.dtau,
                      sample_stride=args.sample_stride, duration=args.tau_end)
-    limits.note(norm_drift=traj.norm_drift)
+    limits.note(norm_drift=traj.norm_drift, grid_tail=traj.grid_tail)
     if traj.hold_limits:
         cutoffs, tails = zip(*traj.hold_limits)
         limits.note(hold_j_max=max(cutoffs), hold_tail=max(tails))
-    rows = []
-    for i, t in enumerate(traj.tau_samples):
-        eta_t, zeta_t = schedule.fields_at(float(t))
-        rows.append((float(t), eta_t, zeta_t,
-                     traj.observables["cos"].values[i],
-                     traj.observables["cos2"].values[i],
-                     traj.observables["J2"].values[i],
-                     traj.observables["energy"].values[i],
-                     traj.states[i].norm()))
-    return (["tau", "eta", "zeta", "cos", "cos2", "J2", "energy", "norm"],
-            rows, {})
+    series = ("cos", "cos2", "J2", "energy")
+    columns = [traj.tau_samples, *traj.fields.T,
+               *(traj.observables[k].values for k in series), traj.norms]
+    return (["tau", "eta", "zeta", *series, "norm"],
+            zip(*(c.tolist() for c in columns)), {})
 
 
 def _run_topology_map(args: argparse.Namespace, limits: _Limits):
@@ -627,7 +623,8 @@ OPTIONS: Dict[str, Dict[str, Dict]] = {
     "spectrum": {**_WRITER, **_FIELDS,
                  "n-states": dict(type=int, default=9, help="states per point")},
     "crossings": {**_WRITER, **_ZETA,
-                  "eta-range": dict(_RANGE, help="eta search window"),
+                  "eta-range": dict(_RANGE, help="eta window: its first and "
+                                    "last points; --resolution sets the scan"),
                   "pair": dict(type=int, nargs=2, metavar=("N", "M"),
                                help="adjacent state pair to track"),
                   "resolution": dict(type=int, default=CROSSING_RESOLUTION,

@@ -14,6 +14,7 @@ convention (a positive eta is the same physics shifted by pi).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -134,6 +135,28 @@ def make_grid(n_points: int = DEFAULT_GRID_POINTS) -> AngularGrid:
     return AngularGrid(n_points)
 
 
+GridMoments = namedtuple("GridMoments", "norm cos cos2 j2 tail")
+
+
+def grid_moments(amps: np.ndarray, grid: AngularGrid) -> GridMoments:
+    """Norm, <cos>, <cos^2>, <J^2> and tail of each row of amps (..., n).
+
+    |psi|^2 gives the first three, one FFT the last two. The tail is the
+    largest |<J|psi>| with |J| > grid.max_band_limit, beyond which
+    cos^2-type products alias. The Wavefunction methods are the one-row
+    case, and a batch of rows gives the same bits as they do.
+    """
+    density = np.abs(amps) ** 2
+    norm = np.sqrt(np.sum(density, axis=-1) * grid.dtheta)
+    cos = np.sum(density * grid.cos_theta, axis=-1) * grid.dtheta
+    cos2 = np.sum(density * grid.cos2_theta, axis=-1) * grid.dtheta
+    coeff = np.abs(np.fft.fft(amps, axis=-1) * grid.dtheta
+                   / math.sqrt(2.0 * np.pi))
+    j2 = np.sum(coeff ** 2 * grid.wavenumbers ** 2, axis=-1)
+    above = np.abs(grid.wavenumbers) > grid.max_band_limit
+    return GridMoments(norm, cos, cos2, j2, coeff[..., above].max(axis=-1))
+
+
 class Wavefunction:
     """Complex amplitudes on an AngularGrid, unit L2 norm by default.
 
@@ -159,8 +182,7 @@ class Wavefunction:
         self.amplitudes = amps
 
     def norm(self) -> float:
-        return math.sqrt(
-            float(np.sum(np.abs(self.amplitudes) ** 2)) * self.grid.dtheta)
+        return float(grid_moments(self.amplitudes, self.grid).norm)
 
     def overlap(self, other: "Wavefunction") -> complex:
         if other.grid.n_points != self.grid.n_points:
@@ -170,28 +192,22 @@ class Wavefunction:
             * self.grid.dtheta)
 
     def expectation_cos(self) -> float:
-        val = np.sum(np.abs(self.amplitudes) ** 2
-                     * self.grid.cos_theta) * self.grid.dtheta
-        return float(val)
+        return float(grid_moments(self.amplitudes, self.grid).cos)
 
     def expectation_cos2(self) -> float:
-        val = np.sum(np.abs(self.amplitudes) ** 2
-                     * self.grid.cos2_theta) * self.grid.dtheta
-        return float(val)
+        return float(grid_moments(self.amplitudes, self.grid).cos2)
 
     def expectation_kinetic(self) -> float:
         """<J^2> via the Fourier representation."""
-        coeff = np.fft.fft(self.amplitudes) * self.grid.dtheta / math.sqrt(2.0 * np.pi)
-        return float(np.sum(np.abs(coeff) ** 2 * self.grid.wavenumbers ** 2))
+        return float(grid_moments(self.amplitudes, self.grid).j2)
 
     def expectation_potential(self, params: InteractionParams) -> float:
-        potential = (-params.eta * self.grid.cos_theta
-                     - params.zeta * self.grid.cos2_theta)
-        val = np.sum(np.abs(self.amplitudes) ** 2 * potential) * self.grid.dtheta
-        return float(val)
+        m = grid_moments(self.amplitudes, self.grid)
+        return float(-params.eta * m.cos - params.zeta * m.cos2)
 
     def expectation_energy(self, params: InteractionParams) -> float:
-        return self.expectation_kinetic() + self.expectation_potential(params)
+        m = grid_moments(self.amplitudes, self.grid)
+        return float(m.j2 - params.eta * m.cos - params.zeta * m.cos2)
 
     def free_rotor_coefficients(self, j_max: int) -> np.ndarray:
         """Projections <j|psi> for j in [-j_max, j_max], index j + j_max.

@@ -22,6 +22,9 @@ that buries the genuine splitting error.
 NaN and inf are absorbing under the FFT and under the unit-modulus
 kicks, so the stepper checks finiteness every FINITE_CHECK_STEPS steps and
 after the last one: a non-finite state still raises before it is returned.
+
+Each snapshot is measured once (Trajectory). propagate warns only when a
+snapshot's top-of-grid weight, measured there, exceeds TAIL_TOL.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import AngularGrid, InteractionParams, Wavefunction
+from .core import AngularGrid, InteractionParams, Wavefunction, grid_moments
 from .dynamics import ExpectationSeries
 from .spectrum import (
     TAIL_ROWS,
@@ -46,13 +49,12 @@ from .spectrum import (
 )
 
 DEFAULT_DTAU = 1e-3
-STABILITY_PHASE_LIMIT = 0.1
 _NORM_TOL = 1e-10
 _EXACT_REGIME = 1e-12
 FINITE_CHECK_STEPS = 64
-# Snapshots of a hold are evaluated this many at a time and transformed
-# into one array each, as _run's are: blocks of many states would raise
-# the peak resident memory, where small ones reuse freed memory.
+# Snapshots are measured, and a hold's evaluated, this many at a time (a
+# hold's go back to the grid one array each, as _run's do): blocks of many
+# states would raise the peak resident memory; small ones reuse it.
 _HOLD_CHUNK = 16
 
 PROFILE_KINDS = ("constant", "linear", "smooth_cosine")
@@ -190,39 +192,45 @@ class PulseSchedule:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots of one propagation. hold_limits holds the (cutoff, tail
-    certificate) of each exact hold; norm_drift is the largest
-    |norm - 1| over the snapshots, each of which must be <= 1e-10."""
+    """Snapshots of one propagation, their (eta, zeta) fields and the
+    (cutoff, tail certificate) of each exact hold. Each snapshot is measured
+    once, by grid_moments: norms (each within 1e-10 of 1), norm_drift, the
+    cos, cos2, J2 and energy series, and grid_tail, the largest tail."""
 
     tau_samples: np.ndarray
     states: Tuple[Wavefunction, ...]
-    observables: Dict[str, ExpectationSeries]
+    fields: np.ndarray
     hold_limits: Tuple[Tuple[int, float], ...] = ()
+    norms: np.ndarray = field(init=False)
+    observables: Dict[str, ExpectationSeries] = field(init=False)
     norm_drift: float = field(init=False)
+    grid_tail: float = field(init=False)
 
     def __post_init__(self):
-        largest = 0.0
-        for t, wf in zip(self.tau_samples, self.states):
-            drift = abs(wf.norm() - 1.0)
-            if not drift <= _NORM_TOL:      # NaN fails too
+        grid = self.states[0].grid
+        chunks = [grid_moments(np.stack([w.amplitudes for w in
+                                         self.states[i:i + _HOLD_CHUNK]]), grid)
+                  for i in range(0, len(self.states), _HOLD_CHUNK)]
+        norms, cos, cos2, j2, tail = map(np.concatenate, zip(*chunks))
+        drift = np.abs(norms - 1.0)
+        taus = self.tau_samples
+        for t, d in zip(taus, drift):
+            if not d <= _NORM_TOL:          # NaN fails too
                 raise RuntimeError(
-                    f"snapshot at tau={t:.6g} has norm drift {drift:.3e}")
-            largest = max(largest, drift)
-        object.__setattr__(self, "norm_drift", largest)
+                    f"snapshot at tau={t:.6g} has norm drift {d:.3e}")
+        eta, zeta = self.fields.T
+        series = {"cos": cos, "cos2": cos2, "J2": j2,
+                  "energy": j2 - eta * cos - zeta * cos2}
+        observables = {k: ExpectationSeries(taus, v, k)
+                       for k, v in series.items()}
+        for name, value in (("norms", norms), ("observables", observables),
+                            ("norm_drift", float(drift.max())),
+                            ("grid_tail", float(tail.max()))):
+            object.__setattr__(self, name, value)
 
     @property
     def final_state(self) -> Wavefunction:
         return self.states[-1]
-
-
-def _stability_check(grid: AngularGrid, dtau: float) -> None:
-    eps_max = (grid.n_points // 2) ** 2
-    if dtau * eps_max >= STABILITY_PHASE_LIMIT:
-        warnings.warn(
-            f"kinetic phase per step dtau*eps_max = {dtau * eps_max:.3g} "
-            f">= {STABILITY_PHASE_LIMIT}; top-of-grid components are not "
-            "resolved (harmless if they are unpopulated)",
-            RuntimeWarning, stacklevel=3)
 
 
 def _kick_writer(grid: AngularGrid, dtau: float
@@ -453,7 +461,7 @@ def propagate(psi0: Wavefunction, schedule: PulseSchedule,
     final field values. The first and last instants are always sampled.
     Steps that touch a ramp take Strang steps on the grid (_run); each run
     of steps inside a hold is evolved exactly (_exact_hold), on the same
-    step and snapshot times.
+    step and snapshot times. Warns if a snapshot's grid_tail > TAIL_TOL.
     """
     if not (math.isfinite(dtau) and dtau > 0):
         raise ValueError(f"dtau must be finite and > 0, got {dtau}")
@@ -465,7 +473,6 @@ def propagate(psi0: Wavefunction, schedule: PulseSchedule,
         raise ValueError(f"propagation window must be finite and > 0, "
                          f"got {duration}")
     grid = psi0.grid
-    _stability_check(grid, dtau)
     nsteps = max(1, round(duration / dtau))
     if sample_stride is None:
         sample_stride = max(1, math.ceil(nsteps / 512))
@@ -508,25 +515,16 @@ def propagate(psi0: Wavefunction, schedule: PulseSchedule,
         taus.append(duration)
         snaps.append(psi.copy())
 
-    states = tuple(Wavefunction(grid, a, normalize=False) for a in snaps)
-    tau_arr = np.array(taus)
-    cos_v = np.array([w.expectation_cos() for w in states])
-    cos2_v = np.array([w.expectation_cos2() for w in states])
-    j2_v = np.array([w.expectation_kinetic() for w in states])
-    energy_v = np.array([
-        j2 - fields[0] * cv - fields[1] * c2v
-        for j2, cv, c2v, fields in zip(
-            j2_v, cos_v, cos2_v, (schedule.fields_at(t) for t in tau_arr))
-    ])
-    observables = {
-        "cos": ExpectationSeries(tau_arr, cos_v, "cos"),
-        "cos2": ExpectationSeries(tau_arr, cos2_v, "cos2"),
-        "J2": ExpectationSeries(tau_arr, j2_v, "J2"),
-        "energy": ExpectationSeries(tau_arr, energy_v, "energy"),
-    }
-    return Trajectory(tau_samples=tau_arr, states=states,
-                      observables=observables,
-                      hold_limits=tuple(hold_limits))
+    traj = Trajectory(
+        tau_samples=np.array(taus),
+        states=tuple(Wavefunction(grid, a, normalize=False) for a in snaps),
+        fields=np.array([schedule.fields_at(t) for t in taus]),
+        hold_limits=tuple(hold_limits))
+    if traj.grid_tail > TAIL_TOL:
+        warnings.warn(f"top-of-grid weight {traj.grid_tail:.1e} (at |J| > "
+                      f"{grid.max_band_limit}) > {TAIL_TOL:.0e}; use more "
+                      "grid points", RuntimeWarning, stacklevel=2)
+    return traj
 
 
 @dataclass(frozen=True)
@@ -568,9 +566,7 @@ def second_order_accuracy_check(psi0: Wavefunction, schedule: PulseSchedule,
         _run(psi0.amplitudes, grid, schedule, tau_end, base * k)
         for k in (1, 2, 4)
     ]
-    scale = math.sqrt(grid.dtheta)
-    d1 = float(np.linalg.norm(finals[0] - finals[1])) * scale
-    d2 = float(np.linalg.norm(finals[1] - finals[2])) * scale
+    d1, d2 = grid_moments(np.diff(finals, axis=0), grid).norm.tolist()
     if d1 < _EXACT_REGIME and d2 < _EXACT_REGIME:
         return AccuracyReport(order=None, regime="exact",
                               coarse_difference=d1, fine_difference=d2)

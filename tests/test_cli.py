@@ -4,7 +4,6 @@ import csv
 import hashlib
 import json
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +43,8 @@ def test_parse_range_endpoint_within_half_step():
     assert len(parse_range("3:3:1")) == 1
 
 
-@pytest.mark.parametrize("text", ["1:2", "a:b:c", "0:1:0", "0:1:-0.5", "5:1:1"])
+@pytest.mark.parametrize("text", ["1:2", "a:b:c", "0:1:0", "0:1:-0.5", "5:1:1",
+                                  "0:1:nan", "nan:1:1", "0:inf:1", "-inf:0:1"])
 def test_parse_range_rejects(text):
     with pytest.raises(ConfigError):
         parse_range(text)
@@ -185,21 +185,19 @@ def test_manifest_diagnostics(tmp_path, monkeypatch):
                  "--output", "s.csv"]) == 0
     assert sorted(diagnostics("s")) == ["basis_tail", "cut_gap", "j_max"]
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert main(["propagate", "--n0", "1", "--eta-from", "-4",
-                     "--zeta-from", "9", "--eta-to", "-10", "--zeta-to", "25",
-                     "--ramp-duration", "0.1", "--hold-duration", "0.2",
-                     "--output", "p.csv"]) == 0
-        assert main(["propagate", "--j0", "1", "--eta-to", "-10",
-                     "--zeta-to", "25", "--ramp-duration", "0.1",
-                     "--output", "r.csv"]) == 0
+    assert main(["propagate", "--n0", "1", "--eta-from", "-4",
+                 "--zeta-from", "9", "--eta-to", "-10", "--zeta-to", "25",
+                 "--ramp-duration", "0.1", "--hold-duration", "0.2",
+                 "--output", "p.csv"]) == 0
+    assert main(["propagate", "--j0", "1", "--eta-to", "-10",
+                 "--zeta-to", "25", "--ramp-duration", "0.1",
+                 "--output", "r.csv"]) == 0
     held = diagnostics("p")
-    assert sorted(held) == ["basis_tail", "cut_gap", "hold_j_max",
+    assert sorted(held) == ["basis_tail", "cut_gap", "grid_tail", "hold_j_max",
                             "hold_tail", "j_max", "norm_drift"]
     assert held["hold_j_max"] % 8 == 0 and 0 < held["hold_tail"] <= 1e-12
     assert 0 <= held["norm_drift"] <= 1e-10
-    assert sorted(diagnostics("r")) == ["norm_drift"]
+    assert sorted(diagnostics("r")) == ["grid_tail", "norm_drift"]
 
 
 def test_a_near_doublet_at_the_state_cut_shows_in_the_cut_gap(tmp_path,

@@ -13,6 +13,7 @@ from planar_pendulum import (
     potential_shape,
     topological_index,
 )
+from planar_pendulum.core import grid_moments
 
 
 def test_params_reject_wrong_signs():
@@ -77,6 +78,19 @@ def test_free_rotor_coefficients_single_spike():
     spike = np.zeros(17)
     spike[8 + 2] = 1.0
     assert np.abs(np.abs(c) - spike).max() < 1e-12
+
+
+def test_grid_tail_is_the_largest_amplitude_beyond_the_band_limit():
+    g = make_grid(64)
+    inside = free_rotor_wavefunction(16, g).amplitudes      # |J| = n/4
+    beyond = np.exp(-17j * g.theta) / math.sqrt(2.0 * np.pi)
+    rows = np.stack([inside, 0.8 * inside + 0.6 * beyond])
+    moments = grid_moments(rows, g)
+    assert moments.tail[0] <= 1e-14
+    assert moments.tail[1] == pytest.approx(0.6, abs=1e-14)
+    assert moments.j2[1] == pytest.approx(0.64 * 256 + 0.36 * 289, abs=1e-10)
+    assert np.array_equal(moments.norm, [
+        math.sqrt(float(np.sum(np.abs(a) ** 2)) * g.dtheta) for a in rows])
 
 
 @settings(max_examples=25, deadline=None)

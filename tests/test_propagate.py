@@ -112,9 +112,7 @@ def test_norm_drift_ten_thousand_steps():
     g = make_grid()
     psi = free_rotor_wavefunction(1, g)
     sch = PulseSchedule.frozen(-10.0, 25.0, duration=10.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        traj = propagate(psi, sch, dtau=1e-3, sample_stride=10000)
+    traj = propagate(psi, sch, dtau=1e-3, sample_stride=10000)
     assert abs(traj.final_state.norm() - 1.0) < 1e-10
 
 
@@ -162,11 +160,9 @@ def test_matches_spectral_evolution_weak_field_grid_twin():
 def test_second_order_smooth_schedule():
     g = make_grid()
     psi = free_rotor_wavefunction(1, g)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rep = second_order_accuracy_check(
-            psi, PulseSchedule.frozen(-10.0, 25.0, TWO_PI),
-            dtau=TWO_PI / 1571)
+    rep = second_order_accuracy_check(
+        psi, PulseSchedule.frozen(-10.0, 25.0, TWO_PI),
+        dtau=TWO_PI / 1571)
     assert rep.regime == "measured"
     assert rep.order == pytest.approx(2.0, abs=0.1)
 
@@ -192,18 +188,76 @@ def test_discontinuous_schedule_order_degrades(base):
     psi = free_rotor_wavefunction(1, g)
     sch = PulseSchedule([Segment(2.0, constant(0.0), constant(0.0)),
                          Segment(TWO_PI - 2.0, constant(-10.0), constant(25.0))])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rep = second_order_accuracy_check(psi, sch, dtau=TWO_PI / base)
+    rep = second_order_accuracy_check(psi, sch, dtau=TWO_PI / base)
     assert rep.regime == "measured"
     assert 0.4 < rep.order < 1.6
 
 
-def test_stability_warning_on_coarse_step():
+README_RAMP = PulseSchedule.switch(0.0, 0.0, -10.0, 25.0, 0.0628, 6.2832)
+
+
+def test_coarse_step_on_frozen_fields_does_not_warn():
+    """dtau alone says nothing about the top of the grid, and a frozen
+    schedule takes no grid step at all."""
     g = make_grid()
     psi = free_rotor_wavefunction(0, g)
-    with pytest.warns(RuntimeWarning):
-        propagate(psi, PulseSchedule.frozen(0.0, 0.0, 0.5), dtau=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = propagate(psi, PulseSchedule.frozen(0.0, 0.0, 0.5), dtau=0.1)
+    assert traj.grid_tail <= 1e-14
+
+
+def test_readme_ramp_is_resolved_without_a_warning():
+    g = make_grid()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = propagate(free_rotor_wavefunction(1, g), README_RAMP)
+    assert traj.grid_tail <= 1e-14
+
+
+@pytest.mark.parametrize("points", [32, 64])
+def test_coarse_grid_ramp_warns_once_with_its_top_of_grid_weight(points):
+    # measured: 2.1e-3 at 32 points, 6.0e-9 at 64
+    g = make_grid(points)
+    sch = PulseSchedule.switch(0.0, 0.0, -10.0, 25.0, 1.0, 0.0)
+    with pytest.warns(RuntimeWarning) as record:
+        traj = propagate(free_rotor_wavefunction(1, g), sch)
+    assert len(record) == 1
+    assert traj.grid_tail > 1e-12
+    assert f"top-of-grid weight {traj.grid_tail:.1e}" in str(record[0].message)
+
+
+@pytest.mark.parametrize("schedule,stride,count", [
+    pytest.param(README_RAMP, None, 490, id="readme-ramp"),
+    pytest.param(PulseSchedule.frozen(-10.0, 25.0, 1.0), None, 501,
+                 id="hold-only"),
+    pytest.param(README_RAMP, 20, 319, id="not-a-multiple-of-16"),
+])
+def test_chunked_measurements_match_the_per_state_methods(schedule, stride,
+                                                          count):
+    g = make_grid()
+    traj = propagate(free_rotor_wavefunction(1, g), schedule,
+                     sample_stride=stride)
+    assert len(traj.states) == count
+    norm, cos, cos2, j2 = np.array([
+        (w.norm(), w.expectation_cos(), w.expectation_cos2(),
+         w.expectation_kinetic()) for w in traj.states]).T
+    # the per-state formulas the methods had before they shared the pass
+    for w, *row in zip(traj.states, norm, cos, cos2, j2):
+        density = np.abs(w.amplitudes) ** 2
+        coeff = np.fft.fft(w.amplitudes) * g.dtheta / math.sqrt(2.0 * np.pi)
+        assert row == [math.sqrt(float(np.sum(density)) * g.dtheta),
+                       np.sum(density * g.cos_theta) * g.dtheta,
+                       np.sum(density * g.cos2_theta) * g.dtheta,
+                       np.sum(np.abs(coeff) ** 2 * g.wavenumbers ** 2)]
+    fields = np.array([schedule.fields_at(t) for t in traj.tau_samples])
+    assert np.array_equal(traj.fields, fields)
+    assert np.array_equal(traj.norms, norm)
+    for name, values in (("cos", cos), ("cos2", cos2), ("J2", j2),
+                         ("energy", j2 - fields[:, 0] * cos
+                          - fields[:, 1] * cos2)):
+        assert np.array_equal(traj.observables[name].values, values), name
+    assert traj.norm_drift == np.abs(norm - 1.0).max()
 
 
 def test_observable_sampling():
@@ -238,7 +292,7 @@ def test_nan_snapshot_is_refused():
     g = make_grid(64)
     with pytest.raises(RuntimeError, match="norm drift nan"):
         Trajectory(tau_samples=np.array([0.0]), states=(_nan_state(g),),
-                   observables={})
+                   fields=np.zeros((1, 2)))
 
 
 @pytest.mark.parametrize("make,name", [
@@ -381,10 +435,8 @@ def test_exact_holds_match_the_grid_twin(j0, segments, duration):
     sch = PulseSchedule(segments)
     window = sch.total_duration if duration is None else duration
     stride = math.ceil(round(window / 1e-3) / 512)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        prop = [propagate(psi0, sch, dtau=1e-3 / k, sample_stride=k * stride,
-                          duration=duration) for k in (1, 2)]
+    prop = [propagate(psi0, sch, dtau=1e-3 / k, sample_stride=k * stride,
+                      duration=duration) for k in (1, 2)]
     assert prop[0].hold_limits
     taus, twin = _grid_twin(psi0, sch, 1e-3, stride, window)
     _, twin_half = _grid_twin(psi0, sch, 5e-4, 2 * stride, window)
@@ -463,11 +515,9 @@ def test_sectors_follow_the_spectrum_convention():
 def test_hold_beyond_the_grid_band_exits_one(tmp_path, monkeypatch, capsys):
     # the (-10, 25) hold needs a cutoff near 32; 32 points give a band of 15
     monkeypatch.chdir(tmp_path)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert main(["propagate", "--j0", "0", "--eta-to", "-10",
-                     "--zeta-to", "25", "--ramp-duration", "0.1",
-                     "--hold-duration", "0.2", "--grid-points", "32",
-                     "--output", "p.csv"]) == 1
+    assert main(["propagate", "--j0", "0", "--eta-to", "-10",
+                 "--zeta-to", "25", "--ramp-duration", "0.1",
+                 "--hold-duration", "0.2", "--grid-points", "32",
+                 "--output", "p.csv"]) == 1
     assert "grid's band j_max=15" in capsys.readouterr().err
     assert not (tmp_path / "p.csv").exists()

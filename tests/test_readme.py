@@ -3,6 +3,7 @@
 import csv
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -41,7 +42,10 @@ def _flag(argv, name):
                          ids=lambda a: " ".join(a))
 def test_readme_example_runs(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert main(list(argv)) == 0
+    # an example that warns on every run would teach users to ignore warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(list(argv)) == 0
     output = _flag(argv, "--output") if "--output" in argv else f"{argv[0]}.csv"
     with open(tmp_path / output) as fh:
         rows = list(csv.reader(fh))
