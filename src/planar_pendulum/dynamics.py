@@ -364,8 +364,8 @@ def time_averaged_orientation(spectrum: PendularSpectrum,
     (e^{i*delta*T} - 1)/(i*delta*T), which reduces to sinc for the real
     cross weights that arise here: _window_average, as topology_map.
     """
-    if tau_tilde <= 0:
-        raise ValueError("tau_tilde must be > 0")
+    if not (math.isfinite(tau_tilde) and tau_tilde > 0):
+        raise ValueError(f"tau_tilde must be finite and > 0, got {tau_tilde}")
     _check_switch_on(spectrum, coeffs)
     return float(_window_average(coeffs.c, spectrum.energies,
                                  sector_element_matrix(spectrum, "cos"),
@@ -421,16 +421,15 @@ def topology_map(zeta_range: Tuple[float, float], eta_range: Tuple[float, float]
         raise ValueError("eta grid must stay <= 0")
     if np.any(zeta_values < 0):
         raise ValueError("zeta grid must stay >= 0")
-
-    if tau_tilde <= 0:
-        raise ValueError("tau_tilde must be > 0")
+    if not (math.isfinite(tau_tilde) and tau_tilde > 0):
+        raise ValueError(f"tau_tilde must be finite and > 0, got {tau_tilde}")
     points = [InteractionParams(float(eta), float(zeta))
               for eta in eta_values for zeta in zeta_values]
     values = np.empty(len(points))
     cutoff, tail, deficit, cut_gap = 0, 0.0, 0.0, math.inf
     for stack in solve_stacks(points, n_states, j_max):
         c = _switch_on_column(stack.coefficients, stack.odd, j0)
-        mat = _element_stack(stack.coefficients, stack.odd, stack.j_max, "cos")
+        mat = _element_stack(stack.coefficients, stack.odd, "cos")
         values[stack.index] = _window_average(c, stack.energies, mat, tau_tilde)
         cutoff = max(cutoff, stack.j_max)
         tail = max(tail, float(stack.basis_tail.max()))

@@ -51,7 +51,7 @@ from .core import (
     SymmetryLabel,
     make_grid,
 )
-from .spectrum import (PendularSpectrum, _odd_mask, _sector_operators,
+from .spectrum import (PendularSpectrum, _odd_mask, _sector_bands,
                        solve_spectrum)
 
 BESSEL_X_MAX = 700.0        # exp overflow guard for the Miller normalization
@@ -257,75 +257,63 @@ def analytic_cos2_element(a, b) -> float:
     return _analytic_element(a, b, "cos2")
 
 
-@dataclass(frozen=True)
-class TransitionElement:
-    n: int
-    n_prime: int
-    gamma: Optional[SymmetryLabel]     # None for a cross-symmetry pair
-    operator: str                      # 'cos' | 'cos2'
-    value: float
+def quadrature_element_matrix(spec: PendularSpectrum, operator: str,
+                              grid: Optional[AngularGrid] = None) -> np.ndarray:
+    """Grid-quadrature twin of sector_element_matrix: the unmasked
+    (n_states x n_states) matrix (F*w) @ F^T * dtheta over the rows F of
+    spec.wavefunction, on QUAD_GRID_POINTS points unless a grid is given.
 
-
-_OPERATOR_FN = {
-    "cos": np.cos,
-    "cos2": lambda t: np.cos(t) ** 2,
-}
-
-
-def transition_element(spec: PendularSpectrum, n: int, n_prime: int,
-                       operator: str,
-                       grid: Optional[AngularGrid] = None) -> TransitionElement:
-    """Grid-quadrature matrix element between spectrum states.
-
-    Cross-symmetry pairs are exact zeros by the selection rules; the
-    quadrature is skipped for them.
+    Cross-symmetry entries are integrated too, so they vanish only as far
+    as the selection rules hold on the grid.
     """
-    if operator not in _OPERATOR_FN:
-        raise ValueError(f"unknown operator {operator!r}")
-    if spec.labels[n] is not spec.labels[n_prime]:
-        return TransitionElement(n, n_prime, None, operator, 0.0)
     if grid is None:
         grid = make_grid(QUAD_GRID_POINTS)
-    fa = spec.wavefunction(n, grid).amplitudes.real
-    fb = spec.wavefunction(n_prime, grid).amplitudes.real
-    w = _OPERATOR_FN[operator](grid.theta)
-    val = float(np.sum(fa * w * fb) * grid.dtheta)
-    return TransitionElement(n, n_prime, spec.labels[n], operator, val)
+    cos = np.cos(grid.theta)
+    weights = {"cos": cos, "cos2": cos ** 2}
+    if operator not in weights:
+        raise ValueError(f"unknown operator {operator!r}")
+    f = np.stack([spec.wavefunction(n, grid).amplitudes.real
+                  for n in range(spec.n_states)])
+    return (f * weights[operator]) @ f.T * grid.dtheta
 
 
 def sector_element_matrix(spec: PendularSpectrum, operator: str) -> np.ndarray:
     """Dense (n_states x n_states) element matrix, exact in the basis.
 
-    V^T O V per parity sector from the stored coefficients and the sector
-    operator matrices of the Hamiltonian; cross-sector entries are zero by
-    construction. transition_element is the grid-quadrature twin.
+    V^T O V from the stored coefficients and the sector bands of the
+    Hamiltonian (_element_stack); cross-sector entries are exactly zero.
+    quadrature_element_matrix is the grid-quadrature twin.
     """
-    return _element_stack(spec.coefficients[None], _odd_mask(spec.labels)[None],
-                          spec.j_max, operator)[0]
+    return _element_stack(spec.coefficients[None],
+                          _odd_mask(spec.labels)[None], operator)[0]
 
 
-def _element_stack(coefficients: np.ndarray, odd: np.ndarray, j_max: int,
+def _element_stack(coefficients: np.ndarray, odd: np.ndarray,
                    operator: str) -> np.ndarray:
     """sector_element_matrix of stacked points: (P, n, n) from their
     (P, n, j_max + 1) coefficients and (P, n) odd flags.
 
-    Points with the same sector pattern share one stacked product per
-    sector, over exactly the rows of that sector, so that each point's
-    matrix does not depend on the others in the stack.
+    In the padded layout (odd rows in slots 1..j_max, slot 0 zero) the
+    even-sector bands serve both sectors: every coupling to slot 0
+    vanishes for odd rows. The one difference is the folded J = 1
+    diagonal of cos^2, 3/4 even and 1/4 odd, corrected by -v_1 v_1^T / 2
+    over the odd rows. Cross-sector entries are then set to zero. Each
+    point's matrix is its own batched product, whatever the stack.
     """
-    if operator not in _OPERATOR_FN:
+    if operator not in ("cos", "cos2"):
         raise ValueError(f"unknown operator {operator!r}")
-    which = 1 if operator == "cos" else 2
-    even_ops, odd_ops = _sector_operators(j_max)
-    mat = np.zeros(odd.shape + odd.shape[-1:])
-    patterns, group = np.unique(odd, axis=0, return_inverse=True)
-    for g, pattern in enumerate(patterns):
-        points = np.flatnonzero(group.ravel() == g)
-        for mask, ops, first in ((~pattern, even_ops, 0), (pattern, odd_ops, 1)):
-            rows = np.flatnonzero(mask)
-            v = coefficients[np.ix_(points, rows)][:, :, first:]
-            mat[np.ix_(points, rows, rows)] = v @ ops[which] @ v.transpose(0, 2, 1)
-    return mat
+    _, q0, c1, q2 = _sector_bands(coefficients.shape[-1] - 1, False)
+    v = coefficients
+    vt = v.swapaxes(-1, -2)
+    if operator == "cos":
+        mat = (v[..., :-1] * c1) @ vt[..., 1:, :]
+        mat = mat + mat.swapaxes(-1, -2)
+    else:
+        band = (v[..., :-2] * q2) @ vt[..., 2:, :]
+        mat = (v * q0) @ vt + band + band.swapaxes(-1, -2)
+        v1 = np.where(odd, v[..., 1], 0.0)
+        mat -= 0.5 * v1[..., :, None] * v1[..., None, :]
+    return np.where(odd[..., :, None] == odd[..., None, :], mat, 0.0)
 
 
 def hellmann_feynman_residual(params: InteractionParams, n: int,

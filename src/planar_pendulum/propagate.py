@@ -480,12 +480,15 @@ def propagate(psi0: Wavefunction, schedule: PulseSchedule,
         raise ValueError("sample_stride must be >= 1")
     dtau_eff = duration / nsteps
 
+    def tau_at(i: int) -> float:        # step nsteps ends at duration exactly
+        return duration if i == nsteps else i * dtau_eff
+
     taus: List[float] = [0.0]
     snaps: List[np.ndarray] = [np.array(psi0.amplitudes, dtype=complex)]
 
     def on_step(i: int, psi: np.ndarray) -> None:
         if i % sample_stride == 0 or i == nsteps:
-            taus.append(i * dtau_eff)
+            taus.append(tau_at(i))
             snaps.append(psi.copy())
 
     psi = snaps[0]
@@ -506,14 +509,11 @@ def propagate(psi0: Wavefunction, schedule: PulseSchedule,
             ends = steps if steps[-1:] == [last] else steps + [last]
             states, j_max, tail = _exact_hold(
                 psi, grid, fields, (np.array(ends) - first) * dtau_eff)
-            taus.extend(i * dtau_eff for i in steps)
+            taus.extend(tau_at(i) for i in steps)
             snaps.extend(states[:len(steps)])
             psi = states[-1]
             hold_limits.append((j_max, tail))
         done = last
-    if taus[-1] != duration:           # only if the last step wasn't sampled
-        taus.append(duration)
-        snaps.append(psi.copy())
 
     traj = Trajectory(
         tau_samples=np.array(taus),

@@ -97,23 +97,6 @@ def _banded(main, first, second) -> np.ndarray:
     return m
 
 
-@lru_cache(maxsize=8)
-def _sector_operators(j_max: int) -> Tuple[Tuple[np.ndarray, ...], ...]:
-    """(J^2, cos, cos^2) of the even sector, then of the odd sector.
-
-    Cached read-only per j_max for the element matrices; the Hamiltonian
-    is written from the same bands directly (build_hamiltonian).
-    """
-    ops = []
-    for odd in (False, True):
-        j2, q0, c1, q2 = _sector_bands(j_max, odd)
-        ops.append((_banded(j2, 0.0, 0.0), _banded(np.zeros_like(j2), c1, 0.0),
-                    _banded(q0, 0.0, q2)))
-    for m in (*ops[0], *ops[1]):
-        m.flags.writeable = False
-    return tuple(ops)
-
-
 def _hamiltonian_stack(eta: np.ndarray, zeta: np.ndarray, j_max: int,
                        odd: bool) -> np.ndarray:
     """One sector's Hamiltonians at the points (eta[p], zeta[p]), stacked
@@ -131,9 +114,8 @@ def build_hamiltonian(params: InteractionParams,
 
     Even sector is (j_max+1) x (j_max+1) with row 0 the J=0 constant;
     odd sector is j_max x j_max with row i the J=i+1 sine state. Each is
-    written from its bands: entry for entry K - eta*C - zeta*Q of
-    _sector_operators, by the same float operations, without building
-    the three dense operator matrices.
+    K - eta*C - zeta*Q written from its bands (_sector_bands), without
+    building the three dense operator matrices.
     """
     eta, zeta = np.array([params.eta]), np.array([params.zeta])
     return tuple(_hamiltonian_stack(eta, zeta, j_max, odd)[0]
@@ -287,7 +269,7 @@ def _auto_j_max(params: InteractionParams, n_states: int) -> int:
 
     7.5*w + 2*sqrt(n_states) + 8 with w = (zeta + |eta|/2)**(1/4), at least
     n_states/2 + 8, rounded up to a multiple of 8 (so that nearby points
-    share a cutoff and the element-operator cache) and at most J_MAX_CAP.
+    share a cutoff and so a stack) and at most J_MAX_CAP.
     In the harmonic limit the ground state is exp(-J^2/(2*w^2)) in J,
     which falls below TAIL_TOL at |J| = 7.4*w; the sqrt(n) term covers
     excited well states, n/2 the weak-field levels (J ~ n/2), and 8 the

@@ -46,6 +46,7 @@ from .elements import (
     exp_cos_integral,
     hellmann_feynman_residual,
     kinetic_identity_residual,
+    quadrature_element_matrix,
 )
 from .propagate import (
     PulseSchedule,
@@ -53,7 +54,8 @@ from .propagate import (
     propagate,
     second_order_accuracy_check,
 )
-from .spectrum import classify_symmetry, crossing_scan, solve_spectrum
+from .spectrum import (_odd_mask, classify_symmetry, crossing_scan,
+                       solve_spectrum)
 
 
 @dataclass(frozen=True)
@@ -175,17 +177,10 @@ def check_kernel_integrals() -> Tuple[bool, str]:
 
 def check_selection_rules() -> Tuple[bool, str]:
     spec = solve_spectrum(InteractionParams(-10.0, 25.0), 9)
-    grid = make_grid()
-    worst = 0.0
-    for op in ("cos", "cos2"):
-        f = np.stack([spec.wavefunction(n, grid).amplitudes.real
-                      for n in range(9)])
-        w = np.cos(grid.theta) if op == "cos" else np.cos(grid.theta) ** 2
-        raw = (f * w) @ f.T * grid.dtheta
-        for i in range(9):
-            for j in range(9):
-                if spec.labels[i] is not spec.labels[j]:
-                    worst = max(worst, abs(raw[i, j]))
+    odd = _odd_mask(spec.labels)
+    cross = odd[:, None] != odd[None, :]
+    worst = max(float(np.abs(quadrature_element_matrix(spec, op, make_grid())
+                             [cross]).max()) for op in ("cos", "cos2"))
     return _fail_detail(worst, 1e-12, "max cross-symmetry element")
 
 
@@ -341,14 +336,12 @@ def check_coherence_sector_split() -> Tuple[bool, str]:
     tau = make_tau_grid(2.0 * math.pi)
     basis, _ = switch_on_evolution(spec, switch_on_coefficients(spec, 1), tau)
     grid = make_grid()
-    f = np.stack([spec.wavefunction(n, grid).amplitudes.real for n in range(16)])
     c = quadrature_switch_on_coefficients(spec, 1, grid).c
     d = c * np.exp(-1j * np.outer(tau, spec.energies))
     worst = 0.0
-    for name, w in (("cos", np.cos(grid.theta)),
-                    ("cos2", np.cos(grid.theta) ** 2)):
+    for name in ("cos", "cos2"):
         twin = np.einsum("ta,ab,tb->t", np.conj(d),
-                         (f * w) @ f.T * grid.dtheta, d).real
+                         quadrature_element_matrix(spec, name, grid), d).real
         worst = max(worst, float(np.max(np.abs(basis[name].values - twin))))
     return _fail_detail(worst, 1e-12, "basis series vs unmasked grid twin")
 

@@ -402,7 +402,10 @@ _RAMP = ["propagate", "--j0", "0", "--eta-to", "-10", "--zeta-to", "25",
                        "--tau-max", "nan"]),
           ("dtau", _RAMP + ["--dtau", "inf"]),
           ("dtau", _RAMP + ["--dtau", "nan"]),
-          ("propagation window", _RAMP + ["--tau-end", "inf"])]),
+          ("propagation window", _RAMP + ["--tau-end", "inf"]),
+          *(("tau_tilde", ["topology-map", "--eta-range", "-30:0:2",
+                           "--zeta-range", "0:30:2", "--tau-tilde", bad])
+            for bad in ("nan", "inf"))]),
     pytest.param(["propagate", "--j0", "0", "--eta-to", "inf", "--zeta-to",
                   "25", "--ramp-duration", "0.1"],
                  "profile end must be finite, got inf", id="eta-to-inf"),

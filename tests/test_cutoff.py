@@ -13,18 +13,19 @@ from planar_pendulum import (
     SymmetryLabel,
     build_hamiltonian,
     crossing_scan,
+    make_grid,
     solve_spectrum,
     switch_off_populations,
     switch_on_coefficients,
     time_averaged_orientation,
 )
 from planar_pendulum.cli import main
+from planar_pendulum.elements import QUAD_GRID_POINTS
 from planar_pendulum.spectrum import (
     J_MAX_CAP,
     TAIL_ROWS,
     TAIL_TOL,
     _TIE_ULPS,
-    _sector_operators,
 )
 
 special = pytest.importorskip("scipy.special")
@@ -90,12 +91,23 @@ def test_auto_cutoff_meets_the_tail_bound(eta, zeta, n):
 
 
 @pytest.mark.parametrize("j_max", [8, 24, 64])
-def test_in_place_hamiltonian_equals_operator_sum(j_max):
+def test_hamiltonian_equals_grid_quadrature(j_max):
+    # <phi_i|H|phi_j> of the sector basis functions on a grid that
+    # integrates their products exactly, with J^2 applied by FFT; measured
+    # up to 3.6e-15 of max |H| (j_max 64, zeta 2e5), bound 1e-14
+    grid = make_grid(QUAD_GRID_POINTS)
+    j = np.arange(j_max + 1)
+    even = np.cos(np.outer(j, grid.theta)) / math.sqrt(math.pi)
+    even[0] /= math.sqrt(2.0)
+    odd = np.sin(np.outer(j[1:], grid.theta)) / math.sqrt(math.pi)
+    k2 = np.fft.fftfreq(grid.n_points, 1.0 / grid.n_points) ** 2
     for eta, zeta in ((-3.3, 7.1), (0.0, 0.0), (-35.0, 40.0), (0.0, 2e5)):
-        (k1, c1, q1), (k2, c2, q2) = _sector_operators(j_max)
-        h1, h2 = build_hamiltonian(InteractionParams(eta, zeta), j_max)
-        assert np.array_equal(h1, k1 - eta * c1 - zeta * q1)
-        assert np.array_equal(h2, k2 - eta * c2 - zeta * q2)
+        v = -eta * np.cos(grid.theta) - zeta * np.cos(grid.theta) ** 2
+        for h, f in zip(build_hamiltonian(InteractionParams(eta, zeta), j_max),
+                        (even, odd)):
+            hf = np.fft.ifft(k2 * np.fft.fft(f, axis=-1), axis=-1).real + v * f
+            quad = f @ hf.T * grid.dtheta
+            assert np.abs(quad - h).max() <= 1e-14 * np.abs(h).max()
 
 
 def test_doublet_at_the_state_cut_keeps_its_even_member():

@@ -182,6 +182,17 @@ def test_time_average_matches_series_mean():
     assert closed == pytest.approx(ref, abs=1e-6)
 
 
+@pytest.mark.parametrize("tau_tilde", [math.nan, math.inf, 0.0, -1.0])
+def test_time_average_refuses_a_bad_window(tau_tilde):
+    spec = solve_spectrum(InteractionParams(-9.0, 25.0), 8)
+    coeffs = switch_on_coefficients(spec, 1)
+    message = f"tau_tilde must be finite and > 0, got {tau_tilde}"
+    with pytest.raises(ValueError, match=message):
+        time_averaged_orientation(spec, coeffs, tau_tilde)
+    with pytest.raises(ValueError, match=message):
+        topology_map((0.0, 30.0), (-30.0, 0.0), 1, tau_tilde, (16, 16))
+
+
 def test_topology_map_overlays():
     tm = topology_map((5.0, 40.0), (-35.0, 0.0), 1, 4.0 * math.pi, (16, 16),
                       n_states=8, j_max=32)

@@ -20,10 +20,10 @@ from planar_pendulum import (
     kinetic_identity_residual,
     make_grid,
     modified_bessel_i,
+    quadrature_element_matrix,
     reconstruct_ansatz,
     sector_element_matrix,
     solve_spectrum,
-    transition_element,
 )
 
 
@@ -86,19 +86,16 @@ def test_ansatz_norm_integral_vs_quadrature():
 
 def test_selection_rules_exact():
     # both operators are even under theta -> -theta: cross-symmetry
-    # elements vanish, same-symmetry elements generally do not
+    # elements vanish, same-symmetry elements generally do not; the
+    # quadrature integrates every pair, cross-symmetry ones included
     spec = solve_spectrum(InteractionParams(-10.0, 25.0), 9)
-    seen_nonzero = 0.0
-    for n in range(9):
-        for m in range(n, 9):
-            cos_el = transition_element(spec, n, m, "cos").value
-            cos2_el = transition_element(spec, n, m, "cos2").value
-            if spec.labels[n] is spec.labels[m]:
-                seen_nonzero = max(seen_nonzero, abs(cos_el))
-            else:
-                assert abs(cos_el) < 1e-12
-                assert abs(cos2_el) < 1e-12
-    assert seen_nonzero > 0.1
+    odd = np.array([lab is SymmetryLabel.A2 for lab in spec.labels])
+    cross = odd[:, None] != odd[None, :]
+    assert cross.any() and (~cross).any()
+    for op in ("cos", "cos2"):
+        m = quadrature_element_matrix(spec, op)
+        assert np.abs(m[cross]).max() < 1e-12
+        assert np.abs(m[~cross]).max() > 0.1
 
 
 def test_sector_matrix_symmetric():
@@ -121,11 +118,12 @@ def test_analytic_elements_match_quadrature(kappa, zeta):
         raw = spec.wavefunction(n, grid).amplitudes.real
         rec = reconstruct_ansatz(ansatz[n], grid).amplitudes.real
         assert float(np.dot(raw, rec)) > 0
+    quad_cos = quadrature_element_matrix(spec, "cos")
+    quad_cos2 = quadrature_element_matrix(spec, "cos2")
     for a in range(kappa):
         for b in range(a, kappa):
             sym_pair = spec.labels[a] is spec.labels[b]
-            ref_cos = transition_element(spec, a, b, "cos").value
-            ref_cos2 = transition_element(spec, a, b, "cos2").value
+            ref_cos, ref_cos2 = quad_cos[a, b], quad_cos2[a, b]
             got_cos = analytic_cos_element(ansatz[a], ansatz[b])
             got_cos2 = analytic_cos2_element(ansatz[a], ansatz[b])
             assert got_cos == pytest.approx(ref_cos, abs=1e-10)

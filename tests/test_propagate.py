@@ -521,3 +521,21 @@ def test_hold_beyond_the_grid_band_exits_one(tmp_path, monkeypatch, capsys):
                  "--output", "p.csv"]) == 1
     assert "grid's band j_max=15" in capsys.readouterr().err
     assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("timing", [["--ramp-duration", "3.8212"],
+                                    ["--ramp-duration", "0.0628",
+                                     "--hold-duration", "3.7584"]])
+def test_the_last_snapshot_is_written_once_at_the_duration(tmp_path,
+                                                           monkeypatch,
+                                                           timing):
+    # nsteps * dtau_eff misses these durations by an ulp; the last step
+    # was recorded there and then again at the duration
+    monkeypatch.chdir(tmp_path)
+    assert main(["propagate", "--j0", "1", "--eta-to", "-10", "--zeta-to",
+                 "25", *timing, "--sample-stride", "500",
+                 "--output", "p.csv"]) == 0
+    taus = [float(line.split(",")[0]) for line in
+            (tmp_path / "p.csv").read_text().splitlines()[1:]]
+    assert all(a < b for a, b in zip(taus, taus[1:]))
+    assert taus[-1] == 3.8212

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from planar_pendulum import (
     InteractionParams,
+    PendularSpectrum,
     SymmetryLabel,
+    sector_element_matrix,
     solve_spectrum,
     solve_stacks,
     switch_on_coefficients,
@@ -17,7 +19,8 @@ from planar_pendulum import (
     topology_map,
 )
 from planar_pendulum.cli import main
-from planar_pendulum.spectrum import _chunk_size
+from planar_pendulum.elements import _element_stack
+from planar_pendulum.spectrum import _banded, _chunk_size, _sector_bands
 
 
 def assert_points_equal(points, n_states, j_max=None):
@@ -84,6 +87,48 @@ def test_chunks_split_a_long_scan():
     assert [len(s.index) for s in stacks[:-1]] == [
         _chunk_size(s.j_max) for s in stacks[:-1]]
     assert_points_equal(points, 9)
+
+
+def _dense_sector_products(coefficients, odd, operator):
+    # V O V^T over each sector's rows with that sector's own dense operator
+    j_max = coefficients.shape[-1] - 1
+    mat = np.zeros(odd.shape * 2)
+    for sector in (False, True):
+        _, q0, c1, q2 = _sector_bands(j_max, sector)
+        op = (_banded(np.zeros(len(q0)), c1, 0.0) if operator == "cos"
+              else _banded(q0, 0.0, q2))
+        rows = np.flatnonzero(odd == sector)
+        v = coefficients[rows, int(sector):]
+        mat[np.ix_(rows, rows)] = v @ op @ v.T
+    return mat
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), points=st.integers(1, 12),
+       n_states=st.integers(1, 20), j_max=st.integers(8, 48))
+def test_stacked_element_matrices_equal_each_points_own(seed, points, n_states,
+                                                        j_max):
+    # random unit states with a random A1/A2 pattern per point, odd rows in
+    # the padded layout (slot 0 zero)
+    rng = np.random.default_rng(seed)
+    odd = rng.random((points, n_states)) < 0.5
+    coeffs = rng.standard_normal((points, n_states, j_max + 1))
+    coeffs[..., 0][odd] = 0.0
+    coeffs /= np.linalg.norm(coeffs, axis=-1, keepdims=True)
+    for op in ("cos", "cos2"):
+        stacked = _element_stack(coeffs, odd, op)
+        for p in range(points):
+            spec = PendularSpectrum(
+                params=InteractionParams(0.0, 0.0),
+                energies=np.zeros(n_states), coefficients=coeffs[p],
+                labels=tuple(SymmetryLabel.A2 if o else SymmetryLabel.A1
+                             for o in odd[p]),
+                j_max=j_max, basis_tail=0.0, cut_gap=math.inf)
+            own = sector_element_matrix(spec, op)
+            assert np.array_equal(stacked[p], own)
+            dense = _dense_sector_products(coeffs[p], odd[p], op)
+            # measured up to 6.7e-16 over 3000 such stacks
+            assert np.abs(own - dense).max() <= 2e-15
 
 
 def test_map_values_equal_the_time_average_of_each_solve():

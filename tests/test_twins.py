@@ -7,13 +7,13 @@ from planar_pendulum import (
     InteractionParams,
     SymmetryLabel,
     make_grid,
+    quadrature_element_matrix,
     quadrature_switch_off_coefficients,
     quadrature_switch_on_coefficients,
     sector_element_matrix,
     solve_spectrum,
     switch_off_coefficients,
     switch_on_coefficients,
-    transition_element,
 )
 from planar_pendulum.spectrum import _ALIGN_FLOOR, _pi_probe_weights
 
@@ -45,8 +45,7 @@ def test_basis_routes_equal_grid_twins(eta, zeta):
     spec = solve_spectrum(InteractionParams(eta, zeta), N_STATES)
     for op in ("cos", "cos2"):
         exact = sector_element_matrix(spec, op)
-        twin = np.array([[transition_element(spec, a, b, op).value
-                          for b in range(N_STATES)] for a in range(N_STATES)])
+        twin = quadrature_element_matrix(spec, op)
         assert np.abs(exact - twin).max() < 1e-12
 
     for j0 in (0, 1, -1, 2, -2):
