@@ -62,8 +62,8 @@ from .dynamics import (
     topology_map,
 )
 from .propagate import DEFAULT_DTAU, Profile, PulseSchedule, Segment, propagate
-from .spectrum import (CROSSING_ETA_TOL, CROSSING_RESOLUTION, J_MAX_CAP,
-                       TAIL_TOL, crossing_scan, solve_spectrum, solve_stacks)
+from .spectrum import (CROSSING_RESOLUTION, J_MAX_CAP, TAIL_TOL,
+                       crossing_scan, solve_spectrum, solve_stacks)
 from .validation import run_all
 
 
@@ -396,8 +396,7 @@ def _run_crossings(args: argparse.Namespace, limits: _Limits):
     for zeta in zetas:
         records = crossing_scan(
             float(zeta), (float(window[0]), float(window[-1])),
-            tuple(args.pair), resolution=args.resolution, j_max=args.j_max,
-            eta_tol=args.eta_tol)
+            tuple(args.pair), resolution=args.resolution, j_max=args.j_max)
         limits.note(j_max=records.j_max, basis_tail=records.basis_tail,
                     tail_bound=records.tail_bound)
         limits.least(cut_gap=records.cut_gap)
@@ -628,10 +627,7 @@ OPTIONS: Dict[str, Dict[str, Dict]] = {
                   "pair": dict(type=int, nargs=2, metavar=("N", "M"),
                                help="adjacent state pair to track"),
                   "resolution": dict(type=int, default=CROSSING_RESOLUTION,
-                                     help="coarse scan points"),
-                  "eta-tol": dict(type=float, default=CROSSING_ETA_TOL,
-                                  help="avoided-crossing refinement "
-                                  "tolerance, > 0")},
+                                     help="coarse scan points")},
     "switch-off": {**_WRITER, **_FIELDS, **_SERIES,
                    "n0": dict(type=int, default=0, help="initial pendular state")},
     "switch-on": {**_WRITER, **_FIELDS, **_SERIES,

@@ -12,9 +12,9 @@ J = 1 diagonal folds over (cos**2: 3/4 in the even sector, 1/4 in the odd).
 The basis is cut at |J| <= j_max, and every solve checks the cut: the
 largest |c_J| of any returned state over the last TAIL_ROWS functions must
 be <= TAIL_TOL. solve_spectrum picks and grows its own cutoff unless one
-is given, which is refused instead of grown. crossing_scan takes its gaps
-from sector eigenvalues alone, covered by one bound on the tail of every
-state of its window (_tail_bound) in place of the per-solve check.
+is given, which is refused instead of grown. crossing_scan probes its
+window unguarded, covered by one bound on the tail of all its states
+(_tail_bound) in place of the per-solve check, grown or refused likewise.
 
 Many points are solved in stacked form (solve_stacks): the points that
 share a cutoff are stacked in chunks of at most _STACK_BYTES of sector
@@ -42,11 +42,7 @@ from .core import (
     make_grid,
 )
 
-# Gap below which a refined crossing counts as a genuine degeneracy.
-DEGENERACY_GAP_TOL = 1e-6
-
-CROSSING_RESOLUTION = 200   # crossing_scan: coarse eta points,
-CROSSING_ETA_TOL = 1e-9     # and the golden refinement's eta tolerance
+CROSSING_RESOLUTION = 200   # crossing_scan: coarse eta points
 
 TAIL_TOL = 1e-12    # largest |c_J| allowed over the last TAIL_ROWS basis
 TAIL_ROWS = 4       # functions of any returned state
@@ -440,9 +436,11 @@ def solve_stacks(params: Sequence[InteractionParams], n_states: int,
             if not good.all():
                 bad = int(np.argmin(good))
                 if fixed or cutoff >= J_MAX_CAP:
-                    raise _tail_error(stack.params[bad],
-                                      float(stack.basis_tail[bad]), cutoff,
-                                      n_states, fixed)
+                    p = stack.params[bad]
+                    raise _tail_error(
+                        "basis tail", float(stack.basis_tail[bad]), TAIL_TOL,
+                        cutoff, f"eta={p.eta}, zeta={p.zeta}, {n_states} "
+                        "states", fixed)
                 grown = min(J_MAX_CAP, _round_up8(1.25 * cutoff))
                 groups.setdefault(grown, []).extend(stack.index[~good].tolist())
                 stack = stack._take(good)
@@ -450,11 +448,10 @@ def solve_stacks(params: Sequence[InteractionParams], n_states: int,
                 yield stack
 
 
-def _tail_error(params: InteractionParams, tail: float, j_max: int,
-                n_states: int, fixed: bool) -> ValueError:
+def _tail_error(what: str, tail: float, tol: float, j_max: int, where: str,
+                fixed: bool) -> ValueError:
     return ValueError(
-        f"basis tail {tail:.1e} > {TAIL_TOL:.0e} at j_max={j_max} "
-        f"(eta={params.eta}, zeta={params.zeta}, {n_states} states): "
+        f"{what} {tail:.1e} > {tol:.0e} at j_max={j_max} ({where}): "
         + ("raise j_max or leave it to the automatic cutoff" if fixed
            else f"the cutoff cap {J_MAX_CAP} is too small"))
 
@@ -502,8 +499,8 @@ class CrossingRecord:
 class CrossingScan(List[CrossingRecord]):
     """crossing_scan's records in eta order, with the window's numerical
     limits: its cutoff j_max, the basis_tail of its end-point solve,
-    tail_bound, the _tail_bound certificate of its eigenvalue-only gaps,
-    and cut_gap, the smallest state-cut gap of its coarse scan and its
+    tail_bound, the _tail_bound certificate of its unguarded probes, and
+    cut_gap, the smallest state-cut gap of its coarse scan and its
     solves."""
 
     def __init__(self, records: Sequence[CrossingRecord], j_max: int,
@@ -515,146 +512,146 @@ class CrossingScan(List[CrossingRecord]):
         self.cut_gap = cut_gap
 
 
-def _pair_gap(energies: np.ndarray, pair: Tuple[int, int]) -> float:
-    return float(energies[pair[1]] - energies[pair[0]])
-
-
-def _gap(eta: float, zeta: float, pair: Tuple[int, int], j_max: int,
-         certified: bool) -> Tuple[np.ndarray, np.ndarray, float]:
-    """One gap evaluation of crossing_scan: the energies, odd flags and
-    cut gap of the lowest pair[1] + 1 states at eta. A certified window
-    takes them from the sector eigenvalues and the state cut of _merge,
-    with no eigenvectors and so no tail check (see _tail_bound); any other
-    window from the guarded solve_spectrum."""
-    params, count = InteractionParams(eta, zeta), pair[1] + 1
-    if not certified:
-        sp = solve_spectrum(params, count, j_max)
-        return sp.energies, _odd_mask(sp.labels), sp.cut_gap
-    energies, odd, cut_gap = _levels(np.array([eta]), np.array([zeta]),
-                                     count, j_max)
-    return energies[0], odd[0], float(cut_gap[0])
-
-
-def _sector_difference(levels: Tuple[np.ndarray, np.ndarray],
+def _sector_difference(energies: np.ndarray, odd: np.ndarray,
                        ranks: Tuple[int, int]) -> float:
     """Even level ranks[0] minus odd level ranks[1]; nan if either is not
     among the kept states."""
-    energies, odd = levels[:2]
     even_levels, odd_levels = energies[~odd], energies[odd]
     if ranks[0] < len(even_levels) and ranks[1] < len(odd_levels):
         return float(even_levels[ranks[0]] - odd_levels[ranks[1]])
     return math.nan
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+def _sector_gap(eta: float, zeta: float, count: int, j_max: int,
+                ranks: Tuple[int, int]) -> float:
+    """One genuine-crossing probe: _sector_difference at eta, from the
+    sector eigenvalues of _levels alone."""
+    energies, odd, _ = _levels(np.array([eta]), np.array([zeta]), count, j_max)
+    return _sector_difference(energies[0], odd[0], ranks)
 
 
-def _golden_min(f, lo: float, hi: float, tol: float) -> float:
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    width = math.inf        # the bracket stops shrinking at the float spacing
-    while tol < b - a < width:
-        width = b - a
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def _pair_slope(eta: float, zeta: float, pair: Tuple[int, int],
+                j_max: int) -> float:
+    """One avoided-crossing probe: the gap slope d(E_{n+1} - E_n)/d(eta)
+    = <n|cos|n> - <n+1|cos|n+1> at eta (Hellmann-Feynman), the diagonal
+    of the cos band product of elements._element_stack over the padded
+    coefficients of one _solve_chunk; unguarded (see _tail_bound)."""
+    stack = _solve_chunk((InteractionParams(eta, zeta),), np.arange(1),
+                         pair[1] + 1, j_max)
+    v = stack.coefficients[0, list(pair)]
+    c1 = _sector_bands(j_max, False)[2]
+    cos = 2.0 * np.einsum("sj,j,sj->s", v[:, :-1], c1, v[:, 1:])
+    return float(cos[0] - cos[1])
 
 
-def _bisect(f, a: float, b: float, fa: float, fb: float) -> float:
-    """A sign change of f on [a, b] narrowed to adjacent floats; returns
-    the end where |f| is smaller."""
+def _root(f, a: float, b: float, fa: float, fb: float) -> float:
+    """A sign change of f on [a, b] narrowed to adjacent floats by false
+    position with Illinois halving; returns the end where |f| is smaller,
+    or a point where f is 0. A false-position point that rounds onto an
+    end (f there is at its rounding floor) steps one float inside it, and
+    the next one that does takes the midpoint."""
+    ga, gb, side, nudged = fa, fb, 0, False     # ga, gb: Illinois-halved
     while a < 0.5 * (a + b) < b:
-        c = 0.5 * (a + b)
+        c = a + (b - a) * ga / (ga - gb)
+        if a < c < b:
+            nudged = False
+        elif nudged:
+            c, nudged = 0.5 * (a + b), False
+        else:
+            c, nudged = (math.nextafter(a, b) if c <= a
+                         else math.nextafter(b, a)), True
         fc = f(c)
         if fc == 0.0:
             return c
         if (fc < 0.0) == (fa < 0.0):
-            a, fa = c, fc
+            a, fa, ga = c, fc, fc
+            gb *= 0.5 if side > 0 else 1.0      # a moved twice in a row
+            side = 1
         else:
-            b, fb = c, fc
+            b, fb, gb = c, fc, fc
+            ga *= 0.5 if side < 0 else 1.0
+            side = -1
     return a if abs(fa) <= abs(fb) else b
 
 
 def crossing_scan(zeta: float, eta_range: Tuple[float, float],
                   pair: Tuple[int, int], resolution: int = CROSSING_RESOLUTION,
-                  j_max: Optional[int] = None,
-                  eta_tol: float = CROSSING_ETA_TOL) -> CrossingScan:
+                  j_max: Optional[int] = None) -> CrossingScan:
     """Locate gap minima of the pair over an eta window.
 
     One basis serves the window: with j_max None, the cutoff solve_spectrum
     settles on at the window's largest |eta| (that end point is solved
     first, guarded). The coarse scan (stacked, _chunk_size points per
-    eigvalsh call) and the refinements then take sector eigenvalues alone
-    (eigvalsh, then the state cut of _merge), once the window is
-    certified: with lam the largest kept energy of the coarse scan plus
-    one coarse step (every level is 1-Lipschitz in eta, so lam
-    covers the points between), _tail_bound at the window's largest |eta|
-    must be <= TAIL_TOL/2. Otherwise every gap is taken again with the
-    guarded solve_spectrum, as is the refined point of every record.
+    eigvalsh call) and the refinement probes are unguarded; instead, with
+    lam the largest kept energy of the coarse scan plus one coarse step
+    (levels are 1-Lipschitz in eta, so lam covers the points between),
+    _tail_bound at the window's largest |eta| must be <= TAIL_TOL/2, or
+    the cutoff grows as in solve_stacks and the window is scanned again
+    (a given j_max, or J_MAX_CAP, raises ValueError). Records are guarded.
 
-    Each interior coarse minimum is refined inside its two neighbours.
-    Where the pair lies in opposite sectors there and the signed
-    difference of those two sector levels (by their rank inside each
-    sector) changes sign across the bracket, the difference is bisected
-    to the float spacing: a genuine crossing. Otherwise golden-section
-    search on the gap, to eta_tol, gives an avoided one. An empty result
-    means no interior minimum, not an error.
+    Each interior coarse minimum is refined inside its two neighbours by
+    one root finder (_root). Where the pair lies in opposite sectors and
+    the signed difference of those two sector levels (by their rank inside
+    each sector) changes sign across the bracket, its root is a genuine
+    crossing; otherwise the root of the Hellmann-Feynman gap slope
+    (_pair_slope) is an avoided one, and a slope that does not rise
+    through 0 raises RuntimeError. No interior minimum gives no records.
     """
-    if pair[1] != pair[0] + 1:
-        raise ValueError("pair must be adjacent states (n, n+1)")
+    if pair[0] < 0 or pair[1] != pair[0] + 1:
+        raise ValueError(f"pair must be adjacent states (n, n+1) with n >= 0, "
+                         f"got {tuple(pair)}")
     lo, hi = min(eta_range), max(eta_range)
     if resolution < 8:
         raise ValueError("resolution too small")
-    if not eta_tol > 0:
-        raise ValueError(f"eta_tol must be > 0, got {eta_tol}")
     etas = np.linspace(lo, hi, resolution)
     far = etas[-1] if abs(hi) > abs(lo) else etas[0]
     count = pair[1] + 1
-    end = solve_spectrum(InteractionParams(far, zeta), count, j_max)
-    j_max = end.j_max
-    levels = []
-    for start in range(0, resolution, _chunk_size(j_max)):
-        chunk = etas[start:start + _chunk_size(j_max)]
-        levels += zip(*_levels(chunk, np.full(len(chunk), zeta), count, j_max))
-    lam = max(float(e.max()) for e, _, _ in levels) + (hi - lo) / (resolution - 1)
-    tail_bound = _tail_bound(max(abs(lo), abs(hi)), zeta, lam, j_max)
-    certified = tail_bound <= 0.5 * TAIL_TOL
-    if not certified:
-        levels = [_gap(eta, zeta, pair, j_max, False) for eta in etas]
-    cut_gap = min(end.cut_gap, *(float(g) for _, _, g in levels))
-
-    def gap(eta: float) -> float:
-        return _pair_gap(_gap(eta, zeta, pair, j_max, certified)[0], pair)
-
-    gaps = [_pair_gap(e, pair) for e, _, _ in levels]
+    cutoff = j_max
+    while True:
+        end = solve_spectrum(InteractionParams(far, zeta), count, cutoff)
+        cutoff = end.j_max
+        size = _chunk_size(cutoff)
+        energies, odd, cuts = map(np.concatenate, zip(*(
+            _levels(etas[i:i + size], np.full_like(etas[i:i + size], zeta),
+                    count, cutoff) for i in range(0, resolution, size))))
+        lam = float(energies.max()) + (hi - lo) / (resolution - 1)
+        tail_bound = _tail_bound(max(abs(lo), abs(hi)), zeta, lam, cutoff)
+        if tail_bound <= 0.5 * TAIL_TOL:
+            break
+        if j_max is not None or cutoff >= J_MAX_CAP:
+            raise _tail_error("window tail bound", tail_bound, 0.5 * TAIL_TOL,
+                              cutoff, f"zeta={zeta}, eta in [{lo}, {hi}], "
+                              f"{count} states", j_max is not None)
+        cutoff = min(J_MAX_CAP, _round_up8(1.25 * cutoff))
+    cut_gap = min(end.cut_gap, float(cuts.min()))
+    gaps = energies[:, pair[1]] - energies[:, pair[0]]
     records = []
     for k in range(1, resolution - 1):
         if not (gaps[k] < gaps[k - 1] and gaps[k] <= gaps[k + 1]):
             continue
-        odd = levels[k][1]          # the pair is the top two kept states
-        ranks = (int(np.sum(~odd)) - 1, int(np.sum(odd)) - 1)
-        fa, fb = (_sector_difference(levels[i], ranks) for i in (k - 1, k + 1))
-        genuine = odd[pair[0]] != odd[pair[1]] and fa * fb <= 0.0
+        # the pair is the top two kept states
+        ranks = (int(np.sum(~odd[k])) - 1, int(np.sum(odd[k])) - 1)
+        a, b = etas[k - 1], etas[k + 1]
+        fa, fb = (_sector_difference(energies[i], odd[i], ranks)
+                  for i in (k - 1, k + 1))
+        genuine = odd[k, pair[0]] != odd[k, pair[1]] and fa * fb <= 0.0
         if genuine:
-            eta_c = _bisect(lambda e: _sector_difference(
-                _gap(e, zeta, pair, j_max, certified), ranks),
-                etas[k - 1], etas[k + 1], fa, fb)
+            probe = lambda e: _sector_gap(e, zeta, count, cutoff, ranks)
         else:
-            eta_c = _golden_min(gap, etas[k - 1], etas[k + 1], eta_tol)
-        sp = solve_spectrum(InteractionParams(eta_c, zeta), count, j_max)
+            probe = lambda e: _pair_slope(e, zeta, pair, cutoff)
+            fa, fb = probe(a), probe(b)
+            if not fa <= 0.0 <= fb:
+                raise RuntimeError(
+                    f"gap slope of pair {tuple(pair)} does not rise through 0 "
+                    f"on [{a}, {b}] (zeta={zeta}): {fa:.3e}, {fb:.3e}")
+        eta_c = _root(probe, a, b, fa, fb)
+        sp = solve_spectrum(InteractionParams(eta_c, zeta), count, cutoff)
         cut_gap = min(cut_gap, sp.cut_gap)
         records.append(CrossingRecord(
             state_pair=pair, eta_at_crossing=eta_c, zeta=zeta,
             kappa=int(round(abs(eta_c) / math.sqrt(zeta))),
             kind="genuine" if genuine else "avoided",
-            min_gap=abs(_pair_gap(sp.energies, pair)), j_max=j_max,
+            min_gap=float(abs(sp.energies[pair[1]] - sp.energies[pair[0]])),
+            j_max=cutoff,
             basis_tail=sp.basis_tail))
-    return CrossingScan(records, j_max, end.basis_tail, tail_bound, cut_gap)
+    return CrossingScan(records, cutoff, end.basis_tail, tail_bound, cut_gap)

@@ -147,6 +147,24 @@ def test_config_unknown_key_is_line_referenced(tmp_path, monkeypatch, capsys):
     assert "ewa" in err
 
 
+def test_crossings_take_no_eta_tol(tmp_path, monkeypatch, capsys):
+    # both kinds of crossing are roots placed at the float spacing of eta:
+    # there is no refinement tolerance, as a flag or as a config key
+    monkeypatch.chdir(tmp_path)
+    argv = ["crossings", "--zeta", "16", "--eta-range", "-10:-6:0.1",
+            "--pair", "2", "3", "--resolution", "41"]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--eta-tol", "1e-9"])
+    assert exit_.value.code == 2
+    assert "--eta-tol" in capsys.readouterr().err
+    cfg = tmp_path / "tol.json"
+    cfg.write_text('{\n  "zeta": 16,\n  "eta-tol": 1e-9\n}\n')
+    assert main(argv + ["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "tol.json:3" in err and "eta-tol" in err
+    assert not (tmp_path / "crossings.csv").exists()
+
+
 def test_config_value_error_is_line_referenced(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "bad.json"

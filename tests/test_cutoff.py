@@ -129,18 +129,23 @@ def test_crossings_refuse_a_short_cutoff(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "crossings.csv").exists()
 
 
-def test_a_tight_cutoff_misses_the_window_certificate():
+def test_a_tight_cutoff_misses_the_window_certificate(tmp_path, monkeypatch,
+                                                     capsys):
     # at j_max = 24 the end point passes its tail check (1.1e-13) but the
-    # window bound does not reach TAIL_TOL/2, so every gap is a guarded
-    # solve; the record still matches the automatic cutoff's
-    tight = crossing_scan(16.0, (-10.0, -6.0), (2, 3), resolution=41,
-                          j_max=24)
-    auto = crossing_scan(16.0, (-10.0, -6.0), (2, 3), resolution=41)
-    assert tight.basis_tail <= TAIL_TOL < 2.0 * tight.tail_bound
-    assert auto.tail_bound <= 0.5 * TAIL_TOL
-    assert [r.kind for r in tight] == [r.kind for r in auto] == ["avoided"]
-    assert abs(tight[0].min_gap - auto[0].min_gap) <= 1e-12
-    assert abs(tight[0].eta_at_crossing - auto[0].eta_at_crossing) <= 1e-7
+    # window bound does not reach TAIL_TOL/2: a given cutoff is refused,
+    # not grown, as a single point's is
+    with pytest.raises(ValueError, match="window tail bound .* at j_max=24"):
+        crossing_scan(16.0, (-10.0, -6.0), (2, 3), resolution=41, j_max=24)
+    assert solve_spectrum(InteractionParams(-10.0, 16.0), 4,
+                          24).basis_tail <= TAIL_TOL
+    assert crossing_scan(16.0, (-10.0, -6.0), (2, 3),
+                         resolution=41).tail_bound <= 0.5 * TAIL_TOL
+    monkeypatch.chdir(tmp_path)
+    assert main(["crossings", "--zeta", "16", "--eta-range", "-10:-6:0.1",
+                 "--pair", "2", "3", "--resolution", "41",
+                 "--j-max", "24"]) == 1
+    assert "window tail bound" in capsys.readouterr().err
+    assert not (tmp_path / "crossings.csv").exists()
 
 
 def test_crossing_window_shares_one_cutoff():

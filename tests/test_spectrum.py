@@ -1,5 +1,6 @@
 """Eigenproblem tests: frozen spectra, algebraic levels, crossing scans."""
 
+import itertools
 import math
 
 import numpy as np
@@ -32,6 +33,11 @@ STRONG_FIELD_ENERGIES = [
     5.91781369435089,
 ]
 STRONG_FIELD_LABELS = ["A1", "A2", "A1", "A1", "A2", "A2", "A1", "A1", "A2"]
+
+# The (2, 3) avoided minimum at zeta = 16, the root of the gap slope; the
+# full-basis root of test_avoided_crossing_is_the_root_of_the_gap_slope
+# is the same float.
+AVOIDED_ETA_16 = -8.003474405441109
 
 
 def test_free_rotor_levels():
@@ -75,7 +81,7 @@ def test_genuine_crossing_unit_index():
 def test_avoided_crossing_frozen_gaps():
     r16 = crossing_scan(16.0, (-10.0, -6.0), (2, 3), resolution=41)[0]
     assert r16.kind == "avoided"
-    assert r16.eta_at_crossing == pytest.approx(-8.00347439924505, abs=1e-6)
+    assert r16.eta_at_crossing == pytest.approx(AVOIDED_ETA_16, abs=1e-12)
     assert r16.min_gap == pytest.approx(0.32255524090619225, abs=1e-9)
 
     r25 = crossing_scan(25.0, (-12.0, -8.0), (2, 3), resolution=41)[0]
@@ -86,37 +92,130 @@ def test_avoided_crossing_frozen_gaps():
     assert r36.min_gap == pytest.approx(0.02032028522071272, abs=1e-9)
 
 
+@pytest.mark.parametrize("pair", [(1, 3), (2, 2), (-1, 0)])
+def test_crossing_scan_refuses_a_bad_pair(pair):
+    # (-1, 0) is adjacent, but has no state -1: refused, not an empty scan
+    with pytest.raises(ValueError, match="adjacent states"):
+        crossing_scan(16.0, (-10.0, -6.0), pair, resolution=41)
+
+
 @pytest.fixture
-def counted_gaps(monkeypatch):
-    """Count gap evaluations and raise past a bound, so that a refinement
-    which never ends fails instead of hanging (a normal scan needs ~250)."""
+def counted_probes(monkeypatch):
+    """Record every refinement probe as (eta, value), and raise past a
+    bound, so that a refinement which never ends fails instead of hanging
+    (a window needs at most 30)."""
     calls = []
-    gap = spectrum_module._gap
 
-    def bounded(*args):
-        calls.append(args)
-        if len(calls) > 2000:
-            raise RuntimeError("gap evaluated more than 2000 times")
-        return gap(*args)
+    def bounded(probe):
+        def wrapper(eta, *args):
+            if len(calls) >= 2000:
+                raise RuntimeError("probed more than 2000 times")
+            calls.append((eta, probe(eta, *args)))
+            return calls[-1][1]
+        return wrapper
 
-    monkeypatch.setattr(spectrum_module, "_gap", bounded)
+    for name in ("_pair_slope", "_sector_gap"):
+        monkeypatch.setattr(spectrum_module, name,
+                            bounded(getattr(spectrum_module, name)))
     return calls
 
 
 @pytest.mark.parametrize("eta_tol", [0.0, -1e-9, float("nan")])
-def test_crossing_scan_rejects_non_positive_tolerance(counted_gaps, eta_tol):
-    with pytest.raises(ValueError, match="eta_tol"):
+def test_crossing_scan_rejects_non_positive_tolerance(counted_probes,
+                                                      eta_tol):
+    # the roots are placed at the float spacing of eta, so the scan takes
+    # no tolerance at all: any value is refused before a probe is made
+    with pytest.raises(TypeError, match="eta_tol"):
         crossing_scan(16.0, (-10.0, -6.0), (2, 3), resolution=41,
                       eta_tol=eta_tol)
+    assert counted_probes == []
 
 
-def test_crossing_refinement_ends_at_float_spacing(counted_gaps):
-    # 1e-15 is below the float spacing of eta near -8 (1.8e-15): the
-    # bracket stops shrinking before it reaches the tolerance
-    r = crossing_scan(16.0, (-10.0, -6.0), (2, 3), resolution=41,
-                      eta_tol=1e-15)[0]
-    assert r.eta_at_crossing == pytest.approx(-8.00347439924505, abs=1e-6)
-    assert len(counted_gaps) < 300
+# (zeta, window, pair): genuine (odd kappa), avoided (even kappa) and a
+# window with no interior minimum
+CROSSING_WINDOWS = [(25.0, (-7.0, -3.0), (1, 2)),
+                    (25.0, (-12.0, -8.0), (2, 3)),
+                    (36.0, (-20.0, -16.0), (3, 4)),
+                    (16.0, (-10.0, -6.0), (1, 2))]
+
+
+def test_crossing_refinement_ends_at_float_spacing(counted_probes):
+    """The root finder stops at a probe whose float neighbour on one side
+    was probed with the opposite sign (or at a zero), within 30 probes
+    per window; 200 points is the README window's default."""
+    windows = CROSSING_WINDOWS + [(16.0, (-10.0, -6.0), (2, 3))]
+    for (z, w, p), resolution in itertools.product(windows, (41, 200)):
+        del counted_probes[:]
+        scan = crossing_scan(z, w, p, resolution=resolution)
+        assert len(counted_probes) <= 30
+        if not scan:
+            continue
+        eta_c = scan[0].eta_at_crossing
+        probed = dict(counted_probes)
+        sign = np.sign(probed[eta_c])
+        assert sign == 0.0 or any(
+            np.sign(probed.get(np.nextafter(eta_c, side), 0.0)) == -sign
+            for side in (-np.inf, np.inf))
+
+
+def _full_basis_gap_slope(eta: float, zeta: float, n: int,
+                          m_max: int = 64) -> float:
+    """d(E_{n+1} - E_n)/d(eta) = <n|cos|n> - <n+1|cos|n+1> from numpy eigh
+    in the full basis exp(i*m*theta), m = -m_max..m_max (as in
+    test_acceptance._full_basis_slowest_beat): independent of the
+    parity-split bands; cos couples m and m + 1 with 1/2."""
+    m = np.arange(-m_max, m_max + 1)
+    h = np.diag(m ** 2 - zeta / 2.0)
+    for k, w in ((1, -eta / 2.0), (2, -zeta / 4.0)):
+        h += w * (np.eye(len(m), k=k) + np.eye(len(m), k=-k))
+    vecs = np.linalg.eigh(h)[1]
+    cos = np.einsum("mn,mn->n", vecs[:-1], vecs[1:])
+    return float(cos[n] - cos[n + 1])
+
+
+def _bisect_root(f, a: float, b: float) -> float:
+    fa = f(a)
+    while a < 0.5 * (a + b) < b:
+        c = 0.5 * (a + b)
+        fc = f(c)
+        if (fc < 0.0) == (fa < 0.0):
+            a, fa = c, fc
+        else:
+            b = c
+    return a
+
+
+AVOIDED_WINDOWS = [(16.0, (-10.0, -6.0)), (25.0, (-12.0, -8.0)),
+                   (36.0, (-14.0, -10.0))]
+
+
+@pytest.mark.parametrize("zeta,window", AVOIDED_WINDOWS)
+def test_avoided_crossing_is_the_root_of_the_gap_slope(zeta, window):
+    """eta_c of an avoided minimum is the root of the Hellmann-Feynman
+    gap slope of a full-basis solve, to 1e-12, and the same to
+    1e-14*|eta_c| whatever the coarse scan and the cutoff."""
+    scan = crossing_scan(zeta, window, (2, 3), resolution=41)
+    assert [r.kind for r in scan] == ["avoided"]
+    eta_c = scan[0].eta_at_crossing
+    oracle = _bisect_root(lambda e: _full_basis_gap_slope(e, zeta, 2),
+                          eta_c - 0.05, eta_c + 0.05)
+    assert abs(eta_c - oracle) <= 1e-12
+    for resolution in (41, 200, 333):
+        for j_max in (None, scan.j_max + 16):
+            again = crossing_scan(zeta, window, (2, 3), resolution=resolution,
+                                  j_max=j_max)
+            assert abs(again[0].eta_at_crossing - eta_c) \
+                <= 1e-14 * abs(eta_c)
+    # off the minimum, the slope is the derivative of the eigenvalue gap
+    h = 1e-5
+
+    def gap(eta):
+        e = solve_spectrum(InteractionParams(eta, zeta), 4, scan.j_max).energies
+        return e[3] - e[2]
+
+    for eta in (eta_c - 0.7, eta_c - 0.3, eta_c + 0.4):
+        slope = spectrum_module._pair_slope(eta, zeta, (2, 3), scan.j_max)
+        assert abs(slope - (gap(eta + h) - gap(eta - h)) / (2 * h)) <= 1e-8
 
 
 @pytest.mark.parametrize("kappa,pair", [(1, (1, 2)), (3, (3, 4))])
@@ -146,49 +245,45 @@ def test_tail_bound_covers_the_measured_tail(eta, zeta, n_states, offset):
     assert bound + 1e-14 >= sp.basis_tail
 
 
-# (zeta, window, pair): genuine (odd kappa), avoided (even kappa) and a
-# window with no interior minimum
-CROSSING_WINDOWS = [(25.0, (-7.0, -3.0), (1, 2)),
-                    (25.0, (-12.0, -8.0), (2, 3)),
-                    (36.0, (-20.0, -16.0), (3, 4)),
-                    (16.0, (-10.0, -6.0), (1, 2))]
-
-
-def test_uncertified_window_falls_back_to_guarded_solves(monkeypatch):
+def test_uncertified_window_grows_its_cutoff(monkeypatch):
     certified = [crossing_scan(z, w, p, resolution=41)
                  for z, w, p in CROSSING_WINDOWS]
     assert all(scan.tail_bound <= 0.5 * TAIL_TOL for scan in certified)
-    monkeypatch.setattr(spectrum_module, "_tail_bound",
-                        lambda *args: math.inf)
-    solves = []
-    solve = spectrum_module.solve_spectrum
-    monkeypatch.setattr(spectrum_module, "solve_spectrum",
-                        lambda *args: solves.append(args) or solve(*args))
+    bound = spectrum_module._tail_bound
     for (z, w, p), want in zip(CROSSING_WINDOWS, certified):
-        del solves[:]
+        # certified only from the first grown cutoff on
+        grown = 8 * math.ceil(1.25 * want.j_max / 8)
+        monkeypatch.setattr(
+            spectrum_module, "_tail_bound",
+            lambda eta, zeta, lam, j_max: (bound(eta, zeta, lam, j_max)
+                                           if j_max >= grown else math.inf))
         got = crossing_scan(z, w, p, resolution=41)
-        assert len(solves) > 41 + 2 * len(got)     # every gap was guarded
-        assert len(got) == len(want)
+        assert got.j_max == grown > want.j_max
+        assert got.tail_bound <= 0.5 * TAIL_TOL
+        assert [r.j_max for r in got] == [grown] * len(got)
+        assert [r.kind for r in got] == [r.kind for r in want]
         for g, r in zip(got, want):
-            assert g.kind == r.kind
-            # an avoided minimum is flat: golden search on gaps rounded
-            # at ~1e-14 places it only to ~sqrt(1e-14) = 1e-7
-            tol = 1e-9 if r.kind == "genuine" else 1e-7
-            assert abs(g.eta_at_crossing - r.eta_at_crossing) <= tol
+            assert abs(g.eta_at_crossing - r.eta_at_crossing) \
+                <= 1e-14 * abs(r.eta_at_crossing)
             assert abs(g.min_gap - r.min_gap) <= 1e-12
 
 
-def test_certified_window_solves_eigenvectors_once_per_record(monkeypatch):
+def test_certified_window_solves_eigenvectors_once_per_record(monkeypatch,
+                                                             counted_probes):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda h: calls.append(h.shape) or eigh(h))
     for z, w, p in CROSSING_WINDOWS:
-        del calls[:]
+        del calls[:], counted_probes[:]
         scan = crossing_scan(z, w, p, resolution=41)
         assert scan.tail_bound <= 0.5 * TAIL_TOL
-        # two sectors per solve: the end point, then one per record
-        assert len(calls) == 2 * (1 + len(scan))
+        # two sectors per solve: the end point, then one per record, and
+        # one per gap-slope probe of an avoided minimum; genuine crossings
+        # are probed on eigenvalues alone
+        slopes = len(counted_probes) if any(
+            r.kind == "avoided" for r in scan) else 0
+        assert len(calls) == 2 * (1 + len(scan) + slopes)
 
 
 def test_sector_bookkeeping():
