@@ -16,8 +16,10 @@ propagate's 'schedule' is the one key without a flag.
 
 The manifest also carries 'diagnostics' for every command that solves a
 spectrum: the largest basis cutoff used and basis tail seen, the smallest
-cut gap (lowest dropped level minus highest kept one), for switch-on and
-topology-map the largest population deficit, and for crossings the
+cut gap (lowest dropped level minus highest kept one), the number of
+points whose automatic cutoff missed its first guess and was grown
+(cutoff_misses; not for crossings), for switch-on and topology-map the
+largest population deficit, and for crossings the
 largest window tail bound (noted for every window, with or without a
 crossing). propagate records the largest snapshot norm drift and grid
 tail, and with a hold the largest hold cutoff and tail certificate.
@@ -174,7 +176,8 @@ def _sha256(path: str) -> str:
 
 class _Limits:
     """How close one run's solves came to their numerical limits: the
-    largest cutoff and basis tail, the smallest cut gap, for switch-on
+    largest cutoff and basis tail, the smallest cut gap, the number of
+    points solved again at a grown cutoff (cutoff_misses), for switch-on
     populations the largest deficit 1 - sum_n |C_n|^2, for crossing
     windows the largest tail bound, and for propagate the largest norm
     drift, grid tail, hold cutoff and hold tail bound. Deterministic, so the
@@ -191,10 +194,15 @@ class _Limits:
         for key, value in values.items():
             self.values[key] = min(self.values.get(key, value), value)
 
+    def count(self, **values) -> None:
+        for key, value in values.items():
+            self.values[key] = self.values.get(key, 0) + value
+
     def solved(self, spec) -> None:
         """Note a PendularSpectrum, or a SpectrumStack's points."""
         self.note(j_max=spec.j_max, basis_tail=float(np.max(spec.basis_tail)))
         self.least(cut_gap=float(np.min(spec.cut_gap)))
+        self.count(cutoff_misses=int(np.count_nonzero(spec.grown)))
 
 
 def _write_manifest(primary: str, args: argparse.Namespace,
@@ -554,6 +562,7 @@ def _run_topology_map(args: argparse.Namespace, limits: _Limits):
     limits.note(j_max=tmap.j_max, basis_tail=tmap.basis_tail,
                 population_deficit=tmap.population_deficit)
     limits.least(cut_gap=tmap.cut_gap)
+    limits.count(cutoff_misses=tmap.cutoff_misses)
     rows = []
     for i, eta in enumerate(tmap.eta_values):
         for k, zeta in enumerate(tmap.zeta_values):

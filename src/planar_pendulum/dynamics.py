@@ -394,11 +394,13 @@ class TopologyMap:
     kappa_loci: Dict[int, np.ndarray] = field(default_factory=dict)
     well_boundary: Optional[np.ndarray] = None
     # over all points: the largest cutoff, basis tail and population
-    # deficit 1 - sum_n |C_n|^2 of the solved states, the smallest cut gap
+    # deficit 1 - sum_n |C_n|^2 of the solved states, the smallest cut gap,
+    # and how many points were solved again at a grown cutoff
     j_max: int = 0
     basis_tail: float = 0.0
     population_deficit: float = 0.0
     cut_gap: float = math.inf
+    cutoff_misses: int = 0
 
 
 def topology_map(zeta_range: Tuple[float, float], eta_range: Tuple[float, float],
@@ -426,7 +428,7 @@ def topology_map(zeta_range: Tuple[float, float], eta_range: Tuple[float, float]
     points = [InteractionParams(float(eta), float(zeta))
               for eta in eta_values for zeta in zeta_values]
     values = np.empty(len(points))
-    cutoff, tail, deficit, cut_gap = 0, 0.0, 0.0, math.inf
+    cutoff, tail, deficit, cut_gap, misses = 0, 0.0, 0.0, math.inf, 0
     for stack in solve_stacks(points, n_states, j_max):
         c = _switch_on_column(stack.coefficients, stack.odd, j0)
         mat = _element_stack(stack.coefficients, stack.odd, "cos")
@@ -436,6 +438,7 @@ def topology_map(zeta_range: Tuple[float, float], eta_range: Tuple[float, float]
         deficit = max(deficit, float(np.max(1.0 - np.sum(np.abs(c) ** 2,
                                                           axis=-1))))
         cut_gap = min(cut_gap, float(stack.cut_gap.min()))
+        misses += int(np.count_nonzero(stack.grown))
     values = values.reshape(n_eta, n_zeta)
 
     zq = np.sqrt(np.maximum(zeta_values, 0.0))
@@ -454,4 +457,5 @@ def topology_map(zeta_range: Tuple[float, float], eta_range: Tuple[float, float]
                        values=values, j0=j0, tau_tilde=tau_tilde,
                        kappa_loci=loci, well_boundary=boundary,
                        j_max=cutoff, basis_tail=tail,
-                       population_deficit=deficit, cut_gap=cut_gap)
+                       population_deficit=deficit, cut_gap=cut_gap,
+                       cutoff_misses=misses)

@@ -14,7 +14,8 @@ largest |c_J| of any returned state over the last TAIL_ROWS functions must
 be <= TAIL_TOL. solve_spectrum picks and grows its own cutoff unless one
 is given, which is refused instead of grown. crossing_scan probes its
 window unguarded, covered by one bound on the tail of all its states
-(_tail_bound) in place of the per-solve check, grown or refused likewise.
+(_tail_bound) in place of the per-solve check; it picks its cutoff from
+that bound before the scan, or refuses a given one that misses it.
 
 Many points are solved in stacked form (solve_stacks): the points that
 share a cutoff are stacked in chunks of at most _STACK_BYTES of sector
@@ -27,7 +28,7 @@ point, so a stacked point equals its own solve bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -127,7 +128,9 @@ class PendularSpectrum:
     {1/sqrt(2*pi), cos(J*theta)/sqrt(pi)}, odd-sector rows store their
     sine coefficients in slots 1..j_max with slot 0 zero. basis_tail is
     the largest |c_J| over the last TAIL_ROWS slots of any state, cut_gap
-    the lowest dropped level minus the highest kept one (see _merge).
+    the lowest dropped level minus the highest kept one (see _merge), and
+    grown whether the automatic cutoff missed its first guess, so that the
+    point was solved again at a grown one (see solve_stacks).
     """
 
     params: InteractionParams
@@ -137,6 +140,7 @@ class PendularSpectrum:
     j_max: int
     basis_tail: float
     cut_gap: float
+    grown: bool = False
 
     @property
     def n_states(self) -> int:
@@ -199,8 +203,8 @@ class SpectrumStack:
 
     Point p is params[p], at position index[p] of the sequence handed to
     solve_stacks; energies, odd (the A2 flags) and coefficients hold its
-    states as PendularSpectrum does, and basis_tail and cut_gap are per
-    point. spectrum(p) is the PendularSpectrum of point p.
+    states as PendularSpectrum does, and basis_tail, cut_gap and grown are
+    per point. spectrum(p) is the PendularSpectrum of point p.
     """
 
     params: Tuple[InteractionParams, ...]
@@ -211,6 +215,7 @@ class SpectrumStack:
     j_max: int
     basis_tail: np.ndarray          # (P,)
     cut_gap: np.ndarray             # (P,)
+    grown: np.ndarray               # (P,)
 
     def spectrum(self, p: int) -> PendularSpectrum:
         return PendularSpectrum(
@@ -218,13 +223,14 @@ class SpectrumStack:
             coefficients=self.coefficients[p],
             labels=tuple(_LABELS[o] for o in self.odd[p].tolist()),
             j_max=self.j_max, basis_tail=float(self.basis_tail[p]),
-            cut_gap=float(self.cut_gap[p]))
+            cut_gap=float(self.cut_gap[p]), grown=bool(self.grown[p]))
 
     def _take(self, keep: np.ndarray) -> "SpectrumStack":
         return SpectrumStack(
             tuple(p for p, k in zip(self.params, keep) if k), self.index[keep],
             self.energies[keep], self.odd[keep], self.coefficients[keep],
-            self.j_max, self.basis_tail[keep], self.cut_gap[keep])
+            self.j_max, self.basis_tail[keep], self.cut_gap[keep],
+            self.grown[keep])
 
 
 # A pi probe below this fraction of the sum of its terms' magnitudes is
@@ -261,19 +267,33 @@ def _pi_aligned(coeffs: np.ndarray, odd: np.ndarray) -> np.ndarray:
 
 
 def _auto_j_max(params: InteractionParams, n_states: int) -> int:
-    """First cutoff tried when solve_spectrum chooses its own.
+    """First cutoff tried when solve_spectrum chooses its own: the larger
+    of a well term and a free-rotor term, rounded up to a multiple of 8
+    (so that nearby points share a cutoff and so a stack), at most
+    J_MAX_CAP.
 
-    7.5*w + 2*sqrt(n_states) + 8 with w = (zeta + |eta|/2)**(1/4), at least
-    n_states/2 + 8, rounded up to a multiple of 8 (so that nearby points
-    share a cutoff and so a stack) and at most J_MAX_CAP.
-    In the harmonic limit the ground state is exp(-J^2/(2*w^2)) in J,
-    which falls below TAIL_TOL at |J| = 7.4*w; the sqrt(n) term covers
-    excited well states, n/2 the weak-field levels (J ~ n/2), and 8 the
-    TAIL_ROWS checked functions.
+    Well: w*x + max(3, 8 - 1.5*ln n) for n states, with
+    w = (zeta + |eta|/2)**(1/4) and x = sqrt(2n + 7.1*sqrt(n) + 45.6). In
+    a deep well state k is close to the Hermite function h_k(J/w) in J,
+    and x is where h_(n-1), the highest kept state, falls below TAIL_TOL
+    (to 0.5% for n <= 200); 3 puts the first of the TAIL_ROWS checked
+    functions there. The larger offset of few states covers the low
+    states of moderate wells, whose tails are not Gaussian. Free rotor:
+    n/2 + 8.75 + 5*w, the highest weak-field level J ~ n/2 with its tail,
+    widened as the fields mix in.
+
+    The offsets and the free-rotor term are fitted to the smallest cutoff
+    that passes the tail check, measured over the scan windows (eta in
+    [-35, 0] with zeta in [5, 40.5], eta in [-20, 0] with zeta in [8, 60];
+    4, 9 and 20 states) and over wells up to w = 40 (1 to 50 states) or
+    w = 12 (100 states): the guess is never below it there, and in the
+    scan windows at most 8 above it.
     """
-    depth = (params.zeta + 0.5 * abs(params.eta)) ** 0.25
-    spread = max(7.5 * depth + 2.0 * math.sqrt(n_states), 0.5 * n_states)
-    return min(J_MAX_CAP, _round_up8(spread + 8.0))
+    w = (params.zeta + 0.5 * abs(params.eta)) ** 0.25
+    n = n_states
+    well = (w * math.sqrt(2.0 * n + 7.1 * math.sqrt(n) + 45.6)
+            + max(3.0, 8.0 - 1.5 * math.log(n)))
+    return min(J_MAX_CAP, _round_up8(max(well, 0.5 * n + 8.75 + 5.0 * w)))
 
 
 def _round_up8(j: float) -> int:
@@ -361,7 +381,7 @@ def _solve_chunk(params: Sequence[InteractionParams], index: np.ndarray,
         params=chunk, index=index, energies=energies, odd=odd,
         coefficients=_pi_aligned(coeffs, odd), j_max=j_max,
         basis_tail=np.abs(coeffs[:, :, -TAIL_ROWS:]).max(axis=(1, 2)),
-        cut_gap=cut_gap)
+        cut_gap=cut_gap, grown=np.zeros(len(chunk), dtype=bool))
 
 
 def _tail_bound(eta_abs: float, zeta: float, lam: float, j_max: int) -> float:
@@ -407,9 +427,10 @@ def solve_stacks(params: Sequence[InteractionParams], n_states: int,
     The basis tail, the largest |c_J| over the last TAIL_ROWS basis
     functions of any returned state, must be <= TAIL_TOL. With j_max None
     each point's cutoff starts at _auto_j_max and grows by a quarter (to a
-    multiple of 8) until it is; past J_MAX_CAP it raises ValueError. A given
-    j_max is checked the same way and refused, not grown. The error names
-    the first failing point in the order of params.
+    multiple of 8) until it is; past J_MAX_CAP it raises ValueError. A point
+    solved again so is marked grown. A given j_max is checked the same way
+    and refused, not grown. The error names the first failing point in the
+    order of params.
 
     Points are grouped by cutoff, smallest first, and stacked in order of
     params within a group, at most _chunk_size of them per chunk; a point
@@ -421,6 +442,7 @@ def solve_stacks(params: Sequence[InteractionParams], n_states: int,
     if n_states < 1:
         raise ValueError("n_states must be >= 1")
     fixed = j_max is not None
+    grown = np.zeros(len(params), dtype=bool)
     groups = {}
     for i, p in enumerate(params):
         groups.setdefault(j_max if fixed else _auto_j_max(p, n_states),
@@ -441,11 +463,13 @@ def solve_stacks(params: Sequence[InteractionParams], n_states: int,
                         "basis tail", float(stack.basis_tail[bad]), TAIL_TOL,
                         cutoff, f"eta={p.eta}, zeta={p.zeta}, {n_states} "
                         "states", fixed)
-                grown = min(J_MAX_CAP, _round_up8(1.25 * cutoff))
-                groups.setdefault(grown, []).extend(stack.index[~good].tolist())
+                retry = stack.index[~good]
+                grown[retry] = True
+                groups.setdefault(min(J_MAX_CAP, _round_up8(1.25 * cutoff)),
+                                  []).extend(retry.tolist())
                 stack = stack._take(good)
             if len(stack.index):
-                yield stack
+                yield replace(stack, grown=grown[stack.index])
 
 
 def _tail_error(what: str, tail: float, tol: float, j_max: int, where: str,
@@ -579,15 +603,19 @@ def crossing_scan(zeta: float, eta_range: Tuple[float, float],
                   j_max: Optional[int] = None) -> CrossingScan:
     """Locate gap minima of the pair over an eta window.
 
-    One basis serves the window: with j_max None, the cutoff solve_spectrum
-    settles on at the window's largest |eta| (that end point is solved
-    first, guarded). The coarse scan (stacked, _chunk_size points per
-    eigvalsh call) and the refinement probes are unguarded; instead, with
-    lam the largest kept energy of the coarse scan plus one coarse step
-    (levels are 1-Lipschitz in eta, so lam covers the points between),
-    _tail_bound at the window's largest |eta| must be <= TAIL_TOL/2, or
-    the cutoff grows as in solve_stacks and the window is scanned again
-    (a given j_max, or J_MAX_CAP, raises ValueError). Records are guarded.
+    One basis serves the window, chosen before the scan. The end point at
+    the window's largest |eta| is solved first, guarded (at j_max if
+    given). With j_max None the window's cutoff is then the smallest
+    multiple of 8, from the end point's on, at which _tail_bound at that
+    |eta| is <= TAIL_TOL/2 up to the a-priori level bound lam0 = the end
+    point's highest level plus the window width plus one coarse step:
+    levels are 1-Lipschitz in eta and only fall as the basis grows, so
+    lam0 covers every level the scan can meet. The coarse scan (stacked,
+    _chunk_size points per eigvalsh call) and the refinement probes are
+    unguarded; instead, with lam the largest kept energy of the coarse
+    scan plus one coarse step, _tail_bound must be <= TAIL_TOL/2 after the
+    scan too, or ValueError is raised (at a given j_max, or at J_MAX_CAP).
+    So the coarse grid is scanned once. Records are guarded.
 
     Each interior coarse minimum is refined inside its two neighbours by
     one root finder (_root). Where the pair lies in opposite sectors and
@@ -605,24 +633,26 @@ def crossing_scan(zeta: float, eta_range: Tuple[float, float],
         raise ValueError("resolution too small")
     etas = np.linspace(lo, hi, resolution)
     far = etas[-1] if abs(hi) > abs(lo) else etas[0]
+    eta_abs, step = max(abs(lo), abs(hi)), (hi - lo) / (resolution - 1)
     count = pair[1] + 1
-    cutoff = j_max
-    while True:
-        end = solve_spectrum(InteractionParams(far, zeta), count, cutoff)
-        cutoff = end.j_max
-        size = _chunk_size(cutoff)
-        energies, odd, cuts = map(np.concatenate, zip(*(
-            _levels(etas[i:i + size], np.full_like(etas[i:i + size], zeta),
-                    count, cutoff) for i in range(0, resolution, size))))
-        lam = float(energies.max()) + (hi - lo) / (resolution - 1)
-        tail_bound = _tail_bound(max(abs(lo), abs(hi)), zeta, lam, cutoff)
-        if tail_bound <= 0.5 * TAIL_TOL:
-            break
-        if j_max is not None or cutoff >= J_MAX_CAP:
-            raise _tail_error("window tail bound", tail_bound, 0.5 * TAIL_TOL,
-                              cutoff, f"zeta={zeta}, eta in [{lo}, {hi}], "
-                              f"{count} states", j_max is not None)
-        cutoff = min(J_MAX_CAP, _round_up8(1.25 * cutoff))
+    end = solve_spectrum(InteractionParams(far, zeta), count, j_max)
+    cutoff = end.j_max
+    if j_max is None:
+        # levels are 1-Lipschitz in eta and only fall as the basis grows
+        lam = float(end.energies.max()) + (hi - lo) + step
+        while (cutoff < J_MAX_CAP and _tail_bound(eta_abs, zeta, lam, cutoff)
+               > 0.5 * TAIL_TOL):
+            cutoff += 8
+    size = _chunk_size(cutoff)
+    energies, odd, cuts = map(np.concatenate, zip(*(
+        _levels(etas[i:i + size], np.full_like(etas[i:i + size], zeta),
+                count, cutoff) for i in range(0, resolution, size))))
+    tail_bound = _tail_bound(eta_abs, zeta, float(energies.max()) + step,
+                             cutoff)
+    if tail_bound > 0.5 * TAIL_TOL:
+        raise _tail_error("window tail bound", tail_bound, 0.5 * TAIL_TOL,
+                          cutoff, f"zeta={zeta}, eta in [{lo}, {hi}], "
+                          f"{count} states", j_max is not None)
     cut_gap = min(end.cut_gap, float(cuts.min()))
     gaps = energies[:, pair[1]] - energies[:, pair[0]]
     records = []

@@ -186,7 +186,7 @@ def test_manifest_diagnostics(tmp_path, monkeypatch):
     assert main(["switch-on", "--eta", "-10", "--zeta", "25", "--j0", "1",
                  "--output", "on.csv"]) == 0
     on = diagnostics("on")
-    assert sorted(on) == ["basis_tail", "cut_gap", "j_max",
+    assert sorted(on) == ["basis_tail", "cut_gap", "cutoff_misses", "j_max",
                           "population_deficit"]
     assert 0 < on["basis_tail"] <= 1e-12 and on["j_max"] % 8 == 0
     spec = solve_spectrum(InteractionParams(-10.0, 25.0), 20)
@@ -201,7 +201,8 @@ def test_manifest_diagnostics(tmp_path, monkeypatch):
     assert sorted(diagnostics("map")) == sorted(on)
     assert main(["spectrum", "--eta", "-10", "--zeta", "25",
                  "--output", "s.csv"]) == 0
-    assert sorted(diagnostics("s")) == ["basis_tail", "cut_gap", "j_max"]
+    assert sorted(diagnostics("s")) == ["basis_tail", "cut_gap",
+                                        "cutoff_misses", "j_max"]
 
     assert main(["propagate", "--n0", "1", "--eta-from", "-4",
                  "--zeta-from", "9", "--eta-to", "-10", "--zeta-to", "25",
@@ -211,8 +212,9 @@ def test_manifest_diagnostics(tmp_path, monkeypatch):
                  "--zeta-to", "25", "--ramp-duration", "0.1",
                  "--output", "r.csv"]) == 0
     held = diagnostics("p")
-    assert sorted(held) == ["basis_tail", "cut_gap", "grid_tail", "hold_j_max",
-                            "hold_tail", "j_max", "norm_drift"]
+    assert sorted(held) == ["basis_tail", "cut_gap", "cutoff_misses",
+                            "grid_tail", "hold_j_max", "hold_tail", "j_max",
+                            "norm_drift"]
     assert held["hold_j_max"] % 8 == 0 and 0 < held["hold_tail"] <= 1e-12
     assert 0 <= held["norm_drift"] <= 1e-10
     assert sorted(diagnostics("r")) == ["grid_tail", "norm_drift"]
@@ -256,8 +258,11 @@ def test_crossings_window_without_a_crossing_has_diagnostics(tmp_path,
     manifest = json.loads((tmp_path / "x.manifest.json").read_text())
     diag = manifest["diagnostics"]
     assert sorted(diag) == ["basis_tail", "cut_gap", "j_max", "tail_bound"]
-    assert diag["j_max"] == solve_spectrum(InteractionParams(-10.0, 16.0),
-                                           3).j_max
+    # the end point passes at 24; the window's certificate, taken before
+    # the scan up to the end point's top level plus the window width, first
+    # at 32
+    assert solve_spectrum(InteractionParams(-10.0, 16.0), 3).j_max == 24
+    assert diag["j_max"] == 32
     assert 0 < diag["basis_tail"] <= 1e-12
     assert 0 < diag["tail_bound"] <= 0.5e-12
 

@@ -19,13 +19,18 @@ from planar_pendulum import (
     switch_on_coefficients,
     time_averaged_orientation,
 )
+import planar_pendulum.spectrum as spectrum_module
 from planar_pendulum.cli import main
 from planar_pendulum.elements import QUAD_GRID_POINTS
 from planar_pendulum.spectrum import (
+    CROSSING_RESOLUTION,
     J_MAX_CAP,
     TAIL_ROWS,
     TAIL_TOL,
     _TIE_ULPS,
+    _auto_j_max,
+    _tail_bound,
+    solve_stacks,
 )
 
 special = pytest.importorskip("scipy.special")
@@ -148,11 +153,146 @@ def test_a_tight_cutoff_misses_the_window_certificate(tmp_path, monkeypatch,
     assert not (tmp_path / "crossings.csv").exists()
 
 
+def _window_cutoff(zeta, window, count, resolution):
+    """The cutoff crossing_scan picks before its scan: the smallest
+    multiple of 8, from the end point's guarded one on, at which the tail
+    bound at the window's largest |eta| holds up to the end point's
+    highest level plus the window width plus one coarse step."""
+    lo, hi = window
+    far = solve_spectrum(InteractionParams(lo, zeta), count)
+    lam = (float(far.energies.max()) + (hi - lo)
+           + (hi - lo) / (resolution - 1))
+    j_max = far.j_max
+    while _tail_bound(abs(lo), zeta, lam, j_max) > 0.5 * TAIL_TOL:
+        j_max += 8
+    return far.j_max, j_max
+
+
 def test_crossing_window_shares_one_cutoff():
     recs = crossing_scan(16.0, (-10.0, -6.0), (2, 3), resolution=41)
-    far = solve_spectrum(InteractionParams(-10.0, 16.0), 4)
-    assert [r.j_max for r in recs] == [far.j_max]
+    far, window = _window_cutoff(16.0, (-10.0, -6.0), 4, 41)
+    assert [r.j_max for r in recs] == [recs.j_max] == [window]
+    assert window >= far
     assert recs[0].basis_tail <= TAIL_TOL
+
+
+# (zeta, window, pair): the README window, genuine (odd kappa) and avoided
+# (even kappa) windows like the bench's, and one with no interior minimum
+SCANNED_ONCE = [(16.0, (-10.0, -6.0), (2, 3)), (16.0, (-10.0, -6.0), (1, 2)),
+                (9.5, (-4.316, -1.85), (1, 2)), (48.2, (-16.66, -11.11), (2, 3)),
+                (30.0, (-18.62, -14.24), (3, 4)), (20.0, (-10.73, -7.16), (2, 3))]
+
+
+@pytest.mark.parametrize("zeta,window,pair", SCANNED_ONCE)
+def test_crossing_scan_runs_its_coarse_grid_once(monkeypatch, zeta, window,
+                                                 pair):
+    # the window's cutoff is certified before the scan, so no window is
+    # scanned again; every other _levels call is a one-point probe
+    calls = []
+    levels = spectrum_module._levels
+
+    def counted(eta, *args):
+        calls.append(eta.copy())
+        return levels(eta, *args)
+
+    monkeypatch.setattr(spectrum_module, "_levels", counted)
+    scan = crossing_scan(zeta, window, pair)
+    coarse = [eta for eta in calls if len(eta) > 1]
+    assert np.array_equal(np.concatenate(coarse),
+                          np.linspace(*window, CROSSING_RESOLUTION))
+    assert scan.j_max == _window_cutoff(zeta, window, pair[1] + 1,
+                                        CROSSING_RESOLUTION)[1]
+    assert scan.tail_bound <= 0.5 * TAIL_TOL
+
+
+def minimal_passing_cutoff(params, n_states):
+    """The smallest j_max whose guarded solve passes the tail check,
+    bisected over explicit cutoffs (a failing one is refused)."""
+    def passes(j_max):
+        try:
+            solve_spectrum(params, n_states, j_max)
+        except ValueError:
+            return False
+        return True
+
+    lo, hi = max(8, -(-n_states // 2)) - 1, 16      # lo fails or is too small
+    while not passes(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    return hi
+
+
+# (eta, zeta, n_states, smallest passing cutoff as measured): points of
+# the README map window (eta in [-35, 0], zeta in [5, 40]), where the
+# first guess must be at most 8 above the minimum, then deep wells, where
+# it must not miss
+MAP_WINDOW_CUTOFFS = [(0.0, 5.0, 20, 24), (-35.0, 5.0, 20, 28),
+                      (-10.0, 25.0, 20, 30), (-17.5, 22.5, 20, 30),
+                      (-35.0, 40.0, 20, 33), (0.0, 40.0, 20, 30),
+                      (0.0, 10.0, 9, 22), (-8.0, 12.0, 9, 23),
+                      (-10.0, 25.0, 9, 26), (-5.0, 38.0, 9, 27),
+                      (-2.0, 8.0, 4, 20), (-20.0, 10.0, 4, 23),
+                      (-20.0, 30.0, 4, 27), (-35.0, 40.0, 4, 29)]
+DEEP_WELL_CUTOFFS = [(0.0, 200000.0, 4, 165), (-5000.0, 10000.0, 20, 117),
+                     (-100000.0, 200000.0, 20, 243),
+                     (-20000.0, 190000.0, 20, 230), (-2000.0, 0.0, 20, 64),
+                     (0.0, 5000.0, 20, 83)]
+
+
+@pytest.mark.parametrize("eta,zeta,n,measured",
+                         MAP_WINDOW_CUTOFFS + DEEP_WELL_CUTOFFS)
+def test_first_guess_fits_the_smallest_passing_cutoff(eta, zeta, n, measured):
+    params = InteractionParams(eta, zeta)
+    least = minimal_passing_cutoff(params, n)
+    guess = _auto_j_max(params, n)
+    assert abs(least - measured) <= 1
+    assert guess >= least
+    if (eta, zeta, n, measured) in MAP_WINDOW_CUTOFFS:
+        assert guess <= least + 8
+
+
+def _box(eta, zeta, step):
+    return [InteractionParams(float(e), float(z))
+            for z in np.arange(zeta[0], zeta[1] + 1e-9, step)
+            for e in np.arange(eta[0], eta[1] + 1e-9, step)]
+
+
+@pytest.mark.parametrize("n_states", [20, 9, 4])
+def test_scan_windows_pass_at_the_first_guess(n_states):
+    # the README map (5041 points at 20 states) and the bench's map,
+    # spectrum and switch-on windows (their hull: eta in [-35, 0], zeta in
+    # [5, 40.5], and eta in [-20, 0], zeta in [8, 60]): no point grows
+    windows = [_box((-35.0, 0.0), (5.0, 40.5), 1.0),
+               _box((-20.0, 0.0), (8.0, 60.0), 1.0)]
+    if n_states == 20:
+        windows.append(_box((-35.0, 0.0), (5.0, 40.0), 0.5))
+    for points in windows:
+        grown = [p for stack in solve_stacks(points, n_states)
+                 for p, g in zip(stack.params, stack.grown) if g]
+        assert grown == []
+
+
+def test_manifest_counts_the_cutoff_misses(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    scan = ["--eta-range", "-10:-8:1", "--zeta", "25"]
+
+    def misses(argv):
+        assert main([*argv, "--output", "out.csv"]) == 0
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        return manifest["diagnostics"]["cutoff_misses"]
+
+    commands = [["spectrum", *scan], ["switch-on", *scan, "--j0", "1"],
+                ["switch-off", *scan, "--n0", "0"],
+                ["topology-map", "--eta-range", "-10:-2.5:0.5",
+                 "--zeta-range", "10:17.5:0.5", "--n-states", "4"]]
+    assert [misses(argv) for argv in commands] == [0, 0, 0, 0]
+    # a first guess of 16 misses at every point: each is counted once,
+    # however often it grows
+    monkeypatch.setattr(spectrum_module, "_auto_j_max", lambda p, n: 16)
+    assert [misses(argv) for argv in commands] == [3, 3, 3, 256]
+    assert misses(["spectrum", *scan, "--j-max", "64"]) == 0
 
 
 def test_switch_off_table_length_does_not_follow_the_cutoff():

@@ -18,6 +18,7 @@ from planar_pendulum import (
     time_averaged_orientation,
     topology_map,
 )
+import planar_pendulum.spectrum as spectrum_module
 from planar_pendulum.cli import main
 from planar_pendulum.elements import _element_stack
 from planar_pendulum.spectrum import _banded, _chunk_size, _sector_bands
@@ -54,17 +55,22 @@ def test_stacked_points_equal_their_own_solves(points, n_states):
                         n_states)
 
 
-def test_a_point_that_grows_its_cutoff_among_ordinary_ones():
-    # (0, 2e5) and (-2e4, 1.9e5) share their first cutoff, 176, and fail
-    # their tails there; the first passes at 224, the second at 280
+def test_a_point_that_grows_its_cutoff_among_ordinary_ones(monkeypatch):
+    # the automatic first guess misses no point of a wide sample, so the
+    # two deep wells are given 176 as theirs: they share that cutoff and
+    # fail their tails there; the first passes at 224, the second at 280
+    guess = spectrum_module._auto_j_max
+    monkeypatch.setattr(spectrum_module, "_auto_j_max",
+                        lambda p, n: 176 if p.zeta > 1e5 else guess(p, n))
     points = [InteractionParams(e, z) for e, z in
               [(-10.0, 25.0), (0.0, 2e5), (0.0, 0.0), (-2e4, 1.9e5),
                (-35.0, 5.0)]]
-    cutoffs = {}
+    cutoffs, grown = {}, {}
     for stack in solve_stacks(points, 20):
-        for i in stack.index.tolist():
-            cutoffs[i] = stack.j_max
-    assert [cutoffs[i] for i in range(5)] == [40, 224, 24, 280, 40]
+        for i, g in zip(stack.index.tolist(), stack.grown.tolist()):
+            cutoffs[i], grown[i] = stack.j_max, g
+    assert [cutoffs[i] for i in range(5)] == [32, 224, 24, 280, 32]
+    assert [grown[i] for i in range(5)] == [False, True, False, True, False]
     assert_points_equal(points, 20)
 
 
