@@ -2,17 +2,17 @@
 
 A planar rigid rotor in combined orienting and aligning interactions,
 in reduced units (rotational constant = 1, period = 2 pi). The package
-covers the stationary problem (parity-adapted spectra, level crossings,
-algebraic eigenstates), sudden switch-on/switch-off wavepacket dynamics
-with closed-form observable evolution, and an independent grid
-propagator used for cross-checks.
+covers the stationary problem (parity-adapted spectra, level crossings),
+sudden switch-on/switch-off wavepacket dynamics with closed-form
+observable evolution, and propagation through pulse schedules. The
+independent twins of these routes (planar_pendulum.twins) and the check
+battery (planar_pendulum.validation) are not imported here.
 """
 
 from .core import (
     AngularGrid,
     InteractionParams,
     PotentialShape,
-    RotorState,
     SymmetryLabel,
     TopologicalIndexReport,
     Wavefunction,
@@ -26,35 +26,13 @@ from .spectrum import (
     CrossingScan,
     PendularSpectrum,
     SpectrumStack,
-    build_hamiltonian,
-    classify_symmetry,
     crossing_scan,
     solve_spectrum,
     solve_stacks,
 )
-from .elements import (
-    BesselTable,
-    analytic_cos2_element,
-    analytic_cos_element,
-    ansatz_norm_integral,
-    exp_cos_integral,
-    hellmann_feynman_residual,
-    kinetic_identity_residual,
-    modified_bessel_i,
-    quadrature_element_matrix,
-    sector_element_matrix,
-)
+from .elements import sector_element_matrix
 from .cqes import (
-    AnsatzCoefficients,
     SwitchCoefficients,
-    algebraic_ansatz,
-    algebraic_sector_size,
-    analytic_switch_off_coefficients,
-    analytic_switch_on_coefficient,
-    quadrature_switch_off_coefficients,
-    quadrature_switch_on_coefficients,
-    reconstruct_ansatz,
-    reconstruct_from_free_rotor,
     switch_off_coefficients,
     switch_on_coefficients,
 )
@@ -74,15 +52,12 @@ from .dynamics import (
     total_population,
 )
 from .propagate import (
-    AccuracyReport,
     Profile,
     PulseSchedule,
     Segment,
     Trajectory,
     propagate,
-    second_order_accuracy_check,
 )
-from .validation import ALL_CHECKS, CheckResult, run_all
 
 __version__ = "0.1.0"
 
@@ -90,7 +65,6 @@ __all__ = [
     "AngularGrid",
     "InteractionParams",
     "PotentialShape",
-    "RotorState",
     "SymmetryLabel",
     "TopologicalIndexReport",
     "Wavefunction",
@@ -102,31 +76,11 @@ __all__ = [
     "CrossingScan",
     "PendularSpectrum",
     "SpectrumStack",
-    "build_hamiltonian",
-    "classify_symmetry",
     "crossing_scan",
     "solve_spectrum",
     "solve_stacks",
-    "BesselTable",
-    "analytic_cos2_element",
-    "analytic_cos_element",
-    "ansatz_norm_integral",
-    "exp_cos_integral",
-    "hellmann_feynman_residual",
-    "kinetic_identity_residual",
-    "modified_bessel_i",
-    "quadrature_element_matrix",
     "sector_element_matrix",
-    "AnsatzCoefficients",
     "SwitchCoefficients",
-    "algebraic_ansatz",
-    "algebraic_sector_size",
-    "analytic_switch_off_coefficients",
-    "analytic_switch_on_coefficient",
-    "quadrature_switch_off_coefficients",
-    "quadrature_switch_on_coefficients",
-    "reconstruct_ansatz",
-    "reconstruct_from_free_rotor",
     "switch_off_coefficients",
     "switch_on_coefficients",
     "CoherenceDecomposition",
@@ -142,15 +96,10 @@ __all__ = [
     "time_averaged_orientation",
     "topology_map",
     "total_population",
-    "AccuracyReport",
     "Profile",
     "PulseSchedule",
     "Segment",
     "Trajectory",
     "propagate",
-    "second_order_accuracy_check",
-    "ALL_CHECKS",
-    "CheckResult",
-    "run_all",
     "__version__",
 ]

@@ -66,7 +66,6 @@ from .dynamics import (
 from .propagate import DEFAULT_DTAU, Profile, PulseSchedule, Segment, propagate
 from .spectrum import (CROSSING_RESOLUTION, J_MAX_CAP, TAIL_TOL,
                        crossing_scan, solve_spectrum, solve_stacks)
-from .validation import run_all
 
 
 class ConfigError(Exception):
@@ -296,20 +295,22 @@ def _load_config(path: str, command: str, known: Sequence[str]
 def _file_flags(data: Dict) -> List[str]:
     """Config-file keys as the flags they mirror: --key=value, or a list
     as the values of one flag; null leaves the flag out. Other JSON values
-    keep their JSON spelling, so 2.7 or true fails an int flag as it would
-    on the command line."""
-    def text(value) -> str:
-        return value if isinstance(value, str) else json.dumps(value)
-
+    keep their JSON spelling (_flag_text), so 2.7 or true fails an int
+    flag as it would on the command line."""
     flags: List[str] = []
     for key, value in data.items():
         if key in ("command", "schedule") or value is None:
             continue
         if isinstance(value, list):
-            flags += [f"--{key}", *map(text, value)]
+            flags += [f"--{key}", *map(_flag_text, value)]
         else:
-            flags.append(f"--{key}={text(value)}")
+            flags.append(f"--{key}={_flag_text(value)}")
     return flags
+
+
+def _flag_text(value) -> str:
+    """A config value as flag text: a string as is, else its JSON."""
+    return value if isinstance(value, str) else json.dumps(value)
 
 
 def _with_config(parser: argparse.ArgumentParser, argv: List[str],
@@ -337,6 +338,11 @@ def _with_config(parser: argparse.ArgumentParser, argv: List[str],
     at = argv.index(command) + 1
     args = parser.parse_args([*argv[:at], *_file_flags(data), *argv[at:]])
     args.schedule = data.get("schedule")
+    if args.schedule is not None:          # refused with its file:line
+        try:
+            _schedule_from_config(args.schedule)
+        except ConfigError as exc:
+            raise ConfigError(str(exc), source=source("schedule")) from None
     return args
 
 
@@ -472,6 +478,15 @@ def _run_switch_on(args: argparse.Namespace, limits: _Limits):
             _in_scan_order(rows), extras)
 
 
+def _number(value, where: str) -> float:
+    """A schedule number, read as a float flag reads _flag_text(value)."""
+    try:
+        return float(_flag_text(value))
+    except ValueError:
+        raise ConfigError(f"{where} must be a number, got "
+                          f"{_flag_text(value)}") from None
+
+
 def _profile_from_json(obj, where: str) -> Profile:
     if not isinstance(obj, dict) or "profile" not in obj:
         raise ConfigError(f"{where}: profile must be an object with a "
@@ -480,27 +495,30 @@ def _profile_from_json(obj, where: str) -> Profile:
     if kind == "constant":
         if "value" not in obj:
             raise ConfigError(f"{where}: constant profile needs 'value'")
-        v = float(obj["value"])
+        v = _number(obj["value"], f"{where}.value")
         return Profile("constant", v, v)
     if kind in ("linear", "smooth_cosine"):
-        try:
-            return Profile(kind, float(obj["from"]), float(obj["to"]))
-        except KeyError as exc:
+        if "from" not in obj or "to" not in obj:
             raise ConfigError(f"{where}: {kind} profile needs "
-                              f"'from' and 'to'") from exc
+                              f"'from' and 'to'")
+        return Profile(kind, _number(obj["from"], f"{where}.from"),
+                       _number(obj["to"], f"{where}.to"))
     raise ConfigError(f"{where}: unknown profile kind {kind!r}")
 
 
 def _schedule_from_config(obj) -> PulseSchedule:
-    if not isinstance(obj, dict) or "segments" not in obj:
-        raise ConfigError("schedule must be an object with 'segments'")
+    if not isinstance(obj, dict) or not isinstance(obj.get("segments"), list):
+        raise ConfigError("schedule must be an object with a list of "
+                          "'segments'")
     segments = []
     for i, seg in enumerate(obj["segments"]):
         where = f"schedule.segments[{i}]"
+        if not isinstance(seg, dict):
+            raise ConfigError(f"{where}: segment must be an object")
         if "duration" not in seg:
             raise ConfigError(f"{where}: missing 'duration'")
         segments.append(Segment(
-            float(seg["duration"]),
+            _number(seg["duration"], f"{where}.duration"),
             _profile_from_json(seg.get("eta"), where + ".eta"),
             _profile_from_json(seg.get("zeta"), where + ".zeta")))
     return PulseSchedule(segments)
@@ -586,6 +604,8 @@ def _run_topology_map(args: argparse.Namespace, limits: _Limits):
 
 
 def _run_validate(args: argparse.Namespace) -> int:
+    from .validation import run_all     # the check battery and its twins
+
     names = None
     if args.checks:
         names = [s.strip() for s in args.checks.split(",") if s.strip()]

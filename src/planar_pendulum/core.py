@@ -18,7 +18,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -66,21 +66,6 @@ class InteractionParams:
 
     def potential(self, theta: np.ndarray) -> np.ndarray:
         return -self.eta * np.cos(theta) - self.zeta * np.cos(theta) ** 2
-
-
-@dataclass(frozen=True)
-class RotorState:
-    """Free-rotor basis state exp(i*j*theta)/sqrt(2*pi) with energy j**2."""
-
-    j: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.j, (int, np.integer)):
-            raise TypeError("j must be an integer")
-
-    @property
-    def energy(self) -> int:
-        return self.j * self.j
 
 
 @dataclass(frozen=True)
@@ -222,10 +207,9 @@ class Wavefunction:
         return ft[idx]
 
 
-def free_rotor_wavefunction(j: Union[int, RotorState],
-                            grid: AngularGrid) -> Wavefunction:
+def free_rotor_wavefunction(j: int, grid: AngularGrid) -> Wavefunction:
     """exp(i*j*theta)/sqrt(2*pi) sampled on the grid."""
-    jj = j.j if isinstance(j, RotorState) else int(j)
+    jj = int(j)
     if abs(jj) > grid.max_band_limit:
         raise ValueError(
             f"|j|={abs(jj)} exceeds the grid band limit {grid.max_band_limit}")

@@ -50,7 +50,6 @@ from .spectrum import (
 
 DEFAULT_DTAU = 1e-3
 _NORM_TOL = 1e-10
-_EXACT_REGIME = 1e-12
 FINITE_CHECK_STEPS = 64
 # Snapshots are measured, and a hold's evaluated, this many at a time (a
 # hold's go back to the grid one array each, as _run's do): blocks of many
@@ -525,53 +524,3 @@ def propagate(psi0: Wavefunction, schedule: PulseSchedule,
                       f"{grid.max_band_limit}) > {TAIL_TOL:.0e}; use more "
                       "grid points", RuntimeWarning, stacklevel=2)
     return traj
-
-
-@dataclass(frozen=True)
-class AccuracyReport:
-    """Self-convergence result from runs at dtau, dtau/2, dtau/4."""
-
-    order: Optional[float]
-    regime: str                 # "measured" or "exact"
-    coarse_difference: float
-    fine_difference: float
-
-    def __str__(self) -> str:
-        if self.regime == "exact":
-            return (f"exact regime (differences {self.coarse_difference:.2e}, "
-                    f"{self.fine_difference:.2e})")
-        return (f"order {self.order:.3f} (differences "
-                f"{self.coarse_difference:.2e}, {self.fine_difference:.2e})")
-
-
-def second_order_accuracy_check(psi0: Wavefunction, schedule: PulseSchedule,
-                                tau_end: Optional[float] = None,
-                                dtau: float = DEFAULT_DTAU) -> AccuracyReport:
-    """Richardson self-convergence of the splitting over [0, tau_end].
-
-    Three runs at dtau, dtau/2, dtau/4; the L2 self-differences D1, D2
-    give the observed global order log2(D1/D2). A smooth schedule sits at
-    2; differences below 1e-12 report the exact regime instead of a
-    meaningless exponent ratio.
-    """
-    if tau_end is None:
-        tau_end = schedule.total_duration
-    if tau_end <= 0:
-        raise ValueError("tau_end must be > 0")
-    if not abs(psi0.norm() - 1.0) <= _NORM_TOL:     # NaN fails too
-        raise ValueError("initial state must be unit-normalized")
-    grid = psi0.grid
-    base = max(1, round(tau_end / dtau))
-    finals = [
-        _run(psi0.amplitudes, grid, schedule, tau_end, base * k)
-        for k in (1, 2, 4)
-    ]
-    d1, d2 = grid_moments(np.diff(finals, axis=0), grid).norm.tolist()
-    if d1 < _EXACT_REGIME and d2 < _EXACT_REGIME:
-        return AccuracyReport(order=None, regime="exact",
-                              coarse_difference=d1, fine_difference=d2)
-    if d2 == 0.0:
-        return AccuracyReport(order=math.inf, regime="measured",
-                              coarse_difference=d1, fine_difference=d2)
-    return AccuracyReport(order=math.log2(d1 / d2), regime="measured",
-                          coarse_difference=d1, fine_difference=d2)

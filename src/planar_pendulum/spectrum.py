@@ -35,7 +35,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (
-    DEFAULT_J_MAX,
     AngularGrid,
     InteractionParams,
     SymmetryLabel,
@@ -61,9 +60,6 @@ def _basis_tables(n_points: int, j_max: int) -> Tuple[np.ndarray, np.ndarray]:
     j = np.arange(1, j_max + 1)[:, None]
     return (np.cos(j * theta[None, :]) / math.sqrt(np.pi),
             np.sin(j * theta[None, :]) / math.sqrt(np.pi))
-
-# Parity-classification tolerance on the wrong-parity part's L2 norm.
-PARITY_NORM_TOL = 1e-10
 
 
 def _sector_bands(j_max: int, odd: bool) -> Tuple[np.ndarray, ...]:
@@ -103,20 +99,6 @@ def _hamiltonian_stack(eta: np.ndarray, zeta: np.ndarray, j_max: int,
     j2, q0, c1, q2 = _sector_bands(j_max, odd)
     eta, zeta = eta[:, None], zeta[:, None]
     return _banded(j2 - zeta * q0, -eta * c1, -zeta * q2)
-
-
-def build_hamiltonian(params: InteractionParams,
-                      j_max: int = DEFAULT_J_MAX) -> Tuple[np.ndarray, np.ndarray]:
-    """Real symmetric matrices (even sector, odd sector).
-
-    Even sector is (j_max+1) x (j_max+1) with row 0 the J=0 constant;
-    odd sector is j_max x j_max with row i the J=i+1 sine state. Each is
-    K - eta*C - zeta*Q written from its bands (_sector_bands), without
-    building the three dense operator matrices.
-    """
-    eta, zeta = np.array([params.eta]), np.array([params.zeta])
-    return tuple(_hamiltonian_stack(eta, zeta, j_max, odd)[0]
-                 for odd in (False, True))
 
 
 @dataclass(frozen=True)
@@ -486,26 +468,6 @@ def solve_spectrum(params: InteractionParams, n_states: int,
     stack of one point of solve_stacks, with its cutoff guard and signs."""
     (stack,) = solve_stacks((params,), n_states, j_max)
     return stack.spectrum(0)
-
-
-def classify_symmetry(psi: Wavefunction) -> SymmetryLabel:
-    """Label a grid wavefunction by parity under theta -> -theta.
-
-    The wrong-parity part must be below tolerance; a state with both parts
-    large indicates basis contamination and raises.
-    """
-    amps = psi.amplitudes
-    rev = np.roll(amps[::-1], 1)       # amplitude at -theta_k
-    dth = psi.grid.dtheta
-    odd_norm = math.sqrt(float(np.sum(np.abs(amps - rev) ** 2)) * dth) / 2.0
-    even_norm = math.sqrt(float(np.sum(np.abs(amps + rev) ** 2)) * dth) / 2.0
-    if odd_norm < PARITY_NORM_TOL and even_norm >= PARITY_NORM_TOL:
-        return SymmetryLabel.A1
-    if even_norm < PARITY_NORM_TOL and odd_norm >= PARITY_NORM_TOL:
-        return SymmetryLabel.A2
-    raise ValueError(
-        f"mixed parity: even-part norm {even_norm:.3e}, "
-        f"odd-part norm {odd_norm:.3e}")
 
 
 @dataclass(frozen=True)

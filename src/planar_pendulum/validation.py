@@ -23,17 +23,7 @@ from .core import (
     potential_shape,
     topological_index,
 )
-from .cqes import (
-    algebraic_ansatz,
-    algebraic_sector_size,
-    analytic_switch_off_coefficients,
-    analytic_switch_on_coefficient,
-    quadrature_switch_off_coefficients,
-    quadrature_switch_on_coefficients,
-    reconstruct_ansatz,
-    reconstruct_from_free_rotor,
-    switch_on_coefficients,
-)
+from .cqes import switch_on_coefficients
 from .dynamics import (
     make_tau_grid,
     switch_off_evolution,
@@ -41,21 +31,25 @@ from .dynamics import (
     switch_on_populations,
     time_averaged_orientation,
 )
-from .elements import (
+from .propagate import PulseSchedule, _run, propagate
+from .spectrum import _odd_mask, crossing_scan, solve_spectrum
+from .twins import (
     BesselTable,
+    algebraic_ansatz,
+    algebraic_sector_size,
+    analytic_switch_off_coefficients,
+    analytic_switch_on_coefficient,
+    classify_symmetry,
     exp_cos_integral,
     hellmann_feynman_residual,
     kinetic_identity_residual,
     quadrature_element_matrix,
-)
-from .propagate import (
-    PulseSchedule,
-    _run,
-    propagate,
+    quadrature_switch_off_coefficients,
+    quadrature_switch_on_coefficients,
+    reconstruct_ansatz,
+    reconstruct_from_free_rotor,
     second_order_accuracy_check,
 )
-from .spectrum import (_odd_mask, classify_symmetry, crossing_scan,
-                       solve_spectrum)
 
 
 @dataclass(frozen=True)

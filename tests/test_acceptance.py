@@ -16,25 +16,27 @@ from planar_pendulum import (
     InteractionParams,
     PulseSchedule,
     SymmetryLabel,
-    algebraic_ansatz,
-    analytic_switch_off_coefficients,
-    analytic_switch_on_coefficient,
     crossing_scan,
     dominant_coherence_period,
     free_rotor_wavefunction,
-    hellmann_feynman_residual,
-    kinetic_identity_residual,
     make_grid,
     make_tau_grid,
     propagate,
-    quadrature_switch_off_coefficients,
-    quadrature_switch_on_coefficients,
     solve_spectrum,
     switch_off_evolution,
     switch_on_evolution,
     topology_map,
 )
 from planar_pendulum.propagate import _run
+from planar_pendulum.twins import (
+    algebraic_ansatz,
+    analytic_switch_off_coefficients,
+    analytic_switch_on_coefficient,
+    hellmann_feynman_residual,
+    kinetic_identity_residual,
+    quadrature_switch_off_coefficients,
+    quadrature_switch_on_coefficients,
+)
 
 TWO_PI = 2.0 * math.pi
 

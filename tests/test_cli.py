@@ -329,6 +329,34 @@ def test_propagate_needs_a_schedule(tmp_path, monkeypatch, capsys):
     assert "schedule" in capsys.readouterr().err
 
 
+_SEGMENT = {"duration": 0.1, "eta": {"profile": "constant", "value": -10},
+            "zeta": {"profile": "constant", "value": 25}}
+
+
+@pytest.mark.parametrize("schedule", [
+    pytest.param({"segments": 5}, id="segments-5"),
+    pytest.param({"segments": [5]}, id="segment-5"),
+    pytest.param({"segments": [dict(_SEGMENT, duration=None)]},
+                 id="duration-null"),
+    pytest.param({"segments": [dict(_SEGMENT, duration="abc")]},
+                 id="duration-text"),
+    pytest.param({"segments": [dict(_SEGMENT, eta={"profile": "constant",
+                                                   "value": "abc"})]},
+                 id="value-text"),
+])
+def test_malformed_schedule_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                              schedule):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "sched.json"
+    cfg.write_text(json.dumps({"command": "propagate", "j0": 0,
+                               "schedule": schedule}, indent=1))
+    line = 1 + next(i for i, text in enumerate(cfg.read_text().splitlines())
+                    if '"schedule":' in text)
+    assert main(["propagate", "--config", str(cfg), "--output", "r.csv"]) == 2
+    assert f"{cfg}:{line}: " in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["sched.json"]
+
+
 def test_topology_map_resolution_floor(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["topology-map", "--eta-range", "-10:0:1",

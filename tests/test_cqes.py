@@ -8,17 +8,19 @@ import pytest
 from planar_pendulum import (
     InteractionParams,
     SymmetryLabel,
+    crossing_scan,
+    make_grid,
+    solve_spectrum,
+)
+from planar_pendulum.twins import (
     algebraic_ansatz,
     algebraic_sector_size,
     analytic_switch_off_coefficients,
     analytic_switch_on_coefficient,
-    crossing_scan,
-    make_grid,
     quadrature_switch_off_coefficients,
     quadrature_switch_on_coefficients,
     reconstruct_ansatz,
     reconstruct_from_free_rotor,
-    solve_spectrum,
 )
 
 

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from planar_pendulum import (
     InteractionParams,
     SymmetryLabel,
-    build_hamiltonian,
     crossing_scan,
     make_grid,
     solve_spectrum,
@@ -21,7 +20,6 @@ from planar_pendulum import (
 )
 import planar_pendulum.spectrum as spectrum_module
 from planar_pendulum.cli import main
-from planar_pendulum.elements import QUAD_GRID_POINTS
 from planar_pendulum.spectrum import (
     CROSSING_RESOLUTION,
     J_MAX_CAP,
@@ -29,9 +27,11 @@ from planar_pendulum.spectrum import (
     TAIL_TOL,
     _TIE_ULPS,
     _auto_j_max,
+    _hamiltonian_stack,
     _tail_bound,
     solve_stacks,
 )
+from planar_pendulum.twins import QUAD_GRID_POINTS
 
 special = pytest.importorskip("scipy.special")
 
@@ -108,8 +108,9 @@ def test_hamiltonian_equals_grid_quadrature(j_max):
     k2 = np.fft.fftfreq(grid.n_points, 1.0 / grid.n_points) ** 2
     for eta, zeta in ((-3.3, 7.1), (0.0, 0.0), (-35.0, 40.0), (0.0, 2e5)):
         v = -eta * np.cos(grid.theta) - zeta * np.cos(grid.theta) ** 2
-        for h, f in zip(build_hamiltonian(InteractionParams(eta, zeta), j_max),
-                        (even, odd)):
+        for odd_sector, f in ((False, even), (True, odd)):
+            h = _hamiltonian_stack(np.array([eta]), np.array([zeta]), j_max,
+                                   odd_sector)[0]
             hf = np.fft.ifft(k2 * np.fft.fft(f, axis=-1), axis=-1).real + v * f
             quad = f @ hf.T * grid.dtheta
             assert np.abs(quad - h).max() <= 1e-14 * np.abs(h).max()

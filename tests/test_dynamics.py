@@ -12,8 +12,6 @@ from planar_pendulum import (
     free_rotor_wavefunction,
     make_grid,
     make_tau_grid,
-    quadrature_switch_off_coefficients,
-    quadrature_switch_on_coefficients,
     solve_spectrum,
     switch_off_coefficients,
     switch_off_evolution,
@@ -27,6 +25,10 @@ from planar_pendulum import (
 )
 from planar_pendulum.elements import sector_element_matrix
 from planar_pendulum.spectrum import _odd_mask
+from planar_pendulum.twins import (
+    quadrature_switch_off_coefficients,
+    quadrature_switch_on_coefficients,
+)
 
 # switch-on from J0=1 at (eta, zeta) = (-10, 25): leading populations
 SWITCH_ON_POPULATIONS = [0.207017, 0.096841, 0.038754, 0.223015, 0.316612]

@@ -8,9 +8,14 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from planar_pendulum import (
-    BesselTable,
     InteractionParams,
     SymmetryLabel,
+    make_grid,
+    sector_element_matrix,
+    solve_spectrum,
+)
+from planar_pendulum.twins import (
+    BesselTable,
     algebraic_ansatz,
     analytic_cos2_element,
     analytic_cos_element,
@@ -18,12 +23,9 @@ from planar_pendulum import (
     exp_cos_integral,
     hellmann_feynman_residual,
     kinetic_identity_residual,
-    make_grid,
     modified_bessel_i,
     quadrature_element_matrix,
     reconstruct_ansatz,
-    sector_element_matrix,
-    solve_spectrum,
 )
 
 

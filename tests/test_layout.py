@@ -1,0 +1,100 @@
+"""The primary path and its twins stay apart, and the bench tracer still
+hooks the package.
+
+Only validation and the tests import planar_pendulum.twins, so no command
+but validate loads a twin, and the package root exports none of them.
+"""
+
+import ast
+import importlib
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import planar_pendulum
+from planar_pendulum import twins
+
+PACKAGE = Path(planar_pendulum.__file__).parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+MOVED = (
+    # from elements
+    "BesselTable", "modified_bessel_i", "exp_cos_integral",
+    "ansatz_norm_integral", "analytic_cos_element", "analytic_cos2_element",
+    "quadrature_element_matrix", "hellmann_feynman_residual",
+    "kinetic_identity_residual",
+    # from cqes
+    "AnsatzCoefficients", "algebraic_sector_size", "algebraic_ansatz",
+    "reconstruct_ansatz", "analytic_switch_off_coefficients",
+    "analytic_switch_on_coefficient", "quadrature_switch_off_coefficients",
+    "quadrature_switch_on_coefficients", "reconstruct_from_free_rotor",
+    # from spectrum and propagate
+    "classify_symmetry", "AccuracyReport", "second_order_accuracy_check",
+)
+
+
+def _imports_twins(path: Path) -> bool:
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or "", *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any("twins" in name.split(".") for name in names):
+            return True
+    return False
+
+
+def test_twins_are_imported_only_by_validation():
+    importers = {path.name for path in PACKAGE.glob("*.py")
+                 if _imports_twins(path)}
+    assert importers == {"validation.py"}
+
+
+def test_primary_commands_load_no_twin(tmp_path):
+    code = ("import sys\n"
+            "import planar_pendulum.cli as cli\n"
+            "assert cli.main(['spectrum', '--eta', '-10', '--zeta', '25', "
+            "'--n-states', '2', '--output', 's.csv']) == 0\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('planar_pendulum')))\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert "planar_pendulum.cli" in out
+    assert "planar_pendulum.twins" not in out
+    assert "planar_pendulum.validation" not in out
+
+
+def test_package_root_exports_no_twin():
+    exported = set(planar_pendulum.__all__)
+    assert len(planar_pendulum.__all__) == len(exported) == 40
+    assert not exported & set(MOVED)
+    assert not exported & {"ALL_CHECKS", "CheckResult", "run_all"}
+    for name in MOVED:
+        assert getattr(twins, name).__module__ == "planar_pendulum.twins"
+        assert not hasattr(planar_pendulum, name)
+
+
+def test_bench_tracer_installs_and_uninstalls(monkeypatch):
+    # bench/run.py --trace 1 wraps every public function of the layer
+    # modules and chains the positional on_step hook of propagate._run
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    solve = planar_pendulum.solve_spectrum
+    tracer = tracing.Tracer(planar_pendulum)
+    tracer.install()
+    try:
+        planar_pendulum.solve_spectrum(planar_pendulum.InteractionParams(
+            -10.0, 25.0), 2)
+    finally:
+        tracer.uninstall()
+    assert planar_pendulum.solve_spectrum is solve
+    assert "spectrum.solve_spectrum" in {span[0] for span in tracer.spans}
+    # the package rebinds the name "propagate" to the function
+    stepper = importlib.import_module("planar_pendulum.propagate")._run
+    assert list(inspect.signature(stepper).parameters) == [
+        "amps", "grid", "schedule", "duration", "nsteps", "on_step"]

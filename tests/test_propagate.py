@@ -18,7 +18,6 @@ from planar_pendulum import (
     free_rotor_wavefunction,
     make_grid,
     propagate,
-    second_order_accuracy_check,
     solve_spectrum,
 )
 from planar_pendulum.cli import main
@@ -35,6 +34,7 @@ from planar_pendulum.propagate import (
     smooth_cosine,
 )
 from planar_pendulum.spectrum import _signed_expansion
+from planar_pendulum.twins import second_order_accuracy_check
 
 TWO_PI = 2.0 * math.pi
 

@@ -11,13 +11,13 @@ import planar_pendulum.spectrum as spectrum_module
 from planar_pendulum import (
     InteractionParams,
     SymmetryLabel,
-    classify_symmetry,
     crossing_scan,
     make_grid,
     solve_spectrum,
 )
 from planar_pendulum.spectrum import (TAIL_TOL, _auto_j_max, _solve_chunk,
                                      _tail_bound)
+from planar_pendulum.twins import classify_symmetry
 
 # Full 9-state reference at (eta, zeta) = (-10, 25), checked against a
 # j_max=128 solve (agreement 7e-14) before freezing.

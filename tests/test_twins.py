@@ -7,15 +7,17 @@ from planar_pendulum import (
     InteractionParams,
     SymmetryLabel,
     make_grid,
-    quadrature_element_matrix,
-    quadrature_switch_off_coefficients,
-    quadrature_switch_on_coefficients,
     sector_element_matrix,
     solve_spectrum,
     switch_off_coefficients,
     switch_on_coefficients,
 )
 from planar_pendulum.spectrum import _ALIGN_FLOOR, _pi_probe_weights
+from planar_pendulum.twins import (
+    quadrature_element_matrix,
+    quadrature_switch_off_coefficients,
+    quadrature_switch_on_coefficients,
+)
 
 N_STATES = 8
 

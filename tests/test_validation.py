@@ -1,6 +1,6 @@
 """The whole runtime check battery behind `planar-pendulum validate`."""
 
-from planar_pendulum import ALL_CHECKS, run_all
+from planar_pendulum.validation import ALL_CHECKS, run_all
 
 
 def test_every_validation_check_passes():
