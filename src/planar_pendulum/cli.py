@@ -12,7 +12,8 @@ own where it has one). A JSON config file (--config) is read as the flags
 its keys name, ahead of the command line: file values are typed and
 checked like flags (exit 2), explicit flags override them, and refused
 values and unknown keys are reported with the offending file:line.
-propagate's 'schedule' is the one key without a flag.
+propagate's 'schedule' is the one key without a flag; it excludes the
+inline ramp flags.
 
 The manifest also carries 'diagnostics' for every command that solves a
 spectrum: the largest basis cutoff used and basis tail seen, the smallest
@@ -26,6 +27,16 @@ tail, and with a hold the largest hold cutoff and tail certificate.
 
 Scans over several (eta, zeta) points (spectrum, switch-on, topology-map)
 solve them in stacks (solve_stacks) and write their rows in scan order.
+
+The --tau-max series reach the writers as Blocks, not rows: one per point,
+a prefix (eta, zeta, j0 or n0) and float arrays. The CSV writer formats
+the prefix and each bitwise-constant column once per block, and the
+varying cells through one format string per run of at most BLOCK_ROWS
+rows; the JSON writer writes a block's rows. Other tables stay rows: mixed
+ones (spectrum labels, crossing kinds), and propagate's trajectory, whose
+rows stream in less memory than a run holds. Either way a table's bytes
+are the ones its rows would write cell by cell through _fmt (CSV) or json
+(JSON).
 """
 
 from __future__ import annotations
@@ -38,7 +49,8 @@ import os
 import re
 import sys
 from itertools import chain, repeat
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -133,12 +145,66 @@ def _conversion(kind: type) -> str:
     return "%s"
 
 
+BLOCK_ROWS = 512
+
+
+class Block(NamedTuple):
+    """Rows (*prefix, columns[0][i], columns[1][i], ...), i = 0, 1, ...:
+    one point's series; the columns are one or more float64 arrays of one
+    length, not zero."""
+    prefix: Tuple
+    columns: Tuple[np.ndarray, ...]
+
+
+class Blocks(list):
+    """A table body given as Blocks, not rows (see _write_block)."""
+
+
+def _write_block(fh, block: Block) -> None:
+    """block's rows as _fmt writes their cells, by runs of at most
+    BLOCK_ROWS rows, each through one (line * m) % values.
+
+    line is one row with the prefix and each bitwise-constant column
+    (compared as int64, so mixed 0.0/-0.0 and NaN payloads stay per cell)
+    formatted once, and '%.15g' for each varying cell; values are the
+    run's varying cells, row by row."""
+    n = len(block.columns[0])
+    texts = [_fmt(v).replace("%", "%%") for v in block.prefix]
+    varying = []
+    for col in block.columns:
+        col = np.asarray(col, dtype=np.float64)
+        bits = col.view(np.int64)
+        if (bits == bits[0]).all():
+            texts.append(_fmt(float(col[0])))
+        else:
+            texts.append("%.15g")
+            varying.append(col)
+    line = ",".join(texts) + "\n"
+    for start in range(0, n, BLOCK_ROWS):
+        run = [col[start:start + BLOCK_ROWS] for col in varying]
+        values = tuple(np.stack(run, axis=1).ravel().tolist()) if run else ()
+        fh.write(line * min(BLOCK_ROWS, n - start) % values)
+
+
+def _block_rows(block: Block) -> Iterable[Tuple]:
+    """block's rows, read from .tolist() columns."""
+    return zip(*map(repeat, block.prefix),
+               *(col.tolist() for col in block.columns))
+
+
 def _write_csv(path: str, columns: Sequence[str],
                rows: Iterable[Sequence]) -> None:
-    """Stream rows through one format string per run of rows with the same
-    value types (one per table when every column keeps its type)."""
+    """A header line, then the rows, each cell as _fmt writes it. Rows
+    stream through one format string per run of rows with the same value
+    types (one per table when every column keeps its type); Blocks are
+    written block by block (_write_block), the varying cells of at most
+    BLOCK_ROWS rows through one format string."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\n")
+        if isinstance(rows, Blocks):
+            for block in rows:
+                _write_block(fh, block)
+            return
         kinds, line = None, ""
         for row in rows:
             # a list: tuple(map(...)) is resized from a larger tuple on
@@ -154,7 +220,10 @@ def _write_csv(path: str, columns: Sequence[str],
 def _write_json_table(path: str, columns: Sequence[str],
                       rows: Iterable[Sequence]) -> None:
     """{"columns": [...], "rows": [[...], ...]}, one row per line, each
-    through json's C encoder; floats keep their exact repr."""
+    through json's C encoder; floats keep their exact repr. Blocks are
+    written as their rows (_block_rows)."""
+    if isinstance(rows, Blocks):
+        rows = chain.from_iterable(map(_block_rows, rows))
     dumps = json.JSONEncoder().encode
     with open(path, "w") as fh:
         fh.write('{"columns": ' + dumps(list(columns)) + ', "rows": [')
@@ -323,10 +392,13 @@ def _with_config(parser: argparse.ArgumentParser, argv: List[str],
         known.append("schedule")
     data, source = _load_config(args.config, command, known)
     # each value alone through a copy of the command's parser that raises,
-    # so that a refused value is a usage error (exit 2) naming file:line
+    # so that a refused value is a usage error (exit 2) naming file:line;
+    # the copy has no defaults, so what it parses was given
     probe = argparse.ArgumentParser(prog=f"{parser.prog} {command}",
                                     exit_on_error=False)
-    _add_options(probe, OPTIONS[command])
+    for name, spec in OPTIONS[command].items():
+        probe.add_argument(f"--{name}",
+                           **dict(spec, default=argparse.SUPPRESS))
     for key, value in data.items():
         try:
             _, extra = probe.parse_known_args(_file_flags({key: value}))
@@ -341,6 +413,13 @@ def _with_config(parser: argparse.ArgumentParser, argv: List[str],
     if args.schedule is not None:          # refused with its file:line
         try:
             _schedule_from_config(args.schedule)
+            given = vars(probe.parse_known_args(
+                [*_file_flags(data), *argv[at:]])[0])
+            ramp = [f"--{name}" for name in RAMP_FLAGS
+                    if name.replace("-", "_") in given]
+            if ramp:
+                raise ConfigError("give either a 'schedule' or ramp flags, "
+                                  f"not both (given: {', '.join(ramp)})")
         except ConfigError as exc:
             raise ConfigError(str(exc), source=source("schedule")) from None
     return args
@@ -422,17 +501,16 @@ def _run_crossings(args: argparse.Namespace, limits: _Limits):
              "min_gap"], rows, {})
 
 
-def _series_rows(point: Tuple, tau: np.ndarray, series: Dict,
-                 names: Sequence[str]) -> Iterable[Tuple]:
-    """Rows point + (tau, series values...), read from .tolist() columns."""
-    return zip(*map(repeat, point), tau.tolist(),
-               *(series[name].values.tolist() for name in names))
+def _series_block(point: Tuple, tau: np.ndarray, series: Dict,
+                  names: Sequence[str]) -> Block:
+    """Rows point + (tau, series values...) as one Block."""
+    return Block(point, (tau, *(series[name].values for name in names)))
 
 
 def _run_switch_off(args: argparse.Namespace, limits: _Limits):
     n0 = args.n0
     rows = []
-    series_rows = []
+    series = Blocks()
     for eta, zeta in _scan_points(args):
         spec = solve_spectrum(InteractionParams(eta, zeta),
                               max(n0 + 1, 4), args.j_max)
@@ -443,18 +521,18 @@ def _run_switch_off(args: argparse.Namespace, limits: _Limits):
             coeffs = switch_off_coefficients(spec, n0)
             tau = make_tau_grid(args.tau_max, args.samples_per_period)
             ev = switch_off_evolution(coeffs, tau)
-            series_rows += _series_rows((eta, zeta, n0), tau, ev,
-                                        ("cos", "cos2", "J2"))
+            series.append(_series_block((eta, zeta, n0), tau, ev,
+                                        ("cos", "cos2", "J2")))
     extras = {}
-    if series_rows:
+    if series:
         extras["series"] = (["eta", "zeta", "n0", "tau", "cos", "cos2", "J2"],
-                            series_rows)
+                            series)
     return ["eta", "zeta", "n0", "J", "probability"], rows, extras
 
 
 def _run_switch_on(args: argparse.Namespace, limits: _Limits):
     j0 = args.j0
-    rows, series_rows = {}, {}
+    rows, series = {}, {}
     for stack, points in _stacked_scan(args, limits):
         populations = np.abs(_switch_on_column(stack.coefficients, stack.odd,
                                                j0)) ** 2
@@ -468,12 +546,12 @@ def _run_switch_on(args: argparse.Namespace, limits: _Limits):
                 tau = make_tau_grid(args.tau_max, args.samples_per_period)
                 ser, _ = switch_on_evolution(
                     spec, switch_on_coefficients(spec, j0), tau)
-                series_rows[i] = list(_series_rows(
-                    (eta, zeta, j0), tau, ser, ("cos", "cos2", "J2", "energy")))
+                series[i] = [_series_block(
+                    (eta, zeta, j0), tau, ser, ("cos", "cos2", "J2", "energy"))]
     extras = {}
-    if series_rows:
+    if series:
         extras["series"] = (["eta", "zeta", "j0", "tau", "cos", "cos2", "J2",
-                             "energy"], _in_scan_order(series_rows))
+                             "energy"], Blocks(_in_scan_order(series)))
     return (["eta", "zeta", "j0", "n", "symmetry", "probability"],
             _in_scan_order(rows), extras)
 
@@ -522,6 +600,10 @@ def _schedule_from_config(obj) -> PulseSchedule:
             _profile_from_json(seg.get("eta"), where + ".eta"),
             _profile_from_json(seg.get("zeta"), where + ".zeta")))
     return PulseSchedule(segments)
+
+
+RAMP_FLAGS = ("eta-from", "zeta-from", "eta-to", "zeta-to", "ramp-duration",
+              "hold-duration", "shape")
 
 
 def _run_propagate(args: argparse.Namespace, limits: _Limits):

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -14,12 +15,17 @@ from planar_pendulum import (
     InteractionParams,
     make_tau_grid,
     solve_spectrum,
+    solve_stacks,
     switch_off_coefficients,
     switch_off_evolution,
     switch_off_populations,
+    switch_on_coefficients,
+    switch_on_evolution,
     switch_on_populations,
 )
-from planar_pendulum.cli import ConfigError, _fmt, _write_csv, main, parse_range
+from planar_pendulum.cli import (BLOCK_ROWS, Block, Blocks, ConfigError, _fmt,
+                                 _write_csv, _write_json_table, main,
+                                 parse_range)
 
 
 def read_csv(path):
@@ -323,6 +329,42 @@ def test_propagate_schedule_config(tmp_path, monkeypatch):
     assert float(rows[-1]["eta"]) == pytest.approx(-7.0)
 
 
+@pytest.mark.parametrize("flags,keys", [
+    pytest.param(["--eta-to", "-10", "--zeta-to", "25", "--ramp-duration",
+                  "0.1"], {}, id="ramp-flags"),
+    pytest.param(["--ramp-duration", "0.1"], {}, id="one-flag"),
+    pytest.param([], {"eta-to": -10, "zeta-to": 25, "ramp-duration": 0.1},
+                 id="ramp-keys"),
+    pytest.param([], {"zeta-to": 25}, id="one-key"),
+    # flags with defaults, given at their default or not
+    pytest.param(["--hold-duration", "5"], {}, id="hold-flag"),
+    pytest.param(["--shape", "smooth_cosine"], {}, id="default-shape-flag"),
+    pytest.param([], {"eta-from": -3, "zeta-from": 5}, id="from-keys"),
+    pytest.param([], {"shape": "linear"}, id="shape-key"),
+])
+def test_schedule_and_ramp_flags_are_refused(tmp_path, monkeypatch, capsys,
+                                             flags, keys):
+    # beside a constant (-3, 5) schedule, the ramp flags used to replace it
+    # or be ignored, with exit 0 and the schedule in the manifest
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "sched.json"
+    cfg.write_text(json.dumps({
+        "command": "propagate", "j0": 0, **keys,
+        "schedule": {"segments": [
+            {"duration": 0.3, "eta": {"profile": "constant", "value": -3},
+             "zeta": {"profile": "constant", "value": 5}}]},
+    }, indent=1))
+    line = 1 + next(i for i, text in enumerate(cfg.read_text().splitlines())
+                    if '"schedule":' in text)
+    assert main(["propagate", "--config", str(cfg), *flags,
+                 "--output", "r.csv"]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:{line}: " in err and "not both" in err
+    given = [*flags[::2], *("--" + key for key in keys)]
+    assert all(flag in err for flag in given)
+    assert [p.name for p in tmp_path.iterdir()] == ["sched.json"]
+
+
 def test_propagate_needs_a_schedule(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["propagate", "--j0", "0"]) == 2
@@ -494,6 +536,97 @@ def test_csv_cells_are_written_as_fmt(tmp_path_factory, rows):
         text = fh.read()
     assert text == "".join(",".join(_fmt(v) for v in row) + "\n"
                            for row in [columns, *rows])
+
+
+def _written(writer, path, columns, body):
+    """The bytes writer writes for body, or the type of the error it
+    raises (json refuses an np.int64 cell on either path)."""
+    try:
+        writer(str(path), columns, body)
+    except TypeError as exc:
+        return type(exc)
+    return path.read_bytes()
+
+
+_PREFIX = st.lists(st.one_of(st.integers(),
+                             st.integers(-2**63, 2**63 - 1).map(np.int64),
+                             _FLOATS, _FLOATS.map(np.float64)), max_size=3)
+_SPECIAL = np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _block(draw):
+    """A Block whose columns are constant, NaN-constant, mixed 0.0/-0.0 or
+    varying (with signed zeros, NaNs and infinities among them), at lengths
+    on both sides of the run edges."""
+    n = draw(st.sampled_from([1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                              2 * BLOCK_ROWS + 37]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["constant", "nan", "zeros", "varying"]), min_size=1,
+            max_size=5)):
+        if kind == "constant":
+            col = np.full(n, draw(_FLOATS))
+        elif kind == "nan":
+            col = np.full(n, math.nan)
+        elif kind == "zeros":
+            col = rng.choice(_SPECIAL[:2], n)
+        else:
+            col = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+            special = rng.random(n) < 0.05
+            col[special] = rng.choice(_SPECIAL, special.sum())
+        columns.append(col)
+    return Block(tuple(draw(_PREFIX)), tuple(columns))
+
+
+@settings(max_examples=40, deadline=None)
+@given(blocks=st.lists(_block(), min_size=1, max_size=3))
+def test_blocks_write_what_their_rows_write(tmp_path_factory, blocks):
+    # the rows hold the cells as the row path gets them: prefix values as
+    # given, column values from .tolist()
+    rows = [[*b.prefix, *cells] for b in blocks
+            for cells in zip(*(c.tolist() for c in b.columns))]
+    columns = ["c%d" % k for k in range(max(map(len, rows)))]
+    tmp = tmp_path_factory.mktemp("blocks")
+    for writer in (_write_csv, _write_json_table):
+        want = _written(writer, tmp / "rows", columns, rows)
+        assert _written(writer, tmp / "blocks", columns,
+                        Blocks(blocks)) == want
+
+
+def test_scan_series_are_written_in_scan_order(tmp_path, monkeypatch):
+    # eta = -30 takes cutoff 32 at zeta = 10 while its neighbours take 24,
+    # so the switch-on stacks come out of scan order
+    monkeypatch.chdir(tmp_path)
+    etas, zetas, tau_max = (-30.0, -20.0, -10.0), (10.0, 25.0), 12.6
+    points = [InteractionParams(e, z) for z in zetas for e in etas]
+    order = [i for s in solve_stacks(points, 6) for i in s.index.tolist()]
+    assert order != sorted(order)
+    scan = ["--eta-range", "-30:-10:10", "--zeta-range", "10:25:15",
+            "--tau-max", str(tau_max)]
+    assert main(["switch-on", *scan, "--j0", "2", "--n-states", "6",
+                 "--output", "on.csv"]) == 0
+    assert main(["switch-off", *scan, "--n0", "1", "--output", "off.csv"]) == 0
+    tau = make_tau_grid(tau_max)
+    assert len(tau) > 2 * BLOCK_ROWS
+    on, off = [], []
+    for p in points:
+        spec = solve_spectrum(p, 6)
+        ser, _ = switch_on_evolution(spec, switch_on_coefficients(spec, 2),
+                                     tau)
+        on += zip(repeat(p.eta), repeat(p.zeta), repeat(2), tau,
+                  *(ser[k].values for k in ("cos", "cos2", "J2", "energy")))
+        ser = switch_off_evolution(
+            switch_off_coefficients(solve_spectrum(p, 4), 1), tau)
+        off += zip(repeat(p.eta), repeat(p.zeta), repeat(1), tau,
+                   *(ser[k].values for k in ("cos", "cos2", "J2")))
+    for path, head, rows in [
+            ("on_series.csv", "eta,zeta,j0,tau,cos,cos2,J2,energy", on),
+            ("off_series.csv", "eta,zeta,n0,tau,cos,cos2,J2", off)]:
+        text = (tmp_path / path).read_text()
+        assert text == "".join(",".join(map(_fmt, row)) + "\n"
+                               for row in [head.split(","), *rows])
 
 
 def test_negative_values_after_flags(tmp_path, monkeypatch):
