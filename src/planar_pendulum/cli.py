@@ -248,8 +248,9 @@ class _Limits:
     points solved again at a grown cutoff (cutoff_misses), for switch-on
     populations the largest deficit 1 - sum_n |C_n|^2, for crossing
     windows the largest tail bound, and for propagate the largest norm
-    drift, grid tail, hold cutoff and hold tail bound. Deterministic, so the
-    manifest carries them beside the outputs."""
+    drift, grid tail, ramp window and edge weight, and hold cutoff and
+    hold tail bound. Deterministic, so the manifest carries them beside
+    the outputs."""
 
     def __init__(self):
         self.values: Dict[str, float] = {}
@@ -637,6 +638,9 @@ def _run_propagate(args: argparse.Namespace, limits: _Limits):
     traj = propagate(psi0, schedule, dtau=args.dtau,
                      sample_stride=args.sample_stride, duration=args.tau_end)
     limits.note(norm_drift=traj.norm_drift, grid_tail=traj.grid_tail)
+    if traj.ramp_limits:
+        windows, edges = zip(*traj.ramp_limits)
+        limits.note(ramp_j_max=max(windows), ramp_tail=max(edges))
     if traj.hold_limits:
         cutoffs, tails = zip(*traj.hold_limits)
         limits.note(hold_j_max=max(cutoffs), hold_tail=max(tails))

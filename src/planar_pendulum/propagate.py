@@ -1,27 +1,39 @@
 """Integration of the rotor TDSE under a pulse schedule.
 
-Ramps take split-operator steps on the angular grid (_run): half potential
-kick, full kinetic rotation in the wavenumber representation, half
-potential kick, with the fields sampled at the step midpoint so smooth
-time dependence keeps second order. The step is exactly unitary up to
-rounding, so norm drift is a diagnostic and is never corrected.
+Ramps take Strang steps in the signed-J free-rotor basis (_ramp): half
+potential kick, full kinetic phase exp(-i J^2 dtau), half potential kick,
+with the fields sampled at the step midpoint so smooth time dependence
+keeps second order. A kick multiplies the state by exp(-i dtau V / 2), a
+function of theta, so on the coefficients it is a convolution with that
+function's Fourier taps (_kick_taps), a band some ten taps wide. The state
+lives on a window |J| <= j_max: its first guess is a hold's, the window
+grows by a quarter (and the ramp is run again from its start) while a
+check finds weight above TAIL_TOL on its outer TAIL_ROWS slots, and it
+stops growing at the grid's band. Truncating the taps and the window is
+the only departure from unitarity, so norm drift is a diagnostic and is
+never corrected.
 
 Holds are evolved exactly (_exact_hold): each maximal run of steps lying
 wholly inside a constant segment, or past the schedule's end, projects the
 grid state onto the two parity sectors, takes one eigh per sector at the
 hold fields and applies exp(-i E_n t) at each snapshot time. Its cutoff is
 guarded like solve_stacks's: discarded grid amplitudes and an all-time
-bound on the basis tail must be <= TAIL_TOL. _run alone remains the grid
-twin that validate and the tests check propagate against.
+bound on the basis tail must be <= TAIL_TOL.
+
+Every snapshot goes back to the angular grid by one inverse FFT. The same
+Strang step on the grid (_run: the kick a pointwise product, the kinetic
+phase applied after an FFT) is the twin that validate and the tests check
+propagate against.
 
 The requested dtau is snapped to an exact divisor of the propagation
 window (dtau_eff = duration / round(duration / dtau)); without this the
 leftover fraction of a step turns into a spurious first-order phase error
 that buries the genuine splitting error.
 
-NaN and inf are absorbing under the FFT and under the unit-modulus
-kicks, so the stepper checks finiteness every FINITE_CHECK_STEPS steps and
-after the last one: a non-finite state still raises before it is returned.
+NaN and inf are absorbing under the kicks and the kinetic phase, so the
+steppers check finiteness every FINITE_CHECK_STEPS steps and after the
+last one: a non-finite state still raises before it is returned. _ramp
+checks its window at the same steps.
 
 Each snapshot is measured once (Trajectory). propagate warns only when a
 snapshot's top-of-grid weight, measured there, exceeds TAIL_TOL.
@@ -51,10 +63,12 @@ from .spectrum import (
 DEFAULT_DTAU = 1e-3
 _NORM_TOL = 1e-10
 FINITE_CHECK_STEPS = 64
-# Snapshots are measured, and a hold's evaluated, this many at a time (a
-# hold's go back to the grid one array each, as _run's do): blocks of many
-# states would raise the peak resident memory; small ones reuse it.
+# Snapshots are measured, and a hold's evaluated, this many at a time (each
+# goes back to the grid as an array of its own): blocks of many states
+# would raise the peak resident memory; small ones reuse it.
 _HOLD_CHUNK = 16
+# Kick taps below this are dropped: a few ulps of the kick's unit modulus.
+_TAP_FLOOR = 4.0 * np.finfo(float).eps
 
 PROFILE_KINDS = ("constant", "linear", "smooth_cosine")
 
@@ -191,15 +205,17 @@ class PulseSchedule:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots of one propagation, their (eta, zeta) fields and the
-    (cutoff, tail certificate) of each exact hold. Each snapshot is measured
-    once, by grid_moments: norms (each within 1e-10 of 1), norm_drift, the
-    cos, cos2, J2 and energy series, and grid_tail, the largest tail."""
+    """Snapshots of one propagation, their (eta, zeta) fields, the
+    (cutoff, tail certificate) of each exact hold and the (window, largest
+    checked edge weight) of each ramp. Each snapshot is measured once, by
+    grid_moments: norms (each within 1e-10 of 1), norm_drift, the cos,
+    cos2, J2 and energy series, and grid_tail, the largest tail."""
 
     tau_samples: np.ndarray
     states: Tuple[Wavefunction, ...]
     fields: np.ndarray
     hold_limits: Tuple[Tuple[int, float], ...] = ()
+    ramp_limits: Tuple[Tuple[int, float], ...] = ()
     norms: np.ndarray = field(init=False)
     observables: Dict[str, ExpectationSeries] = field(init=False)
     norm_drift: float = field(init=False)
@@ -299,24 +315,6 @@ def _run(amps: np.ndarray, grid: AngularGrid, schedule: PulseSchedule,
     return psi
 
 
-class _FromStep:
-    """The schedule as _run sees it from step `first` on: step i of the
-    view is step first + i of the schedule at the same dtau. _run reads
-    step_fields; fields_at is kept for readers of the schedule a _run call
-    was given, such as the per-step split of bench/tracing.py."""
-
-    def __init__(self, schedule: PulseSchedule, first: int, dtau: float):
-        self.schedule, self.first, self.offset = schedule, first, first * dtau
-
-    def step_fields(self, dtau: float, nsteps: int
-                    ) -> Iterator[Tuple[float, float]]:
-        return islice(self.schedule.step_fields(dtau, self.first + nsteps),
-                      self.first, None)
-
-    def fields_at(self, tau: float) -> Tuple[float, float]:
-        return self.schedule.fields_at(tau + self.offset)
-
-
 def _hold_runs(schedule: PulseSchedule, dtau: float, nsteps: int
                ) -> List[Tuple[int, int, Tuple[float, float]]]:
     """(first, last, fields) of each maximal run of steps first+1..last
@@ -352,6 +350,30 @@ def _hold_runs(schedule: PulseSchedule, dtau: float, nsteps: int
     return runs
 
 
+def _coefficients(amps: np.ndarray, grid: AngularGrid
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Free-rotor coefficients c_J of a grid state, J = -band..band (band =
+    n/2 - 1, Wavefunction.free_rotor_coefficients), and its weight per |J|:
+    max(|c_J|, |c_-J|) for J = 0..band, then the Nyquist amplitude."""
+    band = grid.n_points // 2 - 1
+    c = Wavefunction(grid, amps, normalize=False).free_rotor_coefficients(band)
+    nyquist = (abs(amps[::2].sum() - amps[1::2].sum()) * grid.dtheta
+               / math.sqrt(2.0 * np.pi))
+    weight = np.concatenate([np.maximum(abs(c[band:]), abs(c[band::-1])),
+                             [nyquist]])
+    return c, weight
+
+
+def _first_cutoff(weight: np.ndarray, eta: float, zeta: float) -> int:
+    """The cutoff a hold or a ramp tries first: _auto_j_max of the field
+    magnitudes (the guess depends on |eta| and the well depth only), raised
+    to the state's own extent (its last weight > TAIL_TOL; a unit state
+    always has one) and TAIL_ROWS more."""
+    extent = int(np.flatnonzero(weight > TAIL_TOL)[-1])
+    return max(_auto_j_max(InteractionParams(-abs(eta), abs(zeta)), 1),
+               _round_up8(extent + TAIL_ROWS))
+
+
 def _sectors(amps: np.ndarray, grid: AngularGrid
              ) -> Tuple[np.ndarray, np.ndarray]:
     """Parity-sector coefficients of a grid state and its grid weight.
@@ -359,30 +381,24 @@ def _sectors(amps: np.ndarray, grid: AngularGrid
     Returns the rows (even, odd), each of length n/2 over J = 0..n/2 - 1
     with odd slot 0 zero: the inverse of spectrum._signed_expansion,
     a_0 = c_0, a_J = (c_J + c_-J)/sqrt(2), b_J = i*(c_J - c_-J)/sqrt(2), from
-    Wavefunction.free_rotor_coefficients. The weight at J is
-    max(|c_J|, |c_-J|); its last entry, J = n/2, is the Nyquist amplitude.
+    _coefficients, with its weight.
     """
+    c, weight = _coefficients(amps, grid)
     band = grid.n_points // 2 - 1
-    c = Wavefunction(grid, amps, normalize=False).free_rotor_coefficients(band)
     pos, neg = c[band + 1:], c[band - 1::-1]        # c_J and c_-J, J >= 1
     rows = np.zeros((2, band + 1), dtype=complex)
     rows[0, 0] = c[band]
     rows[0, 1:] = (pos + neg) / math.sqrt(2.0)
     rows[1, 1:] = 1j * (pos - neg) / math.sqrt(2.0)
-    nyquist = (abs(amps[::2].sum() - amps[1::2].sum()) * grid.dtheta
-               / math.sqrt(2.0 * np.pi))
-    weight = np.concatenate([[abs(c[band])], np.maximum(abs(pos), abs(neg)),
-                             [nyquist]])
     return rows, weight
 
 
-def _grid_states(rows: np.ndarray, grid: AngularGrid) -> List[np.ndarray]:
-    """Grid amplitudes of sector rows (S, 2, j_max + 1), (even, odd) as
-    _sectors returns them: _signed_expansion of each row, summed, then one
-    inverse FFT per state into an array of its own."""
-    j_max = rows.shape[-1] - 1
+def _signed_grid_states(signed: Sequence[np.ndarray], grid: AngularGrid
+                        ) -> List[np.ndarray]:
+    """Grid amplitudes of signed coefficient rows over J = -j_max..j_max
+    (j_max < n/2), one inverse FFT per state into an array of its own."""
     n = grid.n_points
-    signed = _signed_expansion(rows, np.array([False, True]), j_max).sum(-2)
+    j_max = len(signed[0]) // 2
     index = np.arange(-j_max, j_max + 1) % n
     states = []
     for coeffs in signed:
@@ -392,6 +408,15 @@ def _grid_states(rows: np.ndarray, grid: AngularGrid) -> List[np.ndarray]:
         amps *= n / math.sqrt(2.0 * np.pi)
         states.append(amps)
     return states
+
+
+def _grid_states(rows: np.ndarray, grid: AngularGrid) -> List[np.ndarray]:
+    """Grid amplitudes of sector rows (S, 2, j_max + 1), (even, odd) as
+    _sectors returns them: _signed_expansion of each row, summed, then
+    _signed_grid_states."""
+    signed = _signed_expansion(rows, np.array([False, True]),
+                               rows.shape[-1] - 1).sum(-2)
+    return _signed_grid_states(signed, grid)
 
 
 def _exact_hold(amps: np.ndarray, grid: AngularGrid,
@@ -413,11 +438,7 @@ def _exact_hold(amps: np.ndarray, grid: AngularGrid,
     eta, zeta = fields
     band = grid.n_points // 2 - 1
     rows, weight = _sectors(amps, grid)
-    # the last J above TAIL_TOL; a unit state always has one
-    extent = int(np.flatnonzero(weight > TAIL_TOL)[-1])
-    # the guess depends on |eta| and the well depth only
-    guess = _auto_j_max(InteractionParams(-abs(eta), abs(zeta)), 1)
-    j_max = max(guess, _round_up8(extent + TAIL_ROWS))
+    j_max = _first_cutoff(weight, eta, zeta)
     while True:
         j_max = min(j_max, band)
         discarded = float(weight[j_max + 1:].max())
@@ -450,6 +471,127 @@ def _exact_hold(amps: np.ndarray, grid: AngularGrid,
     return states, j_max, tail
 
 
+def _field_bound(schedule: PulseSchedule, lo: float, hi: float
+                 ) -> Tuple[float, float]:
+    """Bounds on |eta| and |zeta| at the times in (lo, hi): each profile is
+    monotone, so the endpoints of the segments that overlap it, and the
+    final fields if it reaches past the schedule's end."""
+    ends = schedule._ends.tolist()
+    fields = [schedule.fields_at(hi)] if hi > schedule.total_duration else []
+    for seg, start, end in zip(schedule.segments, [0.0, *ends[:-1]], ends):
+        if seg.duration > 0 and start < hi and end > lo:
+            fields += [(seg.eta.start, seg.zeta.start),
+                       (seg.eta.end, seg.zeta.end)]
+    eta, zeta = np.abs(fields).max(axis=0)
+    return float(eta), float(zeta)
+
+
+def _kick_taps(fields: Sequence[Tuple[float, float]], dtau: float,
+               limit: int) -> np.ndarray:
+    """Fourier taps t_p, p = -w..w, of the half-step kick exp(-i dtau V / 2)
+    at each row (eta, zeta) of fields, so that the kicked state has the
+    coefficients (t * c)_J = sum_p t_p c_(J-p).
+
+    One M-point FFT gives the taps of all rows. M starts at 64 and doubles
+    while a tap at |p| >= M/4 is above _TAP_FLOOR, so the aliased taps
+    t_(p -+ M) are below it too; w is the last |p| with a tap above it.
+    M stops doubling once M/4 > limit, the widest half-width the caller
+    can use, and then w > limit if the taps are wider.
+    """
+    eta, zeta = 0.5 * dtau * np.array(fields).T
+    m = 64
+    while True:
+        cos = np.cos(2.0 * np.pi * np.arange(m) / m)
+        # -dtau V / 2 = (dtau / 2) (eta cos(theta) + zeta cos(theta)^2)
+        taps = np.fft.fft(np.exp(1j * (np.multiply.outer(eta, cos)
+                                       + np.multiply.outer(zeta, cos * cos))))
+        taps /= m
+        p = np.flatnonzero(np.abs(taps).max(axis=0) > _TAP_FLOOR)
+        w = int(np.minimum(p, m - p).max())
+        if w < m // 4 or m // 4 > limit:
+            return taps[:, np.arange(-w, w + 1) % m]
+        m *= 2
+
+
+def _ramp(amps: np.ndarray, grid: AngularGrid, schedule: PulseSchedule,
+          first: int, ends: Sequence[int], dtau: float
+          ) -> Tuple[List[np.ndarray], int, float]:
+    """The grid states after steps ends[0] < ... < ends[-1] of the Strang
+    steps first + 1..ends[-1] of the schedule at dtau, taken in the
+    signed-J free-rotor basis. Returns the states (one array each), the
+    window j_max and the largest edge weight checked.
+
+    A step convolves the coefficients with the kick taps of its midpoint
+    fields, multiplies them by exp(-i J^2 dtau) and convolves them again,
+    on the window |J| <= j_max. The window starts at _first_cutoff of the
+    ramp's largest field magnitudes, capped at the grid's band n/2 - 1,
+    and is never narrower than the taps (taps wider than the band raise
+    RuntimeError). Every FINITE_CHECK_STEPS steps and after the last one
+    the state must be finite (else RuntimeError), and its edge weight, the
+    largest |c_J| on the outer TAIL_ROWS slots of either side, must be
+    <= TAIL_TOL. Otherwise the window grows by a quarter (to a multiple of
+    8, and at least to the taps) and the ramp is taken again from its
+    start. At the band it grows no further: the snapshots' grid_tail shows
+    what the band cannot hold, and a norm drift above _NORM_TOL, the
+    weight the window has lost, raises RuntimeError.
+    """
+    band = grid.n_points // 2 - 1
+    coeffs, weight = _coefficients(amps, grid)
+    last = ends[-1]
+    j_max = min(band, _first_cutoff(
+        weight, *_field_bound(schedule, first * dtau, last * dtau)))
+    while True:
+        c = coeffs[band - j_max:band + j_max + 1]
+        kinetic = np.exp(-1j * np.arange(-j_max, j_max + 1) ** 2 * dtau)
+        fields = islice(schedule.step_fields(dtau, last), first, None)
+        targets = iter(ends)
+        target = next(targets)
+        snaps: List[np.ndarray] = []
+        tail, step, width = 0.0, first, 0
+        while step < last:
+            taps = _kick_taps(list(islice(fields, FINITE_CHECK_STEPS)), dtau,
+                              band)
+            width = len(taps[0]) // 2
+            if width > j_max == band:
+                raise RuntimeError(
+                    f"ramp kick taps reach |p| = {width} within tau "
+                    f"{step * dtau:.6g} to {(step + len(taps)) * dtau:.6g}, "
+                    f"past the grid's band j_max={band}; use more grid "
+                    "points or a smaller dtau")
+            if width > j_max:
+                break
+            checked = step
+            for t in taps:
+                # each convolve returns a new array, so c can be kept as is
+                c = np.convolve(c, t, "same")
+                c *= kinetic
+                c = np.convolve(c, t, "same")
+                step += 1
+                if step == target:
+                    snaps.append(c)
+                    target = next(targets, None)
+            if not np.isfinite(c).all():
+                raise RuntimeError(
+                    f"non-finite amplitudes within steps {checked + 1}-{step} "
+                    f"(tau {checked * dtau:.6g} to {step * dtau:.6g})")
+            edge = max(float(abs(c[:TAIL_ROWS]).max()),
+                       float(abs(c[-TAIL_ROWS:]).max()))
+            tail = max(tail, edge)
+            if edge > TAIL_TOL and j_max < band:
+                break
+            if j_max == band:
+                drift = abs(math.sqrt(float(np.vdot(c, c).real)) - 1.0)
+                if not drift <= _NORM_TOL:
+                    raise RuntimeError(
+                        f"ramp within tau {checked * dtau:.6g} to "
+                        f"{step * dtau:.6g}: norm drift {drift:.1e} > "
+                        f"{_NORM_TOL:.0e} at the grid's band j_max={band}; "
+                        "use more grid points")
+        else:
+            return _signed_grid_states(snaps, grid), j_max, tail
+        j_max = min(band, max(_round_up8(1.25 * j_max), width))
+
+
 def propagate(psi0: Wavefunction, schedule: PulseSchedule,
               dtau: float = DEFAULT_DTAU,
               sample_stride: Optional[int] = None,
@@ -458,9 +600,10 @@ def propagate(psi0: Wavefunction, schedule: PulseSchedule,
 
     duration defaults to the schedule's span; a longer duration holds the
     final field values. The first and last instants are always sampled.
-    Steps that touch a ramp take Strang steps on the grid (_run); each run
-    of steps inside a hold is evolved exactly (_exact_hold), on the same
-    step and snapshot times. Warns if a snapshot's grid_tail > TAIL_TOL.
+    Steps that touch a ramp take Strang steps in the basis (_ramp); each
+    run of steps inside a hold is evolved exactly (_exact_hold), on the
+    same step and snapshot times. Warns if a snapshot's grid_tail >
+    TAIL_TOL.
     """
     if not (math.isfinite(dtau) and dtau > 0):
         raise ValueError(f"dtau must be finite and > 0, got {dtau}")
@@ -484,41 +627,38 @@ def propagate(psi0: Wavefunction, schedule: PulseSchedule,
 
     taus: List[float] = [0.0]
     snaps: List[np.ndarray] = [np.array(psi0.amplitudes, dtype=complex)]
-
-    def on_step(i: int, psi: np.ndarray) -> None:
-        if i % sample_stride == 0 or i == nsteps:
-            taus.append(tau_at(i))
-            snaps.append(psi.copy())
-
     psi = snaps[0]
     done = 0
-    hold_limits = []
+    limits: Dict[str, List[Tuple[int, float]]] = {"ramp": [], "hold": []}
     for first, last, fields in [*_hold_runs(schedule, dtau_eff, nsteps),
                                 (nsteps, nsteps, None)]:
-        if first > done:
-            psi = _run(psi, grid, _FromStep(schedule, done, dtau_eff),
-                       (first - done) * dtau_eff, first - done,
-                       lambda i, p, done=done: on_step(done + i, p))
-        if last > first:
-            # the steps on_step would sample, then the hold's last one
-            steps = list(range(first + sample_stride - first % sample_stride,
-                               last + 1, sample_stride))
-            if last == nsteps and steps[-1:] != [last]:
-                steps.append(last)
-            ends = steps if steps[-1:] == [last] else steps + [last]
-            states, j_max, tail = _exact_hold(
-                psi, grid, fields, (np.array(ends) - first) * dtau_eff)
+        for kind, lo, hi in (("ramp", done, first), ("hold", first, last)):
+            if hi <= lo:
+                continue
+            # the sampled steps i (i % sample_stride == 0 or i == nsteps),
+            # then the run's last one
+            steps = list(range(lo + sample_stride - lo % sample_stride,
+                               hi + 1, sample_stride))
+            if hi == nsteps and steps[-1:] != [hi]:
+                steps.append(hi)
+            ends = steps if steps[-1:] == [hi] else steps + [hi]
+            if kind == "ramp":
+                states, j_max, tail = _ramp(psi, grid, schedule, lo, ends,
+                                            dtau_eff)
+            else:
+                states, j_max, tail = _exact_hold(
+                    psi, grid, fields, (np.array(ends) - lo) * dtau_eff)
             taus.extend(tau_at(i) for i in steps)
             snaps.extend(states[:len(steps)])
             psi = states[-1]
-            hold_limits.append((j_max, tail))
+            limits[kind].append((j_max, tail))
         done = last
 
     traj = Trajectory(
         tau_samples=np.array(taus),
         states=tuple(Wavefunction(grid, a, normalize=False) for a in snaps),
         fields=np.array([schedule.fields_at(t) for t in taus]),
-        hold_limits=tuple(hold_limits))
+        hold_limits=tuple(limits["hold"]), ramp_limits=tuple(limits["ramp"]))
     if traj.grid_tail > TAIL_TOL:
         warnings.warn(f"top-of-grid weight {traj.grid_tail:.1e} (at |J| > "
                       f"{grid.max_band_limit}) > {TAIL_TOL:.0e}; use more "

@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     InteractionParams,
     SymmetryLabel,
+    Wavefunction,
     free_rotor_wavefunction,
     make_grid,
     potential_shape,
@@ -31,7 +32,7 @@ from .dynamics import (
     switch_on_populations,
     time_averaged_orientation,
 )
-from .propagate import PulseSchedule, _run, propagate
+from .propagate import DEFAULT_DTAU, PulseSchedule, _run, propagate
 from .spectrum import _odd_mask, crossing_scan, solve_spectrum
 from .twins import (
     BesselTable,
@@ -385,8 +386,9 @@ def check_stationarity() -> Tuple[bool, str]:
     return _fail_detail(drift, 1e-8, "ground-state population drift")
 
 
-# propagate evolves constant fields exactly, so the split-operator grid
-# stepper _run, its twin, is checked on frozen fields directly.
+# propagate evolves constant fields exactly and steps ramps in the basis,
+# so the split-operator grid stepper _run, its twin, is checked on frozen
+# fields directly.
 
 def _l2(grid, amps: np.ndarray) -> float:
     return math.sqrt(float(np.sum(np.abs(amps) ** 2)) * grid.dtheta)
@@ -418,7 +420,7 @@ def check_spectral_oracle() -> Tuple[bool, str]:
 
 
 def check_exact_hold() -> Tuple[bool, str]:
-    """propagate (grid ramp, exact hold) against the grid twin _run on the
+    """propagate (basis ramp, exact hold) against the grid twin _run on the
     README ramp and hold. Both are second order in the ramp steps and the
     twin in the hold steps too, so each run at dtau is off by 4/3 of its
     difference from the run at dtau/2; the two final states may differ
@@ -436,6 +438,39 @@ def check_exact_hold() -> Tuple[bool, str]:
                              + _l2(grid, prop[0] - prop[1]))
     return dev <= tol, (f"L2 |propagate - grid twin| = {dev:.3e} (tol "
                         f"{tol:.3e} from step doubling)")
+
+
+# (eta, zeta, ramp duration) of the ramps without a hold, from J0 = 1, on
+# which propagate's basis ramp is checked against the grid twin
+RAMP_TWIN_CASES = ((-10.0, 25.0, 1.0), (-40.0, 120.0, 0.3))
+
+
+def ramp_twin_deviations(eta: float, zeta: float, ramp: float
+                         ) -> Tuple[float, float, float]:
+    """|propagate - _run| of cos, cos2 and the L2 norm of the final state
+    after a smooth ramp from (0, 0) to (eta, zeta) at the default dtau."""
+    grid = make_grid()
+    psi = free_rotor_wavefunction(1, grid)
+    sch = PulseSchedule.switch(0.0, 0.0, eta, zeta, ramp, 0.0)
+    basis = propagate(psi, sch, sample_stride=10 ** 9).final_state
+    twin = Wavefunction(grid, _run(psi.amplitudes, grid, sch, ramp,
+                                   round(ramp / DEFAULT_DTAU)),
+                        normalize=False)
+    return (abs(basis.expectation_cos() - twin.expectation_cos()),
+            abs(basis.expectation_cos2() - twin.expectation_cos2()),
+            abs(basis.norm() - twin.norm()))
+
+
+def check_ramp_twin() -> Tuple[bool, str]:
+    """propagate's basis ramp against the grid twin _run on RAMP_TWIN_CASES.
+    Both take the same Strang steps, so they differ only by rounding and by
+    the truncated taps and window of the basis, which grow with the step
+    count: measured, cos, cos2 and the norm agree to 1.0e-13 here (1000
+    steps at most), and to 9.6e-12 after a 62,840-step ramp to (-40, 120).
+    Each must agree within 1e-10, ten times the longer ramp's figure."""
+    dev = max(max(ramp_twin_deviations(*case)) for case in RAMP_TWIN_CASES)
+    return _fail_detail(dev, 1e-10, "largest |propagate - grid twin| of cos, "
+                        "cos2 and norm")
 
 
 def check_splitting_order() -> Tuple[bool, str]:
@@ -510,6 +545,7 @@ ALL_CHECKS: List[Tuple[str, Callable[[], Tuple[bool, str]]]] = [
     ("unitarity", check_unitarity),
     ("spectral-oracle", check_spectral_oracle),
     ("exact-hold", check_exact_hold),
+    ("ramp-twin", check_ramp_twin),
     ("splitting-order", check_splitting_order),
     ("sudden-limit", check_sudden_limit),
     ("adiabatic-limit", check_adiabatic_limit),

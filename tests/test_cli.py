@@ -220,10 +220,14 @@ def test_manifest_diagnostics(tmp_path, monkeypatch):
     held = diagnostics("p")
     assert sorted(held) == ["basis_tail", "cut_gap", "cutoff_misses",
                             "grid_tail", "hold_j_max", "hold_tail", "j_max",
-                            "norm_drift"]
+                            "norm_drift", "ramp_j_max", "ramp_tail"]
     assert held["hold_j_max"] % 8 == 0 and 0 < held["hold_tail"] <= 1e-12
     assert 0 <= held["norm_drift"] <= 1e-10
-    assert sorted(diagnostics("r")) == ["grid_tail", "norm_drift"]
+    ramped = diagnostics("r")
+    assert sorted(ramped) == ["grid_tail", "norm_drift", "ramp_j_max",
+                              "ramp_tail"]
+    for run in (held, ramped):
+        assert run["ramp_j_max"] % 8 == 0 and 0 < run["ramp_tail"] <= 1e-12
 
 
 def test_a_near_doublet_at_the_state_cut_shows_in_the_cut_gap(tmp_path,

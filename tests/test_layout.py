@@ -98,3 +98,26 @@ def test_bench_tracer_installs_and_uninstalls(monkeypatch):
     stepper = importlib.import_module("planar_pendulum.propagate")._run
     assert list(inspect.signature(stepper).parameters) == [
         "amps", "grid", "schedule", "duration", "nsteps", "on_step"]
+
+
+def test_propagate_never_calls_the_grid_twin(monkeypatch):
+    # _run is the twin that validate and the tests check propagate's
+    # ramps against; propagate itself takes them in the basis
+    module = importlib.import_module("planar_pendulum.propagate")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("propagate called its grid twin _run")
+
+    monkeypatch.setattr(module, "_run", refuse)
+    ramp_hold_ramp = planar_pendulum.PulseSchedule([
+        planar_pendulum.Segment(0.1, module.linear(0.0, -8.0),
+                                module.linear(0.0, 16.0)),
+        planar_pendulum.Segment(0.1, module.constant(-8.0),
+                                module.constant(16.0)),
+        planar_pendulum.Segment(0.1, module.smooth_cosine(-8.0, -12.0),
+                                module.smooth_cosine(16.0, 30.0))])
+    grid = planar_pendulum.make_grid(128)
+    traj = planar_pendulum.propagate(
+        planar_pendulum.free_rotor_wavefunction(1, grid), ramp_hold_ramp,
+        duration=0.4)
+    assert len(traj.ramp_limits) == 2 and len(traj.hold_limits) == 2

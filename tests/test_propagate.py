@@ -1,5 +1,7 @@
-"""Grid propagator: schedules, accuracy regimes, cross-validation."""
+"""Propagator: schedules, basis ramps and exact holds against the grid twin,
+accuracy regimes, cross-validation."""
 
+import json
 import math
 import warnings
 
@@ -24,8 +26,11 @@ from planar_pendulum.cli import main
 from planar_pendulum.propagate import (
     FINITE_CHECK_STEPS,
     Trajectory,
+    _coefficients,
+    _first_cutoff,
     _grid_states,
     _hold_runs,
+    _kick_taps,
     _kick_writer,
     _run,
     _sectors,
@@ -35,6 +40,7 @@ from planar_pendulum.propagate import (
 )
 from planar_pendulum.spectrum import _signed_expansion
 from planar_pendulum.twins import second_order_accuracy_check
+from planar_pendulum.validation import RAMP_TWIN_CASES, ramp_twin_deviations
 
 TWO_PI = 2.0 * math.pi
 
@@ -335,6 +341,25 @@ def test_half_grid_kick_matches_full_grid(eta, zeta, dtau, n_points):
     assert np.max(np.abs(kick - np.exp(-0.5j * dtau * v))) <= 1e-15
 
 
+@settings(max_examples=40, deadline=None)
+@given(eta=st.floats(-120.0, 120.0), zeta=st.floats(-200.0, 200.0),
+       dtau=st.floats(1e-5, 0.1), seed=st.integers(0, 3))
+def test_kick_taps_convolve_as_the_grid_kick_multiplies(eta, zeta, dtau,
+                                                        seed):
+    """On a window with room for the taps, convolving a band-limited
+    state's coefficients with them gives the coefficients of the grid
+    kick's product, the kick of _run."""
+    g = make_grid(512)
+    (taps,) = _kick_taps([(eta, zeta)], dtau, 255)
+    window = 24 + len(taps) // 2
+    amps = _band_limited_state(g, 24, seed)
+    c, _ = _coefficients(amps, g)
+    kicked = np.convolve(c[255 - window:256 + window], taps, "same")
+    product = amps * _kick_writer(g, dtau)(eta, zeta)
+    assert np.max(np.abs(kicked - Wavefunction(g, product, normalize=False)
+                         .free_rotor_coefficients(window))) <= 1e-14
+
+
 @pytest.mark.parametrize("bad_step", [1, 63, FINITE_CHECK_STEPS,
                                       FINITE_CHECK_STEPS + 6, 99, 100])
 def test_nan_between_checks_still_raises(bad_step):
@@ -523,6 +548,26 @@ def test_hold_beyond_the_grid_band_exits_one(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "p.csv").exists()
 
 
+@pytest.mark.parametrize("points,message", [
+    pytest.param(16, "ramp kick taps reach |p| = 8 within tau 0.192 to "
+                 "0.256, past the grid's band j_max=7", id="taps"),
+    pytest.param(24, "ramp within tau 0.704 to 0.768: norm drift 2.5e-10 > "
+                 "1e-10 at the grid's band j_max=11", id="norm"),
+])
+def test_ramp_past_the_grid_band_exits_one(points, message, tmp_path,
+                                           monkeypatch, capsys):
+    # the ramp to (-10, 25) needs a window past these bands: its kick taps
+    # are wider than 7, and a window of 11 loses weight off its edge (the
+    # grid stepper ran both on, aliased, with top-of-grid weights of
+    # 8.8e-2 and 1.9e-2)
+    monkeypatch.chdir(tmp_path)
+    assert main(["propagate", "--j0", "1", "--eta-to", "-10",
+                 "--zeta-to", "25", "--ramp-duration", "1.0",
+                 "--grid-points", str(points), "--output", "p.csv"]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
 @pytest.mark.parametrize("timing", [["--ramp-duration", "3.8212"],
                                     ["--ramp-duration", "0.0628",
                                      "--hold-duration", "3.7584"]])
@@ -539,3 +584,49 @@ def test_the_last_snapshot_is_written_once_at_the_duration(tmp_path,
             (tmp_path / "p.csv").read_text().splitlines()[1:]]
     assert all(a < b for a, b in zip(taus, taus[1:]))
     assert taus[-1] == 3.8212
+
+
+# --------------------------------------------------------------------------
+# basis ramps against the grid twin
+
+
+@pytest.mark.parametrize("eta,zeta,ramp", RAMP_TWIN_CASES)
+def test_basis_ramp_matches_the_grid_twin(eta, zeta, ramp):
+    """validate's ramp-twin cases at every snapshot: the times of an
+    all-grid run bit for bit, and cos, cos2 and the final norm within
+    1e-10 of it (measured: up to 1.0e-13)."""
+    g = make_grid()
+    psi0 = free_rotor_wavefunction(1, g)
+    sch = PulseSchedule.switch(0.0, 0.0, eta, zeta, ramp, 0.0)
+    traj = propagate(psi0, sch, sample_stride=7)
+    taus, twin = _grid_twin(psi0, sch, 1e-3, 7, ramp)
+    assert np.array_equal(traj.tau_samples, taus)
+    assert np.abs(_cos_rows(traj) - twin).max() < 1e-10
+    assert max(ramp_twin_deviations(eta, zeta, ramp)) < 1e-10
+
+
+def test_a_wide_start_grows_the_ramp_window(tmp_path, monkeypatch):
+    """J0 = 40 reaches past its first window (48) within the ramp: the edge
+    check finds weight above 1e-12 there, and the ramp is taken again on a
+    wider window, which holds it."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["propagate", "--j0", "40", "--eta-to", "-10", "--zeta-to",
+                 "25", "--ramp-duration", "1.0", "--output", "p.csv"]) == 0
+    diagnostics = json.loads((tmp_path / "p.manifest.json").read_text())[
+        "diagnostics"]
+    g = make_grid()
+    _, weight = _coefficients(free_rotor_wavefunction(40, g).amplitudes, g)
+    assert diagnostics["ramp_j_max"] > _first_cutoff(weight, -10.0, 25.0)
+    assert 0 < diagnostics["ramp_tail"] <= 1e-12
+    assert diagnostics["norm_drift"] <= 1e-10
+
+
+@pytest.mark.parametrize("points,tail", [(32, "2.1e-03"), (64, "6.0e-09")])
+def test_a_coarse_grid_caps_the_ramp_window_at_its_band(points, tail):
+    """The window stops at the band n/2 - 1 and the ramp runs on; the
+    snapshots' top-of-grid weight is the one the grid stepper leaves."""
+    g = make_grid(points)
+    sch = PulseSchedule.switch(0.0, 0.0, -10.0, 25.0, 1.0, 0.0)
+    with pytest.warns(RuntimeWarning, match=f"top-of-grid weight {tail} "):
+        traj = propagate(free_rotor_wavefunction(1, g), sch)
+    assert [j_max for j_max, _ in traj.ramp_limits] == [points // 2 - 1]
