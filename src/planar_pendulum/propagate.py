@@ -1,55 +1,40 @@
 """Integration of the rotor TDSE under a pulse schedule.
 
-Ramps take Strang steps in the signed-J free-rotor basis (_ramp): half
-potential kick, full kinetic phase exp(-i J^2 dtau), half potential kick,
-with the fields sampled at the step midpoint so smooth time dependence
-keeps second order. A kick multiplies the state by exp(-i dtau V / 2), a
-function of theta, so on the coefficients it is a convolution with that
-function's Fourier taps (_kick_taps), a band some ten taps wide. The state
-lives on a window |J| <= j_max: its first guess is a hold's, the window
-grows by a quarter (and the ramp is run again from its start) while a
-check finds weight above TAIL_TOL on its outer TAIL_ROWS slots, and it
-stops growing at the grid's band. Truncating the taps and the window is
-the only departure from unitarity, so norm drift is a diagnostic and is
-never corrected.
+From the one FFT of psi0 on, the state is a row of signed-J free-rotor
+coefficients c_J, J = -j..j, as wide as its window (a start with more than
+TAIL_TOL on the grid's Nyquist mode, which no window holds, is refused).
+Ramps take Strang steps in that basis (_ramp) with midpoint fields; a
+potential kick exp(-i dtau V / 2) is a convolution with its Fourier taps
+(_kick_taps), and between reads the second half kick of a step and the
+first of the next are one (Feit, Fleck & Steiger, J. Comput. Phys. 47,
+412 (1982)). Holds are evolved exactly (_exact_hold): one eigh per parity
+sector, then exp(-i E_n t). Both guard their cutoff at TAIL_TOL up to the
+grid's band; truncation is the only departure from unitarity, so norm
+drift is a diagnostic and is never corrected. Snapshots are measured by
+band sums (Trajectory) and go to the grid, one inverse FFT each, only when
+read as states. The same Strang step on the grid (_run) is the twin that
+validate and the tests check propagate against.
 
-Holds are evolved exactly (_exact_hold): each maximal run of steps lying
-wholly inside a constant segment, or past the schedule's end, projects the
-grid state onto the two parity sectors, takes one eigh per sector at the
-hold fields and applies exp(-i E_n t) at each snapshot time. Its cutoff is
-guarded like solve_stacks's: discarded grid amplitudes and an all-time
-bound on the basis tail must be <= TAIL_TOL.
-
-Every snapshot goes back to the angular grid by one inverse FFT. The same
-Strang step on the grid (_run: the kick a pointwise product, the kinetic
-phase applied after an FFT) is the twin that validate and the tests check
-propagate against.
-
-The requested dtau is snapped to an exact divisor of the propagation
-window (dtau_eff = duration / round(duration / dtau)); without this the
-leftover fraction of a step turns into a spurious first-order phase error
-that buries the genuine splitting error.
-
-NaN and inf are absorbing under the kicks and the kinetic phase, so the
-steppers check finiteness every FINITE_CHECK_STEPS steps and after the
-last one: a non-finite state still raises before it is returned. _ramp
-checks its window at the same steps.
-
-Each snapshot is measured once (Trajectory). propagate warns only when a
-snapshot's top-of-grid weight, measured there, exceeds TAIL_TOL.
+dtau is snapped to an exact divisor of the window (dtau_eff = duration /
+round(duration / dtau)), or the leftover fraction of a step would add a
+first-order phase error. NaN and inf persist through the kicks and the
+kinetic phase, so the steppers check finiteness every FINITE_CHECK_STEPS
+steps and after the last one, and raise before returning such a state.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import cached_property
+from itertools import groupby, islice
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import AngularGrid, InteractionParams, Wavefunction, grid_moments
+from .core import AngularGrid, GridMoments, InteractionParams, Wavefunction
 from .dynamics import ExpectationSeries
 from .spectrum import (
     TAIL_ROWS,
@@ -63,9 +48,8 @@ from .spectrum import (
 DEFAULT_DTAU = 1e-3
 _NORM_TOL = 1e-10
 FINITE_CHECK_STEPS = 64
-# Snapshots are measured, and a hold's evaluated, this many at a time (each
-# goes back to the grid as an array of its own): blocks of many states
-# would raise the peak resident memory; small ones reuse it.
+# Snapshots are measured, and a hold's evaluated, this many at a time: many
+# would raise the peak resident memory; small blocks reuse it.
 _HOLD_CHUNK = 16
 # Kick taps below this are dropped: a few ulps of the kick's unit modulus.
 _TAP_FLOOR = 4.0 * np.finfo(float).eps
@@ -203,16 +187,44 @@ class PulseSchedule:
             yield held
 
 
+def _band_moments(c: np.ndarray, limit: int) -> GridMoments:
+    """Norm, <cos>, <cos^2>, <J^2> and tail (the largest |c_J| with
+    |J| > limit) of each signed row of c (S, 2j + 1) by band sums over its
+    interleaved real and imaginary parts: norm^2 = sum |c_J|^2, <cos> =
+    Re sum conj(c_J) c_(J+1), <cos^2> = (norm^2 + Re sum conj(c_J) c_(J+2))
+    / 2, <J^2> = sum J^2 |c_J|^2. A block gives its rows' bits."""
+    v = c.view(float)
+    sq = v * v
+    norm2 = sq.sum(-1)
+    cos = (v[:, :-2] * v[:, 2:]).sum(-1)
+    cos2 = 0.5 * norm2 + 0.5 * (v[:, :-4] * v[:, 4:]).sum(-1)
+    js = np.arange(c.shape[-1]) - c.shape[-1] // 2
+    j2 = (sq * np.repeat(js * js, 2)).sum(-1)
+    tail = np.abs(c[:, abs(js) > limit]).max(-1, initial=0.0)
+    return GridMoments(np.sqrt(norm2), cos, cos2, j2, tail)
+
+
+def _grid_amplitudes(c: np.ndarray, grid: AngularGrid) -> np.ndarray:
+    """Grid amplitudes of a signed row over J = -j..j, j < n/2."""
+    n, j = grid.n_points, len(c) // 2
+    amps = np.zeros(n, dtype=complex)
+    amps[np.arange(-j, j + 1) % n] = c
+    return np.fft.ifft(amps) * (n / math.sqrt(2.0 * np.pi))
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots of one propagation, their (eta, zeta) fields, the
-    (cutoff, tail certificate) of each exact hold and the (window, largest
-    checked edge weight) of each ramp. Each snapshot is measured once, by
-    grid_moments: norms (each within 1e-10 of 1), norm_drift, the cos,
-    cos2, J2 and energy series, and grid_tail, the largest tail."""
+    """Snapshots of one propagation as complex signed-J coefficient rows
+    on a grid, their (eta, zeta) fields, and the (cutoff, tail bound) of
+    each exact hold and (window, largest edge weight) of each ramp. Each
+    snapshot is measured once, by _band_moments on up to _HOLD_CHUNK rows
+    of one width at a time: norms (each within 1e-10 of 1), norm_drift,
+    the cos, cos2, J2 and energy series, and grid_tail, the largest |c_J|
+    with |J| > n/4. states and final_state go to the grid when read."""
 
     tau_samples: np.ndarray
-    states: Tuple[Wavefunction, ...]
+    coefficients: Tuple[np.ndarray, ...]
+    grid: AngularGrid
     fields: np.ndarray
     hold_limits: Tuple[Tuple[int, float], ...] = ()
     ramp_limits: Tuple[Tuple[int, float], ...] = ()
@@ -222,10 +234,10 @@ class Trajectory:
     grid_tail: float = field(init=False)
 
     def __post_init__(self):
-        grid = self.states[0].grid
-        chunks = [grid_moments(np.stack([w.amplitudes for w in
-                                         self.states[i:i + _HOLD_CHUNK]]), grid)
-                  for i in range(0, len(self.states), _HOLD_CHUNK)]
+        limit, chunks = self.grid.max_band_limit, []
+        for _, rows in groupby(self.coefficients, len):
+            while chunk := list(islice(rows, _HOLD_CHUNK)):
+                chunks.append(_band_moments(np.stack(chunk), limit))
         norms, cos, cos2, j2, tail = map(np.concatenate, zip(*chunks))
         drift = np.abs(norms - 1.0)
         taus = self.tau_samples
@@ -243,9 +255,15 @@ class Trajectory:
                             ("grid_tail", float(tail.max()))):
             object.__setattr__(self, name, value)
 
-    @property
+    @cached_property
+    def states(self) -> Tuple[Wavefunction, ...]:
+        return tuple(Wavefunction(self.grid, _grid_amplitudes(c, self.grid),
+                                  normalize=False) for c in self.coefficients)
+
+    @cached_property
     def final_state(self) -> Wavefunction:
-        return self.states[-1]
+        return Wavefunction(self.grid, _grid_amplitudes(
+            self.coefficients[-1], self.grid), normalize=False)
 
 
 def _kick_writer(grid: AngularGrid, dtau: float
@@ -350,18 +368,20 @@ def _hold_runs(schedule: PulseSchedule, dtau: float, nsteps: int
     return runs
 
 
+def _weight(c: np.ndarray) -> np.ndarray:
+    """max(|c_J|, |c_-J|), J = 0..j, of a signed row over J = -j..j."""
+    j = len(c) // 2
+    return np.maximum(abs(c[j:]), abs(c[j::-1]))
+
+
 def _coefficients(amps: np.ndarray, grid: AngularGrid
                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """Free-rotor coefficients c_J of a grid state, J = -band..band (band =
-    n/2 - 1, Wavefunction.free_rotor_coefficients), and its weight per |J|:
-    max(|c_J|, |c_-J|) for J = 0..band, then the Nyquist amplitude."""
-    band = grid.n_points // 2 - 1
-    c = Wavefunction(grid, amps, normalize=False).free_rotor_coefficients(band)
-    nyquist = (abs(amps[::2].sum() - amps[1::2].sum()) * grid.dtheta
-               / math.sqrt(2.0 * np.pi))
-    weight = np.concatenate([np.maximum(abs(c[band:]), abs(c[band::-1])),
-                             [nyquist]])
-    return c, weight
+    """Free-rotor coefficients c_J of a grid state, J = 1 - n/2..n/2 - 1,
+    by one FFT, and their _weight, then the Nyquist amplitude."""
+    n = grid.n_points
+    ft = np.fft.fft(amps) * grid.dtheta / math.sqrt(2.0 * np.pi)
+    c = ft[np.arange(1 - n // 2, n // 2) % n]
+    return c, np.append(_weight(c), abs(ft[n // 2]))
 
 
 def _first_cutoff(weight: np.ndarray, eta: float, zeta: float) -> int:
@@ -374,74 +394,34 @@ def _first_cutoff(weight: np.ndarray, eta: float, zeta: float) -> int:
                _round_up8(extent + TAIL_ROWS))
 
 
-def _sectors(amps: np.ndarray, grid: AngularGrid
-             ) -> Tuple[np.ndarray, np.ndarray]:
-    """Parity-sector coefficients of a grid state and its grid weight.
-
-    Returns the rows (even, odd), each of length n/2 over J = 0..n/2 - 1
-    with odd slot 0 zero: the inverse of spectrum._signed_expansion,
-    a_0 = c_0, a_J = (c_J + c_-J)/sqrt(2), b_J = i*(c_J - c_-J)/sqrt(2), from
-    _coefficients, with its weight.
-    """
-    c, weight = _coefficients(amps, grid)
-    band = grid.n_points // 2 - 1
-    pos, neg = c[band + 1:], c[band - 1::-1]        # c_J and c_-J, J >= 1
-    rows = np.zeros((2, band + 1), dtype=complex)
-    rows[0, 0] = c[band]
-    rows[0, 1:] = (pos + neg) / math.sqrt(2.0)
-    rows[1, 1:] = 1j * (pos - neg) / math.sqrt(2.0)
-    return rows, weight
+def _sectors(c: np.ndarray) -> np.ndarray:
+    """Parity-sector rows (even, odd), J = 0..j, of a signed row over
+    J = -j..j, the inverse of spectrum._signed_expansion: a_0 = c_0,
+    a_J = (c_J + c_-J)/sqrt(2), b_J = i*(c_J - c_-J)/sqrt(2), b_0 = 0."""
+    j = len(c) // 2
+    pos, neg = c[j:], c[j::-1]                      # c_J and c_-J, J >= 0
+    rows = np.stack([pos + neg, 1j * (pos - neg)]) / math.sqrt(2.0)
+    rows[0, 0] = c[j]
+    return rows
 
 
-def _signed_grid_states(signed: Sequence[np.ndarray], grid: AngularGrid
-                        ) -> List[np.ndarray]:
-    """Grid amplitudes of signed coefficient rows over J = -j_max..j_max
-    (j_max < n/2), one inverse FFT per state into an array of its own."""
-    n = grid.n_points
-    j_max = len(signed[0]) // 2
-    index = np.arange(-j_max, j_max + 1) % n
-    states = []
-    for coeffs in signed:
-        amps = np.zeros(n, dtype=complex)
-        amps[index] = coeffs
-        np.fft.ifft(amps, out=amps)
-        amps *= n / math.sqrt(2.0 * np.pi)
-        states.append(amps)
-    return states
-
-
-def _grid_states(rows: np.ndarray, grid: AngularGrid) -> List[np.ndarray]:
-    """Grid amplitudes of sector rows (S, 2, j_max + 1), (even, odd) as
-    _sectors returns them: _signed_expansion of each row, summed, then
-    _signed_grid_states."""
-    signed = _signed_expansion(rows, np.array([False, True]),
-                               rows.shape[-1] - 1).sum(-2)
-    return _signed_grid_states(signed, grid)
-
-
-def _exact_hold(amps: np.ndarray, grid: AngularGrid,
-                fields: Tuple[float, float], times: np.ndarray
-                ) -> Tuple[List[np.ndarray], int, float]:
-    """The grid states at times t after the start of a hold at constant
-    fields, evolved exactly: one eigh per parity sector, then
-    exp(-i E_n t), then one inverse FFT per state. Returns the states
-    (one array each), the cutoff and the tail certificate.
-
-    The cutoff starts at _auto_j_max of the fields, raised to cover the
-    state's own extent (its last grid amplitude > TAIL_TOL) and TAIL_ROWS
-    more. It must discard no grid amplitude > TAIL_TOL, and the certificate
-    max over the last TAIL_ROWS rows J of sum_n |d_n| |V_Jn|, which bounds
-    |psi_J(t)| at every t, must be <= TAIL_TOL. Otherwise it grows by a
-    quarter (to a multiple of 8) up to the grid's band n/2 - 1, past which
-    it raises RuntimeError.
-    """
+def _exact_hold(coeffs: np.ndarray, fields: Tuple[float, float],
+                times: np.ndarray) -> Tuple[List[np.ndarray], int, float]:
+    """The states (signed rows over J = -j_max..j_max) at times t into a
+    hold at constant fields from the signed row coeffs over the grid's
+    band, evolved exactly by one eigh per parity sector and exp(-i E_n t);
+    with j_max and the tail certificate. j_max starts at _first_cutoff; it
+    must discard no amplitude > TAIL_TOL, and the certificate (max over
+    the last TAIL_ROWS rows J of sum_n |d_n| |V_Jn|, which bounds |psi_J|)
+    <= TAIL_TOL, or it grows by a quarter (to a multiple of 8) up to the
+    band, past which it raises RuntimeError."""
     eta, zeta = fields
-    band = grid.n_points // 2 - 1
-    rows, weight = _sectors(amps, grid)
+    band = len(coeffs) // 2
+    rows, weight = _sectors(coeffs), _weight(coeffs)
     j_max = _first_cutoff(weight, eta, zeta)
     while True:
         j_max = min(j_max, band)
-        discarded = float(weight[j_max + 1:].max())
+        discarded = float(weight[j_max + 1:].max(initial=0.0))
         tail = math.inf
         if j_max >= 8 and discarded <= TAIL_TOL:
             tail, sectors = 0.0, []
@@ -467,7 +447,8 @@ def _exact_hold(amps: np.ndarray, grid: AngularGrid,
         chunk = np.zeros((len(t), 2, j_max + 1), dtype=complex)
         for odd, (w, v, d) in enumerate(sectors):
             chunk[:, odd, odd:] = (np.exp(-1j * np.multiply.outer(t, w)) * d) @ v.T
-        states.extend(_grid_states(chunk, grid))
+        states.extend(_signed_expansion(chunk, np.array([False, True]),
+                                        j_max).sum(-2))
     return states, j_max, tail
 
 
@@ -490,22 +471,26 @@ def _kick_taps(fields: Sequence[Tuple[float, float]], dtau: float,
                limit: int) -> np.ndarray:
     """Fourier taps t_p, p = -w..w, of the half-step kick exp(-i dtau V / 2)
     at each row (eta, zeta) of fields, so that the kicked state has the
-    coefficients (t * c)_J = sum_p t_p c_(J-p).
+    coefficients (t * c)_J = sum_p t_p c_(J-p). V is linear in the fields:
+    the row (eta_i + eta_j, zeta_i + zeta_j) gives two half kicks in one.
 
-    One M-point FFT gives the taps of all rows. M starts at 64 and doubles
+    One M-point FFT gives the taps of all rows, from cos and sin of the
+    phase on theta_k, k = 0..M/2, mirrored. M starts at 64 and doubles
     while a tap at |p| >= M/4 is above _TAP_FLOOR, so the aliased taps
-    t_(p -+ M) are below it too; w is the last |p| with a tap above it.
-    M stops doubling once M/4 > limit, the widest half-width the caller
-    can use, and then w > limit if the taps are wider.
-    """
-    eta, zeta = 0.5 * dtau * np.array(fields).T
+    t_(p -+ M) are below it too; w is the last |p| with a tap above it. M
+    stops doubling once M/4 > limit, the widest half-width the caller can
+    use, and then w > limit if the taps are wider."""
+    eta, zeta = 0.5 * dtau * np.asarray(fields, dtype=float).T
     m = 64
     while True:
-        cos = np.cos(2.0 * np.pi * np.arange(m) / m)
+        half = m // 2 + 1
+        cos = np.cos(2.0 * np.pi * np.arange(half) / m)
         # -dtau V / 2 = (dtau / 2) (eta cos(theta) + zeta cos(theta)^2)
-        taps = np.fft.fft(np.exp(1j * (np.multiply.outer(eta, cos)
-                                       + np.multiply.outer(zeta, cos * cos))))
-        taps /= m
+        phase = np.multiply.outer(eta, cos) + np.multiply.outer(zeta, cos * cos)
+        kick = np.empty((len(eta), m), dtype=complex)
+        kick.real[:, :half], kick.imag[:, :half] = np.cos(phase), np.sin(phase)
+        kick[:, half:] = kick[:, m // 2 - 1:0:-1]
+        taps = np.fft.fft(kick) / m
         p = np.flatnonzero(np.abs(taps).max(axis=0) > _TAP_FLOOR)
         w = int(np.minimum(p, m - p).max())
         if w < m // 4 or m // 4 > limit:
@@ -513,63 +498,74 @@ def _kick_taps(fields: Sequence[Tuple[float, float]], dtau: float,
         m *= 2
 
 
-def _ramp(amps: np.ndarray, grid: AngularGrid, schedule: PulseSchedule,
-          first: int, ends: Sequence[int], dtau: float
+def _ramp(coeffs: np.ndarray, schedule: PulseSchedule, first: int,
+          ends: Sequence[int], dtau: float
           ) -> Tuple[List[np.ndarray], int, float]:
-    """The grid states after steps ends[0] < ... < ends[-1] of the Strang
-    steps first + 1..ends[-1] of the schedule at dtau, taken in the
-    signed-J free-rotor basis. Returns the states (one array each), the
-    window j_max and the largest edge weight checked.
+    """The states (signed rows over J = -j_max..j_max) after steps ends[0]
+    < ... < ends[-1] of the Strang steps first + 1..ends[-1] at dtau, from
+    the signed row coeffs over the grid's band; with the window j_max and
+    the largest edge weight checked.
 
     A step convolves the coefficients with the kick taps of its midpoint
-    fields, multiplies them by exp(-i J^2 dtau) and convolves them again,
-    on the window |J| <= j_max. The window starts at _first_cutoff of the
-    ramp's largest field magnitudes, capped at the grid's band n/2 - 1,
-    and is never narrower than the taps (taps wider than the band raise
-    RuntimeError). Every FINITE_CHECK_STEPS steps and after the last one
-    the state must be finite (else RuntimeError), and its edge weight, the
-    largest |c_J| on the outer TAIL_ROWS slots of either side, must be
-    <= TAIL_TOL. Otherwise the window grows by a quarter (to a multiple of
-    8, and at least to the taps) and the ramp is taken again from its
-    start. At the band it grows no further: the snapshots' grid_tail shows
-    what the band cannot hold, and a norm drift above _NORM_TOL, the
-    weight the window has lost, raises RuntimeError.
-    """
-    band = grid.n_points // 2 - 1
-    coeffs, weight = _coefficients(amps, grid)
+    fields, multiplies them by exp(-i J^2 dtau) and convolves them again;
+    the second convolution and the next step's first are one, with merged
+    taps, except after a step in ends or a checked one, and in blocks of
+    FINITE_CHECK_STEPS steps whose window is the band or too narrow for
+    the merged taps. The window starts at _first_cutoff of the ramp's
+    largest fields, capped at the band, and is never narrower than the
+    taps (else RuntimeError at the band). After each block the state must
+    be finite (else RuntimeError) and the largest |c_J| on its outer
+    TAIL_ROWS slots <= TAIL_TOL, or the window grows by a quarter (to a
+    multiple of 8, and at least to the taps) and the ramp restarts. At the
+    band, a norm drift above _NORM_TOL raises RuntimeError."""
+    band = len(coeffs) // 2
     last = ends[-1]
     j_max = min(band, _first_cutoff(
-        weight, *_field_bound(schedule, first * dtau, last * dtau)))
+        _weight(coeffs), *_field_bound(schedule, first * dtau, last * dtau)))
     while True:
         c = coeffs[band - j_max:band + j_max + 1]
         kinetic = np.exp(-1j * np.arange(-j_max, j_max + 1) ** 2 * dtau)
         fields = islice(schedule.step_fields(dtau, last), first, None)
-        targets = iter(ends)
-        target = next(targets)
         snaps: List[np.ndarray] = []
         tail, step, width = 0.0, first, 0
         while step < last:
-            taps = _kick_taps(list(islice(fields, FINITE_CHECK_STEPS)), dtau,
-                              band)
-            width = len(taps[0]) // 2
+            block = np.array(list(islice(fields, FINITE_CHECK_STEPS)))
+            n = len(block)
+            shots = {e - step - 1 for e in ends[bisect_right(ends, step):
+                                                bisect_right(ends, step + n)]}
+            every = set(range(n))
+            for split in (every,) if j_max == band else (shots | {n - 1}, every):
+                # the half kicks that the split steps need, then merged ones
+                halves = sorted({0, *split, *(k + 1 for k in split)} - {n})
+                merged = [k for k in range(n - 1) if k not in split]
+                taps = _kick_taps(np.concatenate([block[halves], block[merged]
+                                  + block[[k + 1 for k in merged]]]), dtau, band)
+                width = len(taps[0]) // 2
+                if width <= j_max:
+                    break
             if width > j_max == band:
                 raise RuntimeError(
                     f"ramp kick taps reach |p| = {width} within tau "
-                    f"{step * dtau:.6g} to {(step + len(taps)) * dtau:.6g}, "
+                    f"{step * dtau:.6g} to {(step + n) * dtau:.6g}, "
                     f"past the grid's band j_max={band}; use more grid "
                     "points or a smaller dtau")
             if width > j_max:
                 break
-            checked = step
-            for t in taps:
-                # each convolve returns a new array, so c can be kept as is
-                c = np.convolve(c, t, "same")
+            half = dict(zip(halves, taps))
+            fused = dict(zip(merged, taps[len(halves):]))
+            # each convolve returns a new array, so c can be kept as is
+            c = np.convolve(c, half[0], "same")
+            for k in range(n):
                 c *= kinetic
-                c = np.convolve(c, t, "same")
-                step += 1
-                if step == target:
-                    snaps.append(c)
-                    target = next(targets, None)
+                if k in split:
+                    c = np.convolve(c, half[k], "same")
+                    if k in shots:
+                        snaps.append(c)
+                    if k + 1 < n:
+                        c = np.convolve(c, half[k + 1], "same")
+                else:
+                    c = np.convolve(c, fused[k], "same")
+            checked, step = step, step + n
             if not np.isfinite(c).all():
                 raise RuntimeError(
                     f"non-finite amplitudes within steps {checked + 1}-{step} "
@@ -588,7 +584,7 @@ def _ramp(amps: np.ndarray, grid: AngularGrid, schedule: PulseSchedule,
                         f"{_NORM_TOL:.0e} at the grid's band j_max={band}; "
                         "use more grid points")
         else:
-            return _signed_grid_states(snaps, grid), j_max, tail
+            return snaps, j_max, tail
         j_max = min(band, max(_round_up8(1.25 * j_max), width))
 
 
@@ -600,35 +596,41 @@ def propagate(psi0: Wavefunction, schedule: PulseSchedule,
 
     duration defaults to the schedule's span; a longer duration holds the
     final field values. The first and last instants are always sampled.
+    A grid amplitude > TAIL_TOL at psi0's Nyquist mode raises RuntimeError.
     Steps that touch a ramp take Strang steps in the basis (_ramp); each
     run of steps inside a hold is evolved exactly (_exact_hold), on the
-    same step and snapshot times. Warns if a snapshot's grid_tail >
-    TAIL_TOL.
+    same step and snapshot times. Warns if grid_tail > TAIL_TOL.
     """
     if not (math.isfinite(dtau) and dtau > 0):
         raise ValueError(f"dtau must be finite and > 0, got {dtau}")
-    if not abs(psi0.norm() - 1.0) <= _NORM_TOL:     # NaN fails too
+    grid = psi0.grid
+    coeffs, weight = _coefficients(psi0.amplitudes, grid)
+    norm = math.sqrt(float(np.vdot(coeffs, coeffs).real) + weight[-1] ** 2)
+    if not abs(norm - 1.0) <= _NORM_TOL:     # NaN fails too
         raise ValueError("initial state must be unit-normalized")
     if duration is None:
         duration = schedule.total_duration
     if not (math.isfinite(duration) and duration > 0):
         raise ValueError(f"propagation window must be finite and > 0, "
                          f"got {duration}")
-    grid = psi0.grid
     nsteps = max(1, round(duration / dtau))
     if sample_stride is None:
         sample_stride = max(1, math.ceil(nsteps / 512))
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
     dtau_eff = duration / nsteps
+    band = len(coeffs) // 2
+    if weight[-1] > TAIL_TOL:
+        raise RuntimeError(f"initial state: grid amplitude {weight[-1]:.1e} > "
+                           f"{TAIL_TOL:.0e} at the Nyquist mode |J| = "
+                           f"{band + 1}, past the grid's band j_max={band}")
 
     def tau_at(i: int) -> float:        # step nsteps ends at duration exactly
         return duration if i == nsteps else i * dtau_eff
 
     taus: List[float] = [0.0]
-    snaps: List[np.ndarray] = [np.array(psi0.amplitudes, dtype=complex)]
-    psi = snaps[0]
-    done = 0
+    snaps: List[np.ndarray] = [coeffs]
+    psi, done = coeffs, 0
     limits: Dict[str, List[Tuple[int, float]]] = {"ramp": [], "hold": []}
     for first, last, fields in [*_hold_runs(schedule, dtau_eff, nsteps),
                                 (nsteps, nsteps, None)]:
@@ -643,20 +645,18 @@ def propagate(psi0: Wavefunction, schedule: PulseSchedule,
                 steps.append(hi)
             ends = steps if steps[-1:] == [hi] else steps + [hi]
             if kind == "ramp":
-                states, j_max, tail = _ramp(psi, grid, schedule, lo, ends,
-                                            dtau_eff)
+                states, j_max, tail = _ramp(psi, schedule, lo, ends, dtau_eff)
             else:
                 states, j_max, tail = _exact_hold(
-                    psi, grid, fields, (np.array(ends) - lo) * dtau_eff)
+                    psi, fields, (np.array(ends) - lo) * dtau_eff)
             taus.extend(tau_at(i) for i in steps)
             snaps.extend(states[:len(steps)])
-            psi = states[-1]
+            psi = np.pad(states[-1], band - len(states[-1]) // 2)
             limits[kind].append((j_max, tail))
         done = last
 
     traj = Trajectory(
-        tau_samples=np.array(taus),
-        states=tuple(Wavefunction(grid, a, normalize=False) for a in snaps),
+        tau_samples=np.array(taus), coefficients=tuple(snaps), grid=grid,
         fields=np.array([schedule.fields_at(t) for t in taus]),
         hold_limits=tuple(limits["hold"]), ramp_limits=tuple(limits["ramp"]))
     if traj.grid_tail > TAIL_TOL:

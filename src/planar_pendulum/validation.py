@@ -465,9 +465,10 @@ def check_ramp_twin() -> Tuple[bool, str]:
     """propagate's basis ramp against the grid twin _run on RAMP_TWIN_CASES.
     Both take the same Strang steps, so they differ only by rounding and by
     the truncated taps and window of the basis, which grow with the step
-    count: measured, cos, cos2 and the norm agree to 1.0e-13 here (1000
-    steps at most), and to 9.6e-12 after a 62,840-step ramp to (-40, 120).
-    Each must agree within 1e-10, ten times the longer ramp's figure."""
+    count: measured, cos, cos2 and the norm agree to 9.7e-14 here (1000
+    steps at most), and to 7.5e-12 after a 62,840-step ramp to (-40, 120).
+    Each must agree within 1e-10, ten times the longer ramp's 9.6e-12 when
+    each step took two convolutions."""
     dev = max(max(ramp_twin_deviations(*case)) for case in RAMP_TWIN_CASES)
     return _fail_detail(dev, 1e-10, "largest |propagate - grid twin| of cos, "
                         "cos2 and norm")

@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import planar_pendulum
 from planar_pendulum import twins
 
@@ -102,13 +104,17 @@ def test_bench_tracer_installs_and_uninstalls(monkeypatch):
 
 def test_propagate_never_calls_the_grid_twin(monkeypatch):
     # _run is the twin that validate and the tests check propagate's
-    # ramps against; propagate itself takes them in the basis
+    # ramps against; propagate itself takes them in the basis, and
+    # measures every snapshot there, with no grid and no inverse FFT
     module = importlib.import_module("planar_pendulum.propagate")
+    core = importlib.import_module("planar_pendulum.core")
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("propagate called its grid twin _run")
+    def refuse(name):
+        def called(*args, **kwargs):
+            raise AssertionError(f"propagate called {name}")
+        return called
 
-    monkeypatch.setattr(module, "_run", refuse)
+    monkeypatch.setattr(module, "_run", refuse("its grid twin _run"))
     ramp_hold_ramp = planar_pendulum.PulseSchedule([
         planar_pendulum.Segment(0.1, module.linear(0.0, -8.0),
                                 module.linear(0.0, 16.0)),
@@ -117,7 +123,20 @@ def test_propagate_never_calls_the_grid_twin(monkeypatch):
         planar_pendulum.Segment(0.1, module.smooth_cosine(-8.0, -12.0),
                                 module.smooth_cosine(16.0, 30.0))])
     grid = planar_pendulum.make_grid(128)
-    traj = planar_pendulum.propagate(
-        planar_pendulum.free_rotor_wavefunction(1, grid), ramp_hold_ramp,
-        duration=0.4)
-    assert len(traj.ramp_limits) == 2 and len(traj.hold_limits) == 2
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "grid_moments", refuse("core.grid_moments"))
+        patch.setattr(module, "_grid_amplitudes",
+                      refuse("the per-snapshot inverse FFT"))
+        traj = planar_pendulum.propagate(
+            planar_pendulum.free_rotor_wavefunction(1, grid), ramp_hold_ramp,
+            duration=0.4)
+        assert len(traj.ramp_limits) == 2 and len(traj.hold_limits) == 2
+        assert len(traj.observables["cos"].values) == len(traj.norms) == 401
+        assert traj.norm_drift <= 1e-10 and traj.grid_tail <= 1e-12
+    # restored, the snapshots go to the grid when they are read
+    states = traj.states
+    assert len(states) == 401 and states[-1].grid is grid
+    assert all(isinstance(w, planar_pendulum.Wavefunction) for w in states)
+    assert isinstance(traj.final_state, planar_pendulum.Wavefunction)
+    assert np.array_equal(traj.final_state.amplitudes, states[-1].amplitudes)
+    assert abs(traj.final_state.norm() - traj.norms[-1]) <= 1e-15

@@ -26,9 +26,10 @@ from planar_pendulum.cli import main
 from planar_pendulum.propagate import (
     FINITE_CHECK_STEPS,
     Trajectory,
+    _band_moments,
     _coefficients,
     _first_cutoff,
-    _grid_states,
+    _grid_amplitudes,
     _hold_runs,
     _kick_taps,
     _kick_writer,
@@ -241,21 +242,27 @@ def test_coarse_grid_ramp_warns_once_with_its_top_of_grid_weight(points):
 ])
 def test_chunked_measurements_match_the_per_state_methods(schedule, stride,
                                                           count):
+    """Snapshots are measured by band sums on their coefficients, a chunk
+    of rows of one width at a time: the chunks give the bits of the same
+    sums taken one row at a time. The grid methods on the states, each
+    materialized by an inverse FFT, agree within 4e-15 on norm, cos and
+    cos2 and within 7e-14 on J2 (measured over these 1310 rows and 786
+    rows of three runs like the bench's: at most 4.4e-16 and 7.1e-15)."""
     g = make_grid()
     traj = propagate(free_rotor_wavefunction(1, g), schedule,
                      sample_stride=stride)
-    assert len(traj.states) == count
-    norm, cos, cos2, j2 = np.array([
-        (w.norm(), w.expectation_cos(), w.expectation_cos2(),
-         w.expectation_kinetic()) for w in traj.states]).T
-    # the per-state formulas the methods had before they shared the pass
-    for w, *row in zip(traj.states, norm, cos, cos2, j2):
-        density = np.abs(w.amplitudes) ** 2
-        coeff = np.fft.fft(w.amplitudes) * g.dtheta / math.sqrt(2.0 * np.pi)
-        assert row == [math.sqrt(float(np.sum(density)) * g.dtheta),
-                       np.sum(density * g.cos_theta) * g.dtheta,
-                       np.sum(density * g.cos2_theta) * g.dtheta,
-                       np.sum(np.abs(coeff) ** 2 * g.wavenumbers ** 2)]
+    assert len(traj.coefficients) == len(traj.states) == count
+    sums, tails = [], []
+    for c in traj.coefficients:
+        j = len(c) // 2
+        v = c.view(float)
+        norm2 = np.sum(v * v)
+        sums.append((math.sqrt(norm2), np.sum(v[:-2] * v[2:]),
+                     0.5 * norm2 + 0.5 * np.sum(v[:-4] * v[4:]),
+                     np.sum(v * v * np.repeat(np.arange(-j, j + 1) ** 2, 2))))
+        tails.append(np.abs(c[np.abs(np.arange(-j, j + 1)) > 128]).max(
+            initial=0.0))
+    norm, cos, cos2, j2 = np.array(sums).T
     fields = np.array([schedule.fields_at(t) for t in traj.tau_samples])
     assert np.array_equal(traj.fields, fields)
     assert np.array_equal(traj.norms, norm)
@@ -264,6 +271,11 @@ def test_chunked_measurements_match_the_per_state_methods(schedule, stride,
                           - fields[:, 1] * cos2)):
         assert np.array_equal(traj.observables[name].values, values), name
     assert traj.norm_drift == np.abs(norm - 1.0).max()
+    assert traj.grid_tail == max(tails)
+    on_grid = np.array([(w.norm(), w.expectation_cos(), w.expectation_cos2(),
+                         w.expectation_kinetic()) for w in traj.states]).T
+    gaps = np.abs(np.array([norm, cos, cos2, j2]) - on_grid).max(axis=1)
+    assert np.all(gaps <= [4e-15, 4e-15, 4e-15, 7e-14]), gaps
 
 
 def test_observable_sampling():
@@ -297,8 +309,9 @@ def test_nan_initial_state_is_refused():
 def test_nan_snapshot_is_refused():
     g = make_grid(64)
     with pytest.raises(RuntimeError, match="norm drift nan"):
-        Trajectory(tau_samples=np.array([0.0]), states=(_nan_state(g),),
-                   fields=np.zeros((1, 2)))
+        Trajectory(tau_samples=np.array([0.0]),
+                   coefficients=(_coefficients(_nan_state(g).amplitudes, g)[0],),
+                   grid=g, fields=np.zeros((1, 2)))
 
 
 @pytest.mark.parametrize("make,name", [
@@ -513,10 +526,11 @@ def test_sector_round_trip_is_exact():
     g = make_grid(64)
     for seed in range(4):
         amps = _band_limited_state(g, 24, seed)
-        rows, weight = _sectors(amps, g)
-        assert np.max(np.abs(_grid_states(rows[None], g)[0] - amps)) <= 1e-15
-        assert weight[-1] <= 1e-15          # no Nyquist amplitude
+        c, weight = _coefficients(amps, g)
+        rows = _sectors(c)
         signed = _signed_expansion(rows, np.array([False, True]), 31).sum(0)
+        assert np.max(np.abs(_grid_amplitudes(signed, g) - amps)) <= 1e-15
+        assert weight[-1] <= 1e-15          # no Nyquist amplitude
         assert np.max(np.abs(signed - Wavefunction(
             g, amps, normalize=False).free_rotor_coefficients(31))) <= 1e-15
 
@@ -527,13 +541,15 @@ def test_sectors_follow_the_spectrum_convention():
     g = make_grid(128)
     spec = solve_spectrum(InteractionParams(-3.0, 5.0), 6)
     for n, label in enumerate(spec.labels):
-        rows, _ = _sectors(spec.wavefunction(n, g).amplitudes, g)
+        rows = _sectors(_coefficients(spec.wavefunction(n, g).amplitudes, g)[0])
         odd = int(label is SymmetryLabel.A2)
         assert np.max(np.abs(rows[odd, :spec.j_max + 1]
                              - spec.coefficients[n])) <= 1e-15
         assert np.max(np.abs(rows[odd, spec.j_max + 1:])) <= 1e-15
         assert np.max(np.abs(rows[1 - odd])) <= 1e-15
-        (back,) = _grid_states(rows[None, :, :spec.j_max + 1], g)
+        signed = _signed_expansion(rows[:, :spec.j_max + 1],
+                                   np.array([False, True]), spec.j_max).sum(0)
+        back = _grid_amplitudes(signed, g)
         assert np.max(np.abs(back - spec.wavefunction(n, g).amplitudes)) <= 1e-15
 
 
@@ -594,7 +610,7 @@ def test_the_last_snapshot_is_written_once_at_the_duration(tmp_path,
 def test_basis_ramp_matches_the_grid_twin(eta, zeta, ramp):
     """validate's ramp-twin cases at every snapshot: the times of an
     all-grid run bit for bit, and cos, cos2 and the final norm within
-    1e-10 of it (measured: up to 1.0e-13)."""
+    1e-10 of it (measured: up to 9.7e-14)."""
     g = make_grid()
     psi0 = free_rotor_wavefunction(1, g)
     sch = PulseSchedule.switch(0.0, 0.0, eta, zeta, ramp, 0.0)
@@ -630,3 +646,70 @@ def test_a_coarse_grid_caps_the_ramp_window_at_its_band(points, tail):
     with pytest.warns(RuntimeWarning, match=f"top-of-grid weight {tail} "):
         traj = propagate(free_rotor_wavefunction(1, g), sch)
     assert [j_max for j_max, _ in traj.ramp_limits] == [points // 2 - 1]
+
+
+def _split_steps(psi0, schedule, dtau, stride, duration, j_max):
+    """Snapshot times and signed rows of Strang steps taken one at a time,
+    each with both of its half kicks, on the window |J| <= j_max, sampled
+    as propagate samples."""
+    nsteps = max(1, round(duration / dtau))
+    dtau_eff = duration / nsteps
+    c, _ = _coefficients(psi0.amplitudes, psi0.grid)
+    band = len(c) // 2
+    c = c[band - j_max:band + j_max + 1]
+    kinetic = np.exp(-1j * np.arange(-j_max, j_max + 1) ** 2 * dtau_eff)
+    taus, rows = [0.0], [c]
+    for i, fields in enumerate(schedule.step_fields(dtau_eff, nsteps), 1):
+        (taps,) = _kick_taps([fields], dtau_eff, band)
+        c = np.convolve(np.convolve(c, taps, "same") * kinetic, taps, "same")
+        if i % stride == 0 or i == nsteps:
+            taus.append(duration if i == nsteps else i * dtau_eff)
+            rows.append(c)
+    return np.array(taus), np.stack(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(eta=st.floats(-20.0, 0.0), zeta=st.floats(0.0, 40.0),
+       shape=st.sampled_from(["linear", "smooth_cosine"]),
+       dtau=st.floats(5e-4, 5e-3), stride=st.integers(2, 50),
+       duration=st.floats(0.05, 0.4))
+def test_fused_kicks_match_the_split_steps(eta, zeta, shape, dtau, stride,
+                                           duration):
+    """Between snapshots and checks, a ramp merges the second half kick of
+    a step with the first of the next. At every snapshot, the times of an
+    unmerged run of the same steps agree bit for bit, and cos, cos2, norm
+    and J2 (relative to max(1, J2)) within 1e-13 (measured over 151 random
+    cases: at most 6.1e-15, 1.0e-14, 6.3e-15 and 2.1e-14)."""
+    g = make_grid()
+    psi0 = free_rotor_wavefunction(1, g)
+    sch = PulseSchedule.switch(0.0, 0.0, eta, zeta, duration, 0.0,
+                               shape=shape)
+    fused = propagate(psi0, sch, dtau=dtau, sample_stride=stride)
+    ((j_max, _),) = fused.ramp_limits
+    taus, rows = _split_steps(psi0, sch, dtau, stride, duration, j_max)
+    assert np.array_equal(fused.tau_samples, taus)
+    norm, cos, cos2, j2, _ = _band_moments(rows, g.max_band_limit)
+    for values, name in ((cos, "cos"), (cos2, "cos2")):
+        assert np.abs(fused.observables[name].values - values).max() <= 1e-13
+    assert np.abs(fused.norms - norm).max() <= 1e-13
+    # a half kick leaves |psi(theta)|^2 as it is, but not <J^2>
+    assert np.all(np.abs(fused.observables["J2"].values - j2)
+                  <= 1e-13 * np.maximum(1.0, j2))
+
+
+@pytest.mark.parametrize("schedule", [
+    pytest.param(PulseSchedule.switch(0.0, 0.0, -2.0, 3.0, 0.1, 0.0),
+                 id="ramp"),
+    pytest.param(PulseSchedule.frozen(-2.0, 3.0, 0.1), id="hold")])
+def test_a_start_at_the_nyquist_mode_is_refused(schedule):
+    """No window or cutoff holds the Nyquist mode J = n/2, so a start with
+    grid amplitude there above 1e-12 is refused before the first step, by
+    a ramp as by a hold (a ramp used to drop it silently)."""
+    g = make_grid()
+    nyquist = 1e-6 * np.cos(g.n_points // 2 * g.theta) / math.sqrt(TWO_PI)
+    psi0 = Wavefunction(g, free_rotor_wavefunction(1, g).amplitudes + nyquist,
+                        normalize=False)
+    with pytest.raises(RuntimeError, match=(
+            r"initial state: grid amplitude 1\.0e-06 > 1e-12 at the Nyquist "
+            r"mode \|J\| = 256, past the grid's band j_max=255")):
+        propagate(psi0, schedule)
