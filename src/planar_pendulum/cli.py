@@ -23,7 +23,9 @@ points whose automatic cutoff missed its first guess and was grown
 largest population deficit, and for crossings the
 largest window tail bound (noted for every window, with or without a
 crossing). propagate records the largest snapshot norm drift and grid
-tail, and with a hold the largest hold cutoff and tail certificate.
+tail, with a ramp the largest ramp window and edge weight checked on it
+(ramp_j_max, ramp_tail), and with a hold the largest hold cutoff and tail
+certificate (hold_j_max, hold_tail).
 
 Scans over several (eta, zeta) points (spectrum, switch-on, topology-map)
 solve them in stacks (solve_stacks) and write their rows in scan order.

@@ -30,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby, islice
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,12 +76,14 @@ class Profile:
         if self.kind == "constant" and self.start != self.end:
             raise ValueError("constant profile needs equal endpoints")
 
-    def value(self, s: float) -> float:
+    def value(self, s):
+        """The field at s, a float or an array of them (a constant profile
+        gives its float for either)."""
         if self.kind == "constant":
             return self.start
         if self.kind == "linear":
             return self.start + (self.end - self.start) * s
-        return self.start + (self.end - self.start) * 0.5 * (1.0 - math.cos(math.pi * s))
+        return self.start + (self.end - self.start) * 0.5 * (1.0 - np.cos(np.pi * s))
 
 
 def constant(value: float) -> Profile:
@@ -114,9 +116,10 @@ class PulseSchedule:
         if not segments:
             raise ValueError("schedule needs at least one segment")
         self.segments: Tuple[Segment, ...] = tuple(segments)
-        bounds = np.cumsum([s.duration for s in self.segments])
-        self._ends = bounds
-        self.total_duration = float(bounds[-1])
+        ends = np.cumsum([s.duration for s in self.segments])
+        # (start, end) of each segment; a zero-duration one has start == end
+        self.spans = np.column_stack([np.r_[0.0, ends[:-1]], ends])
+        self.total_duration = float(ends[-1])
 
     @classmethod
     def frozen(cls, eta: float, zeta: float, duration: float) -> "PulseSchedule":
@@ -140,51 +143,31 @@ class PulseSchedule:
                                 constant(zeta_to)))
         return cls(segs)
 
+    def fields(self, taus) -> np.ndarray:
+        """(eta, zeta) rows (n, 2) at the times taus (n,): each in the
+        segment whose span holds it (the breaks are right-continuous), at
+        s = (tau - start) / duration; the first segment at s = 0 for
+        tau <= 0 and the last at s = 1 past the end. One Profile.value call
+        per field and segment reached."""
+        taus = np.asarray(taus, dtype=float)
+        starts, ends = self.spans.T
+        k = np.searchsorted(ends, taus, side="right")
+        before = taus <= 0
+        inside = ~before & (k < len(ends))
+        s = np.where(before, 0.0, 1.0)      # the clamped times' s
+        k = np.where(before, 0, np.minimum(k, len(ends) - 1))
+        out = np.empty((len(taus), 2))
+        for i in set(k.tolist()):
+            seg, at = self.segments[i], k == i
+            within = at & inside
+            s[within] = (taus[within] - starts[i]) / seg.duration
+            out[at, 0], out[at, 1] = seg.eta.value(s[at]), seg.zeta.value(s[at])
+        return out
+
     def fields_at(self, tau: float) -> Tuple[float, float]:
-        """(eta, zeta) at time tau; clamped to the schedule's span."""
-        if tau <= 0:
-            seg = self.segments[0]
-            return seg.eta.value(0.0), seg.zeta.value(0.0)
-        start = 0.0
-        for seg, end in zip(self.segments, self._ends):
-            # strict inequality keeps boundary values right-continuous
-            if tau < end and seg.duration > 0:
-                s = (tau - start) / seg.duration
-                return seg.eta.value(s), seg.zeta.value(s)
-            start = end
-        seg = self.segments[-1]
-        return seg.eta.value(1.0), seg.zeta.value(1.0)
-
-    def step_fields(self, dtau: float, nsteps: int
-                    ) -> Iterator[Tuple[float, float]]:
-        """fields_at((i + 0.5) * dtau) for i in range(nsteps), in one pass.
-
-        The midpoints rise, so the segments are walked once. A constant
-        segment, and the clamped span past the end, yield one tuple for
-        all of their steps without evaluating a profile.
-        """
-        ends = self._ends.tolist()
-        i = 0
-        for seg, start, end in zip(self.segments, [0.0, *ends[:-1]], ends):
-            if seg.duration == 0:
-                continue
-            held = None
-            if seg.eta.kind == seg.zeta.kind == "constant":
-                held = (seg.eta.start, seg.zeta.start)
-            while i < nsteps:
-                tau = (i + 0.5) * dtau
-                if not tau < end:
-                    break
-                if held is None:
-                    s = (tau - start) / seg.duration
-                    yield seg.eta.value(s), seg.zeta.value(s)
-                else:
-                    yield held
-                i += 1
-        seg = self.segments[-1]
-        held = (seg.eta.value(1.0), seg.zeta.value(1.0))
-        for _ in range(i, nsteps):
-            yield held
+        """(eta, zeta) at time tau, as floats: fields([tau])."""
+        eta, zeta = self.fields([tau])[0].tolist()
+        return eta, zeta
 
 
 def _band_moments(c: np.ndarray, limit: int) -> GridMoments:
@@ -311,25 +294,25 @@ def _run(amps: np.ndarray, grid: AngularGrid, schedule: PulseSchedule,
     psi = np.array(amps, dtype=complex)
     buf = np.empty_like(psi)
     kick = None
-    last_fields: Optional[Tuple[float, float]] = None
-    checked = 0
-    for i, fields in enumerate(schedule.step_fields(dtau, nsteps), start=1):
-        if fields != last_fields:
-            kick = write_kick(*fields)
-            last_fields = fields
-        psi *= kick
-        np.fft.fft(psi, out=buf)
-        buf *= exp_kinetic
-        np.fft.ifft(buf, out=psi)
-        psi *= kick
-        if on_step is not None:
-            on_step(i, psi)
-        if i % FINITE_CHECK_STEPS == 0 or i == nsteps:
-            if not np.isfinite(psi).all():
-                raise RuntimeError(
-                    f"non-finite amplitudes within steps {checked + 1}-{i} "
-                    f"(tau {checked * dtau:.6g} to {i * dtau:.6g})")
-            checked = i
+    last_fields: Optional[List[float]] = None
+    for checked in range(0, nsteps, FINITE_CHECK_STEPS):
+        block = schedule.fields((np.arange(
+            checked, min(checked + FINITE_CHECK_STEPS, nsteps)) + 0.5) * dtau)
+        for i, fields in enumerate(block.tolist(), start=checked + 1):
+            if fields != last_fields:
+                kick = write_kick(*fields)
+                last_fields = fields
+            psi *= kick
+            np.fft.fft(psi, out=buf)
+            buf *= exp_kinetic
+            np.fft.ifft(buf, out=psi)
+            psi *= kick
+            if on_step is not None:
+                on_step(i, psi)
+        if not np.isfinite(psi).all():
+            raise RuntimeError(
+                f"non-finite amplitudes within steps {checked + 1}-{i} "
+                f"(tau {checked * dtau:.6g} to {i * dtau:.6g})")
     return psi
 
 
@@ -339,13 +322,11 @@ def _hold_runs(schedule: PulseSchedule, dtau: float, nsteps: int
     (step i spans [(i-1)*dtau, i*dtau]) that lies wholly inside a constant
     segment or past the schedule's end, in time order. A step that touches
     a ramp belongs to none."""
-    spans, start = [], 0.0
-    for seg, end in zip(schedule.segments, schedule._ends.tolist()):
-        if seg.duration > 0 and seg.eta.kind == seg.zeta.kind == "constant":
-            spans.append((start, end, (seg.eta.start, seg.zeta.start)))
-        start = end
-    seg = schedule.segments[-1]
-    spans.append((start, math.inf, (seg.eta.value(1.0), seg.zeta.value(1.0))))
+    spans = [(lo, hi, (seg.eta.start, seg.zeta.start)) for seg, (lo, hi)
+             in zip(schedule.segments, schedule.spans.tolist())
+             if seg.duration > 0 and seg.eta.kind == seg.zeta.kind == "constant"]
+    spans.append((schedule.total_duration, math.inf,
+                  schedule.fields_at(math.inf)))
     runs: List[Tuple[int, int, Tuple[float, float]]] = []
     for lo, hi, fields in spans:
         first = math.ceil(lo / dtau)        # the first step boundary >= lo
@@ -457,9 +438,8 @@ def _field_bound(schedule: PulseSchedule, lo: float, hi: float
     """Bounds on |eta| and |zeta| at the times in (lo, hi): each profile is
     monotone, so the endpoints of the segments that overlap it, and the
     final fields if it reaches past the schedule's end."""
-    ends = schedule._ends.tolist()
     fields = [schedule.fields_at(hi)] if hi > schedule.total_duration else []
-    for seg, start, end in zip(schedule.segments, [0.0, *ends[:-1]], ends):
+    for seg, (start, end) in zip(schedule.segments, schedule.spans.tolist()):
         if seg.duration > 0 and start < hi and end > lo:
             fields += [(seg.eta.start, seg.zeta.start),
                        (seg.eta.end, seg.zeta.end)]
@@ -525,12 +505,11 @@ def _ramp(coeffs: np.ndarray, schedule: PulseSchedule, first: int,
     while True:
         c = coeffs[band - j_max:band + j_max + 1]
         kinetic = np.exp(-1j * np.arange(-j_max, j_max + 1) ** 2 * dtau)
-        fields = islice(schedule.step_fields(dtau, last), first, None)
         snaps: List[np.ndarray] = []
         tail, step, width = 0.0, first, 0
         while step < last:
-            block = np.array(list(islice(fields, FINITE_CHECK_STEPS)))
-            n = len(block)
+            n = min(FINITE_CHECK_STEPS, last - step)
+            block = schedule.fields((np.arange(step, step + n) + 0.5) * dtau)
             shots = {e - step - 1 for e in ends[bisect_right(ends, step):
                                                 bisect_right(ends, step + n)]}
             every = set(range(n))
@@ -657,7 +636,7 @@ def propagate(psi0: Wavefunction, schedule: PulseSchedule,
 
     traj = Trajectory(
         tau_samples=np.array(taus), coefficients=tuple(snaps), grid=grid,
-        fields=np.array([schedule.fields_at(t) for t in taus]),
+        fields=schedule.fields(taus),
         hold_limits=tuple(limits["hold"]), ramp_limits=tuple(limits["ramp"]))
     if traj.grid_tail > TAIL_TOL:
         warnings.warn(f"top-of-grid weight {traj.grid_tail:.1e} (at |J| > "

@@ -401,6 +401,33 @@ _BREAKS_ON_MIDPOINTS = [
     Segment(0.875, smooth_cosine(-6.0, 0.0), linear(8.0, 1.0))]
 
 
+def _profile_value(profile, s):
+    """Profile.value on one float, by math.cos."""
+    if profile.kind == "constant":
+        return profile.start
+    if profile.kind == "linear":
+        return profile.start + (profile.end - profile.start) * s
+    return profile.start + (profile.end - profile.start) * 0.5 * (1.0 - math.cos(math.pi * s))
+
+
+def _scalar_fields_at(schedule, tau):
+    """(eta, zeta) at one time by a walk over the segments: the reference
+    that PulseSchedule.fields is checked against."""
+    if tau <= 0:
+        seg = schedule.segments[0]
+        return _profile_value(seg.eta, 0.0), _profile_value(seg.zeta, 0.0)
+    start = 0.0
+    for seg, end in zip(schedule.segments,
+                        np.cumsum([s.duration for s in schedule.segments])):
+        # strict inequality keeps boundary values right-continuous
+        if tau < end and seg.duration > 0:
+            s = (tau - start) / seg.duration
+            return _profile_value(seg.eta, s), _profile_value(seg.zeta, s)
+        start = end
+    seg = schedule.segments[-1]
+    return _profile_value(seg.eta, 1.0), _profile_value(seg.zeta, 1.0)
+
+
 @pytest.mark.parametrize("segments,dtau,nsteps", [
     pytest.param(_ZERO_DURATION, 1e-2, 50, id="zero-duration-segments"),
     pytest.param(_BREAKS_ON_MIDPOINTS, 0.25, 6, id="breaks-on-midpoints"),
@@ -410,11 +437,24 @@ _BREAKS_ON_MIDPOINTS = [
     pytest.param([Segment(0.1, constant(-7.0), constant(16.0)),
                   Segment(0.1, linear(-7.0, -2.0), linear(16.0, 3.0))],
                  3e-3, 120, id="hold-ramp-past-the-span"),
+    pytest.param([Segment(0.0, linear(-1.0, -3.0), smooth_cosine(2.0, 5.0)),
+                  Segment(0.15, smooth_cosine(-3.0, -9.0), linear(5.0, 20.0)),
+                  Segment(0.0, smooth_cosine(-4.0, 0.0), linear(1.0, 7.0))],
+                 1e-2, 20, id="zero-duration-ramps-first-and-last"),
 ])
-def test_step_fields_are_midpoint_lookups(segments, dtau, nsteps):
+def test_fields_match_the_segment_walk(segments, dtau, nsteps):
+    """fields at the step midpoints, at tau < 0 and tau = 0, exactly on
+    every break and past the span equals the scalar walk bit for bit."""
     sch = PulseSchedule(segments)
-    assert list(sch.step_fields(dtau, nsteps)) == [
-        sch.fields_at((i + 0.5) * dtau) for i in range(nsteps)]
+    taus = np.concatenate([(np.arange(nsteps) + 0.5) * dtau,
+                           [-1.0, -0.0, 0.0], sch.spans.ravel(),
+                           [1.5 * sch.total_duration + 1.0]])
+    assert np.array_equal(sch.fields(taus),
+                          [_scalar_fields_at(sch, t) for t in taus.tolist()])
+    for t in taus.tolist():
+        fields = sch.fields_at(t)
+        assert fields == _scalar_fields_at(sch, t)
+        assert all(type(f) is float for f in fields)
 
 
 # --------------------------------------------------------------------------
@@ -494,22 +534,19 @@ def test_hold_runs_are_the_steps_without_a_ramp(segments, dtau, nsteps):
     """A step is in a hold run iff it lies in a constant segment or past
     the end, and then its midpoint fields are the run's."""
     sch = PulseSchedule(segments)
-    fields = list(sch.step_fields(dtau, nsteps))
+    fields = [tuple(f) for f in
+              sch.fields((np.arange(nsteps) + 0.5) * dtau).tolist()]
     held = [None] * nsteps
     for first, last, hold in _hold_runs(sch, dtau, nsteps):
         for i in range(first, last):
             assert held[i] is None and fields[i] == hold
             held[i] = hold
-    start = 0.0
-    ramps = []
-    for seg, end in zip(sch.segments, sch._ends.tolist()):
-        if seg.duration > 0 and "constant" not in (seg.eta.kind, seg.zeta.kind):
-            ramps.append((start, end))
-        start = end
+    ramps = [(lo, hi) for seg, (lo, hi) in zip(sch.segments, sch.spans.tolist())
+             if seg.duration > 0 and "constant" not in (seg.eta.kind, seg.zeta.kind)]
     for i in range(nsteps):
         touches = any(i * dtau < hi and (i + 1) * dtau > lo for lo, hi in ramps)
         jumps = any(i * dtau < end < (i + 1) * dtau
-                    for end in sch._ends.tolist())
+                    for end in sch.spans[:, 1].tolist())
         assert (held[i] is None) == (touches or jumps)
 
 
@@ -648,6 +685,22 @@ def test_a_coarse_grid_caps_the_ramp_window_at_its_band(points, tail):
     assert [j_max for j_max, _ in traj.ramp_limits] == [points // 2 - 1]
 
 
+def test_a_ramp_reads_its_fields_per_block(monkeypatch):
+    """The bench's slow ramp, 6284 steps on one window, evaluates each
+    profile once per FINITE_CHECK_STEPS block, once for the snapshots and
+    once for the fields past the span: at most 202 Profile.value calls,
+    not one per step and field (13,204)."""
+    calls = []
+    value = Profile.value
+    monkeypatch.setattr(Profile, "value",
+                        lambda self, s: calls.append(s) or value(self, s))
+    sch = PulseSchedule.switch(0.0, 0.0, -10.0, 25.0, 6.284, 0.0)
+    traj = propagate(free_rotor_wavefunction(1, make_grid()), sch,
+                     dtau=1e-3, sample_stride=20)
+    assert len(traj.tau_samples) == 6284 // 20 + 2
+    assert len(calls) <= 2 * (math.ceil(6284 / FINITE_CHECK_STEPS) + 2)
+
+
 def _split_steps(psi0, schedule, dtau, stride, duration, j_max):
     """Snapshot times and signed rows of Strang steps taken one at a time,
     each with both of its half kicks, on the window |J| <= j_max, sampled
@@ -659,7 +712,8 @@ def _split_steps(psi0, schedule, dtau, stride, duration, j_max):
     c = c[band - j_max:band + j_max + 1]
     kinetic = np.exp(-1j * np.arange(-j_max, j_max + 1) ** 2 * dtau_eff)
     taus, rows = [0.0], [c]
-    for i, fields in enumerate(schedule.step_fields(dtau_eff, nsteps), 1):
+    midpoints = (np.arange(nsteps) + 0.5) * dtau_eff
+    for i, fields in enumerate(schedule.fields(midpoints), 1):
         (taps,) = _kick_taps([fields], dtau_eff, band)
         c = np.convolve(np.convolve(c, taps, "same") * kinetic, taps, "same")
         if i % stride == 0 or i == nsteps:
