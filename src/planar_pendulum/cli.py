@@ -744,7 +744,10 @@ OPTIONS: Dict[str, Dict[str, Dict]] = {
                   "pair": dict(type=int, nargs=2, metavar=("N", "M"),
                                help="adjacent state pair to track"),
                   "resolution": dict(type=int, default=CROSSING_RESOLUTION,
-                                     help="coarse scan points")},
+                                     help="coarse scan points (>= 8), each "
+                                     "solved with eigenvectors; a minimum is "
+                                     "bracketed where the gap slope turns "
+                                     ">= 0")},
     "switch-off": {**_WRITER, **_FIELDS, **_SERIES,
                    "n0": dict(type=int, default=0, help="initial pendular state")},
     "switch-on": {**_WRITER, **_FIELDS, **_SERIES,
@@ -794,15 +797,20 @@ _RUNNERS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command-line parser. Every command has its subparser, but with a
+    command named only its options are added: argv naming that command
+    parses, fails and prints help as with them all."""
     parser = argparse.ArgumentParser(
         prog="planar-pendulum",
         description="Spectra and switch dynamics of the planar pendular rotor")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, options in OPTIONS.items():
-        _add_options(sub.add_parser(command), options)
+    for name, options in OPTIONS.items():
+        subparser = sub.add_parser(name)
+        if command in (None, name):
+            _add_options(subparser, options)
     return parser
 
 
@@ -816,7 +824,7 @@ def _add_options(parser: argparse.ArgumentParser,
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = _preprocess_argv(list(sys.argv[1:] if argv is None else argv))
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv and argv[0] in OPTIONS else None)
     args = parser.parse_args(argv)
     command = args.command
     try:

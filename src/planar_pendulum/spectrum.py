@@ -42,7 +42,7 @@ from .core import (
     make_grid,
 )
 
-CROSSING_RESOLUTION = 200   # crossing_scan: coarse eta points
+CROSSING_RESOLUTION = 40    # crossing_scan: coarse eta points, each an eigh
 
 TAIL_TOL = 1e-12    # largest |c_J| allowed over the last TAIL_ROWS basis
 TAIL_ROWS = 4       # functions of any returned state
@@ -299,6 +299,11 @@ def _sector_solve(h: np.ndarray, count: int, vectors: bool):
     return w[:, :count + 1], v
 
 
+def _tie(eta, zeta, j_max: int):
+    """Energies closer than this at (eta, zeta) are one level (_merge)."""
+    return _TIE_ULPS * np.finfo(float).eps * (j_max ** 2 + np.abs(eta) + zeta)
+
+
 def _merge(eta: np.ndarray, zeta: np.ndarray, w1: np.ndarray, w2: np.ndarray,
            n_states: int, j_max: int) -> Tuple[np.ndarray, ...]:
     """The state cut of each point p: the lowest n_states of the ascending
@@ -316,7 +321,7 @@ def _merge(eta: np.ndarray, zeta: np.ndarray, w1: np.ndarray, w2: np.ndarray,
     energies = np.concatenate([w1[:, :k1], w2[:, :k2]], axis=1)
     odd = np.repeat([False, True], (k1, k2))
     rank = np.concatenate([np.arange(k1), np.arange(k2)])
-    tie = _TIE_ULPS * np.finfo(float).eps * (j_max ** 2 + np.abs(eta) + zeta)
+    tie = _tie(eta, zeta, j_max)
     order = np.argsort(energies, axis=1, kind="stable")
     steps = np.diff(np.take_along_axis(energies, order, 1), axis=1)
     level = np.cumsum(steps > tie[:, None], axis=1)
@@ -328,16 +333,6 @@ def _merge(eta: np.ndarray, zeta: np.ndarray, w1: np.ndarray, w2: np.ndarray,
                               w1[:, k1:], w2[:, k2:]], axis=1)
     cut_gap = dropped.min(axis=1) - kept.max(axis=1)
     return kept, odd[order[:, :n_states]], rank[order[:, :n_states]], cut_gap
-
-
-def _levels(eta: np.ndarray, zeta: np.ndarray, n_states: int,
-            j_max: int) -> Tuple[np.ndarray, ...]:
-    """The state cut of _merge at each point, from sector eigenvalues
-    alone: (energies, odd, cut_gap), unguarded (see _tail_bound)."""
-    w1, w2 = (_sector_solve(_hamiltonian_stack(eta, zeta, j_max, odd),
-                            n_states, False)[0] for odd in (False, True))
-    energies, odd, _, cut_gap = _merge(eta, zeta, w1, w2, n_states, j_max)
-    return energies, odd, cut_gap
 
 
 def _solve_chunk(params: Sequence[InteractionParams], index: np.ndarray,
@@ -499,35 +494,45 @@ class CrossingScan(List[CrossingRecord]):
 
 
 def _sector_difference(energies: np.ndarray, odd: np.ndarray,
-                       ranks: Tuple[int, int]) -> float:
-    """Even level ranks[0] minus odd level ranks[1]; nan if either is not
-    among the kept states."""
+                       ranks: Tuple[int, int], tie: float = 0.0) -> float:
+    """Even level ranks[0] minus odd level ranks[1], 0 within tie of 0
+    (one level, see _merge); nan if either is not among the kept states."""
     even_levels, odd_levels = energies[~odd], energies[odd]
     if ranks[0] < len(even_levels) and ranks[1] < len(odd_levels):
-        return float(even_levels[ranks[0]] - odd_levels[ranks[1]])
+        d = float(even_levels[ranks[0]] - odd_levels[ranks[1]])
+        return 0.0 if abs(d) <= tie else d
     return math.nan
 
 
 def _sector_gap(eta: float, zeta: float, count: int, j_max: int,
                 ranks: Tuple[int, int]) -> float:
     """One genuine-crossing probe: _sector_difference at eta, from the
-    sector eigenvalues of _levels alone."""
-    energies, odd, _ = _levels(np.array([eta]), np.array([zeta]), count, j_max)
+    state cut of _merge over sector eigenvalues alone; unguarded."""
+    eta, zeta = np.array([eta]), np.array([zeta])
+    w1, w2 = (_sector_solve(_hamiltonian_stack(eta, zeta, j_max, odd),
+                            count, False)[0] for odd in (False, True))
+    energies, odd, _, _ = _merge(eta, zeta, w1, w2, count, j_max)
     return _sector_difference(energies[0], odd[0], ranks)
+
+
+def _gap_slope(coefficients: np.ndarray, pair: Tuple[int, int],
+               j_max: int) -> np.ndarray:
+    """The gap slope d(E_{n+1} - E_n)/d(eta) = <n|cos|n> - <n+1|cos|n+1>
+    (Hellmann-Feynman) per point of padded coefficients (P, n, j_max + 1):
+    the diagonal of the cos band product of elements._element_stack."""
+    v = coefficients[:, list(pair)]
+    c1 = _sector_bands(j_max, False)[2]
+    cos = 2.0 * np.einsum("psj,j,psj->ps", v[..., :-1], c1, v[..., 1:])
+    return cos[:, 0] - cos[:, 1]
 
 
 def _pair_slope(eta: float, zeta: float, pair: Tuple[int, int],
                 j_max: int) -> float:
-    """One avoided-crossing probe: the gap slope d(E_{n+1} - E_n)/d(eta)
-    = <n|cos|n> - <n+1|cos|n+1> at eta (Hellmann-Feynman), the diagonal
-    of the cos band product of elements._element_stack over the padded
-    coefficients of one _solve_chunk; unguarded (see _tail_bound)."""
+    """One avoided-crossing probe: _gap_slope at eta from one _solve_chunk,
+    the same float as a coarse slope there; unguarded (see _tail_bound)."""
     stack = _solve_chunk((InteractionParams(eta, zeta),), np.arange(1),
                          pair[1] + 1, j_max)
-    v = stack.coefficients[0, list(pair)]
-    c1 = _sector_bands(j_max, False)[2]
-    cos = 2.0 * np.einsum("sj,j,sj->s", v[:, :-1], c1, v[:, 1:])
-    return float(cos[0] - cos[1])
+    return float(_gap_slope(stack.coefficients, pair, j_max)[0])
 
 
 def _root(f, a: float, b: float, fa: float, fb: float) -> float:
@@ -565,27 +570,25 @@ def crossing_scan(zeta: float, eta_range: Tuple[float, float],
                   j_max: Optional[int] = None) -> CrossingScan:
     """Locate gap minima of the pair over an eta window.
 
-    One basis serves the window, chosen before the scan. The end point at
-    the window's largest |eta| is solved first, guarded (at j_max if
-    given). With j_max None the window's cutoff is then the smallest
-    multiple of 8, from the end point's on, at which _tail_bound at that
-    |eta| is <= TAIL_TOL/2 up to the a-priori level bound lam0 = the end
-    point's highest level plus the window width plus one coarse step:
-    levels are 1-Lipschitz in eta and only fall as the basis grows, so
-    lam0 covers every level the scan can meet. The coarse scan (stacked,
-    _chunk_size points per eigvalsh call) and the refinement probes are
-    unguarded; instead, with lam the largest kept energy of the coarse
-    scan plus one coarse step, _tail_bound must be <= TAIL_TOL/2 after the
-    scan too, or ValueError is raised (at a given j_max, or at J_MAX_CAP).
-    So the coarse grid is scanned once. Records are guarded.
+    One basis serves the window, chosen before the scan: the end point at
+    the largest |eta| is solved guarded (at j_max if given); with j_max
+    None the cutoff then grows by 8 until _tail_bound at that |eta| is
+    <= TAIL_TOL/2 up to lam0 = the end point's highest level plus the
+    window width plus one coarse step (levels are 1-Lipschitz in eta and
+    only fall as the basis grows, so lam0 covers every level of the scan).
+    The coarse scan (stacked _solve_chunk calls, eigenvectors included)
+    and the refinement probes are unguarded; _tail_bound must hold again
+    at lam = the largest coarse energy plus one coarse step, or ValueError
+    is raised (at a given j_max, or at J_MAX_CAP). So the coarse grid is
+    scanned once. Records are guarded.
 
-    Each interior coarse minimum is refined inside its two neighbours by
-    one root finder (_root). Where the pair lies in opposite sectors and
-    the signed difference of those two sector levels (by their rank inside
-    each sector) changes sign across the bracket, its root is a genuine
-    crossing; otherwise the root of the Hellmann-Feynman gap slope
-    (_pair_slope) is an avoided one, and a slope that does not rise
-    through 0 raises RuntimeError. No interior minimum gives no records.
+    Each coarse interval where the Hellmann-Feynman gap slope (_gap_slope)
+    goes from < 0 to >= 0 brackets a gap minimum, however narrow, refined
+    by one root finder (_root). Where the pair lies in opposite sectors at
+    the interval's start and the signed difference of those two sector
+    levels (by their rank in each sector; 0 within the tie of _merge)
+    changes sign across it, the root of that difference is a genuine
+    crossing; otherwise the root of the gap slope is an avoided one.
     """
     if pair[0] < 0 or pair[1] != pair[0] + 1:
         raise ValueError(f"pair must be adjacent states (n, n+1) with n >= 0, "
@@ -600,15 +603,17 @@ def crossing_scan(zeta: float, eta_range: Tuple[float, float],
     end = solve_spectrum(InteractionParams(far, zeta), count, j_max)
     cutoff = end.j_max
     if j_max is None:
-        # levels are 1-Lipschitz in eta and only fall as the basis grows
         lam = float(end.energies.max()) + (hi - lo) + step
         while (cutoff < J_MAX_CAP and _tail_bound(eta_abs, zeta, lam, cutoff)
                > 0.5 * TAIL_TOL):
             cutoff += 8
     size = _chunk_size(cutoff)
-    energies, odd, cuts = map(np.concatenate, zip(*(
-        _levels(etas[i:i + size], np.full_like(etas[i:i + size], zeta),
-                count, cutoff) for i in range(0, resolution, size))))
+    points = [InteractionParams(float(eta), zeta) for eta in etas]
+    stacks = [_solve_chunk(points, np.arange(i, min(i + size, resolution)),
+                           count, cutoff) for i in range(0, resolution, size)]
+    energies, odd, cuts, slopes = map(np.concatenate, zip(*(
+        (s.energies, s.odd, s.cut_gap, _gap_slope(s.coefficients, pair, cutoff))
+        for s in stacks)))
     tail_bound = _tail_bound(eta_abs, zeta, float(energies.max()) + step,
                              cutoff)
     if tail_bound > 0.5 * TAIL_TOL:
@@ -616,26 +621,22 @@ def crossing_scan(zeta: float, eta_range: Tuple[float, float],
                           cutoff, f"zeta={zeta}, eta in [{lo}, {hi}], "
                           f"{count} states", j_max is not None)
     cut_gap = min(end.cut_gap, float(cuts.min()))
-    gaps = energies[:, pair[1]] - energies[:, pair[0]]
     records = []
-    for k in range(1, resolution - 1):
-        if not (gaps[k] < gaps[k - 1] and gaps[k] <= gaps[k + 1]):
-            continue
+    for k in np.flatnonzero((slopes[:-1] < 0.0) & (slopes[1:] >= 0.0)):
         # the pair is the top two kept states
         ranks = (int(np.sum(~odd[k])) - 1, int(np.sum(odd[k])) - 1)
-        a, b = etas[k - 1], etas[k + 1]
-        fa, fb = (_sector_difference(energies[i], odd[i], ranks)
-                  for i in (k - 1, k + 1))
+        at = lambda i: (etas[i], _sector_difference(
+            energies[i], odd[i], ranks, _tie(etas[i], zeta, cutoff)))
+        (a, fa), (b, fb) = at(k), at(k + 1)
         genuine = odd[k, pair[0]] != odd[k, pair[1]] and fa * fb <= 0.0
         if genuine:
+            # a coarse point within the tie is the crossing: take its neighbour
+            a, fa = at(k - 1) if fa == 0.0 and k > 0 else (a, fa)
+            b, fb = at(k + 2) if fb == 0.0 and k + 2 < resolution else (b, fb)
             probe = lambda e: _sector_gap(e, zeta, count, cutoff, ranks)
         else:
             probe = lambda e: _pair_slope(e, zeta, pair, cutoff)
-            fa, fb = probe(a), probe(b)
-            if not fa <= 0.0 <= fb:
-                raise RuntimeError(
-                    f"gap slope of pair {tuple(pair)} does not rise through 0 "
-                    f"on [{a}, {b}] (zeta={zeta}): {fa:.3e}, {fb:.3e}")
+            fa, fb = float(slopes[k]), float(slopes[k + 1])
         eta_c = _root(probe, a, b, fa, fb)
         sp = solve_spectrum(InteractionParams(eta_c, zeta), count, cutoff)
         cut_gap = min(cut_gap, sp.cut_gap)
@@ -644,6 +645,5 @@ def crossing_scan(zeta: float, eta_range: Tuple[float, float],
             kappa=int(round(abs(eta_c) / math.sqrt(zeta))),
             kind="genuine" if genuine else "avoided",
             min_gap=float(abs(sp.energies[pair[1]] - sp.energies[pair[0]])),
-            j_max=cutoff,
-            basis_tail=sp.basis_tail))
+            j_max=cutoff, basis_tail=sp.basis_tail))
     return CrossingScan(records, cutoff, end.basis_tail, tail_bound, cut_gap)

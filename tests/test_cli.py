@@ -23,9 +23,10 @@ from planar_pendulum import (
     switch_on_evolution,
     switch_on_populations,
 )
-from planar_pendulum.cli import (BLOCK_ROWS, Block, Blocks, ConfigError, _fmt,
-                                 _write_csv, _write_json_table, main,
-                                 parse_range)
+import planar_pendulum.cli as cli
+from planar_pendulum.cli import (BLOCK_ROWS, OPTIONS, Block, Blocks,
+                                 ConfigError, _fmt, _write_csv,
+                                 _write_json_table, main, parse_range)
 
 
 def read_csv(path):
@@ -151,6 +152,41 @@ def test_config_unknown_key_is_line_referenced(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "bad.json:3" in err
     assert "ewa" in err
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv)."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["--version"], ["bogus"], ["bogus", "--zeta", "16"],
+    *([command, "--help"] for command in OPTIONS),
+    ["crossings", "--zeta", "16", "--bogus"],
+    ["spectrum", "--eta"],
+    ["crossings", "--zeta", "16", "--pair", "2"],
+    ["spectrum", "--config", "unknown.json"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_one_subparser_parses_as_all_of_them(tmp_path, monkeypatch, capsys,
+                                             argv):
+    """main adds only the options of the command argv names, and prints,
+    refuses and exits exactly as with every command's options."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "unknown.json").write_text('{\n  "zeta": 25,\n  "ewa": -10\n}\n')
+    built, full = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: built.append(command)
+                        or full(command))
+    lean = _outcome(argv, capsys)
+    assert built == [argv[0] if argv and argv[0] in OPTIONS else None]
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert _outcome(argv, capsys) == lean
+    assert lean[0] in (0, 2) and (lean[1] or lean[2])
 
 
 def test_crossings_take_no_eta_tol(tmp_path, monkeypatch, capsys):
@@ -511,6 +547,9 @@ _RAMP = ["propagate", "--j0", "0", "--eta-to", "-10", "--zeta-to", "25",
     pytest.param(["propagate", "--config", str(NAN_SCHEDULE)],
                  "constant profile start must be finite, got nan",
                  id="config-schedule-nan"),
+    pytest.param(["crossings", "--zeta", "16", "--eta-range", "-6:1:0.1",
+                  "--pair", "1", "2"], "eta must be <= 0 by convention",
+                 id="crossings-window-past-eta-0"),
 ])
 def test_out_of_range_inputs_exit_one(tmp_path, monkeypatch, capsys, argv,
                                       message):

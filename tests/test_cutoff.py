@@ -178,7 +178,7 @@ def test_crossing_window_shares_one_cutoff():
 
 
 # (zeta, window, pair): the README window, genuine (odd kappa) and avoided
-# (even kappa) windows like the bench's, and one with no interior minimum
+# (even kappa) windows like the bench's, and one with no gap minimum
 SCANNED_ONCE = [(16.0, (-10.0, -6.0), (2, 3)), (16.0, (-10.0, -6.0), (1, 2)),
                 (9.5, (-4.316, -1.85), (1, 2)), (48.2, (-16.66, -11.11), (2, 3)),
                 (30.0, (-18.62, -14.24), (3, 4)), (20.0, (-10.73, -7.16), (2, 3))]
@@ -188,19 +188,34 @@ SCANNED_ONCE = [(16.0, (-10.0, -6.0), (2, 3)), (16.0, (-10.0, -6.0), (1, 2)),
 def test_crossing_scan_runs_its_coarse_grid_once(monkeypatch, zeta, window,
                                                  pair):
     # the window's cutoff is certified before the scan, so no window is
-    # scanned again; every other _levels call is a one-point probe
-    calls = []
-    levels = spectrum_module._levels
+    # scanned again; every other eigenvector solve is inside a guarded
+    # solve (end point, records) or a gap-slope probe
+    coarse, inner = [], []
+    solve_chunk = spectrum_module._solve_chunk
 
-    def counted(eta, *args):
-        calls.append(eta.copy())
-        return levels(eta, *args)
+    def counted(params, index, n_states, j_max):
+        if not inner:
+            coarse.append(([params[i].eta for i in index], n_states, j_max))
+        return solve_chunk(params, index, n_states, j_max)
 
-    monkeypatch.setattr(spectrum_module, "_levels", counted)
+    def nested(name):
+        f = getattr(spectrum_module, name)
+
+        def wrapper(*args):
+            inner.append(name)
+            try:
+                return f(*args)
+            finally:
+                inner.pop()
+        monkeypatch.setattr(spectrum_module, name, wrapper)
+
+    monkeypatch.setattr(spectrum_module, "_solve_chunk", counted)
+    for name in ("solve_spectrum", "_pair_slope"):
+        nested(name)
     scan = crossing_scan(zeta, window, pair)
-    coarse = [eta for eta in calls if len(eta) > 1]
-    assert np.array_equal(np.concatenate(coarse),
+    assert np.array_equal(np.concatenate([eta for eta, _, _ in coarse]),
                           np.linspace(*window, CROSSING_RESOLUTION))
+    assert {(n, j) for _, n, j in coarse} == {(pair[1] + 1, scan.j_max)}
     assert scan.j_max == _window_cutoff(zeta, window, pair[1] + 1,
                                         CROSSING_RESOLUTION)[1]
     assert scan.tail_bound <= 0.5 * TAIL_TOL

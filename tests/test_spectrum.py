@@ -15,8 +15,19 @@ from planar_pendulum import (
     make_grid,
     solve_spectrum,
 )
-from planar_pendulum.spectrum import (TAIL_TOL, _auto_j_max, _solve_chunk,
-                                     _tail_bound)
+from planar_pendulum.spectrum import (
+    CROSSING_RESOLUTION,
+    TAIL_TOL,
+    _auto_j_max,
+    _hamiltonian_stack,
+    _merge,
+    _pair_slope,
+    _root,
+    _sector_difference,
+    _sector_gap,
+    _solve_chunk,
+    _tail_bound,
+)
 from planar_pendulum.twins import classify_symmetry
 
 # Full 9-state reference at (eta, zeta) = (-10, 25), checked against a
@@ -132,7 +143,7 @@ def test_crossing_scan_rejects_non_positive_tolerance(counted_probes,
 
 
 # (zeta, window, pair): genuine (odd kappa), avoided (even kappa) and a
-# window with no interior minimum
+# window with no gap minimum
 CROSSING_WINDOWS = [(25.0, (-7.0, -3.0), (1, 2)),
                     (25.0, (-12.0, -8.0), (2, 3)),
                     (36.0, (-20.0, -16.0), (3, 4)),
@@ -142,9 +153,11 @@ CROSSING_WINDOWS = [(25.0, (-7.0, -3.0), (1, 2)),
 def test_crossing_refinement_ends_at_float_spacing(counted_probes):
     """The root finder stops at a probe whose float neighbour on one side
     was probed with the opposite sign (or at a zero), within 30 probes
-    per window; 200 points is the README window's default."""
+    per window; CROSSING_RESOLUTION points is the README window's
+    default."""
     windows = CROSSING_WINDOWS + [(16.0, (-10.0, -6.0), (2, 3))]
-    for (z, w, p), resolution in itertools.product(windows, (41, 200)):
+    for (z, w, p), resolution in itertools.product(
+            windows, (41, CROSSING_RESOLUTION, 200)):
         del counted_probes[:]
         scan = crossing_scan(z, w, p, resolution=resolution)
         assert len(counted_probes) <= 30
@@ -245,6 +258,116 @@ def test_tail_bound_covers_the_measured_tail(eta, zeta, n_states, offset):
     assert bound + 1e-14 >= sp.basis_tail
 
 
+def test_coarse_slopes_are_the_probes():
+    # an avoided bracket starts from two coarse slopes, so each must be the
+    # float that a refinement probe returns at its eta
+    zeta, pair, j_max = 16.0, (2, 3), 32
+    etas = np.linspace(-10.0, -6.0, CROSSING_RESOLUTION)
+    stack = _solve_chunk([InteractionParams(float(e), zeta) for e in etas],
+                         np.arange(len(etas)), pair[1] + 1, j_max)
+    coarse = spectrum_module._gap_slope(stack.coefficients, pair, j_max)
+    assert coarse.tolist() == [_pair_slope(float(e), zeta, pair, j_max)
+                               for e in etas]
+
+
+def _interior_minimum_scan(zeta, window, pair, resolution=200):
+    """The former coarse scan, kept as a reference for crossing_scan:
+    resolution points of sector eigenvalues alone, each interior point
+    whose gap is below both neighbours refined inside them by _root, an
+    avoided minimum from gap-slope probes at both bracket ends. Its
+    cutoff is picked as crossing_scan picks its own. Returns
+    (eta_c, kind, min_gap) per record."""
+    lo, hi = window
+    etas = np.linspace(lo, hi, resolution)
+    zetas = np.full_like(etas, zeta)
+    step, count = (hi - lo) / (resolution - 1), pair[1] + 1
+    end = solve_spectrum(InteractionParams(
+        etas[-1] if abs(hi) > abs(lo) else etas[0], zeta), count)
+    lam, cutoff = float(end.energies.max()) + (hi - lo) + step, end.j_max
+    while _tail_bound(max(abs(lo), abs(hi)), zeta, lam, cutoff) \
+            > 0.5 * TAIL_TOL:
+        cutoff += 8
+    w1, w2 = (np.linalg.eigvalsh(_hamiltonian_stack(etas, zetas, cutoff, odd))
+              for odd in (False, True))
+    energies, odd = _merge(etas, zetas, w1, w2, count, cutoff)[:2]
+    gaps = energies[:, pair[1]] - energies[:, pair[0]]
+    records = []
+    for k in range(1, resolution - 1):
+        if not (gaps[k] < gaps[k - 1] and gaps[k] <= gaps[k + 1]):
+            continue
+        ranks = (int(np.sum(~odd[k])) - 1, int(np.sum(odd[k])) - 1)
+        a, b = etas[k - 1], etas[k + 1]
+        fa, fb = (_sector_difference(energies[i], odd[i], ranks)
+                  for i in (k - 1, k + 1))
+        genuine = odd[k, pair[0]] != odd[k, pair[1]] and fa * fb <= 0.0
+        if genuine:
+            probe = lambda e: _sector_gap(e, zeta, count, cutoff, ranks)
+        else:
+            probe = lambda e: _pair_slope(e, zeta, pair, cutoff)
+            fa, fb = probe(a), probe(b)
+            assert fa <= 0.0 <= fb
+        eta_c = _root(probe, a, b, fa, fb)
+        e = solve_spectrum(InteractionParams(eta_c, zeta), count,
+                           cutoff).energies
+        records.append((eta_c, "genuine" if genuine else "avoided",
+                        float(abs(e[pair[1]] - e[pair[0]]))))
+    return records
+
+
+def _kappa_window(kappa, zeta):
+    """A window like the benchmark's: kappa +- 0.4 on pair (kappa, kappa+1)."""
+    root = math.sqrt(zeta)
+    return zeta, (-(kappa + 0.4) * root, -(kappa - 0.4) * root), \
+        (kappa, kappa + 1)
+
+
+def _wide_window(n, zeta):
+    """Pair (n, n+1) over |eta|/sqrt(zeta) in [0.5, 5.5]."""
+    root = math.sqrt(zeta)
+    return zeta, (-5.5 * root, -0.5 * root), (n, n + 1)
+
+
+# the README window, CROSSING_WINDOWS, kappa = 1-5 at 5 of 24 zeta in
+# [9, 49], and one wide window per pair (0, 1) to (4, 5)
+COMPARED_WINDOWS = (
+    [(16.0, (-10.0, -6.0), (2, 3))] + CROSSING_WINDOWS
+    + [_kappa_window(kappa, zeta) for kappa in range(1, 6)
+       for zeta in np.linspace(9.0, 49.0, 24)[::5].tolist()]
+    + [_wide_window(n, zeta) for n, zeta in
+       zip(range(5), (9.0, 16.0, 25.0, 36.0, 49.0))])
+
+
+def test_slope_scan_finds_the_interior_minima():
+    """The gap-slope scan at its default resolution finds the records of
+    the 200-point interior-minimum scan, in order and of the same kind,
+    eta_c within 1e-13 and min_gap within 1e-12."""
+    found = 0
+    for z, w, p in COMPARED_WINDOWS:
+        scan = crossing_scan(z, w, p)
+        want = _interior_minimum_scan(z, w, p)
+        assert [r.kind for r in scan] == [kind for _, kind, _ in want]
+        for r, (eta_c, _, gap) in zip(scan, want):
+            assert abs(r.eta_at_crossing - eta_c) <= 1e-13
+            assert abs(r.min_gap - gap) <= 1e-12
+        found += len(scan)
+    assert found >= len(COMPARED_WINDOWS) - 1      # one window has none
+
+
+@pytest.mark.parametrize("zeta,eta_c,pair,kind", [
+    (16.0, AVOIDED_ETA_16, (2, 3), "avoided"),
+    (16.0, -4.0, (1, 2), "genuine")])
+def test_slope_scan_brackets_a_minimum_at_the_window_edge(zeta, eta_c, pair,
+                                                          kind):
+    # the minimum lies half a 200-point step inside the window: the
+    # interior-minimum rule never looks there, the slope sign does
+    for window in ((eta_c - 0.01, eta_c + 3.99), (eta_c - 3.99, eta_c + 0.01)):
+        assert 0.01 < (window[1] - window[0]) / 199
+        assert _interior_minimum_scan(zeta, window, pair) == []
+        scan = crossing_scan(zeta, window, pair)
+        assert [r.kind for r in scan] == [kind]
+        assert abs(scan[0].eta_at_crossing - eta_c) <= 1e-13
+
+
 def test_uncertified_window_grows_its_cutoff(monkeypatch):
     certified = [crossing_scan(z, w, p, resolution=41)
                  for z, w, p in CROSSING_WINDOWS]
@@ -270,20 +393,24 @@ def test_uncertified_window_grows_its_cutoff(monkeypatch):
 
 def test_certified_window_solves_eigenvectors_once_per_record(monkeypatch,
                                                              counted_probes):
-    calls = []
+    calls, slopes = [], []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda h: calls.append(h.shape) or eigh(h))
+    pair_slope = spectrum_module._pair_slope
+    monkeypatch.setattr(spectrum_module, "_pair_slope",
+                        lambda *a: slopes.append(a) or pair_slope(*a))
     for z, w, p in CROSSING_WINDOWS:
-        del calls[:], counted_probes[:]
+        del calls[:], slopes[:], counted_probes[:]
         scan = crossing_scan(z, w, p, resolution=41)
         assert scan.tail_bound <= 0.5 * TAIL_TOL
-        # two sectors per solve: the end point, then one per record, and
-        # one per gap-slope probe of an avoided minimum; genuine crossings
-        # are probed on eigenvalues alone
-        slopes = len(counted_probes) if any(
-            r.kind == "avoided" for r in scan) else 0
-        assert len(calls) == 2 * (1 + len(scan) + slopes)
+        # two sectors per solve: each stacked chunk of the coarse scan, the
+        # end point, one per record, and one per gap-slope probe of an
+        # avoided minimum (its bracket ends are coarse points); genuine
+        # crossings are probed on eigenvalues alone
+        chunks = math.ceil(41 / spectrum_module._chunk_size(scan.j_max))
+        assert len(calls) == 2 * (chunks + 1 + len(scan) + len(slopes))
+        assert not {eta for eta, *_ in slopes} & set(np.linspace(*w, 41))
 
 
 def test_sector_bookkeeping():
