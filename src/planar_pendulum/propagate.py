@@ -3,10 +3,11 @@
 From the one FFT of psi0 on, the state is a row of signed-J free-rotor
 coefficients c_J, J = -j..j, as wide as its window (a start with more than
 TAIL_TOL on the grid's Nyquist mode, which no window holds, is refused).
-Ramps take Strang steps in that basis (_ramp) with midpoint fields; a
-potential kick exp(-i dtau V / 2) is a convolution with its Fourier taps
-(_kick_taps), and between reads the second half kick of a step and the
-first of the next are one (Feit, Fleck & Steiger, J. Comput. Phys. 47,
+Ramps take Strang steps in that basis (_ramp) with midpoint fields,
+evaluated _FIELD_STEPS steps at a time; a potential kick exp(-i dtau V / 2)
+is a convolution with its Fourier taps, a half-grid cosine sum of the kick
+minus 1 (_kick_taps), and between reads the second half kick of a step and
+the first of the next are one (Feit, Fleck & Steiger, J. Comput. Phys. 47,
 412 (1982)). Holds are evolved exactly (_exact_hold): one eigh per parity
 sector, then exp(-i E_n t). Both guard their cutoff at TAIL_TOL up to the
 grid's band; truncation is the only departure from unitarity, so norm
@@ -28,7 +29,7 @@ import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import groupby, islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -48,6 +49,10 @@ from .spectrum import (
 DEFAULT_DTAU = 1e-3
 _NORM_TOL = 1e-10
 FINITE_CHECK_STEPS = 64
+# A ramp evaluates its midpoint fields this many steps at a time: bounded,
+# so a long ramp holds a fixed number of them, and a whole number of check
+# blocks, so each block lies within one evaluation.
+_FIELD_STEPS = 16 * FINITE_CHECK_STEPS
 # Snapshots are measured, and a hold's evaluated, this many at a time: many
 # would raise the peak resident memory; small blocks reuse it.
 _HOLD_CHUNK = 16
@@ -447,6 +452,22 @@ def _field_bound(schedule: PulseSchedule, lo: float, hi: float
     return float(eta), float(zeta)
 
 
+@lru_cache(maxsize=None)
+def _tap_grid(m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The rows cos(theta_k) and cos(theta_k)^2, and the weights w_kp =
+    c_k cos(2 pi p k / M) / M (c_k = 1 at k = 0 and M/2, else 2), over
+    theta_k = 2 pi k / M, k, p = 0..M/2; the arguments are reduced as pk
+    mod M. Read-only: every call with M returns the same arrays."""
+    k = np.arange(m // 2 + 1)
+    cos = np.cos(2.0 * np.pi * k / m)
+    weights = np.cos(2.0 * np.pi * (np.multiply.outer(k, k) % m) / m) * (2.0 / m)
+    weights[[0, -1]] *= 0.5
+    grid = np.stack([cos, cos * cos])
+    for a in (grid, weights):
+        a.setflags(write=False)
+    return grid, weights
+
+
 def _kick_taps(fields: Sequence[Tuple[float, float]], dtau: float,
                limit: int) -> np.ndarray:
     """Fourier taps t_p, p = -w..w, of the half-step kick exp(-i dtau V / 2)
@@ -454,27 +475,37 @@ def _kick_taps(fields: Sequence[Tuple[float, float]], dtau: float,
     coefficients (t * c)_J = sum_p t_p c_(J-p). V is linear in the fields:
     the row (eta_i + eta_j, zeta_i + zeta_j) gives two half kicks in one.
 
-    One M-point FFT gives the taps of all rows, from cos and sin of the
-    phase on theta_k, k = 0..M/2, mirrored. M starts at 64 and doubles
-    while a tap at |p| >= M/4 is above _TAP_FLOOR, so the aliased taps
-    t_(p -+ M) are below it too; w is the last |p| with a tap above it. M
-    stops doubling once M/4 > limit, the widest half-width the caller can
-    use, and then w > limit if the taps are wider."""
-    eta, zeta = 0.5 * dtau * np.asarray(fields, dtype=float).T
+    The kick's phase phi_k on an M-point grid is even in k, so each tap is
+    a cosine sum over the half grid k = 0..M/2, t_p = delta_p0 + sum_k w_kp
+    (exp(i phi_k) - 1), with exp(i phi) - 1 = -2 sin(phi/2)^2 + i sin(phi)
+    and the weights of _tap_grid: one real matmul for all rows. The
+    weights of each p sum to delta_p0, so the 1 leaves the sum exactly and
+    the taps stay within a few ulps of an M-point FFT of the kick; a sum
+    of the kick itself loses more, and raised ramps' norm drift up to 43
+    times. The taps of p = 0..M/2 are mirrored, so t_-p is t_p. M starts
+    at 64 and doubles while a tap at |p| >= M/4 is above _TAP_FLOOR, so
+    the aliased taps t_(p -+ M) are below it too; w is the last |p| with a
+    tap above it. M stops doubling once M/4 > limit, the widest half-width
+    the caller can use, and then w > limit if the taps are wider."""
+    # -dtau V / 4 = (dtau / 4) (eta cos(theta) + zeta cos(theta)^2)
+    quarter = 0.25 * dtau * np.asarray(fields, dtype=float)
+    rows = len(quarter)
     m = 64
     while True:
-        half = m // 2 + 1
-        cos = np.cos(2.0 * np.pi * np.arange(half) / m)
-        # -dtau V / 2 = (dtau / 2) (eta cos(theta) + zeta cos(theta)^2)
-        phase = np.multiply.outer(eta, cos) + np.multiply.outer(zeta, cos * cos)
-        kick = np.empty((len(eta), m), dtype=complex)
-        kick.real[:, :half], kick.imag[:, :half] = np.cos(phase), np.sin(phase)
-        kick[:, half:] = kick[:, m // 2 - 1:0:-1]
-        taps = np.fft.fft(kick) / m
-        p = np.flatnonzero(np.abs(taps).max(axis=0) > _TAP_FLOOR)
-        w = int(np.minimum(p, m - p).max())
+        grid, weights = _tap_grid(m)
+        parts = np.empty((2 * rows, m // 2 + 1))
+        np.matmul(quarter, grid, out=parts[:rows])       # phi / 2
+        np.multiply(parts[:rows], 2.0, out=parts[rows:])  # phi
+        np.sin(parts, out=parts)
+        parts[:rows] *= parts[:rows]
+        parts[:rows] *= -2.0
+        sums = parts @ weights
+        taps = np.empty((rows, m // 2 + 1), dtype=complex)
+        taps.real, taps.imag = sums[:rows], sums[rows:]
+        taps.real[:, 0] += 1.0
+        w = int(np.flatnonzero(np.abs(taps).max(axis=0) > _TAP_FLOOR)[-1])
         if w < m // 4 or m // 4 > limit:
-            return taps[:, np.arange(-w, w + 1) % m]
+            return np.concatenate([taps[:, w:0:-1], taps[:, :w + 1]], axis=1)
         m *= 2
 
 
@@ -491,17 +522,22 @@ def _ramp(coeffs: np.ndarray, schedule: PulseSchedule, first: int,
     the second convolution and the next step's first are one, with merged
     taps, except after a step in ends or a checked one, and in blocks of
     FINITE_CHECK_STEPS steps whose window is the band or too narrow for
-    the merged taps. The window starts at _first_cutoff of the ramp's
-    largest fields, capped at the band, and is never narrower than the
-    taps (else RuntimeError at the band). After each block the state must
-    be finite (else RuntimeError) and the largest |c_J| on its outer
-    TAIL_ROWS slots <= TAIL_TOL, or the window grows by a quarter (to a
-    multiple of 8, and at least to the taps) and the ramp restarts. At the
-    band, a norm drift above _NORM_TOL raises RuntimeError."""
+    the merged taps. Each block takes one _kick_taps call, for its split
+    steps' half kicks and its merged ones, indexed by a tap row per step.
+    The midpoint fields are evaluated _FIELD_STEPS steps at a time, and a
+    restart within those steps reuses them. The window starts at
+    _first_cutoff of the ramp's largest fields, capped at the band, and is
+    never narrower than the taps (else RuntimeError at the band). After
+    each block the state must be finite (else RuntimeError) and the
+    largest |c_J| on its outer TAIL_ROWS slots <= TAIL_TOL, or the window
+    grows by a quarter (to a multiple of 8, and at least to the taps) and
+    the ramp restarts. At the band, a norm drift above _NORM_TOL raises
+    RuntimeError."""
     band = len(coeffs) // 2
     last = ends[-1]
     j_max = min(band, _first_cutoff(
         _weight(coeffs), *_field_bound(schedule, first * dtau, last * dtau)))
+    fields_from, fields = first, np.empty((0, 2))
     while True:
         c = coeffs[band - j_max:band + j_max + 1]
         kinetic = np.exp(-1j * np.arange(-j_max, j_max + 1) ** 2 * dtau)
@@ -509,19 +545,33 @@ def _ramp(coeffs: np.ndarray, schedule: PulseSchedule, first: int,
         tail, step, width = 0.0, first, 0
         while step < last:
             n = min(FINITE_CHECK_STEPS, last - step)
-            block = schedule.fields((np.arange(step, step + n) + 0.5) * dtau)
-            shots = {e - step - 1 for e in ends[bisect_right(ends, step):
-                                                bisect_right(ends, step + n)]}
-            every = set(range(n))
-            for split in (every,) if j_max == band else (shots | {n - 1}, every):
-                # the half kicks that the split steps need, then merged ones
-                halves = sorted({0, *split, *(k + 1 for k in split)} - {n})
-                merged = [k for k in range(n - 1) if k not in split]
-                taps = _kick_taps(np.concatenate([block[halves], block[merged]
-                                  + block[[k + 1 for k in merged]]]), dtau, band)
+            if not fields_from <= step < fields_from + len(fields):
+                fields_from = step
+                fields = schedule.fields((np.arange(
+                    step, min(step + _FIELD_STEPS, last)) + 0.5) * dtau)
+            block = fields[step - fields_from:][:n]
+            shot = np.zeros(n, dtype=bool)
+            shot[np.array(ends[bisect_right(ends, step):
+                               bisect_right(ends, step + n)], dtype=int)
+                 - step - 1] = True
+            # split the snapshot steps and the last one; every step at the
+            # band, or if the merged taps are wider than the window
+            split = shot.copy() if j_max < band else np.ones(n, dtype=bool)
+            split[-1] = True
+            while True:
+                # the half kicks of the split steps and of the steps after
+                # them, then the merged kicks of the others (not the last)
+                own = split.copy()
+                own[1:] |= split[:-1]
+                own[0] = True
+                halves, merged = np.flatnonzero(own), np.flatnonzero(~split)
+                taps = _kick_taps(np.concatenate([
+                    block[halves], block[merged] + block[merged + 1]]),
+                    dtau, band)
                 width = len(taps[0]) // 2
-                if width <= j_max:
+                if width <= j_max or split.all():
                     break
+                split[:] = True
             if width > j_max == band:
                 raise RuntimeError(
                     f"ramp kick taps reach |p| = {width} within tau "
@@ -530,20 +580,21 @@ def _ramp(coeffs: np.ndarray, schedule: PulseSchedule, first: int,
                     "points or a smaller dtau")
             if width > j_max:
                 break
-            half = dict(zip(halves, taps))
-            fused = dict(zip(merged, taps[len(halves):]))
+            # step k's tap row after its kinetic phase; a split step's
+            # next half kick is the row after it
+            row = np.where(split, np.cumsum(own),
+                           len(halves) + np.cumsum(~split)) - 1
             # each convolve returns a new array, so c can be kept as is
-            c = np.convolve(c, half[0], "same")
-            for k in range(n):
+            c = np.convolve(c, taps[0], "same")
+            for k, r, cut, snap in zip(range(n), row.tolist(),
+                                       split.tolist(), shot.tolist()):
                 c *= kinetic
-                if k in split:
-                    c = np.convolve(c, half[k], "same")
-                    if k in shots:
+                c = np.convolve(c, taps[r], "same")
+                if cut:
+                    if snap:
                         snaps.append(c)
                     if k + 1 < n:
-                        c = np.convolve(c, half[k + 1], "same")
-                else:
-                    c = np.convolve(c, fused[k], "same")
+                        c = np.convolve(c, taps[r + 1], "same")
             checked, step = step, step + n
             if not np.isfinite(c).all():
                 raise RuntimeError(
