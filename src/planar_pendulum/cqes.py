@@ -52,14 +52,13 @@ def _signed_j_max(spec: PendularSpectrum) -> int:
     return max(DEFAULT_J_MAX, spec.j_max)
 
 
-def switch_off_coefficients(spec: PendularSpectrum, n0: int,
-                            j_max: Optional[int] = None) -> SwitchCoefficients:
+def switch_off_coefficients(spec: PendularSpectrum,
+                            n0: int) -> SwitchCoefficients:
     """<j|phi_n0> read exactly off the stored Fourier coefficients, for
-    |j| <= j_max (default _signed_j_max(spec)), zero past the cutoff."""
+    |j| <= _signed_j_max(spec), zero past the cutoff."""
     if not 0 <= n0 < spec.n_states:
         raise ValueError(f"n0={n0} is not a solved state (0..{spec.n_states - 1})")
-    if j_max is None:
-        j_max = _signed_j_max(spec)
+    j_max = _signed_j_max(spec)
     return SwitchCoefficients(kind="switch_off", origin=n0,
                               c=spec.free_rotor_coefficients(n0, j_max),
                               j_max=j_max, gamma=spec.labels[n0])

@@ -157,16 +157,14 @@ def total_population(records: Sequence[PopulationRecord]) -> float:
 # switch-off: pendular state released into free rotation
 
 
-def switch_off_populations(spectrum: PendularSpectrum, n0: int,
-                           j_max: Optional[int] = None
-                           ) -> List[PopulationRecord]:
-    """|<j|phi_n0>|^2, folded to j >= 0 rows, j <= j_max (default
-    cqes._signed_j_max).
+def switch_off_populations(spectrum: PendularSpectrum,
+                           n0: int) -> List[PopulationRecord]:
+    """|<j|phi_n0>|^2, folded to j >= 0 rows, j <= cqes._signed_j_max.
 
     The underlying signed-j weights satisfy P(-j) = P(j); each reported
     row carries the combined +-j probability so the list sums to one.
     """
-    coeffs = switch_off_coefficients(spectrum, n0, j_max)
+    coeffs = switch_off_coefficients(spectrum, n0)
     j_max = coeffs.j_max
     p = np.abs(coeffs.c) ** 2
     folded = p[j_max:] + p[j_max::-1]

@@ -13,8 +13,10 @@ sector, then exp(-i E_n t). Both guard their cutoff at TAIL_TOL up to the
 grid's band; truncation is the only departure from unitarity, so norm
 drift is a diagnostic and is never corrected. Snapshots are measured by
 band sums (Trajectory) and go to the grid, one inverse FFT each, only when
-read as states. The same Strang step on the grid (_run) is the twin that
-validate and the tests check propagate against.
+read as states. The twin that validate and the tests check propagate
+against is the same Strang step on the grid (_run): a pointwise kick, an
+FFT, the kinetic phase, an inverse FFT and the kick again; it shares no
+code with the basis steps.
 
 dtau is snapped to an exact divisor of the window (dtau_eff = duration /
 round(duration / dtau)), or the leftover fraction of a step would add a
@@ -254,64 +256,31 @@ class Trajectory:
             self.coefficients[-1], self.grid), normalize=False)
 
 
-def _kick_writer(grid: AngularGrid, dtau: float
-                 ) -> Callable[[float, float], np.ndarray]:
-    """(eta, zeta) -> the half-step kick exp(-i dtau V / 2) on the grid.
-
-    V(theta_k) = V(theta_{n-k}), so the phase is computed on k = 0..n/2
-    only, with cos and sin written straight into the real and imaginary
-    parts, and mirrored onto k = n/2+1..n-1. Every call overwrites and
-    returns the same array.
-    """
-    n = grid.n_points
-    half = n // 2 + 1
-    cos_half = grid.cos_theta[:half]
-    phase = np.empty(half)
-    kick = np.empty(n, dtype=complex)
-    kick_re, kick_im = kick.real[:half], kick.imag[:half]
-    mirror_to, mirror_from = kick[half:], kick[n // 2 - 1:0:-1]
-
-    def write(eta: float, zeta: float) -> np.ndarray:
-        # -dtau V / 2 = (dtau / 2) cos(theta) (eta + zeta cos(theta))
-        np.multiply(cos_half, 0.5 * dtau * zeta, out=phase)
-        np.add(phase, 0.5 * dtau * eta, out=phase)
-        np.multiply(phase, cos_half, out=phase)
-        np.cos(phase, out=kick_re)
-        np.sin(phase, out=kick_im)
-        mirror_to[...] = mirror_from
-        return kick
-
-    return write
-
-
 def _run(amps: np.ndarray, grid: AngularGrid, schedule: PulseSchedule,
          duration: float, nsteps: int,
          on_step: Optional[Callable[[int, np.ndarray], None]] = None
          ) -> np.ndarray:
-    """Core Strang loop; mutates and returns a working copy of amps.
+    """The grid twin: nsteps Strang steps on the grid from a copy of amps,
+    each a half kick exp(-i dtau V / 2) at the step's midpoint fields, the
+    kinetic phase between an FFT and its inverse, and a half kick.
 
     on_step(i, psi) sees the state after each full step i = 1..nsteps; on
     a step that is checked for finiteness, the check comes after it.
     """
     dtau = duration / nsteps
     exp_kinetic = np.exp(-1j * grid.wavenumbers ** 2 * dtau)
-    write_kick = _kick_writer(grid, dtau)
+    cos = grid.cos_theta
     psi = np.array(amps, dtype=complex)
-    buf = np.empty_like(psi)
-    kick = None
-    last_fields: Optional[List[float]] = None
+    kick = last_fields = None
     for checked in range(0, nsteps, FINITE_CHECK_STEPS):
         block = schedule.fields((np.arange(
             checked, min(checked + FINITE_CHECK_STEPS, nsteps)) + 0.5) * dtau)
         for i, fields in enumerate(block.tolist(), start=checked + 1):
             if fields != last_fields:
-                kick = write_kick(*fields)
-                last_fields = fields
-            psi *= kick
-            np.fft.fft(psi, out=buf)
-            buf *= exp_kinetic
-            np.fft.ifft(buf, out=psi)
-            psi *= kick
+                # -dtau V / 2 = (dtau / 2) cos(theta) (eta + zeta cos(theta))
+                eta, zeta = last_fields = fields
+                kick = np.exp(0.5j * dtau * cos * (eta + zeta * cos))
+            psi = kick * np.fft.ifft(exp_kinetic * np.fft.fft(kick * psi))
             if on_step is not None:
                 on_step(i, psi)
         if not np.isfinite(psi).all():

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,15 +50,6 @@ _TIE_ULPS = 4       # energies this many ulps of ||H|| apart are one level
 # Bytes of stacked sector Hamiltonians per chunk of points: 19 points at
 # j_max 40, one point from j_max 180 up. Eigenvectors take as much again.
 _STACK_BYTES = 1 << 19
-
-
-@lru_cache(maxsize=8)
-def _basis_tables(n_points: int, j_max: int) -> Tuple[np.ndarray, np.ndarray]:
-    # Rows j-1 hold cos(j*theta)/sqrt(pi) and sin(j*theta)/sqrt(pi).
-    theta = 2.0 * np.pi * np.arange(n_points) / n_points
-    j = np.arange(1, j_max + 1)[:, None]
-    return (np.cos(j * theta[None, :]) / math.sqrt(np.pi),
-            np.sin(j * theta[None, :]) / math.sqrt(np.pi))
 
 
 def _sector_bands(j_max: int, odd: bool) -> Tuple[np.ndarray, ...]:
@@ -137,12 +127,15 @@ class PendularSpectrum:
             grid = make_grid()
         if grid.max_band_limit < self.j_max:
             raise ValueError("grid too coarse for this basis size")
-        cos_t, sin_t = _basis_tables(grid.n_points, self.j_max)
+        # row J - 1 holds J theta, J = 1..j_max
+        theta = 2.0 * np.pi * np.arange(grid.n_points) / grid.n_points
+        j_theta = np.arange(1, self.j_max + 1)[:, None] * theta[None, :]
         c = self.coefficients[n]
         if self.labels[n] is SymmetryLabel.A1:
-            f = c[0] / math.sqrt(2.0 * np.pi) + c[1:] @ cos_t
+            f = c[0] / math.sqrt(2.0 * np.pi) + c[1:] @ (
+                np.cos(j_theta) / math.sqrt(np.pi))
         else:
-            f = c[1:] @ sin_t
+            f = c[1:] @ (np.sin(j_theta) / math.sqrt(np.pi))
         return Wavefunction(grid, f.astype(complex), normalize=False)
 
     def free_rotor_coefficients(self, n, j_max: Optional[int] = None) -> np.ndarray:
@@ -506,13 +499,12 @@ def _sector_difference(energies: np.ndarray, odd: np.ndarray,
 
 def _sector_gap(eta: float, zeta: float, count: int, j_max: int,
                 ranks: Tuple[int, int]) -> float:
-    """One genuine-crossing probe: _sector_difference at eta, from the
-    state cut of _merge over sector eigenvalues alone; unguarded."""
+    """One genuine-crossing probe: even level ranks[0] minus odd level
+    ranks[1] at eta, from the sector eigenvalues alone; unguarded."""
     eta, zeta = np.array([eta]), np.array([zeta])
     w1, w2 = (_sector_solve(_hamiltonian_stack(eta, zeta, j_max, odd),
                             count, False)[0] for odd in (False, True))
-    energies, odd, _, _ = _merge(eta, zeta, w1, w2, count, j_max)
-    return _sector_difference(energies[0], odd[0], ranks)
+    return float(w1[0, ranks[0]] - w2[0, ranks[1]])
 
 
 def _gap_slope(coefficients: np.ndarray, pair: Tuple[int, int],

@@ -415,19 +415,44 @@ _SEGMENT = {"duration": 0.1, "eta": {"profile": "constant", "value": -10},
             "zeta": {"profile": "constant", "value": 25}}
 
 
-@pytest.mark.parametrize("schedule", [
-    pytest.param({"segments": 5}, id="segments-5"),
-    pytest.param({"segments": [5]}, id="segment-5"),
+@pytest.mark.parametrize("schedule,message", [
+    pytest.param({"segments": 5},
+                 "schedule must be an object with a list of 'segments'",
+                 id="segments-5"),
+    pytest.param({"segments": [5]},
+                 "schedule.segments[0]: segment must be an object",
+                 id="segment-5"),
     pytest.param({"segments": [dict(_SEGMENT, duration=None)]},
+                 "schedule.segments[0].duration must be a number, got null",
                  id="duration-null"),
     pytest.param({"segments": [dict(_SEGMENT, duration="abc")]},
+                 "schedule.segments[0].duration must be a number, got abc",
                  id="duration-text"),
     pytest.param({"segments": [dict(_SEGMENT, eta={"profile": "constant",
                                                    "value": "abc"})]},
+                 "schedule.segments[0].eta.value must be a number, got abc",
                  id="value-text"),
+    pytest.param({"segments": [dict(_SEGMENT, eta=None)]},
+                 "schedule.segments[0].eta: profile must be an object with "
+                 "a 'profile' kind", id="profile-null"),
+    pytest.param({"segments": [dict(_SEGMENT, eta={"profile": "constant"})]},
+                 "schedule.segments[0].eta: constant profile needs 'value'",
+                 id="constant-without-value"),
+    pytest.param({"segments": [dict(_SEGMENT, zeta={"profile": "linear",
+                                                    "from": 0})]},
+                 "schedule.segments[0].zeta: linear profile needs 'from' "
+                 "and 'to'", id="linear-without-to"),
+    pytest.param({"segments": [dict(_SEGMENT, eta={"profile": "cubic",
+                                                   "value": 1})]},
+                 "schedule.segments[0].eta: unknown profile kind 'cubic'",
+                 id="unknown-kind"),
+    pytest.param({"segments": [{k: v for k, v in _SEGMENT.items()
+                                if k != "duration"}]},
+                 "schedule.segments[0]: missing 'duration'",
+                 id="no-duration"),
 ])
 def test_malformed_schedule_is_a_config_error(tmp_path, monkeypatch, capsys,
-                                              schedule):
+                                              schedule, message):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "sched.json"
     cfg.write_text(json.dumps({"command": "propagate", "j0": 0,
@@ -435,8 +460,94 @@ def test_malformed_schedule_is_a_config_error(tmp_path, monkeypatch, capsys,
     line = 1 + next(i for i, text in enumerate(cfg.read_text().splitlines())
                     if '"schedule":' in text)
     assert main(["propagate", "--config", str(cfg), "--output", "r.csv"]) == 2
-    assert f"{cfg}:{line}: " in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {cfg}:{line}: {message}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["sched.json"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["spectrum", "--eta", "-10", "--eta-range", "-10:0:1",
+                  "--zeta", "25"],
+                 "give either --eta or --eta-range, not both",
+                 id="eta-and-eta-range"),
+    pytest.param(["spectrum", "--zeta", "25"], "missing --eta or --eta-range",
+                 id="no-eta"),
+    pytest.param(["spectrum", "--eta", "-10", "--zeta", "25", "--j-max", "x"],
+                 "argument --j-max: expected an integer or 'auto', got 'x'",
+                 id="j-max-x"),
+    pytest.param(["crossings", "--zeta", "16", "--pair", "2", "3"],
+                 "crossings needs --eta-range as the search window",
+                 id="crossings-without-a-window"),
+    pytest.param(["crossings", "--zeta", "16", "--eta-range", "-10:-6:0.1"],
+                 "crossings needs --pair N M (adjacent states)",
+                 id="crossings-without-a-pair"),
+    pytest.param(["propagate", "--j0", "1", "--eta-to", "-10", "--zeta-to",
+                  "25"],
+                 "a ramp needs --eta-to, --zeta-to and --ramp-duration "
+                 "together", id="partial-ramp"),
+    pytest.param(["propagate", "--j0", "1", "--n0", "0", "--eta-to", "-10",
+                  "--zeta-to", "25", "--ramp-duration", "0.1"],
+                 "give either --j0 or --n0, not both", id="j0-and-n0"),
+    pytest.param(["topology-map", "--eta-range", "-10:0:0.5"],
+                 "topology-map needs --eta-range and --zeta-range",
+                 id="topology-map-without-a-zeta-range"),
+])
+def test_usage_refusals_exit_two(tmp_path, monkeypatch, capsys, argv,
+                                 message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _outcome(argv, capsys)
+    assert (code, out) == (2, "") and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("text,line,message", [
+    pytest.param(None, None, "cannot read config: [Errno 2]",
+                 id="unreadable"),
+    pytest.param('{\n  "zeta": 25,\n  "eta": \n}\n', 4,
+                 "invalid JSON: Expecting value", id="invalid-json"),
+    pytest.param('[\n  "zeta", 25\n]\n', None,
+                 "config root must be an object", id="root-not-an-object"),
+    pytest.param('{\n  "zeta": 25,\n  "command": "crossings"\n}\n', 3,
+                 "config is for command 'crossings', invoked 'spectrum'",
+                 id="another-command"),
+    pytest.param('{\n  "zeta": 25,\n  "eta": [-10, -5]\n}\n', 3,
+                 "argument --eta: unexpected values ['-5']",
+                 id="list-for-a-scalar"),
+])
+def test_config_refusals_name_the_file(tmp_path, monkeypatch, capsys, text,
+                                       line, message):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.json"
+    if text is not None:
+        cfg.write_text(text)
+    where = str(cfg) if line is None else f"{cfg}:{line}"
+    code, out, err = _outcome(["spectrum", "--config", str(cfg),
+                               "--output", "o.csv"], capsys)
+    assert (code, out) == (2, "") and f"{where}: {message}" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("argv,config,plain", [
+    pytest.param(["spectrum", "--eta", "-10", "--zeta", "25", "--j-max",
+                  "auto"], None, ["spectrum", "--eta", "-10", "--zeta", "25"],
+                 id="j-max-auto"),
+    pytest.param(["crossings", "--config", "run.json"],
+                 {"command": "crossings", "zeta": 16, "eta-range":
+                  "-10:-6:0.1", "resolution": 41, "pair": [2, 3]},
+                 ["crossings", "--zeta", "16", "--eta-range", "-10:-6:0.1",
+                  "--resolution", "41", "--pair", "2", "3"],
+                 id="config-pair-list"),
+])
+def test_accepted_forms_write_what_the_plain_flags_write(
+        tmp_path, monkeypatch, argv, config, plain):
+    """--j-max auto is the default cutoff, and a config list gives the
+    values of one flag."""
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config, indent=1))
+    assert main([*argv, "--output", "a.csv"]) == 0
+    assert main([*plain, "--output", "b.csv"]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == \
+        (tmp_path / "b.csv").read_bytes()
 
 
 def test_topology_map_resolution_floor(tmp_path, monkeypatch, capsys):

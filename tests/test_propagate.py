@@ -1,6 +1,7 @@
 """Propagator: schedules, basis ramps and exact holds against the grid twin,
 accuracy regimes, cross-validation."""
 
+import importlib
 import json
 import math
 import warnings
@@ -30,13 +31,14 @@ from planar_pendulum.propagate import (
     Trajectory,
     _band_moments,
     _coefficients,
+    _exact_hold,
     _first_cutoff,
     _grid_amplitudes,
     _hold_runs,
     _kick_taps,
-    _kick_writer,
     _run,
     _sectors,
+    _weight,
     constant,
     linear,
     smooth_cosine,
@@ -46,6 +48,7 @@ from planar_pendulum.twins import second_order_accuracy_check
 from planar_pendulum.validation import RAMP_TWIN_CASES, ramp_twin_deviations
 
 TWO_PI = 2.0 * math.pi
+propagate_module = importlib.import_module("planar_pendulum.propagate")
 
 
 def test_profile_shapes():
@@ -356,17 +359,6 @@ def test_on_step_sees_every_full_step():
         assert np.array_equal(seen[i - 1][1], _run(psi0, g, sch, i * dtau, i))
 
 
-@settings(max_examples=60, deadline=None)
-@given(eta=st.floats(-40.0, 0.0), zeta=st.floats(0.0, 80.0),
-       dtau=st.floats(1e-5, 1e-2), n_points=st.sampled_from([8, 256, 512]))
-def test_half_grid_kick_matches_full_grid(eta, zeta, dtau, n_points):
-    g = make_grid(n_points)
-    cos_t = np.cos(g.theta)
-    v = -eta * cos_t - zeta * cos_t ** 2
-    kick = _kick_writer(g, dtau)(eta, zeta)
-    assert np.max(np.abs(kick - np.exp(-0.5j * dtau * v))) <= 1e-15
-
-
 @settings(max_examples=40, deadline=None)
 @given(eta=st.floats(-120.0, 120.0), zeta=st.floats(-200.0, 200.0),
        dtau=st.floats(1e-5, 0.1), seed=st.integers(0, 3))
@@ -376,12 +368,13 @@ def test_kick_taps_convolve_as_the_grid_kick_multiplies(eta, zeta, dtau,
     state's coefficients with them gives the coefficients of the grid
     kick's product, the kick of _run."""
     g = make_grid(512)
+    cos = g.cos_theta
     (taps,) = _kick_taps([(eta, zeta)], dtau, 255)
     window = 24 + len(taps) // 2
     amps = _band_limited_state(g, 24, seed)
     c, _ = _coefficients(amps, g)
     kicked = np.convolve(c[255 - window:256 + window], taps, "same")
-    product = amps * _kick_writer(g, dtau)(eta, zeta)
+    product = amps * np.exp(0.5j * dtau * cos * (eta + zeta * cos))
     assert np.max(np.abs(kicked - Wavefunction(g, product, normalize=False)
                          .free_rotor_coefficients(window))) <= 1e-14
 
@@ -589,6 +582,30 @@ def test_exact_holds_match_the_grid_twin(j0, segments, duration):
     assert np.abs(rows - twin).max() <= 2.0 * estimate
 
 
+def test_a_hold_grows_its_cutoff_until_its_tail_bound_holds(monkeypatch):
+    """J0 = 20 kicked by a 10-step ramp to (-40, 120): the hold starts at
+    its first cutoff 40, where the tail bound misses 1e-12, and grows to
+    56. Its snapshots agree within 1e-12 with the hold evolved at a fixed
+    cutoff of 64, which never grows (measured: 1.5e-13; at 40, 1.3e-10)."""
+    g = make_grid(512)
+    sch = PulseSchedule.switch(0.0, 0.0, -40.0, 120.0, 0.01, 1.0)
+    traj = propagate(free_rotor_wavefunction(20, g), sch)
+    dtau = 1.01 / 1010
+    # sample stride 2: snapshot 5 is the ramp's last step, the hold's start
+    assert traj.tau_samples[5] == 10 * dtau
+    start = np.pad(traj.coefficients[5], 255 - len(traj.coefficients[5]) // 2)
+    assert _first_cutoff(_weight(start), -40.0, 120.0) == 40
+    ((j_max, tail),) = traj.hold_limits
+    assert j_max == 56 and tail <= 1e-12
+    rows = traj.coefficients[6:]
+    monkeypatch.setattr(propagate_module, "_first_cutoff", lambda *_: 64)
+    wide, cutoff, _ = _exact_hold(start, (-40.0, 120.0),
+                                  np.arange(1, len(rows) + 1) * 2 * dtau)
+    assert cutoff == 64
+    assert max(np.abs(np.pad(r, 64 - len(r) // 2) - w).max()
+               for r, w in zip(rows, wide)) <= 1e-12
+
+
 @pytest.mark.parametrize("segments,dtau,nsteps", [
     pytest.param(_ZERO_DURATION, 1e-2, 60, id="zero-duration-segments"),
     pytest.param(_BREAKS_ON_MIDPOINTS, 0.25, 6, id="breaks-on-midpoints"),
@@ -612,6 +629,24 @@ def test_hold_runs_are_the_steps_without_a_ramp(segments, dtau, nsteps):
         jumps = any(i * dtau < end < (i + 1) * dtau
                     for end in sch.spans[:, 1].tolist())
         assert (held[i] is None) == (touches or jumps)
+
+
+def test_a_final_hold_runs_on_past_the_end_as_one_hold():
+    """A hold that ends the schedule and the hold past its end, at the same
+    fields, are one run, evolved by one eigensolve: the trajectory of the
+    schedule whose hold itself reaches the duration, bit for bit."""
+    g = make_grid()
+    psi0 = free_rotor_wavefunction(1, g)
+    sch = PulseSchedule.switch(0.0, 0.0, -10.0, 25.0, 0.1, 0.5)
+    assert _hold_runs(sch, 1e-3, 1000) == [(100, 1000, (-10.0, 25.0))]
+    traj = propagate(psi0, sch, duration=1.0)
+    whole = propagate(psi0, PulseSchedule.switch(0.0, 0.0, -10.0, 25.0, 0.1,
+                                                 0.9))
+    assert len(traj.hold_limits) == 1
+    assert traj.hold_limits == whole.hold_limits
+    assert np.array_equal(traj.tau_samples, whole.tau_samples)
+    assert all(np.array_equal(a, b) for a, b in zip(traj.coefficients,
+                                                    whole.coefficients))
 
 
 def _band_limited_state(g, j_top, seed):
@@ -834,6 +869,49 @@ def test_fused_kicks_match_the_split_steps(eta, zeta, shape, dtau, stride,
     # a half kick leaves |psi(theta)|^2 as it is, but not <J^2>
     assert np.all(np.abs(fused.observables["J2"].values - j2)
                   <= 1e-13 * np.maximum(1.0, j2))
+
+
+def _strong_ramp(dtau):
+    """J0 = 1 ramped to (-40, 120) over 2.0 at dtau, every 4th step
+    sampled; with the split stepper's snapshots on its last window."""
+    psi0 = free_rotor_wavefunction(1, make_grid())
+    sch = PulseSchedule.switch(0.0, 0.0, -40.0, 120.0, 2.0, 0.0)
+    traj = propagate(psi0, sch, dtau=dtau, sample_stride=4)
+    ((j_max, _),) = traj.ramp_limits
+    taus, rows = _split_steps(psi0, sch, dtau, 4, 2.0, j_max)
+    assert np.array_equal(traj.tau_samples, taus)
+    return traj, j_max, rows
+
+
+def test_merged_taps_wider_than_the_window_split_every_step(monkeypatch):
+    """At dtau 0.05 the merged taps of the strong ramp reach |p| = 41 and
+    the half kicks' 32, past and within its first window 40. The window
+    keeps its width and every step takes both half kicks: the snapshots
+    of the split stepper on that window within 1e-14 (measured 2.1e-15).
+    The edge check is relaxed to 1e-4, or the window would grow for its
+    edge weight (1.2e-5) and the split steps be taken again on it."""
+    monkeypatch.setattr(propagate_module, "TAIL_TOL", 1e-4)
+    traj, j_max, rows = _strong_ramp(0.05)
+    half = len(_kick_taps([(-40.0, 120.0)], 0.05, 255)[0]) // 2
+    merged = len(_kick_taps([(-80.0, 240.0)], 0.05, 255)[0]) // 2
+    assert (half, j_max, merged) == (32, 40, 41)
+    assert np.abs(np.stack(traj.coefficients[1:]) - rows[1:]).max() <= 1e-14
+
+
+def test_half_taps_wider_than_the_window_regrow_it():
+    """At dtau 0.1 even the half kicks of the strong ramp reach |p| = 41,
+    past its first window 40; the window grows to hold them, and by its
+    edge weight on to 192. cos, cos2 and the norm are the split stepper's
+    on that window within 1e-13 (measured 2.2e-15). The kicks carry the
+    state past |J| = 128, so it warns with a top-of-grid weight of 1e-8."""
+    with pytest.warns(RuntimeWarning, match="top-of-grid weight 1.0e-08 "):
+        traj, j_max, rows = _strong_ramp(0.1)
+    assert len(_kick_taps([(-40.0, 120.0)], 0.1, 255)[0]) // 2 == 41
+    assert j_max == 192
+    norm, cos, cos2, _, _ = _band_moments(rows, 128)
+    for values, name in ((cos, "cos"), (cos2, "cos2")):
+        assert np.abs(traj.observables[name].values - values).max() <= 1e-13
+    assert np.abs(traj.norms - norm).max() <= 1e-13
 
 
 @pytest.mark.parametrize("schedule", [
