@@ -31,14 +31,13 @@ Scans over several (eta, zeta) points (spectrum, switch-on, topology-map)
 solve them in stacks (solve_stacks) and write their rows in scan order.
 
 The --tau-max series reach the writers as Blocks, not rows: one per point,
-a prefix (eta, zeta, j0 or n0) and float arrays. The CSV writer formats
-the prefix and each bitwise-constant column once per block, and the
-varying cells through one format string per run of at most BLOCK_ROWS
-rows; the JSON writer writes a block's rows. Other tables stay rows: mixed
-ones (spectrum labels, crossing kinds), and propagate's trajectory, whose
-rows stream in less memory than a run holds. Either way a table's bytes
-are the ones its rows would write cell by cell through _fmt (CSV) or json
-(JSON).
+a prefix (eta, zeta, j0 or n0) and float arrays; propagate's trajectory is
+one Block with an empty prefix. The CSV writer formats the prefix and each
+bitwise-constant column once per block, and the varying cells through one
+format string per run of at most BLOCK_ROWS rows; the JSON writer writes a
+block's rows. Other tables stay rows: the mixed ones (spectrum labels,
+crossing kinds) and the short ones. Either way a table's bytes are the
+ones its rows would write cell by cell through _fmt (CSV) or json (JSON).
 """
 
 from __future__ import annotations
@@ -650,7 +649,7 @@ def _run_propagate(args: argparse.Namespace, limits: _Limits):
     columns = [traj.tau_samples, *traj.fields.T,
                *(traj.observables[k].values for k in series), traj.norms]
     return (["tau", "eta", "zeta", *series, "norm"],
-            zip(*(c.tolist() for c in columns)), {})
+            Blocks([Block((), tuple(columns))]), {})
 
 
 def _run_topology_map(args: argparse.Namespace, limits: _Limits):

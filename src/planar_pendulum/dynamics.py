@@ -15,11 +15,15 @@ eigenvectors, which solve_spectrum fixes once (pi-aligned) for every
 route, grid twins included.
 
 Both series are evaluated from per-state amplitudes psi_k(tau) = c_k
-exp(-i(E_k - E_ref)tau), with the conserved <H> or <J^2> as reference:
-one exp per distinct level and tau sample, then small products over the
-states (the pair sums of the closed forms are never formed per tau). The
-phase arguments are carried exactly and corrected to first order, so the
-series stay at the rounding of exp at any tau. The time average sums the
+exp(-i(E_k - E_ref)tau), with the conserved <H> or <J^2> as reference,
+then small products over the states (the pair sums of the closed forms
+are never formed per tau). Exps are taken per distinct level only at the
+start of every 64-sample block of the tau grid and at the offsets of its
+first block; each sample's phase is the product of its block's two
+factors, corrected to first order for the few ulps by which the grid is
+not uniform; a non-uniform grid is phased sample by sample instead
+(_phased_blocks). The phase arguments are carried exactly, so the series
+stay within a few roundings of exp at any tau. The time average sums the
 same-sector pairs in closed form (_window_average), stacked over the
 points of a map chunk or for one spectrum alike.
 """
@@ -46,7 +50,9 @@ SAMPLES_PER_PERIOD = 512
 POPULATED_FLOOR = 1e-4      # |C|^2 above this counts as populated
 IMAG_RESIDUE_TOL = 1e-10
 _BOUNDS_SLACK = 1e-8
-_TAU_CHUNK = 512            # tau samples per phase block
+_TAU_CHUNK = 512            # tau samples per yielded chunk
+_PHASE_BLOCK = 64           # tau samples per exact start phase
+_PHASE_GUARD = 2.0 ** -26   # largest |w*delta| of the block product
 
 _OBSERVABLES = ("cos", "cos2", "J2", "energy")
 
@@ -108,26 +114,38 @@ def _split(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return hi, x - hi
 
 
+def _two_sum(a: np.ndarray, b) -> Tuple[np.ndarray, np.ndarray]:
+    """Knuth's two-sum: s + err == a + b exactly, s = fl(a + b)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
 def _phased_blocks(tau_grid: np.ndarray, c: np.ndarray, level: np.ndarray,
                    reference: float):
-    """Yield (block slice, psi) with psi[k, t] = c[k] *
-    exp(-i*(level[k] - reference)*tau_t) over _TAU_CHUNK-sample blocks of
+    """Yield (chunk slice, psi) with psi[k, t] = c[k] *
+    exp(-i*(level[k] - reference)*tau_t) over _TAU_CHUNK-sample chunks of
     tau_grid, in one reused buffer.
 
-    One exp per distinct level and sample. The phase argument is carried
-    exactly, level - reference as a two-sum and its product with tau as
-    Dekker's two-product, and the rounding error of the argument handed to
-    exp is applied to first order, so every phase is as accurate as exp
-    itself at any tau.
+    exact(tau) is one exp per distinct level w = level - reference and
+    sample, its argument carried exactly (w as a two-sum, its product with
+    tau as Dekker's two-product) and the rounding of the argument handed
+    to exp applied to first order. It is taken once per call at the start
+    tau_b of every _PHASE_BLOCK-sample block and at the offsets d_s =
+    tau_s - tau_0 of the first block. Sample tau_t, the s-th of the block
+    at tau_b, gets exp(-i*w*tau_b) * exp(-i*w*d_s) * (1 - i*w*delta_t),
+    where delta_t = tau_t - tau_b - d_s takes tau_t - tau_b as a two-sum,
+    so that tau_b + d_s + delta_t is tau_t exactly whatever tau_0. On a
+    uniform grid delta_t is a few ulps of tau; a chunk with max|w| *
+    max|delta| > _PHASE_GUARD (a non-uniform grid) is phased sample by
+    sample through exact instead. Either way every phase is within a few
+    roundings of exp at any tau.
     """
     distinct, which = np.unique(level, return_inverse=True)
-    shift = distinct - reference
-    back = shift - distinct
-    shift_lo = (distinct - (shift - back)) + (-reference - back)
+    shift, shift_lo = _two_sum(distinct, -reference)
     s_hi, s_lo = _split(shift)
-    buf = np.empty((len(c), _TAU_CHUNK), dtype=complex)
-    for start in range(0, len(tau_grid), _TAU_CHUNK):
-        tau = tau_grid[start:start + _TAU_CHUNK]
+
+    def exact(tau):
         t_hi, t_lo = _split(tau)
         arg = np.multiply.outer(shift, tau)
         err = np.multiply.outer(s_hi, t_hi) - arg
@@ -137,10 +155,36 @@ def _phased_blocks(tau_grid: np.ndarray, c: np.ndarray, level: np.ndarray,
         err += np.multiply.outer(shift_lo, tau)
         phase = np.exp(-1j * arg)
         phase *= 1.0 - 1j * err
-        psi = buf[:, :len(tau)]
-        np.take(phase, which, axis=0, out=psi)
+        return phase
+
+    starts = tau_grid[::_PHASE_BLOCK]
+    head = tau_grid[:_PHASE_BLOCK] - tau_grid[:1]
+    offsets = np.resize(head, _TAU_CHUNK)
+    start_phase = exact(starts)[:, :, None]
+    head_phase = exact(head)[:, None, :]
+    w_max = float(np.abs(shift).max(initial=0.0))
+    blocks = np.empty((len(shift), _TAU_CHUNK // _PHASE_BLOCK, len(head)),
+                      dtype=complex)
+    phase = blocks.reshape(len(shift), blocks.shape[1] * len(head))
+    step = np.ones_like(phase)          # 1 - i*w*delta, real part kept at 1
+    buf = np.empty((len(c), _TAU_CHUNK), dtype=complex)
+    for start in range(0, len(tau_grid), _TAU_CHUNK):
+        tau = tau_grid[start:start + _TAU_CHUNK]
+        n = len(tau)
+        b0, nb = start // _PHASE_BLOCK, -(-n // _PHASE_BLOCK)
+        hi, lo = _two_sum(tau, -np.repeat(starts[b0:b0 + nb], _PHASE_BLOCK)[:n])
+        delta = (hi - offsets[:n]) + lo
+        psi = buf[:, :n]
+        if w_max * float(np.abs(delta).max()) > _PHASE_GUARD:
+            np.take(exact(tau), which, axis=0, out=psi)
+        else:
+            np.multiply(start_phase[:, b0:b0 + nb], head_phase,
+                        out=blocks[:, :nb])
+            np.multiply.outer(-shift, delta, out=step.imag[:, :n])
+            phase[:, :n] *= step[:, :n]
+            np.take(phase[:, :n], which, axis=0, out=psi)
         psi *= c[:, None]
-        yield slice(start, start + len(tau)), psi
+        yield slice(start, start + n), psi
 
 
 @dataclass(frozen=True)
@@ -201,8 +245,7 @@ def switch_off_evolution(coeffs: SwitchCoefficients,
     for block, psi in _phased_blocks(tau_grid, c[lo:hi],
                                      (j[lo:hi] ** 2).astype(float), j2_const):
         for o in (1, 2):
-            bands[o - 1, block] = np.einsum("jt,jt->t", np.conj(psi[o:]),
-                                            psi[:-o])
+            bands[o - 1, block] = np.vecdot(psi[o:], psi[:-o], axis=0)
 
     return {
         "cos": _realize(tau_grid, bands[0], "cos"),

@@ -23,6 +23,7 @@ from planar_pendulum import (
     topology_map,
     total_population,
 )
+from planar_pendulum import dynamics
 from planar_pendulum.elements import sector_element_matrix
 from planar_pendulum.spectrum import _odd_mask
 from planar_pendulum.twins import (
@@ -216,11 +217,73 @@ def test_switch_off_refuses_a_state_without_parity():
             switch_off_evolution(dataclasses.replace(co, c=c), tau)
 
 
+# --- block-product phases against per-sample phases ------------------------
+
+def _phase_table(tau, c, level, reference):
+    """_phased_blocks over tau as one (state, sample) table, its slices
+    checked to tile the grid in order."""
+    out = np.empty((len(c), len(tau)), dtype=complex)
+    seen = 0
+    for block, psi in dynamics._phased_blocks(tau, c, level, reference):
+        assert block.start == seen and psi.shape == (len(c), block.stop - seen)
+        out[:, block] = psi
+        seen = block.stop
+    assert seen == len(tau)
+    return out
+
+
+BLOCK_EDGE_GRIDS = {
+    **{f"{n}-samples": np.linspace(0.0, 32.0 * math.pi, n)
+       for n in (1, 3, 63, 64, 65, 513, 8193)},
+    "from-85": np.linspace(85.0, 100.5, 700),
+    "from-1e-3": np.linspace(1e-3, 32.0 * math.pi, 8193),
+    "irregular": 85.0 + 15.5 * np.linspace(0.0, 1.0, 600) ** 2,
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_EDGE_GRIDS)
+def test_block_phases_match_per_sample_phases(name):
+    # every sample tau_t = tau_b + d_s + delta_t exactly, at any tau_0; an
+    # irregular grid's delta is too large for the block product and its
+    # chunks must be phased sample by sample. A one-sample grid is one
+    # exact phase, the reference.
+    tau = BLOCK_EDGE_GRIDS[name]
+    j = np.arange(-96, 97)
+    c = np.exp(2j * math.pi * np.random.default_rng(3).random(len(j)))
+    level, reference = (j ** 2).astype(float), 1511.37
+    picks = np.unique(np.r_[0:len(tau):7, len(tau) - 1])
+    direct = np.column_stack([
+        _phase_table(tau[i:i + 1], c, level, reference)[:, 0] for i in picks])
+    blocks = _phase_table(tau, c, level, reference)
+    assert np.abs(blocks[:, picks] - direct).max() <= 1e-15
+
+
+def test_empty_switch_off_support():
+    tau = make_tau_grid(4.0 * math.pi)
+    assert _phase_table(tau, np.zeros(0, dtype=complex), np.zeros(0),
+                        3.0).shape == (0, len(tau))
+    co = switch_off_coefficients(
+        solve_spectrum(InteractionParams(-10.0, 25.0), 4), 0)
+    series = switch_off_evolution(
+        dataclasses.replace(co, c=np.zeros_like(co.c)), tau)
+    for name in ("cos", "cos2", "J2"):
+        assert not series[name].values.any()
+
+
 # --- series against an extended-precision evaluation -----------------------
 # The same energies, coefficients and element matrices, summed pair by pair
 # with 40-digit phases at late tau, where the phase arguments are largest.
+# Each grid is (tau grid, the samples compared): ORACLE_TAU is one block of
+# 12 samples; every 257th sample of the 8193-sample grid is phased by block
+# products with nonzero delta; the irregular grid's one chunk takes the
+# per-sample guard path.
 
 ORACLE_TAU = np.linspace(85.0, 100.5, 12)
+ORACLE_GRIDS = [
+    (ORACLE_TAU, slice(None)),
+    (make_tau_grid(32.0 * math.pi), slice(None, None, 257)),
+    (85.0 + 15.5 * np.linspace(0.0, 1.0, 70) ** 2, slice(None, None, 7)),
+]
 ORACLE_POINTS = [(-10.0, 25.0, 1), (-3.3, 12.1, 2), (-19.5, 38.0, 1)]
 
 
@@ -229,7 +292,7 @@ def _mp_complex(mp, z):
     return mp.mpc(z.real, z.imag)
 
 
-def _mp_switch_on(mp, spec, c, name):
+def _mp_switch_on(mp, spec, c, name, taus):
     """Same-sector sum of conj(c_a) c_b M_ab exp(i(E_a - E_b)tau)."""
     mat = sector_element_matrix(spec, name)
     odd = _odd_mask(spec.labels)
@@ -238,7 +301,7 @@ def _mp_switch_on(mp, spec, c, name):
              if odd[a] == odd[b] and mat[a, b] != 0 and c[a] != 0 and c[b] != 0]
     cs = [_mp_complex(mp, x) for x in c]
     out = []
-    for tau in ORACLE_TAU:
+    for tau in taus:
         psi = [x * mp.expj(-mp.mpf(float(e)) * mp.mpf(float(tau)))
                for x, e in zip(cs, spec.energies)]
         out.append(float(mp.re(mp.fsum(mp.conj(psi[a]) * psi[b] * m
@@ -246,13 +309,13 @@ def _mp_switch_on(mp, spec, c, name):
     return np.array(out)
 
 
-def _mp_switch_off(mp, coeffs):
+def _mp_switch_off(mp, coeffs, taus):
     """cos = <e^{i theta}>, cos^2 = (sum|c|^2 + <e^{2i theta}>)/2."""
     cs = [_mp_complex(mp, x) for x in coeffs.c]
     j = range(-coeffs.j_max, coeffs.j_max + 1)
     norm = mp.fsum(abs(x) ** 2 for x in cs)
     cos, cos2 = [], []
-    for tau in ORACLE_TAU:
+    for tau in taus:
         psi = [x * mp.expj(-k * k * mp.mpf(float(tau))) for x, k in zip(cs, j)]
         band = [mp.fsum(mp.conj(psi[k + o]) * psi[k]
                         for k in range(len(psi) - o)) for o in (1, 2)]
@@ -263,24 +326,27 @@ def _mp_switch_off(mp, coeffs):
 
 @pytest.fixture(scope="module")
 def series_errors():
-    """Largest |library - oracle| of cos and cos^2, per switch kind."""
+    """Largest |library - oracle| of cos and cos^2, per switch kind, over
+    the compared samples of every ORACLE_GRIDS grid."""
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
     worst = {"switch_on": 0.0, "switch_off": 0.0}
     for eta, zeta, j0 in ORACLE_POINTS:
         spec = solve_spectrum(InteractionParams(eta, zeta), 20)
-        coeffs = switch_on_coefficients(spec, j0)
-        series, _ = switch_on_evolution(spec, coeffs, ORACLE_TAU)
-        for name in ("cos", "cos2"):
-            err = np.abs(series[name].values
-                         - _mp_switch_on(mp, spec, coeffs.c, name)).max()
-            worst["switch_on"] = max(worst["switch_on"], err)
-        for n0 in (0, 1, 2):
-            coeffs = switch_off_coefficients(spec, n0)
-            series = switch_off_evolution(coeffs, ORACLE_TAU)
-            for name, want in zip(("cos", "cos2"), _mp_switch_off(mp, coeffs)):
-                err = np.abs(series[name].values - want).max()
-                worst["switch_off"] = max(worst["switch_off"], err)
+        for tau, picks in ORACLE_GRIDS:
+            coeffs = switch_on_coefficients(spec, j0)
+            series, _ = switch_on_evolution(spec, coeffs, tau)
+            for name in ("cos", "cos2"):
+                want = _mp_switch_on(mp, spec, coeffs.c, name, tau[picks])
+                err = np.abs(series[name].values[picks] - want).max()
+                worst["switch_on"] = max(worst["switch_on"], err)
+            for n0 in (0, 1, 2):
+                coeffs = switch_off_coefficients(spec, n0)
+                series = switch_off_evolution(coeffs, tau)
+                for name, want in zip(("cos", "cos2"),
+                                      _mp_switch_off(mp, coeffs, tau[picks])):
+                    err = np.abs(series[name].values[picks] - want).max()
+                    worst["switch_off"] = max(worst["switch_off"], err)
     return worst
 
 
