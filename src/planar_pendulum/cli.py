@@ -275,9 +275,8 @@ class _Limits:
         self.count(cutoff_misses=int(np.count_nonzero(spec.grown)))
 
 
-def _write_manifest(primary: str, args: argparse.Namespace,
+def _write_manifest(stem: str, args: argparse.Namespace,
                     outputs: List[str], limits: _Limits) -> str:
-    stem, _ = os.path.splitext(primary)
     path = stem + ".manifest.json"
     manifest = {
         "command": args.command,
@@ -845,7 +844,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     writer = _write_csv if args.format == "csv" else _write_json_table
     writer(primary, columns, rows)
     outputs = [primary]
-    stem, pext = os.path.splitext(primary)
+    # the stem names the manifest and the extras: the output without its
+    # format's extension, or the whole name, so that run.1 and run.2 do
+    # not share run.manifest.json
+    root, pext = os.path.splitext(primary)
+    stem = root if pext == ext else primary
     for name, extra in extras.items():
         if name == "overlays":
             path = f"{stem}_overlays.json"
@@ -853,10 +856,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 json.dump(extra, fh, indent=1, sort_keys=True)
                 fh.write("\n")
         else:
-            path = f"{stem}_{name}{pext or ext}"
+            path = f"{stem}_{name}{ext}"
             writer(path, extra[0], extra[1])
         outputs.append(path)
-    manifest = _write_manifest(primary, args, outputs, limits)
+    manifest = _write_manifest(stem, args, outputs, limits)
     for p in outputs + [manifest]:
         print(p)
     return 0

@@ -343,10 +343,11 @@ def _first_cutoff(weight: np.ndarray, eta: float, zeta: float) -> int:
     """The cutoff a hold or a ramp tries first: _auto_j_max of the field
     magnitudes (the guess depends on |eta| and the well depth only), raised
     to the state's own extent (its last weight > TAIL_TOL; a unit state
-    always has one) and TAIL_ROWS more."""
+    always has one) and TAIL_ROWS more, then up to a multiple of 8 (the
+    ramp window's and the hold's growth rule keeps that step)."""
     extent = int(np.flatnonzero(weight > TAIL_TOL)[-1])
-    return max(_auto_j_max(InteractionParams(-abs(eta), abs(zeta)), 1),
-               _round_up8(extent + TAIL_ROWS))
+    guess = _auto_j_max(InteractionParams(-abs(eta), abs(zeta)), 1)
+    return _round_up8(max(guess, extent + TAIL_ROWS))
 
 
 def _sectors(c: np.ndarray) -> np.ndarray:

@@ -243,11 +243,10 @@ def _pi_aligned(coeffs: np.ndarray, odd: np.ndarray) -> np.ndarray:
 
 def _auto_j_max(params: InteractionParams, n_states: int) -> int:
     """First cutoff tried when solve_spectrum chooses its own: the larger
-    of a well term and a free-rotor term, rounded up to a multiple of 8
-    (so that nearby points share a cutoff and so a stack), at most
+    of a well term and a free-rotor term, rounded up to an integer, at most
     J_MAX_CAP.
 
-    Well: w*x + max(3, 8 - 1.5*ln n) for n states, with
+    Well: w*x + max(3, 8 - 1.35*ln n) for n states, with
     w = (zeta + |eta|/2)**(1/4) and x = sqrt(2n + 7.1*sqrt(n) + 45.6). In
     a deep well state k is close to the Hermite function h_k(J/w) in J,
     and x is where h_(n-1), the highest kept state, falls below TAIL_TOL
@@ -262,13 +261,15 @@ def _auto_j_max(params: InteractionParams, n_states: int) -> int:
     [-35, 0] with zeta in [5, 40.5], eta in [-20, 0] with zeta in [8, 60];
     4, 9 and 20 states) and over wells up to w = 40 (1 to 50 states) or
     w = 12 (100 states): the guess is never below it there, and in the
-    scan windows at most 8 above it.
+    scan windows at most 3 above it. The slope 1.35 lifts (eta, zeta) =
+    (0, 6) at 4 states to its smallest passing cutoff, 20, while the offset
+    of one state, which the propagator's first cutoffs follow, stays 8.
     """
     w = (params.zeta + 0.5 * abs(params.eta)) ** 0.25
     n = n_states
     well = (w * math.sqrt(2.0 * n + 7.1 * math.sqrt(n) + 45.6)
-            + max(3.0, 8.0 - 1.5 * math.log(n)))
-    return min(J_MAX_CAP, _round_up8(max(well, 0.5 * n + 8.75 + 5.0 * w)))
+            + max(3.0, 8.0 - 1.35 * math.log(n)))
+    return min(J_MAX_CAP, math.ceil(max(well, 0.5 * n + 8.75 + 5.0 * w)))
 
 
 def _round_up8(j: float) -> int:
@@ -396,16 +397,18 @@ def solve_stacks(params: Sequence[InteractionParams], n_states: int,
 
     The basis tail, the largest |c_J| over the last TAIL_ROWS basis
     functions of any returned state, must be <= TAIL_TOL. With j_max None
-    each point's cutoff starts at _auto_j_max and grows by a quarter (to a
-    multiple of 8) until it is; past J_MAX_CAP it raises ValueError. A point
-    solved again so is marked grown. A given j_max is checked the same way
-    and refused, not grown. The error names the first failing point in the
-    order of params.
+    each point's cutoff starts at its integer _auto_j_max and grows by a
+    quarter (to a multiple of 8) until it is; past J_MAX_CAP it raises
+    ValueError. A point solved again so is marked grown. A given j_max is
+    checked the same way and refused, not grown. The error names the first
+    failing point in the order of params.
 
     Points are grouped by cutoff, smallest first, and stacked in order of
     params within a group, at most _chunk_size of them per chunk; a point
-    that fails its tail check joins the group of the grown cutoff. So the
-    chunks come in order of params only when every point has one cutoff.
+    that fails its tail check joins the group of the grown cutoff. A scan
+    window spans several cutoffs, one per row of well depth, and each
+    takes its own chunks; so the chunks come in order of params only when
+    every point has one cutoff.
     Each eigenvector's overall sign is fixed here, once, by the pi-aligned
     rule of _pi_aligned; every grid or basis route downstream inherits it.
     """
@@ -564,8 +567,8 @@ def crossing_scan(zeta: float, eta_range: Tuple[float, float],
 
     One basis serves the window, chosen before the scan: the end point at
     the largest |eta| is solved guarded (at j_max if given); with j_max
-    None the cutoff then grows by 8 until _tail_bound at that |eta| is
-    <= TAIL_TOL/2 up to lam0 = the end point's highest level plus the
+    None the cutoff then grows by one row until _tail_bound at that |eta|
+    is <= TAIL_TOL/2 up to lam0 = the end point's highest level plus the
     window width plus one coarse step (levels are 1-Lipschitz in eta and
     only fall as the basis grows, so lam0 covers every level of the scan).
     The coarse scan (stacked _solve_chunk calls, eigenvectors included)
@@ -598,7 +601,7 @@ def crossing_scan(zeta: float, eta_range: Tuple[float, float],
         lam = float(end.energies.max()) + (hi - lo) + step
         while (cutoff < J_MAX_CAP and _tail_bound(eta_abs, zeta, lam, cutoff)
                > 0.5 * TAIL_TOL):
-            cutoff += 8
+            cutoff += 1
     size = _chunk_size(cutoff)
     points = [InteractionParams(float(eta), zeta) for eta in etas]
     stacks = [_solve_chunk(points, np.arange(i, min(i + size, resolution)),

@@ -230,8 +230,8 @@ def test_manifest_diagnostics(tmp_path, monkeypatch):
     on = diagnostics("on")
     assert sorted(on) == ["basis_tail", "cut_gap", "cutoff_misses", "j_max",
                           "population_deficit"]
-    assert 0 < on["basis_tail"] <= 1e-12 and on["j_max"] % 8 == 0
     spec = solve_spectrum(InteractionParams(-10.0, 25.0), 20)
+    assert 0 < on["basis_tail"] <= 1e-12 and on["j_max"] == spec.j_max
     deficit = 1.0 - sum(r.probability for r in switch_on_populations(spec, 1))
     assert on["population_deficit"] == deficit
     # the cut splits the tunnelling doublet of states 19 and 20
@@ -306,9 +306,9 @@ def test_crossings_window_without_a_crossing_has_diagnostics(tmp_path,
     assert sorted(diag) == ["basis_tail", "cut_gap", "j_max", "tail_bound"]
     # the end point passes at 24; the window's certificate, taken before
     # the scan up to the end point's top level plus the window width, first
-    # at 32
+    # holds one row above it, at 25
     assert solve_spectrum(InteractionParams(-10.0, 16.0), 3).j_max == 24
-    assert diag["j_max"] == 32
+    assert diag["j_max"] == 25
     assert 0 < diag["basis_tail"] <= 1e-12
     assert 0 < diag["tail_bound"] <= 0.5e-12
 
@@ -336,6 +336,29 @@ def test_switch_off_series_file(tmp_path, monkeypatch):
     manifest = json.loads((tmp_path / "off.manifest.json").read_text())
     listed = {o["path"] for o in manifest["outputs"]}
     assert listed == {"off.csv", "off_series.csv"}
+
+
+def test_outputs_with_another_extension_keep_their_own_manifests(
+        tmp_path, monkeypatch):
+    # an output not ending in .{format} is its own stem whole: run.1 and
+    # run.2 must not share run.manifest.json, which the second run would
+    # overwrite
+    monkeypatch.chdir(tmp_path)
+    argv = ["switch-off", "--zeta", "25", "--eta", "-5", "--n0", "0",
+            "--tau-max", "6.2832", "--output"]
+    for name in ("run.1", "run.2"):
+        assert main([*argv, name]) == 0
+    for name in ("run.1", "run.2"):
+        manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+        listed = [o["path"] for o in manifest["outputs"]]
+        assert listed == [name, f"{name}_series.csv"]
+        for o in manifest["outputs"]:
+            assert o["bytes"] == (tmp_path / o["path"]).stat().st_size
+    assert not (tmp_path / "run.manifest.json").exists()
+    assert main([*argv, "run", "--format", "json"]) == 0
+    manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+    assert [o["path"] for o in manifest["outputs"]] == ["run",
+                                                        "run_series.json"]
 
 
 def test_propagate_flags(tmp_path, monkeypatch):

@@ -89,8 +89,9 @@ def test_cap_is_refused():
     (0.0, 0.0, 20), (-35.0, 40.0, 20), (0.0, 5000.0, 20), (0.0, 0.0, 100),
     (-2000.0, 0.0, 20)])
 def test_auto_cutoff_meets_the_tail_bound(eta, zeta, n):
-    spec = solve_spectrum(InteractionParams(eta, zeta), n)
-    assert spec.j_max % 8 == 0
+    params = InteractionParams(eta, zeta)
+    spec = solve_spectrum(params, n)
+    assert spec.j_max == _auto_j_max(params, n)
     assert np.abs(spec.coefficients[:, -TAIL_ROWS:]).max() == spec.basis_tail
     assert spec.basis_tail <= TAIL_TOL
 
@@ -155,17 +156,17 @@ def test_a_tight_cutoff_misses_the_window_certificate(tmp_path, monkeypatch,
 
 
 def _window_cutoff(zeta, window, count, resolution):
-    """The cutoff crossing_scan picks before its scan: the smallest
-    multiple of 8, from the end point's guarded one on, at which the tail
-    bound at the window's largest |eta| holds up to the end point's
-    highest level plus the window width plus one coarse step."""
+    """The cutoff crossing_scan picks before its scan: the smallest one,
+    from the end point's guarded one on, at which the tail bound at the
+    window's largest |eta| holds up to the end point's highest level plus
+    the window width plus one coarse step."""
     lo, hi = window
     far = solve_spectrum(InteractionParams(lo, zeta), count)
     lam = (float(far.energies.max()) + (hi - lo)
            + (hi - lo) / (resolution - 1))
     j_max = far.j_max
     while _tail_bound(abs(lo), zeta, lam, j_max) > 0.5 * TAIL_TOL:
-        j_max += 8
+        j_max += 1
     return far.j_max, j_max
 
 
@@ -242,8 +243,8 @@ def minimal_passing_cutoff(params, n_states):
 
 # (eta, zeta, n_states, smallest passing cutoff as measured): points of
 # the README map window (eta in [-35, 0], zeta in [5, 40]), where the
-# first guess must be at most 8 above the minimum, then deep wells, where
-# it must not miss
+# first guess must be at most 3 above the minimum (the most measured over
+# the scan windows), then deep wells, where it must not miss
 MAP_WINDOW_CUTOFFS = [(0.0, 5.0, 20, 24), (-35.0, 5.0, 20, 28),
                       (-10.0, 25.0, 20, 30), (-17.5, 22.5, 20, 30),
                       (-35.0, 40.0, 20, 33), (0.0, 40.0, 20, 30),
@@ -266,7 +267,7 @@ def test_first_guess_fits_the_smallest_passing_cutoff(eta, zeta, n, measured):
     assert abs(least - measured) <= 1
     assert guess >= least
     if (eta, zeta, n, measured) in MAP_WINDOW_CUTOFFS:
-        assert guess <= least + 8
+        assert guess <= least + 3
 
 
 def _box(eta, zeta, step):

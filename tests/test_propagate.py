@@ -606,6 +606,16 @@ def test_a_hold_grows_its_cutoff_until_its_tail_bound_holds(monkeypatch):
                for r, w in zip(rows, wide)) <= 1e-12
 
 
+@pytest.mark.parametrize("eta,zeta,first", [
+    (0.0, 1.3, 16), (0.0, 21.3, 24), (-4.0, 19.3, 24), (-2.0, 108.0, 32)])
+def test_first_cutoff_of_a_unit_state_steps_by_8(eta, zeta, first):
+    # a free-rotor start leaves the one-state guess, 8 + w*sqrt(54.7) here,
+    # rounded up to a multiple of 8; each of these wells lies within 0.2 of
+    # a step, so an offset of 8.2 would start its hold 8 higher
+    weight = _weight(np.eye(1, 33, 16)[0])
+    assert _first_cutoff(weight, eta, zeta) == first
+
+
 @pytest.mark.parametrize("segments,dtau,nsteps", [
     pytest.param(_ZERO_DURATION, 1e-2, 60, id="zero-duration-segments"),
     pytest.param(_BREAKS_ON_MIDPOINTS, 0.25, 6, id="breaks-on-midpoints"),
@@ -675,7 +685,10 @@ def test_sectors_follow_the_spectrum_convention():
     """An eigenstate's grid amplitudes project onto its own sector's
     coefficient row, odd sine rows included, and nothing else."""
     g = make_grid(128)
-    spec = solve_spectrum(InteractionParams(-3.0, 5.0), 6)
+    # back drops the FFT's rounding modes above the solve's cutoff, so it
+    # reads more as the cutoff falls: 8.3e-16 at 32, 9.4e-16 at 24, 1.2e-15
+    # at the automatic 20
+    spec = solve_spectrum(InteractionParams(-3.0, 5.0), 6, j_max=24)
     for n, label in enumerate(spec.labels):
         rows = _sectors(_coefficients(spec.wavefunction(n, g).amplitudes, g)[0])
         odd = int(label is SymmetryLabel.A2)

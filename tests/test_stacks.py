@@ -21,7 +21,12 @@ from planar_pendulum import (
 import planar_pendulum.spectrum as spectrum_module
 from planar_pendulum.cli import main
 from planar_pendulum.elements import _element_stack
-from planar_pendulum.spectrum import _banded, _chunk_size, _sector_bands
+from planar_pendulum.spectrum import (
+    _auto_j_max,
+    _banded,
+    _chunk_size,
+    _sector_bands,
+)
 
 
 def assert_points_equal(points, n_states, j_max=None):
@@ -69,8 +74,23 @@ def test_a_point_that_grows_its_cutoff_among_ordinary_ones(monkeypatch):
     for stack in solve_stacks(points, 20):
         for i, g in zip(stack.index.tolist(), stack.grown.tolist()):
             cutoffs[i], grown[i] = stack.j_max, g
-    assert [cutoffs[i] for i in range(5)] == [32, 224, 24, 280, 32]
+    assert [cutoffs[i] for i in range(5)] == [31, 224, 19, 280, 30]
     assert [grown[i] for i in range(5)] == [False, True, False, True, False]
+    assert_points_equal(points, 20)
+
+
+def test_a_window_over_several_cutoffs_stacks_each_apart():
+    # the first guess is an integer, so a map window spans several
+    # cutoffs (27 to 34 here): each chunk holds points of one, smallest
+    # first, and every point equals its own solve
+    points = [InteractionParams(float(e), float(z))
+              for z in (5, 12, 20, 30, 40) for e in (-35, -20, -10, 0)]
+    stacks = list(solve_stacks(points, 20))
+    cutoffs = [s.j_max for s in stacks]
+    assert len(set(cutoffs)) >= 3 and cutoffs == sorted(cutoffs)
+    for s in stacks:
+        assert {_auto_j_max(p, 20) for p in s.params} == {s.j_max}
+        assert not s.grown.any()
     assert_points_equal(points, 20)
 
 
