@@ -124,19 +124,13 @@ def _axis_points(scalar, range_text, name: str) -> np.ndarray:
 
 
 def _fmt(value) -> str:
-    """The text of one CSV cell; _write_csv writes the same per type
-    through _conversion."""
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return "%.15g" % float(value)
-    return str(value)
+    """The text of one CSV cell, through the conversion of its type."""
+    return _conversion(type(value)) % (value,)
 
 
 def _conversion(kind: type) -> str:
-    """The %-conversion that writes a value of type kind as _fmt does."""
+    """The %-conversion of a CSV cell of type kind: bools (numpy's too)
+    and text as str, integers as %d and floats as %.15g."""
     if issubclass(kind, bool):
         return "%s"
     if issubclass(kind, (int, np.integer)):

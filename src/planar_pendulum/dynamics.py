@@ -373,19 +373,17 @@ def switch_on_evolution(spectrum: PendularSpectrum,
 
 
 def dominant_coherence_period(spectrum: PendularSpectrum,
-                              coeffs: SwitchCoefficients,
-                              floor: float = POPULATED_FLOOR) -> float:
+                              coeffs: SwitchCoefficients) -> float:
     """Period of the slowest switch-on beat.
 
     Returns 2*pi over the smallest nonzero energy gap between two solved
     states of the same symmetry label whose populations |C|^2 both exceed
-    ``floor`` (POPULATED_FLOOR by default); math.inf if no such pair
-    exists. Beats are not ranked by amplitude: the result is the slowest
-    populated beat, whether or not it is the strongest line in any
-    observable.
+    POPULATED_FLOOR; math.inf if no such pair exists. Beats are not ranked
+    by amplitude: the result is the slowest populated beat, whether or not
+    it is the strongest line in any observable.
     """
     _check_switch_on(spectrum, coeffs)
-    populated = np.abs(coeffs.c) ** 2 > floor
+    populated = np.abs(coeffs.c) ** 2 > POPULATED_FLOOR
     odd = _odd_mask(spectrum.labels)
     a, b = np.triu_indices(len(populated), 1)
     beat = populated[a] & populated[b] & (odd[a] == odd[b])

@@ -10,8 +10,9 @@ minus 1 (_kick_taps), and between reads the second half kick of a step and
 the first of the next are one (Feit, Fleck & Steiger, J. Comput. Phys. 47,
 412 (1982)). Holds are evolved exactly (_exact_hold): one eigh per parity
 sector, then exp(-i E_n t). Both guard their cutoff at TAIL_TOL up to the
-grid's band; truncation is the only departure from unitarity, so norm
-drift is a diagnostic and is never corrected. Snapshots are measured by
+grid's band, and a ramp's window grows to hold its kick taps, merged or
+half; truncation is the only departure from unitarity, so norm drift is
+a diagnostic and is never corrected. Snapshots are measured by
 band sums (Trajectory) and go to the grid, one inverse FFT each, only when
 read as states. The twin that validate and the tests check propagate
 against is the same Strang step on the grid (_run): a pointwise kick, an
@@ -491,18 +492,17 @@ def _ramp(coeffs: np.ndarray, schedule: PulseSchedule, first: int,
     fields, multiplies them by exp(-i J^2 dtau) and convolves them again;
     the second convolution and the next step's first are one, with merged
     taps, except after a step in ends or a checked one, and in blocks of
-    FINITE_CHECK_STEPS steps whose window is the band or too narrow for
-    the merged taps. Each block takes one _kick_taps call, for its split
-    steps' half kicks and its merged ones, indexed by a tap row per step.
-    The midpoint fields are evaluated _FIELD_STEPS steps at a time, and a
-    restart within those steps reuses them. The window starts at
-    _first_cutoff of the ramp's largest fields, capped at the band, and is
-    never narrower than the taps (else RuntimeError at the band). After
-    each block the state must be finite (else RuntimeError) and the
-    largest |c_J| on its outer TAIL_ROWS slots <= TAIL_TOL, or the window
-    grows by a quarter (to a multiple of 8, and at least to the taps) and
-    the ramp restarts. At the band, a norm drift above _NORM_TOL raises
-    RuntimeError."""
+    FINITE_CHECK_STEPS steps at the band. Each block takes one _kick_taps
+    call, for its split steps' half kicks and its merged ones, indexed by
+    a tap row per step. The midpoint fields are evaluated _FIELD_STEPS
+    steps at a time, and a restart within those steps reuses them. The
+    window starts at _first_cutoff of the ramp's largest fields, capped at
+    the band. A block's taps, half or merged, must fit in the window, and
+    after the block the state must be finite (else RuntimeError) and the
+    largest |c_J| on its outer TAIL_ROWS slots <= TAIL_TOL; otherwise the
+    window grows by a quarter (to a multiple of 8, and at least to the
+    taps) and the ramp restarts. At the band, taps wider than it or a norm
+    drift above _NORM_TOL raise RuntimeError."""
     band = len(coeffs) // 2
     last = ends[-1]
     j_max = min(band, _first_cutoff(
@@ -524,24 +524,18 @@ def _ramp(coeffs: np.ndarray, schedule: PulseSchedule, first: int,
             shot[np.array(ends[bisect_right(ends, step):
                                bisect_right(ends, step + n)], dtype=int)
                  - step - 1] = True
-            # split the snapshot steps and the last one; every step at the
-            # band, or if the merged taps are wider than the window
+            # split the snapshot steps and the last one; every step at the band
             split = shot.copy() if j_max < band else np.ones(n, dtype=bool)
             split[-1] = True
-            while True:
-                # the half kicks of the split steps and of the steps after
-                # them, then the merged kicks of the others (not the last)
-                own = split.copy()
-                own[1:] |= split[:-1]
-                own[0] = True
-                halves, merged = np.flatnonzero(own), np.flatnonzero(~split)
-                taps = _kick_taps(np.concatenate([
-                    block[halves], block[merged] + block[merged + 1]]),
-                    dtau, band)
-                width = len(taps[0]) // 2
-                if width <= j_max or split.all():
-                    break
-                split[:] = True
+            # the half kicks of the split steps and of the steps after them,
+            # then the merged kicks of the others (not the last)
+            own = split.copy()
+            own[1:] |= split[:-1]
+            own[0] = True
+            halves, merged = np.flatnonzero(own), np.flatnonzero(~split)
+            taps = _kick_taps(np.concatenate([
+                block[halves], block[merged] + block[merged + 1]]), dtau, band)
+            width = len(taps[0]) // 2
             if width > j_max == band:
                 raise RuntimeError(
                     f"ramp kick taps reach |p| = {width} within tau "

@@ -118,9 +118,6 @@ class PendularSpectrum:
     def n_states(self) -> int:
         return len(self.energies)
 
-    def sector_indices(self, label: SymmetryLabel) -> List[int]:
-        return [i for i, lab in enumerate(self.labels) if lab is label]
-
     def wavefunction(self, n: int, grid: Optional[AngularGrid] = None) -> Wavefunction:
         """Materialize state n on a grid. Real-valued by construction."""
         if grid is None:

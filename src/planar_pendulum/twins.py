@@ -84,16 +84,6 @@ _EXACT_REGIME = 1e-12       # self-differences below this: the exact regime
 
 # --- elements: Bessel tables, closed-form and quadrature elements --------
 
-def modified_bessel_i(order: int, x: float) -> float:
-    """I_order(x) to ~1e-12 relative accuracy for 0 <= x <= 700.
-
-    One entry of BesselTable.build. Negative orders are accepted
-    (I_{-n} = I_n).
-    """
-    order = abs(int(order))
-    return BesselTable.build(x, order)[order]
-
-
 def _bessel_series(order: int, x: float) -> float:
     half = 0.5 * x
     term = half ** order / math.factorial(order)
@@ -272,11 +262,6 @@ def analytic_cos_element(a, b) -> float:
     Inputs are AnsatzCoefficients; cross-symmetry pairs return exactly 0.
     """
     return _analytic_element(a, b, "cos")
-
-
-def analytic_cos2_element(a, b) -> float:
-    """<phi_a|cos(theta)**2|phi_b> from the well moments."""
-    return _analytic_element(a, b, "cos2")
 
 
 def quadrature_element_matrix(spec: PendularSpectrum, operator: str,

@@ -697,22 +697,34 @@ def test_out_of_range_inputs_exit_one(tmp_path, monkeypatch, capsys, argv,
 _FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
                     st.floats())
 _TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8)
-_ROW = st.tuples(st.booleans(), st.integers(),
+_ROW = st.tuples(st.booleans(), st.booleans().map(np.bool_), st.integers(),
                  st.integers(-2**63, 2**63 - 1).map(np.int64), _FLOATS,
                  _FLOATS.map(np.float64), _TEXT,
                  st.one_of(st.integers(), _FLOATS))
+
+
+def _cell_text(value):
+    """The text of a CSV cell by an isinstance walk over the cell kinds."""
+    if isinstance(value, bool):
+        return str(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return "%.15g" % float(value)
+    return str(value)
 
 
 @settings(max_examples=60, deadline=None)
 @given(rows=st.lists(_ROW, max_size=12))
 def test_csv_cells_are_written_as_fmt(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("csv") / "t.csv"
-    columns = ["b", "i", "i64", "f", "f64", "s", "mixed"]
+    columns = ["b", "np_b", "i", "i64", "f", "f64", "s", "mixed"]
     _write_csv(str(path), columns, [list(r) for r in rows])
     with open(path, newline="") as fh:
         text = fh.read()
-    assert text == "".join(",".join(_fmt(v) for v in row) + "\n"
-                           for row in [columns, *rows])
+    want = [[_cell_text(v) for v in row] for row in [columns, *rows]]
+    assert [[_fmt(v) for v in row] for row in [columns, *rows]] == want
+    assert text == "".join(",".join(row) + "\n" for row in want)
 
 
 def _written(writer, path, columns, body):

@@ -16,24 +16,28 @@ from planar_pendulum import (
 )
 from planar_pendulum.twins import (
     BesselTable,
+    _analytic_element,
     algebraic_ansatz,
-    analytic_cos2_element,
     analytic_cos_element,
     ansatz_norm_integral,
     exp_cos_integral,
     hellmann_feynman_residual,
     kinetic_identity_residual,
-    modified_bessel_i,
     quadrature_element_matrix,
     reconstruct_ansatz,
 )
+
+
+def _bessel_i(order, x):
+    """I_order(x), one entry of BesselTable.build."""
+    return BesselTable.build(x, order)[order]
 
 
 @settings(max_examples=60, deadline=None)
 @given(order=st.integers(0, 40),
        x=st.floats(1e-3, 600.0, allow_nan=False, allow_infinity=False))
 def test_bessel_matches_scipy(order, x):
-    ours = modified_bessel_i(order, x)
+    ours = _bessel_i(order, x)
     ref = float(scipy.special.iv(order, x))
     assert ours == pytest.approx(ref, rel=1e-11)
 
@@ -41,21 +45,18 @@ def test_bessel_matches_scipy(order, x):
 def test_bessel_recurrence():
     x = 10.0
     for q in range(1, 25):
-        lhs = modified_bessel_i(q - 1, x) - modified_bessel_i(q + 1, x)
-        rhs = (2.0 * q / x) * modified_bessel_i(q, x)
+        lhs = _bessel_i(q - 1, x) - _bessel_i(q + 1, x)
+        rhs = (2.0 * q / x) * _bessel_i(q, x)
         assert lhs == pytest.approx(rhs, rel=1e-11)
 
 
 def test_bessel_large_argument_guard():
-    # the single evaluator and the table it reads from share one guard
-    for bessel in (modified_bessel_i,
-                   lambda order, x: BesselTable.build(x, order)[order]):
-        # representable result near the overflow edge
-        assert bessel(40, 700.0) == pytest.approx(
-            float(scipy.special.iv(40, 700.0)), rel=1e-11)
-        for x in (705.0, 800.0):
-            with pytest.raises(OverflowError):
-                bessel(0, x)
+    # representable result near the overflow edge
+    assert _bessel_i(40, 700.0) == pytest.approx(
+        float(scipy.special.iv(40, 700.0)), rel=1e-11)
+    for x in (705.0, 800.0):
+        with pytest.raises(OverflowError):
+            _bessel_i(0, x)
 
 
 @pytest.mark.parametrize("zeta", [4.0, 25.0])
@@ -127,7 +128,7 @@ def test_analytic_elements_match_quadrature(kappa, zeta):
             sym_pair = spec.labels[a] is spec.labels[b]
             ref_cos, ref_cos2 = quad_cos[a, b], quad_cos2[a, b]
             got_cos = analytic_cos_element(ansatz[a], ansatz[b])
-            got_cos2 = analytic_cos2_element(ansatz[a], ansatz[b])
+            got_cos2 = _analytic_element(ansatz[a], ansatz[b], "cos2")
             assert got_cos == pytest.approx(ref_cos, abs=1e-10)
             assert got_cos2 == pytest.approx(ref_cos2, abs=1e-10)
             if not sym_pair:

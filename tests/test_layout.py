@@ -23,10 +23,9 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 MOVED = (
     # from elements
-    "BesselTable", "modified_bessel_i", "exp_cos_integral",
-    "ansatz_norm_integral", "analytic_cos_element", "analytic_cos2_element",
-    "quadrature_element_matrix", "hellmann_feynman_residual",
-    "kinetic_identity_residual",
+    "BesselTable", "exp_cos_integral", "ansatz_norm_integral",
+    "analytic_cos_element", "quadrature_element_matrix",
+    "hellmann_feynman_residual", "kinetic_identity_residual",
     # from cqes
     "AnsatzCoefficients", "algebraic_sector_size", "algebraic_ansatz",
     "reconstruct_ansatz", "analytic_switch_off_coefficients",

@@ -896,18 +896,23 @@ def _strong_ramp(dtau):
     return traj, j_max, rows
 
 
-def test_merged_taps_wider_than_the_window_split_every_step(monkeypatch):
-    """At dtau 0.05 the merged taps of the strong ramp reach |p| = 41 and
-    the half kicks' 32, past and within its first window 40. The window
-    keeps its width and every step takes both half kicks: the snapshots
-    of the split stepper on that window within 1e-14 (measured 2.1e-15).
-    The edge check is relaxed to 1e-4, or the window would grow for its
-    edge weight (1.2e-5) and the split steps be taken again on it."""
-    monkeypatch.setattr(propagate_module, "TAIL_TOL", 1e-4)
+def test_merged_taps_wider_than_the_window_regrow_it(monkeypatch):
+    """At dtau 0.05 the strong ramp (40 steps, one block) has merged taps
+    that reach |p| = 41, past its first window 40, and half kicks' 32,
+    within it. The merged taps regrow the window as half taps would, with
+    no retry of the block with every step split: one _kick_taps call per
+    window tried, 40, 56, 72 and 96 (the last two for the edge weight).
+    The snapshots are the split stepper's on the last window within 1e-14
+    (measured 3.2e-15)."""
+    calls = []
+    kick_taps = propagate_module._kick_taps
+    monkeypatch.setattr(propagate_module, "_kick_taps",
+                        lambda *args: calls.append(args) or kick_taps(*args))
     traj, j_max, rows = _strong_ramp(0.05)
     half = len(_kick_taps([(-40.0, 120.0)], 0.05, 255)[0]) // 2
     merged = len(_kick_taps([(-80.0, 240.0)], 0.05, 255)[0]) // 2
-    assert (half, j_max, merged) == (32, 40, 41)
+    assert (half, merged) == (32, 41)
+    assert (len(calls), j_max) == (4, 96)
     assert np.abs(np.stack(traj.coefficients[1:]) - rows[1:]).max() <= 1e-14
 
 
