@@ -27,8 +27,9 @@ tail, with a ramp the largest ramp window and edge weight checked on it
 (ramp_j_max, ramp_tail), and with a hold the largest hold cutoff and tail
 certificate (hold_j_max, hold_tail).
 
-Scans over several (eta, zeta) points (spectrum, switch-on, topology-map)
-solve them in stacks (solve_stacks) and write their rows in scan order.
+Scans over several (eta, zeta) points (spectrum, switch-on, switch-off,
+topology-map) solve them in stacks (solve_stacks) and write their rows in
+scan order; solve_spectrum serves only propagate's --n0 start state.
 
 The --tau-max series reach the writers as Blocks, not rows: one per point,
 a prefix (eta, zeta, j0 or n0) and float arrays; propagate's trajectory is
@@ -445,13 +446,14 @@ def _scan_points(args: argparse.Namespace) -> List[Tuple[float, float]]:
 _LABEL_TEXT = (str(SymmetryLabel.A1), str(SymmetryLabel.A2))
 
 
-def _stacked_scan(args: argparse.Namespace, limits: _Limits):
-    """Yield (stack, points) for the scan points, args.n_states states
-    each, solved in stacks (solve_stacks): points[p] is the scan position,
-    eta, zeta and state labels of the stack's point p."""
+def _stacked_scan(args: argparse.Namespace, limits: _Limits, n_states: int):
+    """Yield (stack, points) for the scan points of spectrum, switch-on
+    or switch-off, n_states states each, solved in stacks (solve_stacks):
+    points[p] is the scan position, eta, zeta and state labels of the
+    stack's point p."""
     points = _scan_points(args)
     params = [InteractionParams(eta, zeta) for eta, zeta in points]
-    for stack in solve_stacks(params, args.n_states, args.j_max):
+    for stack in solve_stacks(params, n_states, args.j_max):
         limits.solved(stack)
         yield stack, [(i, *points[i], [_LABEL_TEXT[o] for o in odd])
                       for i, odd in zip(stack.index.tolist(),
@@ -464,7 +466,7 @@ def _in_scan_order(per_point: Dict[int, List]) -> List:
 
 def _run_spectrum(args: argparse.Namespace, limits: _Limits):
     rows = {}
-    for stack, points in _stacked_scan(args, limits):
+    for stack, points in _stacked_scan(args, limits, args.n_states):
         for (i, eta, zeta, labels), energies in zip(points,
                                                     stack.energies.tolist()):
             rows[i] = [(eta, zeta, n, lab, e)
@@ -504,31 +506,30 @@ def _series_block(point: Tuple, tau: np.ndarray, series: Dict,
 
 def _run_switch_off(args: argparse.Namespace, limits: _Limits):
     n0 = args.n0
-    rows = []
-    series = Blocks()
-    for eta, zeta in _scan_points(args):
-        spec = solve_spectrum(InteractionParams(eta, zeta),
-                              max(n0 + 1, 4), args.j_max)
-        limits.solved(spec)
-        for rec in switch_off_populations(spec, n0):
-            rows.append((eta, zeta, n0, rec.index, rec.probability))
-        if args.tau_max is not None:
-            coeffs = switch_off_coefficients(spec, n0)
-            tau = make_tau_grid(args.tau_max, args.samples_per_period)
-            ev = switch_off_evolution(coeffs, tau)
-            series.append(_series_block((eta, zeta, n0), tau, ev,
-                                        ("cos", "cos2", "J2")))
+    rows, series = {}, {}
+    for stack, points in _stacked_scan(args, limits, max(n0 + 1, 4)):
+        for p, (i, eta, zeta, _) in enumerate(points):
+            spec = stack.spectrum(p)
+            rows[i] = [(eta, zeta, n0, rec.index, rec.probability)
+                       for rec in switch_off_populations(spec, n0)]
+            if args.tau_max is not None:
+                tau = make_tau_grid(args.tau_max, args.samples_per_period)
+                ev = switch_off_evolution(switch_off_coefficients(spec, n0),
+                                          tau)
+                series[i] = [_series_block((eta, zeta, n0), tau, ev,
+                                           ("cos", "cos2", "J2"))]
     extras = {}
     if series:
         extras["series"] = (["eta", "zeta", "n0", "tau", "cos", "cos2", "J2"],
-                            series)
-    return ["eta", "zeta", "n0", "J", "probability"], rows, extras
+                            Blocks(_in_scan_order(series)))
+    return (["eta", "zeta", "n0", "J", "probability"], _in_scan_order(rows),
+            extras)
 
 
 def _run_switch_on(args: argparse.Namespace, limits: _Limits):
     j0 = args.j0
     rows, series = {}, {}
-    for stack, points in _stacked_scan(args, limits):
+    for stack, points in _stacked_scan(args, limits, args.n_states):
         populations = np.abs(_switch_on_column(stack.coefficients, stack.odd,
                                                j0)) ** 2
         for p, ((i, eta, zeta, labels), probs) in enumerate(

@@ -13,29 +13,26 @@ integer kappa, are twins (twins).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from .core import DEFAULT_J_MAX, SymmetryLabel
-from .spectrum import PendularSpectrum, _odd_mask, _signed_expansion
+from .core import DEFAULT_J_MAX
+from .spectrum import PendularSpectrum, _signed_expansion
 
 
 @dataclass(frozen=True)
 class SwitchCoefficients:
     """Expansion coefficients across a sudden field switch.
 
-    kind 'switch_off': c[j + j_max] = <j|phi_origin> over signed free-rotor
-    j in [-j_max, j_max]. kind 'switch_on': c[n] = <phi_n|J_origin> over
-    pendular states with their symmetry labels alongside.
+    kind 'switch_off': c[j + j_max] = <j|phi_n0> over signed free-rotor
+    j in [-j_max, j_max]. kind 'switch_on': c[n] = <phi_n|j0> over the
+    pendular states, j_max None; their parity is the spectrum's odd.
     """
 
     kind: str
-    origin: int
     c: np.ndarray
     j_max: Optional[int] = None
-    labels: Optional[Tuple[SymmetryLabel, ...]] = None
-    gamma: Optional[SymmetryLabel] = None
 
     def parseval(self) -> float:
         return float(np.sum(np.abs(self.c) ** 2))
@@ -59,17 +56,16 @@ def switch_off_coefficients(spec: PendularSpectrum,
     if not 0 <= n0 < spec.n_states:
         raise ValueError(f"n0={n0} is not a solved state (0..{spec.n_states - 1})")
     j_max = _signed_j_max(spec)
-    return SwitchCoefficients(kind="switch_off", origin=n0,
+    return SwitchCoefficients(kind="switch_off",
                               c=spec.free_rotor_coefficients(n0, j_max),
-                              j_max=j_max, gamma=spec.labels[n0])
+                              j_max=j_max)
 
 
 def switch_on_coefficients(spec: PendularSpectrum,
                            j0: int) -> SwitchCoefficients:
     """<phi_n|j0> = conj(<j0|phi_n>) for every solved state, exact."""
     return SwitchCoefficients(
-        kind="switch_on", origin=j0, labels=spec.labels,
-        c=_switch_on_column(spec.coefficients, _odd_mask(spec.labels), j0))
+        kind="switch_on", c=_switch_on_column(spec.coefficients, spec.odd, j0))
 
 
 def _switch_on_column(coefficients: np.ndarray, odd: np.ndarray,

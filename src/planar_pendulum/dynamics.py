@@ -43,8 +43,8 @@ from .cqes import (
     switch_off_coefficients,
     switch_on_coefficients,
 )
-from .elements import _element_stack, sector_element_matrix
-from .spectrum import PendularSpectrum, _odd_mask, solve_stacks
+from .elements import sector_element_matrix
+from .spectrum import PendularSpectrum, _element_stack, solve_stacks
 
 SAMPLES_PER_PERIOD = 512
 POPULATED_FLOOR = 1e-4      # |C|^2 above this counts as populated
@@ -263,11 +263,9 @@ def switch_on_populations(spectrum: PendularSpectrum, j0: int
                           ) -> List[PopulationRecord]:
     """|<phi_{Gamma,n}|j0>|^2 for every solved state."""
     coeffs = switch_on_coefficients(spectrum, j0)
-    return [
-        PopulationRecord(index=(spectrum.labels[n], n),
-                         probability=float(np.abs(coeffs.c[n]) ** 2))
-        for n in range(spectrum.n_states)
-    ]
+    return [PopulationRecord(index=(label, n),
+                             probability=float(np.abs(coeffs.c[n]) ** 2))
+            for n, label in enumerate(spectrum.labels)]
 
 
 def _population(c: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -339,10 +337,9 @@ def switch_on_evolution(spectrum: PendularSpectrum,
             for name in ("cos", "cos2")}
     # populated states, A1 sector first; the element matrices vanish
     # across sectors, so each sector's rows of psi^H M psi are its own part
-    odd = _odd_mask(spectrum.labels)
     populated = np.flatnonzero(c)
-    order = populated[np.argsort(odd[populated], kind="stable")]
-    n_a1 = int(np.count_nonzero(~odd[order]))
+    order = populated[np.argsort(spectrum.odd[populated], kind="stable")]
+    n_a1 = int(np.count_nonzero(~spectrum.odd[order]))
     coupling = {}
     for name, mat in mats.items():
         coupling[name] = mat[np.ix_(order, order)]
@@ -384,9 +381,8 @@ def dominant_coherence_period(spectrum: PendularSpectrum,
     """
     _check_switch_on(spectrum, coeffs)
     populated = np.abs(coeffs.c) ** 2 > POPULATED_FLOOR
-    odd = _odd_mask(spectrum.labels)
     a, b = np.triu_indices(len(populated), 1)
-    beat = populated[a] & populated[b] & (odd[a] == odd[b])
+    beat = populated[a] & populated[b] & (spectrum.odd[a] == spectrum.odd[b])
     gaps = np.abs(spectrum.energies[a] - spectrum.energies[b])[beat]
     gaps = gaps[gaps != 0]
     if not len(gaps):
@@ -484,8 +480,10 @@ def topology_map(zeta_range: Tuple[float, float], eta_range: Tuple[float, float]
     eta_lo = min(abs(eta_range[0]), abs(eta_range[1]))
     eta_hi = max(abs(eta_range[0]), abs(eta_range[1]))
     loci: Dict[int, np.ndarray] = {}
-    kappa_max = int(eta_hi / math.sqrt(max(zeta_values.min(), 1e-12))) if \
-        zeta_values.min() > 0 else int(eta_hi)
+    # the loci fan out fastest at the smallest positive zeta sample
+    positive = zeta_values[zeta_values > 0]
+    kappa_max = (int(eta_hi / math.sqrt(positive.min())) if len(positive)
+                 else int(eta_hi))
     for kappa in range(1, max(kappa_max, 1) + 1):
         curve = -kappa * zq
         if np.any((np.abs(curve) >= eta_lo - 1e-12)

@@ -91,6 +91,35 @@ def _hamiltonian_stack(eta: np.ndarray, zeta: np.ndarray, j_max: int,
     return _banded(j2 - zeta * q0, -eta * c1, -zeta * q2)
 
 
+def _element_stack(coefficients: np.ndarray, odd: np.ndarray,
+                   operator: str) -> np.ndarray:
+    """cos or cos^2 element matrices of stacked points: (P, n, n) from
+    their (P, n, j_max + 1) coefficients and (P, n) odd flags, exact in
+    the basis (V^T O V with the sector bands).
+
+    In the padded layout (odd rows in slots 1..j_max, slot 0 zero) the
+    even-sector bands serve both sectors: every coupling to slot 0
+    vanishes for odd rows. The one difference is the folded J = 1
+    diagonal of cos^2, 3/4 even and 1/4 odd, corrected by -v_1 v_1^T / 2
+    over the odd rows. Cross-sector entries are then set to zero. Each
+    point's matrix is its own batched product, whatever the stack.
+    """
+    if operator not in ("cos", "cos2"):
+        raise ValueError(f"unknown operator {operator!r}")
+    _, q0, c1, q2 = _sector_bands(coefficients.shape[-1] - 1, False)
+    v = coefficients
+    vt = v.swapaxes(-1, -2)
+    if operator == "cos":
+        mat = (v[..., :-1] * c1) @ vt[..., 1:, :]
+        mat = mat + mat.swapaxes(-1, -2)
+    else:
+        band = (v[..., :-2] * q2) @ vt[..., 2:, :]
+        mat = (v * q0) @ vt + band + band.swapaxes(-1, -2)
+        v1 = np.where(odd, v[..., 1], 0.0)
+        mat -= 0.5 * v1[..., :, None] * v1[..., None, :]
+    return np.where(odd[..., :, None] == odd[..., None, :], mat, 0.0)
+
+
 @dataclass(frozen=True)
 class PendularSpectrum:
     """Lowest eigenpairs of the pendular Hamiltonian, energy-ordered.
@@ -98,17 +127,19 @@ class PendularSpectrum:
     coefficients[i] holds the sector basis vector of state i padded to
     length j_max + 1: even-sector rows are (c_0, c_1, ..., c_jmax) over
     {1/sqrt(2*pi), cos(J*theta)/sqrt(pi)}, odd-sector rows store their
-    sine coefficients in slots 1..j_max with slot 0 zero. basis_tail is
-    the largest |c_J| over the last TAIL_ROWS slots of any state, cut_gap
-    the lowest dropped level minus the highest kept one (see _merge), and
-    grown whether the automatic cutoff missed its first guess, so that the
-    point was solved again at a grown one (see solve_stacks).
+    sine coefficients in slots 1..j_max with slot 0 zero; odd[i] is True
+    for those (A2) states, and labels gives it as SymmetryLabels.
+    basis_tail is the largest |c_J| over the last TAIL_ROWS slots of any
+    state, cut_gap the lowest dropped level minus the highest kept one (see
+    _merge), and grown whether the automatic cutoff missed its first
+    guess, so that the point was solved again at a grown one (see
+    solve_stacks).
     """
 
     params: InteractionParams
     energies: np.ndarray
     coefficients: np.ndarray
-    labels: Tuple[SymmetryLabel, ...]
+    odd: np.ndarray
     j_max: int
     basis_tail: float
     cut_gap: float
@@ -117,6 +148,10 @@ class PendularSpectrum:
     @property
     def n_states(self) -> int:
         return len(self.energies)
+
+    @property
+    def labels(self) -> Tuple[SymmetryLabel, ...]:
+        return tuple(_LABELS[o] for o in self.odd.tolist())
 
     def wavefunction(self, n: int, grid: Optional[AngularGrid] = None) -> Wavefunction:
         """Materialize state n on a grid. Real-valued by construction."""
@@ -128,7 +163,7 @@ class PendularSpectrum:
         theta = 2.0 * np.pi * np.arange(grid.n_points) / grid.n_points
         j_theta = np.arange(1, self.j_max + 1)[:, None] * theta[None, :]
         c = self.coefficients[n]
-        if self.labels[n] is SymmetryLabel.A1:
+        if not self.odd[n]:
             f = c[0] / math.sqrt(2.0 * np.pi) + c[1:] @ (
                 np.cos(j_theta) / math.sqrt(np.pi))
         else:
@@ -143,8 +178,7 @@ class PendularSpectrum:
         n is one state index or an index array (one row per state).
         """
         idx = np.asarray(n)
-        return _signed_expansion(self.coefficients[idx],
-                                 _odd_mask(self.labels)[idx],
+        return _signed_expansion(self.coefficients[idx], self.odd[idx],
                                  self.j_max if j_max is None else j_max)
 
 
@@ -160,10 +194,6 @@ def _signed_expansion(coefficients: np.ndarray, odd: np.ndarray,
     out[..., j_max + 1:j_max + jm + 1] = np.where(odd, -1j * half, half)
     out[..., j_max - jm:j_max] = np.where(odd, 1j * half, half)[..., ::-1]
     return out
-
-
-def _odd_mask(labels: Sequence[SymmetryLabel]) -> np.ndarray:
-    return np.array([lab is SymmetryLabel.A2 for lab in labels], dtype=bool)
 
 
 _LABELS = (SymmetryLabel.A1, SymmetryLabel.A2)
@@ -192,8 +222,7 @@ class SpectrumStack:
     def spectrum(self, p: int) -> PendularSpectrum:
         return PendularSpectrum(
             params=self.params[p], energies=self.energies[p],
-            coefficients=self.coefficients[p],
-            labels=tuple(_LABELS[o] for o in self.odd[p].tolist()),
+            coefficients=self.coefficients[p], odd=self.odd[p],
             j_max=self.j_max, basis_tail=float(self.basis_tail[p]),
             cut_gap=float(self.cut_gap[p]), grown=bool(self.grown[p]))
 
@@ -507,15 +536,13 @@ def _sector_gap(eta: float, zeta: float, count: int, j_max: int,
     return float(w1[0, ranks[0]] - w2[0, ranks[1]])
 
 
-def _gap_slope(coefficients: np.ndarray, pair: Tuple[int, int],
-               j_max: int) -> np.ndarray:
+def _gap_slope(coefficients: np.ndarray, odd: np.ndarray,
+               pair: Tuple[int, int]) -> np.ndarray:
     """The gap slope d(E_{n+1} - E_n)/d(eta) = <n|cos|n> - <n+1|cos|n+1>
-    (Hellmann-Feynman) per point of padded coefficients (P, n, j_max + 1):
-    the diagonal of the cos band product of elements._element_stack."""
-    v = coefficients[:, list(pair)]
-    c1 = _sector_bands(j_max, False)[2]
-    cos = 2.0 * np.einsum("psj,j,psj->ps", v[..., :-1], c1, v[..., 1:])
-    return cos[:, 0] - cos[:, 1]
+    (Hellmann-Feynman) per point of stacked coefficients (P, n, j_max + 1)
+    and odd flags (P, n): two diagonal entries of _element_stack's cos."""
+    cos = _element_stack(coefficients, odd, "cos")
+    return cos[:, pair[0], pair[0]] - cos[:, pair[1], pair[1]]
 
 
 def _pair_slope(eta: float, zeta: float, pair: Tuple[int, int],
@@ -524,7 +551,7 @@ def _pair_slope(eta: float, zeta: float, pair: Tuple[int, int],
     the same float as a coarse slope there; unguarded (see _tail_bound)."""
     stack = _solve_chunk((InteractionParams(eta, zeta),), np.arange(1),
                          pair[1] + 1, j_max)
-    return float(_gap_slope(stack.coefficients, pair, j_max)[0])
+    return float(_gap_slope(stack.coefficients, stack.odd, pair)[0])
 
 
 def _root(f, a: float, b: float, fa: float, fb: float) -> float:
@@ -604,7 +631,7 @@ def crossing_scan(zeta: float, eta_range: Tuple[float, float],
     stacks = [_solve_chunk(points, np.arange(i, min(i + size, resolution)),
                            count, cutoff) for i in range(0, resolution, size)]
     energies, odd, cuts, slopes = map(np.concatenate, zip(*(
-        (s.energies, s.odd, s.cut_gap, _gap_slope(s.coefficients, pair, cutoff))
+        (s.energies, s.odd, s.cut_gap, _gap_slope(s.coefficients, s.odd, pair))
         for s in stacks)))
     tail_bound = _tail_bound(eta_abs, zeta, float(energies.max()) + step,
                              cutoff)

@@ -464,8 +464,7 @@ def analytic_switch_off_coefficients(ansatz: AnsatzCoefficients,
             val = 1j * (-1.0) ** j * pref * s
             c[j_max + j] = val
             c[j_max - j] = -val
-    return SwitchCoefficients(kind="switch_off", origin=ansatz.n, c=c,
-                              j_max=j_max, gamma=ansatz.gamma)
+    return SwitchCoefficients(kind="switch_off", c=c, j_max=j_max)
 
 
 def analytic_switch_on_coefficient(ansatz: AnsatzCoefficients, j0: int) -> complex:
@@ -489,8 +488,7 @@ def quadrature_switch_off_coefficients(spec: PendularSpectrum, n0: int,
     if grid is None:
         grid = make_grid()
     c = spec.wavefunction(n0, grid).free_rotor_coefficients(j_max)
-    return SwitchCoefficients(kind="switch_off", origin=n0, c=c, j_max=j_max,
-                              gamma=spec.labels[n0])
+    return SwitchCoefficients(kind="switch_off", c=c, j_max=j_max)
 
 
 def quadrature_switch_on_coefficients(spec: PendularSpectrum, j0: int,
@@ -504,8 +502,7 @@ def quadrature_switch_on_coefficients(spec: PendularSpectrum, j0: int,
     for n in range(spec.n_states):
         f = spec.wavefunction(n, grid).amplitudes.real
         c[n] = np.sum(f * phase) * grid.dtheta / math.sqrt(2.0 * np.pi)
-    return SwitchCoefficients(kind="switch_on", origin=j0, c=c,
-                              labels=spec.labels)
+    return SwitchCoefficients(kind="switch_on", c=c)
 
 
 def reconstruct_from_free_rotor(coeffs: SwitchCoefficients,

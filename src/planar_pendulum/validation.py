@@ -33,7 +33,7 @@ from .dynamics import (
     time_averaged_orientation,
 )
 from .propagate import DEFAULT_DTAU, PulseSchedule, _run, propagate
-from .spectrum import _odd_mask, crossing_scan, solve_spectrum
+from .spectrum import crossing_scan, solve_spectrum
 from .twins import (
     BesselTable,
     algebraic_ansatz,
@@ -172,8 +172,7 @@ def check_kernel_integrals() -> Tuple[bool, str]:
 
 def check_selection_rules() -> Tuple[bool, str]:
     spec = solve_spectrum(InteractionParams(-10.0, 25.0), 9)
-    odd = _odd_mask(spec.labels)
-    cross = odd[:, None] != odd[None, :]
+    cross = spec.odd[:, None] != spec.odd[None, :]
     worst = max(float(np.abs(quadrature_element_matrix(spec, op, make_grid())
                              [cross]).max()) for op in ("cos", "cos2"))
     return _fail_detail(worst, 1e-12, "max cross-symmetry element")

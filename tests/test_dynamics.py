@@ -25,7 +25,6 @@ from planar_pendulum import (
 )
 from planar_pendulum import dynamics
 from planar_pendulum.elements import sector_element_matrix
-from planar_pendulum.spectrum import _odd_mask
 from planar_pendulum.twins import (
     quadrature_switch_off_coefficients,
     quadrature_switch_on_coefficients,
@@ -204,6 +203,13 @@ def test_topology_map_overlays():
     assert tm.values.shape == (16, 16)
 
 
+def test_loci_of_a_map_from_zeta_zero_reach_its_first_positive_sample():
+    # zeta steps by 0.5 from 0: kappa = 49 reaches eta = -34.65 at 0.5
+    tm = topology_map((0.0, 7.5), (-35.0, 0.0), 1, 4.0 * math.pi, (16, 16),
+                      n_states=4)
+    assert sorted(tm.kappa_loci) == list(range(1, 50))
+
+
 def test_switch_off_refuses_a_state_without_parity():
     # the one-sided sums are real only for c_{-j} = +-c_j
     tau = make_tau_grid(2.0 * math.pi, samples_per_period=64)
@@ -295,7 +301,7 @@ def _mp_complex(mp, z):
 def _mp_switch_on(mp, spec, c, name, taus):
     """Same-sector sum of conj(c_a) c_b M_ab exp(i(E_a - E_b)tau)."""
     mat = sector_element_matrix(spec, name)
-    odd = _odd_mask(spec.labels)
+    odd = spec.odd
     pairs = [(a, b, mp.mpf(float(mat[a, b])))
              for a in range(len(c)) for b in range(len(c))
              if odd[a] == odd[b] and mat[a, b] != 0 and c[a] != 0 and c[b] != 0]

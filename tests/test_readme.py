@@ -1,4 +1,5 @@
-"""Every `planar-pendulum` command in the README's code blocks runs as written."""
+"""Every `planar-pendulum` command and every Python example in the README's
+code blocks runs as written."""
 
 import csv
 import re
@@ -26,6 +27,8 @@ def readme_commands():
 
 
 COMMANDS = readme_commands()
+PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(),
+                           re.S | re.M)
 
 
 def test_readme_lists_every_command():
@@ -55,3 +58,12 @@ def test_readme_example_runs(argv, tmp_path, monkeypatch):
         etas = parse_range(_flag(argv, "--eta-range"))
         zetas = parse_range(_flag(argv, "--zeta-range"))
         assert len(rows) == 1 + len(etas) * len(zetas)
+
+
+@pytest.mark.parametrize("source", PYTHON_BLOCKS,
+                         ids=[f"python-{i}" for i in range(len(PYTHON_BLOCKS))])
+def test_readme_python_example_runs(source, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(compile(source, str(README), "exec"), {})
+    assert capsys.readouterr().out

@@ -265,7 +265,7 @@ def test_coarse_slopes_are_the_probes():
     etas = np.linspace(-10.0, -6.0, CROSSING_RESOLUTION)
     stack = _solve_chunk([InteractionParams(float(e), zeta) for e in etas],
                          np.arange(len(etas)), pair[1] + 1, j_max)
-    coarse = spectrum_module._gap_slope(stack.coefficients, pair, j_max)
+    coarse = spectrum_module._gap_slope(stack.coefficients, stack.odd, pair)
     assert coarse.tolist() == [_pair_slope(float(e), zeta, pair, j_max)
                                for e in etas]
 

@@ -1,6 +1,6 @@
 """Stacked scan solves: every point of solve_stacks equals its own
-solve_spectrum bit for bit, and the map, spectrum and switch-on scans that
-use the stacks keep the per-point results and errors."""
+solve_spectrum bit for bit, and the map, spectrum, switch-on and switch-off
+scans that use the stacks keep the per-point results and errors."""
 
 import math
 
@@ -20,11 +20,11 @@ from planar_pendulum import (
 )
 import planar_pendulum.spectrum as spectrum_module
 from planar_pendulum.cli import main
-from planar_pendulum.elements import _element_stack
 from planar_pendulum.spectrum import (
     _auto_j_max,
     _banded,
     _chunk_size,
+    _element_stack,
     _sector_bands,
 )
 
@@ -147,9 +147,7 @@ def test_stacked_element_matrices_equal_each_points_own(seed, points, n_states,
             spec = PendularSpectrum(
                 params=InteractionParams(0.0, 0.0),
                 energies=np.zeros(n_states), coefficients=coeffs[p],
-                labels=tuple(SymmetryLabel.A2 if o else SymmetryLabel.A1
-                             for o in odd[p]),
-                j_max=j_max, basis_tail=0.0, cut_gap=math.inf)
+                odd=odd[p], j_max=j_max, basis_tail=0.0, cut_gap=math.inf)
             own = sector_element_matrix(spec, op)
             assert np.array_equal(stacked[p], own)
             dense = _dense_sector_products(coeffs[p], odd[p], op)
@@ -183,9 +181,12 @@ def test_a_short_fixed_cutoff_names_the_first_failing_point(tmp_path,
             except ValueError:
                 first = first or (eta, zeta)
     assert first is not None and first != (etas[0], zetas[0])
-    for command in ("spectrum", "switch-on"):
+    # switch-off solves n0 + 1 states, so n0 = 8 asks for the same 9
+    for command, states in (("spectrum", ["--n-states", "9"]),
+                            ("switch-on", ["--n-states", "9"]),
+                            ("switch-off", ["--n0", "8"])):
         assert main([command, "--eta-range", "-4:0:2", "--zeta-range",
-                     "10:50:20", "--n-states", "9", "--j-max", "24"]) == 1
+                     "10:50:20", *states, "--j-max", "24"]) == 1
         err = capsys.readouterr().err
         assert "basis tail" in err
         assert f"eta={first[0]}, zeta={first[1]}," in err
