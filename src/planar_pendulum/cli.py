@@ -31,6 +31,13 @@ Scans over several (eta, zeta) points (spectrum, switch-on, switch-off,
 topology-map) solve them in stacks (solve_stacks) and write their rows in
 scan order; solve_spectrum serves only propagate's --n0 start state.
 
+Building the parser loads only this module and core, which holds every
+default the option table shows. Each runner imports its command's modules
+in its body: spectrum and crossings load spectrum; switch-off, switch-on
+and topology-map load dynamics (with cqes, elements and spectrum); and
+propagate loads propagate (with dynamics and its imports). validate alone
+loads validation and the twins.
+
 The --tau-max series reach the writers as Blocks, not rows: one per point,
 a prefix (eta, zeta, j0 or n0) and float arrays; propagate's trajectory is
 one Block with an empty prefix. The CSV writer formats the prefix and each
@@ -51,35 +58,27 @@ import os
 import re
 import sys
 from itertools import chain, repeat
-from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List,
+                    NamedTuple, Optional, Sequence, Tuple)
 
 import numpy as np
 
 from . import __version__
 from .core import (
+    CROSSING_RESOLUTION,
+    DEFAULT_DTAU,
     DEFAULT_GRID_POINTS,
+    J_MAX_CAP,
+    SAMPLES_PER_PERIOD,
+    TAIL_TOL,
     InteractionParams,
     SymmetryLabel,
     free_rotor_wavefunction,
     make_grid,
 )
-from .cqes import (
-    _switch_on_column,
-    switch_off_coefficients,
-    switch_on_coefficients,
-)
-from .dynamics import (
-    SAMPLES_PER_PERIOD,
-    make_tau_grid,
-    switch_off_evolution,
-    switch_off_populations,
-    switch_on_evolution,
-    topology_map,
-)
-from .propagate import DEFAULT_DTAU, Profile, PulseSchedule, Segment, propagate
-from .spectrum import (CROSSING_RESOLUTION, J_MAX_CAP, TAIL_TOL,
-                       crossing_scan, solve_spectrum, solve_stacks)
+
+if TYPE_CHECKING:
+    from .propagate import Profile, PulseSchedule
 
 
 class ConfigError(Exception):
@@ -451,6 +450,8 @@ def _stacked_scan(args: argparse.Namespace, limits: _Limits, n_states: int):
     or switch-off, n_states states each, solved in stacks (solve_stacks):
     points[p] is the scan position, eta, zeta and state labels of the
     stack's point p."""
+    from .spectrum import solve_stacks
+
     points = _scan_points(args)
     params = [InteractionParams(eta, zeta) for eta, zeta in points]
     for stack in solve_stacks(params, n_states, args.j_max):
@@ -476,6 +477,8 @@ def _run_spectrum(args: argparse.Namespace, limits: _Limits):
 
 
 def _run_crossings(args: argparse.Namespace, limits: _Limits):
+    from .spectrum import crossing_scan
+
     if args.eta_range is None:
         raise ConfigError("crossings needs --eta-range as the search window")
     window = parse_range(args.eta_range)
@@ -505,6 +508,10 @@ def _series_block(point: Tuple, tau: np.ndarray, series: Dict,
 
 
 def _run_switch_off(args: argparse.Namespace, limits: _Limits):
+    from .cqes import switch_off_coefficients
+    from .dynamics import (make_tau_grid, switch_off_evolution,
+                           switch_off_populations)
+
     n0 = args.n0
     rows, series = {}, {}
     for stack, points in _stacked_scan(args, limits, max(n0 + 1, 4)):
@@ -527,6 +534,9 @@ def _run_switch_off(args: argparse.Namespace, limits: _Limits):
 
 
 def _run_switch_on(args: argparse.Namespace, limits: _Limits):
+    from .cqes import _switch_on_column, switch_on_coefficients
+    from .dynamics import make_tau_grid, switch_on_evolution
+
     j0 = args.j0
     rows, series = {}, {}
     for stack, points in _stacked_scan(args, limits, args.n_states):
@@ -562,6 +572,8 @@ def _number(value, where: str) -> float:
 
 
 def _profile_from_json(obj, where: str) -> Profile:
+    from .propagate import Profile
+
     if not isinstance(obj, dict) or "profile" not in obj:
         raise ConfigError(f"{where}: profile must be an object with a "
                           "'profile' kind")
@@ -581,6 +593,8 @@ def _profile_from_json(obj, where: str) -> Profile:
 
 
 def _schedule_from_config(obj) -> PulseSchedule:
+    from .propagate import PulseSchedule, Segment
+
     if not isinstance(obj, dict) or not isinstance(obj.get("segments"), list):
         raise ConfigError("schedule must be an object with a list of "
                           "'segments'")
@@ -603,6 +617,9 @@ RAMP_FLAGS = ("eta-from", "zeta-from", "eta-to", "zeta-to", "ramp-duration",
 
 
 def _run_propagate(args: argparse.Namespace, limits: _Limits):
+    from .propagate import PulseSchedule, propagate
+    from .spectrum import solve_spectrum
+
     ramp = (args.eta_to, args.zeta_to, args.ramp_duration)
     if any(v is not None for v in ramp) and None in ramp:
         raise ConfigError("a ramp needs --eta-to, --zeta-to and "
@@ -647,6 +664,8 @@ def _run_propagate(args: argparse.Namespace, limits: _Limits):
 
 
 def _run_topology_map(args: argparse.Namespace, limits: _Limits):
+    from .dynamics import topology_map
+
     if args.eta_range is None or args.zeta_range is None:
         raise ConfigError("topology-map needs --eta-range and --zeta-range")
     etas = parse_range(args.eta_range)
@@ -707,8 +726,9 @@ def _run_validate(args: argparse.Namespace) -> int:
 
 _EVERY = {
     "config": dict(help="JSON config file whose keys are these flag names"),
-    "threads": dict(type=int, help="accepted and ignored: every command "
-                    "runs in one thread"),
+    "threads": dict(type=int, help="accepted and ignored; the BLAS thread "
+                    "count follows the environment (OPENBLAS_NUM_THREADS, "
+                    "OMP_NUM_THREADS)"),
 }
 _WRITER = {
     **_EVERY,

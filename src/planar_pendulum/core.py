@@ -24,6 +24,14 @@ import numpy as np
 
 DEFAULT_GRID_POINTS = 512
 DEFAULT_J_MAX = 64
+# The defaults and limits that the command-line options show live here,
+# so the CLI builds its option table from this module alone.
+SAMPLES_PER_PERIOD = 512    # switch series: tau samples per period 2*pi
+DEFAULT_DTAU = 1e-3         # propagate: time step
+CROSSING_RESOLUTION = 40    # crossing_scan: coarse eta points, each an eigh
+TAIL_TOL = 1e-12    # largest |c_J| allowed over the last spectrum.TAIL_ROWS
+                    # basis functions of any returned state
+J_MAX_CAP = 512     # the automatic cutoff grows no further
 
 # Relative tolerance for snapping the topological index to an integer.
 INTEGER_INDEX_RTOL = 1e-9

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import InteractionParams, SymmetryLabel
+from .core import SAMPLES_PER_PERIOD, InteractionParams, SymmetryLabel
 from .cqes import (
     SwitchCoefficients,
     _switch_on_column,
@@ -46,7 +46,6 @@ from .cqes import (
 from .elements import sector_element_matrix
 from .spectrum import PendularSpectrum, _element_stack, solve_stacks
 
-SAMPLES_PER_PERIOD = 512
 POPULATED_FLOOR = 1e-4      # |C|^2 above this counts as populated
 IMAG_RESIDUE_TOL = 1e-10
 _BOUNDS_SLACK = 1e-8

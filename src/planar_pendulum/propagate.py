@@ -38,7 +38,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import AngularGrid, GridMoments, InteractionParams, Wavefunction
+from .core import (DEFAULT_DTAU, AngularGrid, GridMoments, InteractionParams,
+                   Wavefunction)
 from .dynamics import ExpectationSeries
 from .spectrum import (
     TAIL_ROWS,
@@ -49,7 +50,6 @@ from .spectrum import (
     _signed_expansion,
 )
 
-DEFAULT_DTAU = 1e-3
 _NORM_TOL = 1e-10
 FINITE_CHECK_STEPS = 64
 # A ramp evaluates its midpoint fields this many steps at a time: bounded,

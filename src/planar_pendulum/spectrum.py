@@ -34,6 +34,9 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (
+    CROSSING_RESOLUTION,
+    J_MAX_CAP,
+    TAIL_TOL,
     AngularGrid,
     InteractionParams,
     SymmetryLabel,
@@ -41,11 +44,7 @@ from .core import (
     make_grid,
 )
 
-CROSSING_RESOLUTION = 40    # crossing_scan: coarse eta points, each an eigh
-
-TAIL_TOL = 1e-12    # largest |c_J| allowed over the last TAIL_ROWS basis
-TAIL_ROWS = 4       # functions of any returned state
-J_MAX_CAP = 512     # the automatic cutoff grows no further
+TAIL_ROWS = 4       # basis functions whose |c_J| TAIL_TOL bounds
 _TIE_ULPS = 4       # energies this many ulps of ||H|| apart are one level
 # Bytes of stacked sector Hamiltonians per chunk of points: 19 points at
 # j_max 40, one point from j_max 180 up. Eigenvectors take as much again.
