@@ -73,7 +73,6 @@ from .core import (
     TAIL_TOL,
     InteractionParams,
     SymmetryLabel,
-    free_rotor_wavefunction,
     make_grid,
 )
 
@@ -634,20 +633,30 @@ def _run_propagate(args: argparse.Namespace, limits: _Limits):
         raise ConfigError("propagate needs ramp flags (--eta-to, --zeta-to, "
                           "--ramp-duration) or a 'schedule' in the config")
 
-    grid = make_grid(args.grid_points)
+    # make_grid checks --grid-points; the start is a signed-J row over its
+    # band n/2 - 1, and holds nothing past the grid_tail limit n/4
+    limit = make_grid(args.grid_points).max_band_limit
+    band = args.grid_points // 2 - 1
     if args.n0 is not None and args.j0 is not None:
         raise ConfigError("give either --j0 or --n0, not both")
     if args.n0 is not None:
+        if args.n0 < 0:
+            raise ValueError(f"n0 must be >= 0, got {args.n0}")
         eta0, zeta0 = schedule.fields_at(0.0)
         spec = solve_spectrum(InteractionParams(eta0, zeta0), args.n0 + 1,
                               args.j_max)
         limits.solved(spec)
-        psi0 = spec.wavefunction(args.n0, grid)
+        if spec.j_max > limit:
+            raise ValueError("grid too coarse for this basis size")
+        start = spec.free_rotor_coefficients(args.n0, band)
     else:
-        psi0 = free_rotor_wavefunction(0 if args.j0 is None else args.j0,
-                                       grid)
+        j0 = 0 if args.j0 is None else args.j0
+        if abs(j0) > limit:
+            raise ValueError(
+                f"|j|={abs(j0)} exceeds the grid band limit {limit}")
+        start = np.eye(1, 2 * band + 1, band + j0, dtype=complex)[0]
 
-    traj = propagate(psi0, schedule, dtau=args.dtau,
+    traj = propagate(start, schedule, dtau=args.dtau,
                      sample_stride=args.sample_stride, duration=args.tau_end)
     limits.note(norm_drift=traj.norm_drift, grid_tail=traj.grid_tail)
     if traj.ramp_limits:

@@ -1,23 +1,22 @@
 """Integration of the rotor TDSE under a pulse schedule.
 
-From the one FFT of psi0 on, the state is a row of signed-J free-rotor
-coefficients c_J, J = -j..j, as wide as its window (a start with more than
-TAIL_TOL on the grid's Nyquist mode, which no window holds, is refused).
-Ramps take Strang steps in that basis (_ramp) with midpoint fields,
-evaluated _FIELD_STEPS steps at a time; a potential kick exp(-i dtau V / 2)
-is a convolution with its Fourier taps, a half-grid cosine sum of the kick
-minus 1 (_kick_taps), and between reads the second half kick of a step and
-the first of the next are one (Feit, Fleck & Steiger, J. Comput. Phys. 47,
-412 (1982)). Holds are evolved exactly (_exact_hold): one eigh per parity
-sector, then exp(-i E_n t). Both guard their cutoff at TAIL_TOL up to the
-grid's band, and a ramp's window grows to hold its kick taps, merged or
-half; truncation is the only departure from unitarity, so norm drift is
-a diagnostic and is never corrected. Snapshots are measured by
-band sums (Trajectory) and go to the grid, one inverse FFT each, only when
-read as states. The twin that validate and the tests check propagate
-against is the same Strang step on the grid (_run): a pointwise kick, an
-FFT, the kinetic phase, an inverse FFT and the kick again; it shares no
-code with the basis steps.
+The state is a row of signed-J free-rotor coefficients c_J, J = -j..j: the
+start row spans the band b of an n-point grid (2b + 1 = n - 1 entries),
+each later row its window. Ramps take Strang steps in that basis (_ramp)
+with midpoint fields, evaluated _FIELD_STEPS steps at a time; a potential
+kick exp(-i dtau V / 2) is a convolution with its Fourier taps, a
+half-grid cosine sum of the kick minus 1 (_kick_taps), and between reads
+the second half kick of a step and the first of the next are one (Feit,
+Fleck & Steiger, J. Comput. Phys. 47, 412 (1982)). Holds are evolved
+exactly (_exact_hold): one eigh per parity sector, then exp(-i E_n t).
+Both guard their cutoff at TAIL_TOL up to the band, and a ramp's window
+grows to hold its kick taps, merged or half; truncation is the only
+departure from unitarity, so norm drift is a diagnostic and is never
+corrected. Snapshots are measured by band sums (Trajectory), and
+twins.grid_state puts one on the grid. The twin that validate and the
+tests check propagate against is the same Strang step on the grid (_run):
+a pointwise kick, an FFT, the kinetic phase, an inverse FFT and the kick
+again; it shares no code with the basis steps.
 
 dtau is snapped to an exact divisor of the window (dtau_eff = duration /
 round(duration / dtau)), or the leftover fraction of a step would add a
@@ -32,14 +31,13 @@ import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import groupby, islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (DEFAULT_DTAU, AngularGrid, GridMoments, InteractionParams,
-                   Wavefunction)
+from .core import DEFAULT_DTAU, AngularGrid, GridMoments, InteractionParams
 from .dynamics import ExpectationSeries
 from .spectrum import (
     TAIL_ROWS,
@@ -178,6 +176,11 @@ class PulseSchedule:
         return eta, zeta
 
 
+def _tail_limit(start: np.ndarray) -> int:
+    """n/4, for a start row over the band n/2 - 1 of an n-point grid."""
+    return (len(start) + 1) // 4
+
+
 def _band_moments(c: np.ndarray, limit: int) -> GridMoments:
     """Norm, <cos>, <cos^2>, <J^2> and tail (the largest |c_J| with
     |J| > limit) of each signed row of c (S, 2j + 1) by band sums over its
@@ -195,27 +198,19 @@ def _band_moments(c: np.ndarray, limit: int) -> GridMoments:
     return GridMoments(np.sqrt(norm2), cos, cos2, j2, tail)
 
 
-def _grid_amplitudes(c: np.ndarray, grid: AngularGrid) -> np.ndarray:
-    """Grid amplitudes of a signed row over J = -j..j, j < n/2."""
-    n, j = grid.n_points, len(c) // 2
-    amps = np.zeros(n, dtype=complex)
-    amps[np.arange(-j, j + 1) % n] = c
-    return np.fft.ifft(amps) * (n / math.sqrt(2.0 * np.pi))
-
-
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots of one propagation as complex signed-J coefficient rows
-    on a grid, their (eta, zeta) fields, and the (cutoff, tail bound) of
-    each exact hold and (window, largest edge weight) of each ramp. Each
+    """Snapshots of one propagation as complex signed-J coefficient rows,
+    the first the start row over the band b of an n-point grid (n = 2b +
+    2), their (eta, zeta) fields, and the (cutoff, tail bound) of each
+    exact hold and (window, largest edge weight) of each ramp. Each
     snapshot is measured once, by _band_moments on up to _HOLD_CHUNK rows
     of one width at a time: norms (each within 1e-10 of 1), norm_drift,
     the cos, cos2, J2 and energy series, and grid_tail, the largest |c_J|
-    with |J| > n/4. states and final_state go to the grid when read."""
+    with |J| > n/4, past which cos^2-type products alias on the grid."""
 
     tau_samples: np.ndarray
     coefficients: Tuple[np.ndarray, ...]
-    grid: AngularGrid
     fields: np.ndarray
     hold_limits: Tuple[Tuple[int, float], ...] = ()
     ramp_limits: Tuple[Tuple[int, float], ...] = ()
@@ -225,7 +220,7 @@ class Trajectory:
     grid_tail: float = field(init=False)
 
     def __post_init__(self):
-        limit, chunks = self.grid.max_band_limit, []
+        limit, chunks = _tail_limit(self.coefficients[0]), []
         for _, rows in groupby(self.coefficients, len):
             while chunk := list(islice(rows, _HOLD_CHUNK)):
                 chunks.append(_band_moments(np.stack(chunk), limit))
@@ -245,16 +240,6 @@ class Trajectory:
                             ("norm_drift", float(drift.max())),
                             ("grid_tail", float(tail.max()))):
             object.__setattr__(self, name, value)
-
-    @cached_property
-    def states(self) -> Tuple[Wavefunction, ...]:
-        return tuple(Wavefunction(self.grid, _grid_amplitudes(c, self.grid),
-                                  normalize=False) for c in self.coefficients)
-
-    @cached_property
-    def final_state(self) -> Wavefunction:
-        return Wavefunction(self.grid, _grid_amplitudes(
-            self.coefficients[-1], self.grid), normalize=False)
 
 
 def _run(amps: np.ndarray, grid: AngularGrid, schedule: PulseSchedule,
@@ -328,16 +313,6 @@ def _weight(c: np.ndarray) -> np.ndarray:
     """max(|c_J|, |c_-J|), J = 0..j, of a signed row over J = -j..j."""
     j = len(c) // 2
     return np.maximum(abs(c[j:]), abs(c[j::-1]))
-
-
-def _coefficients(amps: np.ndarray, grid: AngularGrid
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """Free-rotor coefficients c_J of a grid state, J = 1 - n/2..n/2 - 1,
-    by one FFT, and their _weight, then the Nyquist amplitude."""
-    n = grid.n_points
-    ft = np.fft.fft(amps) * grid.dtheta / math.sqrt(2.0 * np.pi)
-    c = ft[np.arange(1 - n // 2, n // 2) % n]
-    return c, np.append(_weight(c), abs(ft[n // 2]))
 
 
 def _first_cutoff(weight: np.ndarray, eta: float, zeta: float) -> int:
@@ -582,26 +557,30 @@ def _ramp(coeffs: np.ndarray, schedule: PulseSchedule, first: int,
         j_max = min(band, max(_round_up8(1.25 * j_max), width))
 
 
-def propagate(psi0: Wavefunction, schedule: PulseSchedule,
+def propagate(start: np.ndarray, schedule: PulseSchedule,
               dtau: float = DEFAULT_DTAU,
               sample_stride: Optional[int] = None,
               duration: Optional[float] = None) -> Trajectory:
     """Integrate the TDSE over the schedule and record strided snapshots.
 
-    duration defaults to the schedule's span; a longer duration holds the
-    final field values. The first and last instants are always sampled.
-    A grid amplitude > TAIL_TOL at psi0's Nyquist mode raises RuntimeError.
-    Steps that touch a ramp take Strang steps in the basis (_ramp); each
-    run of steps inside a hold is evolved exactly (_exact_hold), on the
-    same step and snapshot times. Warns if grid_tail > TAIL_TOL.
+    start is a complex signed-J row over J = -b..b, unit-normalized within
+    1e-10, with 2b + 1 >= 7 entries: b = n/2 - 1 is the band of an n-point
+    grid, which no hold cutoff or ramp window passes, and grid_tail counts
+    |J| > n/4. duration defaults to the schedule's span; a longer duration
+    holds the final field values. The first and last instants are always
+    sampled. Steps that touch a ramp take Strang steps in the basis
+    (_ramp); each run of steps inside a hold is evolved exactly
+    (_exact_hold), on the same step and snapshot times. Warns if grid_tail
+    > TAIL_TOL.
     """
     if not (math.isfinite(dtau) and dtau > 0):
         raise ValueError(f"dtau must be finite and > 0, got {dtau}")
-    grid = psi0.grid
-    coeffs, weight = _coefficients(psi0.amplitudes, grid)
-    norm = math.sqrt(float(np.vdot(coeffs, coeffs).real) + weight[-1] ** 2)
-    if not abs(norm - 1.0) <= _NORM_TOL:     # NaN fails too
-        raise ValueError("initial state must be unit-normalized")
+    coeffs = np.array(start, dtype=complex)
+    norm = math.sqrt(float(np.vdot(coeffs, coeffs).real))
+    if not (coeffs.ndim == 1 and len(coeffs) % 2 == 1 and len(coeffs) >= 7
+            and abs(norm - 1.0) <= _NORM_TOL):      # NaN fails too
+        raise ValueError("initial state must be unit-normalized: a finite "
+                         "signed-J row of odd length >= 7")
     if duration is None:
         duration = schedule.total_duration
     if not (math.isfinite(duration) and duration > 0):
@@ -614,10 +593,6 @@ def propagate(psi0: Wavefunction, schedule: PulseSchedule,
         raise ValueError("sample_stride must be >= 1")
     dtau_eff = duration / nsteps
     band = len(coeffs) // 2
-    if weight[-1] > TAIL_TOL:
-        raise RuntimeError(f"initial state: grid amplitude {weight[-1]:.1e} > "
-                           f"{TAIL_TOL:.0e} at the Nyquist mode |J| = "
-                           f"{band + 1}, past the grid's band j_max={band}")
 
     def tau_at(i: int) -> float:        # step nsteps ends at duration exactly
         return duration if i == nsteps else i * dtau_eff
@@ -650,11 +625,11 @@ def propagate(psi0: Wavefunction, schedule: PulseSchedule,
         done = last
 
     traj = Trajectory(
-        tau_samples=np.array(taus), coefficients=tuple(snaps), grid=grid,
+        tau_samples=np.array(taus), coefficients=tuple(snaps),
         fields=schedule.fields(taus),
         hold_limits=tuple(limits["hold"]), ramp_limits=tuple(limits["ramp"]))
     if traj.grid_tail > TAIL_TOL:
         warnings.warn(f"top-of-grid weight {traj.grid_tail:.1e} (at |J| > "
-                      f"{grid.max_band_limit}) > {TAIL_TOL:.0e}; use more "
+                      f"{_tail_limit(coeffs)}) > {TAIL_TOL:.0e}; use more "
                       "grid points", RuntimeWarning, stacklevel=2)
     return traj

@@ -505,20 +505,24 @@ def quadrature_switch_on_coefficients(spec: PendularSpectrum, j0: int,
     return SwitchCoefficients(kind="switch_on", c=c)
 
 
+def grid_state(c: np.ndarray, grid: AngularGrid) -> Wavefunction:
+    """sum_J c_J exp(i*J*theta)/sqrt(2*pi) on the grid by one inverse FFT,
+    from a signed row over J = -j..j (a Trajectory snapshot, a start row);
+    modes past the grid alias onto it. Kept unnormalized, so that a
+    snapshot's norm drift stays visible."""
+    n, j = grid.n_points, len(c) // 2
+    spectral = np.zeros(n, dtype=complex)
+    np.add.at(spectral, np.arange(-j, j + 1) % n, c)
+    amps = np.fft.ifft(spectral) * (n / math.sqrt(2.0 * np.pi))
+    return Wavefunction(grid, amps, normalize=False)
+
+
 def reconstruct_from_free_rotor(coeffs: SwitchCoefficients,
                                 grid: Optional[AngularGrid] = None) -> Wavefunction:
     """Rebuild sum_j c_j exp(i*j*theta)/sqrt(2*pi) on a grid."""
     if coeffs.kind != "switch_off":
         raise ValueError("needs switch_off coefficients")
-    if grid is None:
-        grid = make_grid()
-    jm = coeffs.j_max
-    spectral = np.zeros(grid.n_points, dtype=complex)
-    for j in range(-jm, jm + 1):
-        spectral[j % grid.n_points] += coeffs.c[j + jm]
-    amps = np.fft.ifft(spectral) * grid.n_points / math.sqrt(2.0 * np.pi)
-    # ifft scaling: sum_j c_j e^{i j theta_k} = N * ifft(c)[k]
-    return Wavefunction(grid, amps, normalize=False)
+    return grid_state(coeffs.c, make_grid() if grid is None else grid)
 
 
 # --- spectrum: parity of a grid state ------------------------------------

@@ -16,6 +16,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .core import (
+    DEFAULT_GRID_POINTS,
     InteractionParams,
     SymmetryLabel,
     Wavefunction,
@@ -42,6 +43,7 @@ from .twins import (
     analytic_switch_on_coefficient,
     classify_symmetry,
     exp_cos_integral,
+    grid_state,
     hellmann_feynman_residual,
     kinetic_identity_residual,
     quadrature_element_matrix,
@@ -365,23 +367,33 @@ def check_population_swap() -> Tuple[bool, str]:
 
 # --- propagator -------------------------------------------------------------
 
+def _free_rotor_row(j: int, n_points: int = DEFAULT_GRID_POINTS
+                    ) -> np.ndarray:
+    """|j> as propagate's start: a unit row over J = 1 - n/2..n/2 - 1."""
+    return np.eye(1, n_points - 1, n_points // 2 - 1 + j, dtype=complex)[0]
+
+
+def _projections(spec, n, row: np.ndarray):
+    """<phi_n|psi> of a signed-J row psi (a Trajectory snapshot), for a
+    state index or an index array n."""
+    return spec.free_rotor_coefficients(n, len(row) // 2).conj() @ row
+
+
 def check_free_rotor_phase() -> Tuple[bool, str]:
-    grid = make_grid()
-    psi = free_rotor_wavefunction(1, grid)
-    tr = propagate(psi, PulseSchedule.frozen(0.0, 0.0, 2.0 * math.pi),
+    tr = propagate(_free_rotor_row(1),
+                   PulseSchedule.frozen(0.0, 0.0, 2.0 * math.pi),
                    dtau=1e-3, sample_stride=10 ** 9)
-    ov = tr.final_state.overlap(psi)
-    err = abs(ov - 1.0)               # e^{-i*1*2pi} = 1 exactly
+    final = tr.coefficients[-1]
+    err = abs(final[len(final) // 2 + 1] - 1.0)   # e^{-i*1*2pi} = 1 exactly
     return _fail_detail(err, 1e-8, "|<psi0|psi(2pi)> - 1|")
 
 
 def check_stationarity() -> Tuple[bool, str]:
-    grid = make_grid()
     spec = solve_spectrum(InteractionParams(-10.0, 25.0), 2)
-    psi = spec.wavefunction(0, grid)
-    tr = propagate(psi, PulseSchedule.frozen(-10.0, 25.0, 2.0 * math.pi),
+    start = spec.free_rotor_coefficients(0, DEFAULT_GRID_POINTS // 2 - 1)
+    tr = propagate(start, PulseSchedule.frozen(-10.0, 25.0, 2.0 * math.pi),
                    dtau=1e-3, sample_stride=10 ** 9)
-    drift = abs(abs(tr.final_state.overlap(psi)) ** 2 - 1.0)
+    drift = abs(abs(_projections(spec, 0, tr.coefficients[-1])) ** 2 - 1.0)
     return _fail_detail(drift, 1e-8, "ground-state population drift")
 
 
@@ -428,8 +440,9 @@ def check_exact_hold() -> Tuple[bool, str]:
     psi = free_rotor_wavefunction(1, grid)
     sch = PulseSchedule.switch(0.0, 0.0, -10.0, 25.0, 0.0628, 6.2832)
     nsteps = round(sch.total_duration / 1e-3)
-    prop = [propagate(psi, sch, dtau=1e-3 / k, sample_stride=10 ** 9)
-            .final_state.amplitudes for k in (1, 2)]
+    prop = [grid_state(propagate(_free_rotor_row(1), sch, dtau=1e-3 / k,
+                                 sample_stride=10 ** 9).coefficients[-1],
+                       grid).amplitudes for k in (1, 2)]
     twin = [_run(psi.amplitudes, grid, sch, sch.total_duration, k * nsteps)
             for k in (1, 2)]
     dev = _l2(grid, prop[0] - twin[0])
@@ -451,7 +464,8 @@ def ramp_twin_deviations(eta: float, zeta: float, ramp: float
     grid = make_grid()
     psi = free_rotor_wavefunction(1, grid)
     sch = PulseSchedule.switch(0.0, 0.0, eta, zeta, ramp, 0.0)
-    basis = propagate(psi, sch, sample_stride=10 ** 9).final_state
+    basis = grid_state(propagate(_free_rotor_row(1), sch,
+                                 sample_stride=10 ** 9).coefficients[-1], grid)
     twin = Wavefunction(grid, _run(psi.amplitudes, grid, sch, ramp,
                                    round(ramp / DEFAULT_DTAU)),
                         normalize=False)
@@ -487,34 +501,28 @@ def check_splitting_order() -> Tuple[bool, str]:
 
 
 def check_sudden_limit() -> Tuple[bool, str]:
-    grid = make_grid()
-    psi = free_rotor_wavefunction(1, grid)
     spec = solve_spectrum(InteractionParams(-10.0, 25.0), 25)
     ref = np.array([r.probability for r in switch_on_populations(spec, 1)])
-    f = np.stack([spec.wavefunction(n, grid).amplitudes.real for n in range(25)])
     errs = []
     for scale in (1e-1, 1e-2, 1e-3):
         ramp = scale * 2.0 * math.pi
         sch = PulseSchedule.switch(0.0, 0.0, -10.0, 25.0, ramp, 0.0,
                                    shape="linear")
-        tr = propagate(psi, sch, dtau=min(1e-3, ramp / 64.0),
+        tr = propagate(_free_rotor_row(1), sch, dtau=min(1e-3, ramp / 64.0),
                        sample_stride=10 ** 9)
-        c = f @ tr.final_state.amplitudes * grid.dtheta
+        c = _projections(spec, np.arange(25), tr.coefficients[-1])
         errs.append(float(np.max(np.abs(np.abs(c) ** 2 - ref))))
     ok = errs[0] > 8.0 * errs[1] > 64.0 * errs[2]
     return ok, ("population errors " + ", ".join(f"{e:.2e}" for e in errs))
 
 
 def check_adiabatic_limit() -> Tuple[bool, str]:
-    grid = make_grid(256)
-    psi = free_rotor_wavefunction(0, grid)
     sch = PulseSchedule.switch(0.0, 0.0, -10.0, 25.0, 100.0 * 2.0 * math.pi,
                                0.0, shape="smooth_cosine")
-    tr = propagate(psi, sch, dtau=2e-3, sample_stride=10 ** 9)
+    tr = propagate(_free_rotor_row(0, 256), sch, dtau=2e-3,
+                   sample_stride=10 ** 9)
     spec = solve_spectrum(InteractionParams(-10.0, 25.0), 2)
-    phi0 = spec.wavefunction(0, grid).amplitudes.real
-    overlap = complex(np.sum(phi0 * tr.final_state.amplitudes) * grid.dtheta)
-    pop = abs(overlap) ** 2
+    pop = abs(_projections(spec, 0, tr.coefficients[-1])) ** 2
     return pop >= 0.99, f"final ground-state population {pop:.6f}"
 
 

@@ -684,6 +684,17 @@ _RAMP = ["propagate", "--j0", "0", "--eta-to", "-10", "--zeta-to", "25",
     pytest.param(["crossings", "--zeta", "16", "--eta-range", "-6:1:0.1",
                   "--pair", "1", "2"], "eta must be <= 0 by convention",
                  id="crossings-window-past-eta-0"),
+    # the propagate start states: a negative eigenstate index, and a start
+    # past the grid_tail limit n/4 of --grid-points
+    pytest.param(["propagate", "--n0", "-1", *_RAMP[3:]], "n0",
+                 id="propagate-n0-negative"),
+    pytest.param(_RAMP[:1] + ["--j0", "20", "--grid-points", "64",
+                              *_RAMP[3:]],
+                 "exceeds the grid band limit 16", id="propagate-j0-past-n/4"),
+    pytest.param(["propagate", "--n0", "3", "--eta-from", "-10",
+                  "--zeta-from", "25", "--grid-points", "32", *_RAMP[3:]],
+                 "grid too coarse for this basis size",
+                 id="propagate-eigenstate-past-n/4"),
 ])
 def test_out_of_range_inputs_exit_one(tmp_path, monkeypatch, capsys, argv,
                                       message):

@@ -109,12 +109,13 @@ def test_root_propagate_stays_the_function(tmp_path):
     # the root drops that binding, whichever import comes first
     out = _fresh(tmp_path, """
 import importlib
+import numpy as np
 import planar_pendulum.propagate
 import planar_pendulum as pp
 module = importlib.import_module("planar_pendulum.propagate")
 from planar_pendulum import propagate
 assert pp.propagate is propagate is module.propagate
-traj = pp.propagate(pp.free_rotor_wavefunction(1, pp.make_grid(64)),
+traj = pp.propagate(np.eye(1, 63, 32)[0],       # J = 1 over the band 31
                     pp.PulseSchedule.switch(0.0, 0.0, -4.0, 9.0, 0.01, 0.0))
 print(len(traj.norms))
 """)
@@ -188,7 +189,7 @@ assert planar_pendulum.topology_map is topology_map
 def test_propagate_never_calls_the_grid_twin(monkeypatch):
     # _run is the twin that validate and the tests check propagate's
     # ramps against; propagate itself takes them in the basis, and
-    # measures every snapshot there, with no grid and no inverse FFT
+    # measures every snapshot there, with no grid and no FFT
     module = importlib.import_module("planar_pendulum.propagate")
     core = importlib.import_module("planar_pendulum.core")
 
@@ -205,21 +206,33 @@ def test_propagate_never_calls_the_grid_twin(monkeypatch):
                                 module.constant(16.0)),
         planar_pendulum.Segment(0.1, module.smooth_cosine(-8.0, -12.0),
                                 module.smooth_cosine(16.0, 30.0))])
-    grid = planar_pendulum.make_grid(128)
     with monkeypatch.context() as patch:
         patch.setattr(core, "grid_moments", refuse("core.grid_moments"))
-        patch.setattr(module, "_grid_amplitudes",
-                      refuse("the per-snapshot inverse FFT"))
-        traj = planar_pendulum.propagate(
-            planar_pendulum.free_rotor_wavefunction(1, grid), ramp_hold_ramp,
-            duration=0.4)
+        for name in ("fft", "ifft"):
+            patch.setattr(np.fft, name, refuse(f"numpy.fft.{name}"))
+        traj = planar_pendulum.propagate(np.eye(1, 127, 64)[0],
+                                         ramp_hold_ramp, duration=0.4)
         assert len(traj.ramp_limits) == 2 and len(traj.hold_limits) == 2
         assert len(traj.observables["cos"].values) == len(traj.norms) == 401
         assert traj.norm_drift <= 1e-10 and traj.grid_tail <= 1e-12
-    # restored, the snapshots go to the grid when they are read
-    states = traj.states
-    assert len(states) == 401 and states[-1].grid is grid
-    assert all(isinstance(w, planar_pendulum.Wavefunction) for w in states)
-    assert isinstance(traj.final_state, planar_pendulum.Wavefunction)
-    assert np.array_equal(traj.final_state.amplitudes, states[-1].amplitudes)
-    assert abs(traj.final_state.norm() - traj.norms[-1]) <= 1e-15
+
+
+@pytest.mark.parametrize("start", [["--j0", "2"], ["--n0", "1"]])
+def test_the_cli_propagate_start_is_no_grid_state(tmp_path, monkeypatch,
+                                                  start):
+    # the start is a signed-J row built as such: a unit entry at J0, or an
+    # eigenstate's signed expansion; no grid state and no FFT
+    from planar_pendulum.cli import main
+    core = importlib.import_module("planar_pendulum.core")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the propagate command built a grid state")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(core.Wavefunction, "__init__", refuse)
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    assert main(["propagate", *start, "--eta-from", "-2", "--zeta-from", "4",
+                 "--eta-to", "-4", "--zeta-to", "9", "--ramp-duration",
+                 "0.05", "--hold-duration", "0.05", "--grid-points", "128",
+                 "--output", "p.csv"]) == 0

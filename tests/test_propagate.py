@@ -30,10 +30,8 @@ from planar_pendulum.propagate import (
     _TAP_FLOOR,
     Trajectory,
     _band_moments,
-    _coefficients,
     _exact_hold,
     _first_cutoff,
-    _grid_amplitudes,
     _hold_runs,
     _kick_taps,
     _run,
@@ -44,8 +42,9 @@ from planar_pendulum.propagate import (
     smooth_cosine,
 )
 from planar_pendulum.spectrum import _signed_expansion
-from planar_pendulum.twins import second_order_accuracy_check
-from planar_pendulum.validation import RAMP_TWIN_CASES, ramp_twin_deviations
+from planar_pendulum.twins import grid_state, second_order_accuracy_check
+from planar_pendulum.validation import (RAMP_TWIN_CASES, _free_rotor_row,
+                                        ramp_twin_deviations)
 
 TWO_PI = 2.0 * math.pi
 propagate_module = importlib.import_module("planar_pendulum.propagate")
@@ -87,45 +86,43 @@ def test_frozen_schedule_factory():
 
 
 def test_step_count_divides_duration_exactly():
-    g = make_grid(64)
-    psi = free_rotor_wavefunction(0, g)
     sch = PulseSchedule.frozen(0.0, 0.0, duration=1.0)
-    traj = propagate(psi, sch, dtau=3e-4)
+    traj = propagate(_free_rotor_row(0, 64), sch, dtau=3e-4)
     assert traj.tau_samples[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_requires_normalized_input():
-    g = make_grid(64)
-    psi = Wavefunction(g, np.ones(64, dtype=complex), normalize=False)
-    with pytest.raises(ValueError):
-        propagate(psi, PulseSchedule.frozen(0.0, 0.0, 1.0), dtau=1e-2)
+    """A start that is not a unit row of odd length >= 7 is refused: not
+    unit-normalized, of even length, too short, or not one row."""
+    unit = _free_rotor_row(0, 64)
+    for start in (np.ones(63, dtype=complex), unit[:-1], unit[28:33],
+                  np.stack([unit, unit]) / math.sqrt(2.0)):
+        with pytest.raises(ValueError, match="unit-normalized"):
+            propagate(start, PulseSchedule.frozen(0.0, 0.0, 1.0), dtau=1e-2)
 
 
 def test_free_rotor_revival_phase():
-    g = make_grid()
-    psi = free_rotor_wavefunction(1, g)
-    traj = propagate(psi, PulseSchedule.frozen(0.0, 0.0, TWO_PI), dtau=1e-3)
-    overlap = complex(np.vdot(psi.amplitudes, traj.final_state.amplitudes)
-                      * g.dtheta)
-    assert abs(overlap - 1.0) < 1e-8
+    traj = propagate(_free_rotor_row(1),
+                     PulseSchedule.frozen(0.0, 0.0, TWO_PI), dtau=1e-3)
+    final = traj.coefficients[-1]
+    assert abs(final[len(final) // 2 + 1] - 1.0) < 1e-8
 
 
 def test_eigenstate_is_stationary():
     g = make_grid()
     spec = solve_spectrum(InteractionParams(-7.0, 25.0), 1)
-    psi = spec.wavefunction(0, g)
-    traj = propagate(psi, PulseSchedule.frozen(-7.0, 25.0, 1.0), dtau=1e-3)
-    overlap = complex(np.vdot(psi.amplitudes, traj.final_state.amplitudes)
-                      * g.dtheta)
+    traj = propagate(spec.free_rotor_coefficients(0, g.n_points // 2 - 1),
+                     PulseSchedule.frozen(-7.0, 25.0, 1.0), dtau=1e-3)
+    final = traj.coefficients[-1]
+    overlap = np.vdot(spec.free_rotor_coefficients(0, len(final) // 2), final)
     assert abs(abs(overlap) - 1.0) < 1e-8
 
 
 def test_norm_drift_ten_thousand_steps():
     g = make_grid()
-    psi = free_rotor_wavefunction(1, g)
     sch = PulseSchedule.frozen(-10.0, 25.0, duration=10.0)
-    traj = propagate(psi, sch, dtau=1e-3, sample_stride=10000)
-    assert abs(traj.final_state.norm() - 1.0) < 1e-10
+    traj = propagate(_free_rotor_row(1), sch, dtau=1e-3, sample_stride=10000)
+    assert abs(grid_state(traj.coefficients[-1], g).norm() - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("eta,zeta,j0", [(-10.0, 25.0, 1), (-7.0, 18.0, 0)])
@@ -134,8 +131,7 @@ def test_a_slow_ramp_keeps_its_norm_to_rounding(eta, zeta, j0):
     (measured 2.1e-14 and 1.3e-14). Taps summed from the kick itself, not
     from kick - 1, drift 3.5e-13 and 5.4e-13."""
     sch = PulseSchedule.switch(0.0, 0.0, eta, zeta, 6.284, 0.0)
-    traj = propagate(free_rotor_wavefunction(j0, make_grid()), sch,
-                     dtau=1e-3, sample_stride=20)
+    traj = propagate(_free_rotor_row(j0), sch, dtau=1e-3, sample_stride=20)
     assert traj.norm_drift < 1e-13
 
 
@@ -159,9 +155,10 @@ def test_matches_spectral_evolution_weak_field():
     phased = amps0 * np.exp(-1j * spec.energies * TWO_PI)
     ref = phased @ basis
 
-    traj = propagate(psi0, PulseSchedule.frozen(-0.1, 0.25, TWO_PI), dtau=1e-3)
-    err = math.sqrt(float(np.sum(np.abs(traj.final_state.amplitudes - ref) ** 2)
-                          * g.dtheta))
+    traj = propagate(_free_rotor_row(1),
+                     PulseSchedule.frozen(-0.1, 0.25, TWO_PI), dtau=1e-3)
+    final = grid_state(traj.coefficients[-1], g).amplitudes
+    err = math.sqrt(float(np.sum(np.abs(final - ref) ** 2) * g.dtheta))
     assert err < 1e-7
 
 
@@ -222,29 +219,26 @@ README_RAMP = PulseSchedule.switch(0.0, 0.0, -10.0, 25.0, 0.0628, 6.2832)
 def test_coarse_step_on_frozen_fields_does_not_warn():
     """dtau alone says nothing about the top of the grid, and a frozen
     schedule takes no grid step at all."""
-    g = make_grid()
-    psi = free_rotor_wavefunction(0, g)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        traj = propagate(psi, PulseSchedule.frozen(0.0, 0.0, 0.5), dtau=0.1)
+        traj = propagate(_free_rotor_row(0),
+                         PulseSchedule.frozen(0.0, 0.0, 0.5), dtau=0.1)
     assert traj.grid_tail <= 1e-14
 
 
 def test_readme_ramp_is_resolved_without_a_warning():
-    g = make_grid()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        traj = propagate(free_rotor_wavefunction(1, g), README_RAMP)
+        traj = propagate(_free_rotor_row(1), README_RAMP)
     assert traj.grid_tail <= 1e-14
 
 
 @pytest.mark.parametrize("points", [32, 64])
 def test_coarse_grid_ramp_warns_once_with_its_top_of_grid_weight(points):
     # measured: 2.1e-3 at 32 points, 6.0e-9 at 64
-    g = make_grid(points)
     sch = PulseSchedule.switch(0.0, 0.0, -10.0, 25.0, 1.0, 0.0)
     with pytest.warns(RuntimeWarning) as record:
-        traj = propagate(free_rotor_wavefunction(1, g), sch)
+        traj = propagate(_free_rotor_row(1, points), sch)
     assert len(record) == 1
     assert traj.grid_tail > 1e-12
     assert f"top-of-grid weight {traj.grid_tail:.1e}" in str(record[0].message)
@@ -265,9 +259,8 @@ def test_chunked_measurements_match_the_per_state_methods(schedule, stride,
     cos2 and within 7e-14 on J2 (measured over these 1310 rows and 786
     rows of three runs like the bench's: at most 4.4e-16 and 7.1e-15)."""
     g = make_grid()
-    traj = propagate(free_rotor_wavefunction(1, g), schedule,
-                     sample_stride=stride)
-    assert len(traj.coefficients) == len(traj.states) == count
+    traj = propagate(_free_rotor_row(1), schedule, sample_stride=stride)
+    assert len(traj.coefficients) == count
     sums, tails = [], []
     for c in traj.coefficients:
         j = len(c) // 2
@@ -289,17 +282,16 @@ def test_chunked_measurements_match_the_per_state_methods(schedule, stride,
     assert traj.norm_drift == np.abs(norm - 1.0).max()
     assert traj.grid_tail == max(tails)
     on_grid = np.array([(w.norm(), w.expectation_cos(), w.expectation_cos2(),
-                         w.expectation_kinetic()) for w in traj.states]).T
+                         w.expectation_kinetic()) for w in
+                        (grid_state(c, g) for c in traj.coefficients)]).T
     gaps = np.abs(np.array([norm, cos, cos2, j2]) - on_grid).max(axis=1)
     assert np.all(gaps <= [4e-15, 4e-15, 4e-15, 7e-14]), gaps
 
 
 def test_observable_sampling():
-    g = make_grid()
-    psi = free_rotor_wavefunction(0, g)
     sch = PulseSchedule.switch(0.0, 0.0, -10.0, 25.0,
                                ramp_duration=0.2, hold_duration=0.3)
-    traj = propagate(psi, sch, dtau=1e-3)
+    traj = propagate(_free_rotor_row(0), sch, dtau=1e-3)
     assert traj.tau_samples[0] == 0.0
     assert traj.tau_samples[-1] == pytest.approx(0.5)
     for name in ("cos", "cos2", "J2", "energy"):
@@ -316,8 +308,10 @@ def _nan_state(g):
 def test_nan_initial_state_is_refused():
     g = make_grid(64)
     sch = PulseSchedule.frozen(-1.0, 2.0, 0.1)
+    start = _free_rotor_row(1, 64)
+    start[3] = np.nan
     with pytest.raises(ValueError, match="unit-normalized"):
-        propagate(_nan_state(g), sch, dtau=1e-2)
+        propagate(start, sch, dtau=1e-2)
     with pytest.raises(ValueError, match="unit-normalized"):
         second_order_accuracy_check(_nan_state(g), sch, dtau=1e-2)
 
@@ -326,8 +320,8 @@ def test_nan_snapshot_is_refused():
     g = make_grid(64)
     with pytest.raises(RuntimeError, match="norm drift nan"):
         Trajectory(tau_samples=np.array([0.0]),
-                   coefficients=(_coefficients(_nan_state(g).amplitudes, g)[0],),
-                   grid=g, fields=np.zeros((1, 2)))
+                   coefficients=(_nan_state(g).free_rotor_coefficients(31),),
+                   fields=np.zeros((1, 2)))
 
 
 @pytest.mark.parametrize("make,name", [
@@ -372,7 +366,7 @@ def test_kick_taps_convolve_as_the_grid_kick_multiplies(eta, zeta, dtau,
     (taps,) = _kick_taps([(eta, zeta)], dtau, 255)
     window = 24 + len(taps) // 2
     amps = _band_limited_state(g, 24, seed)
-    c, _ = _coefficients(amps, g)
+    c = Wavefunction(g, amps, normalize=False).free_rotor_coefficients(255)
     kicked = np.convolve(c[255 - window:256 + window], taps, "same")
     product = amps * np.exp(0.5j * dtau * cos * (eta + zeta * cos))
     assert np.max(np.abs(kicked - Wavefunction(g, product, normalize=False)
@@ -570,8 +564,9 @@ def test_exact_holds_match_the_grid_twin(j0, segments, duration):
     sch = PulseSchedule(segments)
     window = sch.total_duration if duration is None else duration
     stride = math.ceil(round(window / 1e-3) / 512)
-    prop = [propagate(psi0, sch, dtau=1e-3 / k, sample_stride=k * stride,
-                      duration=duration) for k in (1, 2)]
+    prop = [propagate(_free_rotor_row(j0), sch, dtau=1e-3 / k,
+                      sample_stride=k * stride, duration=duration)
+            for k in (1, 2)]
     assert prop[0].hold_limits
     taus, twin = _grid_twin(psi0, sch, 1e-3, stride, window)
     _, twin_half = _grid_twin(psi0, sch, 5e-4, 2 * stride, window)
@@ -587,9 +582,8 @@ def test_a_hold_grows_its_cutoff_until_its_tail_bound_holds(monkeypatch):
     its first cutoff 40, where the tail bound misses 1e-12, and grows to
     56. Its snapshots agree within 1e-12 with the hold evolved at a fixed
     cutoff of 64, which never grows (measured: 1.5e-13; at 40, 1.3e-10)."""
-    g = make_grid(512)
     sch = PulseSchedule.switch(0.0, 0.0, -40.0, 120.0, 0.01, 1.0)
-    traj = propagate(free_rotor_wavefunction(20, g), sch)
+    traj = propagate(_free_rotor_row(20), sch)
     dtau = 1.01 / 1010
     # sample stride 2: snapshot 5 is the ramp's last step, the hold's start
     assert traj.tau_samples[5] == 10 * dtau
@@ -645,13 +639,12 @@ def test_a_final_hold_runs_on_past_the_end_as_one_hold():
     """A hold that ends the schedule and the hold past its end, at the same
     fields, are one run, evolved by one eigensolve: the trajectory of the
     schedule whose hold itself reaches the duration, bit for bit."""
-    g = make_grid()
-    psi0 = free_rotor_wavefunction(1, g)
+    start = _free_rotor_row(1)
     sch = PulseSchedule.switch(0.0, 0.0, -10.0, 25.0, 0.1, 0.5)
     assert _hold_runs(sch, 1e-3, 1000) == [(100, 1000, (-10.0, 25.0))]
-    traj = propagate(psi0, sch, duration=1.0)
-    whole = propagate(psi0, PulseSchedule.switch(0.0, 0.0, -10.0, 25.0, 0.1,
-                                                 0.9))
+    traj = propagate(start, sch, duration=1.0)
+    whole = propagate(start, PulseSchedule.switch(0.0, 0.0, -10.0, 25.0,
+                                                  0.1, 0.9))
     assert len(traj.hold_limits) == 1
     assert traj.hold_limits == whole.hold_limits
     assert np.array_equal(traj.tau_samples, whole.tau_samples)
@@ -672,25 +665,28 @@ def test_sector_round_trip_is_exact():
     g = make_grid(64)
     for seed in range(4):
         amps = _band_limited_state(g, 24, seed)
-        c, weight = _coefficients(amps, g)
+        c = Wavefunction(g, amps, normalize=False).free_rotor_coefficients(31)
         rows = _sectors(c)
         signed = _signed_expansion(rows, np.array([False, True]), 31).sum(0)
-        assert np.max(np.abs(_grid_amplitudes(signed, g) - amps)) <= 1e-15
-        assert weight[-1] <= 1e-15          # no Nyquist amplitude
-        assert np.max(np.abs(signed - Wavefunction(
-            g, amps, normalize=False).free_rotor_coefficients(31))) <= 1e-15
+        assert np.max(np.abs(grid_state(signed, g).amplitudes - amps)) <= 1e-15
+        assert np.max(np.abs(signed - c)) <= 1e-15
 
 
 def test_sectors_follow_the_spectrum_convention():
     """An eigenstate's grid amplitudes project onto its own sector's
-    coefficient row, odd sine rows included, and nothing else."""
+    coefficient row, odd sine rows included, and nothing else; and the
+    CLI's start rows (an eigenstate's signed expansion, a unit row at J0)
+    are the FFT rows of the grid states to rounding."""
     g = make_grid(128)
     # back drops the FFT's rounding modes above the solve's cutoff, so it
     # reads more as the cutoff falls: 8.3e-16 at 32, 9.4e-16 at 24, 1.2e-15
     # at the automatic 20
     spec = solve_spectrum(InteractionParams(-3.0, 5.0), 6, j_max=24)
     for n, label in enumerate(spec.labels):
-        rows = _sectors(_coefficients(spec.wavefunction(n, g).amplitudes, g)[0])
+        fft_row = spec.wavefunction(n, g).free_rotor_coefficients(63)
+        assert np.max(np.abs(spec.free_rotor_coefficients(n, 63)
+                             - fft_row)) <= 1e-15
+        rows = _sectors(fft_row)
         odd = int(label is SymmetryLabel.A2)
         assert np.max(np.abs(rows[odd, :spec.j_max + 1]
                              - spec.coefficients[n])) <= 1e-15
@@ -698,8 +694,11 @@ def test_sectors_follow_the_spectrum_convention():
         assert np.max(np.abs(rows[1 - odd])) <= 1e-15
         signed = _signed_expansion(rows[:, :spec.j_max + 1],
                                    np.array([False, True]), spec.j_max).sum(0)
-        back = _grid_amplitudes(signed, g)
+        back = grid_state(signed, g).amplitudes
         assert np.max(np.abs(back - spec.wavefunction(n, g).amplitudes)) <= 1e-15
+    for j0 in range(-4, 5):
+        assert np.max(np.abs(_free_rotor_row(j0, 128) - free_rotor_wavefunction(
+            j0, g).free_rotor_coefficients(63))) <= 1e-15
 
 
 def test_hold_beyond_the_grid_band_exits_one(tmp_path, monkeypatch, capsys):
@@ -760,10 +759,9 @@ def test_basis_ramp_matches_the_grid_twin(eta, zeta, ramp):
     """validate's ramp-twin cases at every snapshot: the times of an
     all-grid run bit for bit, and cos, cos2 and the final norm within
     1e-10 of it (measured: up to 9.7e-14)."""
-    g = make_grid()
-    psi0 = free_rotor_wavefunction(1, g)
+    psi0 = free_rotor_wavefunction(1, make_grid())
     sch = PulseSchedule.switch(0.0, 0.0, eta, zeta, ramp, 0.0)
-    traj = propagate(psi0, sch, sample_stride=7)
+    traj = propagate(_free_rotor_row(1), sch, sample_stride=7)
     taus, twin = _grid_twin(psi0, sch, 1e-3, 7, ramp)
     assert np.array_equal(traj.tau_samples, taus)
     assert np.abs(_cos_rows(traj) - twin).max() < 1e-10
@@ -779,8 +777,7 @@ def test_a_wide_start_grows_the_ramp_window(tmp_path, monkeypatch):
                  "25", "--ramp-duration", "1.0", "--output", "p.csv"]) == 0
     diagnostics = json.loads((tmp_path / "p.manifest.json").read_text())[
         "diagnostics"]
-    g = make_grid()
-    _, weight = _coefficients(free_rotor_wavefunction(40, g).amplitudes, g)
+    weight = _weight(_free_rotor_row(40))
     assert diagnostics["ramp_j_max"] > _first_cutoff(weight, -10.0, 25.0)
     assert 0 < diagnostics["ramp_tail"] <= 1e-12
     assert diagnostics["norm_drift"] <= 1e-10
@@ -790,10 +787,9 @@ def test_a_wide_start_grows_the_ramp_window(tmp_path, monkeypatch):
 def test_a_coarse_grid_caps_the_ramp_window_at_its_band(points, tail):
     """The window stops at the band n/2 - 1 and the ramp runs on; the
     snapshots' top-of-grid weight is the one the grid stepper leaves."""
-    g = make_grid(points)
     sch = PulseSchedule.switch(0.0, 0.0, -10.0, 25.0, 1.0, 0.0)
     with pytest.warns(RuntimeWarning, match=f"top-of-grid weight {tail} "):
-        traj = propagate(free_rotor_wavefunction(1, g), sch)
+        traj = propagate(_free_rotor_row(1, points), sch)
     assert [j_max for j_max, _ in traj.ramp_limits] == [points // 2 - 1]
 
 
@@ -813,8 +809,7 @@ def test_a_ramp_reads_its_fields_per_block(monkeypatch):
     per step and field (13,204) or per FINITE_CHECK_STEPS block (202)."""
     calls = _count_field_reads(monkeypatch)
     sch = PulseSchedule.switch(0.0, 0.0, -10.0, 25.0, 6.284, 0.0)
-    traj = propagate(free_rotor_wavefunction(1, make_grid()), sch,
-                     dtau=1e-3, sample_stride=20)
+    traj = propagate(_free_rotor_row(1), sch, dtau=1e-3, sample_stride=20)
     assert len(traj.tau_samples) == 6284 // 20 + 2
     assert len(calls) == 2 * (math.ceil(6284 / _FIELD_STEPS) + 2) == 18
 
@@ -824,24 +819,21 @@ def test_a_regrown_window_reuses_its_fields(monkeypatch):
     is taken again on a wider one from the fields it already has: 6
     Profile.value calls, as many as a ramp that never regrows."""
     calls = _count_field_reads(monkeypatch)
-    g = make_grid()
-    psi0 = free_rotor_wavefunction(40, g)
-    traj = propagate(psi0, PulseSchedule.switch(0.0, 0.0, -10.0, 25.0, 1.0,
-                                                0.0))
-    _, weight = _coefficients(psi0.amplitudes, g)
+    start = _free_rotor_row(40)
+    traj = propagate(start, PulseSchedule.switch(0.0, 0.0, -10.0, 25.0, 1.0,
+                                                 0.0))
     ((j_max, _),) = traj.ramp_limits
-    assert j_max > _first_cutoff(weight, -10.0, 25.0)
+    assert j_max > _first_cutoff(_weight(start), -10.0, 25.0)
     assert len(calls) == 2 * (1 + 2)
 
 
-def _split_steps(psi0, schedule, dtau, stride, duration, j_max):
+def _split_steps(start, schedule, dtau, stride, duration, j_max):
     """Snapshot times and signed rows of Strang steps taken one at a time,
     each with both of its half kicks, on the window |J| <= j_max, sampled
     as propagate samples."""
     nsteps = max(1, round(duration / dtau))
     dtau_eff = duration / nsteps
-    c, _ = _coefficients(psi0.amplitudes, psi0.grid)
-    band = len(c) // 2
+    c, band = start, len(start) // 2
     c = c[band - j_max:band + j_max + 1]
     kinetic = np.exp(-1j * np.arange(-j_max, j_max + 1) ** 2 * dtau_eff)
     taus, rows = [0.0], [c]
@@ -867,15 +859,14 @@ def test_fused_kicks_match_the_split_steps(eta, zeta, shape, dtau, stride,
     unmerged run of the same steps agree bit for bit, and cos, cos2, norm
     and J2 (relative to max(1, J2)) within 1e-13 (measured over 151 random
     cases: at most 6.1e-15, 1.0e-14, 6.3e-15 and 2.1e-14)."""
-    g = make_grid()
-    psi0 = free_rotor_wavefunction(1, g)
+    start = _free_rotor_row(1)
     sch = PulseSchedule.switch(0.0, 0.0, eta, zeta, duration, 0.0,
                                shape=shape)
-    fused = propagate(psi0, sch, dtau=dtau, sample_stride=stride)
+    fused = propagate(start, sch, dtau=dtau, sample_stride=stride)
     ((j_max, _),) = fused.ramp_limits
-    taus, rows = _split_steps(psi0, sch, dtau, stride, duration, j_max)
+    taus, rows = _split_steps(start, sch, dtau, stride, duration, j_max)
     assert np.array_equal(fused.tau_samples, taus)
-    norm, cos, cos2, j2, _ = _band_moments(rows, g.max_band_limit)
+    norm, cos, cos2, j2, _ = _band_moments(rows, 128)
     for values, name in ((cos, "cos"), (cos2, "cos2")):
         assert np.abs(fused.observables[name].values - values).max() <= 1e-13
     assert np.abs(fused.norms - norm).max() <= 1e-13
@@ -887,11 +878,11 @@ def test_fused_kicks_match_the_split_steps(eta, zeta, shape, dtau, stride,
 def _strong_ramp(dtau):
     """J0 = 1 ramped to (-40, 120) over 2.0 at dtau, every 4th step
     sampled; with the split stepper's snapshots on its last window."""
-    psi0 = free_rotor_wavefunction(1, make_grid())
+    start = _free_rotor_row(1)
     sch = PulseSchedule.switch(0.0, 0.0, -40.0, 120.0, 2.0, 0.0)
-    traj = propagate(psi0, sch, dtau=dtau, sample_stride=4)
+    traj = propagate(start, sch, dtau=dtau, sample_stride=4)
     ((j_max, _),) = traj.ramp_limits
-    taus, rows = _split_steps(psi0, sch, dtau, 4, 2.0, j_max)
+    taus, rows = _split_steps(start, sch, dtau, 4, 2.0, j_max)
     assert np.array_equal(traj.tau_samples, taus)
     return traj, j_max, rows
 
@@ -930,21 +921,3 @@ def test_half_taps_wider_than_the_window_regrow_it():
     for values, name in ((cos, "cos"), (cos2, "cos2")):
         assert np.abs(traj.observables[name].values - values).max() <= 1e-13
     assert np.abs(traj.norms - norm).max() <= 1e-13
-
-
-@pytest.mark.parametrize("schedule", [
-    pytest.param(PulseSchedule.switch(0.0, 0.0, -2.0, 3.0, 0.1, 0.0),
-                 id="ramp"),
-    pytest.param(PulseSchedule.frozen(-2.0, 3.0, 0.1), id="hold")])
-def test_a_start_at_the_nyquist_mode_is_refused(schedule):
-    """No window or cutoff holds the Nyquist mode J = n/2, so a start with
-    grid amplitude there above 1e-12 is refused before the first step, by
-    a ramp as by a hold (a ramp used to drop it silently)."""
-    g = make_grid()
-    nyquist = 1e-6 * np.cos(g.n_points // 2 * g.theta) / math.sqrt(TWO_PI)
-    psi0 = Wavefunction(g, free_rotor_wavefunction(1, g).amplitudes + nyquist,
-                        normalize=False)
-    with pytest.raises(RuntimeError, match=(
-            r"initial state: grid amplitude 1\.0e-06 > 1e-12 at the Nyquist "
-            r"mode \|J\| = 256, past the grid's band j_max=255")):
-        propagate(psi0, schedule)
