@@ -23,15 +23,19 @@ first block; each sample's phase is the product of its block's two
 factors, corrected to first order for the few ulps by which the grid is
 not uniform; a non-uniform grid is phased sample by sample instead
 (_phased_blocks). The phase arguments are carried exactly, so the series
-stay within a few roundings of exp at any tau. The time average sums the
-same-sector pairs in closed form (_window_average), stacked over the
-points of a map chunk or for one spectrum alike.
+stay within a few roundings of exp at any tau. The switch-on coherence sums
+take M psi as one real product with Re psi and Im psi side by side. The
+time average sums the same-sector pairs in closed form (_window_average),
+in real arithmetic (sin x/x, and (cos x - 1)/x only for complex weights),
+stacked over the points of a map chunk or for one spectrum alike, each
+point's row summed as its own solve sums it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -44,7 +48,12 @@ from .cqes import (
     switch_on_coefficients,
 )
 from .elements import sector_element_matrix
-from .spectrum import PendularSpectrum, _element_stack, solve_stacks
+from .spectrum import (
+    PendularSpectrum,
+    _element_stack,
+    _read_only,
+    solve_stacks,
+)
 
 POPULATED_FLOOR = 1e-4      # |C|^2 above this counts as populated
 IMAG_RESIDUE_TOL = 1e-10
@@ -273,20 +282,40 @@ def _population(c: np.ndarray, mat: np.ndarray) -> np.ndarray:
                   axis=-1)
 
 
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The index pairs a < b of n states (np.triu_indices); read-only."""
+    return _read_only(*np.triu_indices(n, 1))
+
+
 def _window_average(c: np.ndarray, energies: np.ndarray, mat: np.ndarray,
                     tau_tilde: float) -> np.ndarray:
     """sum_ab conj(c_a) c_b M_ab e^{i(E_a - E_b)tau} averaged over
     [0, tau_tilde], over any leading axes: the static population term plus
     every pair a < b (counting its mirror) filtered by the window transform
     (e^{ix} - 1)/(ix), x = (E_a - E_b)*tau_tilde. Cross-sector pairs have
-    M_ab = 0 and add nothing."""
-    a, b = np.triu_indices(c.shape[-1], 1)
+    M_ab = 0 and add nothing.
+
+    Each pair adds Re(w (e^{ix} - 1)/(ix)) = Re(w) sin(x)/x + Im(w)
+    (cos(x) - 1)/x for its weight w = conj(c_a) c_b M_ab, in real
+    arithmetic; the two factors are 1 and 0 at x = 0. The weights of a
+    switch-on column are real (its even entries are real, its odd ones
+    imaginary, and M_ab vanishes across sectors), so the cosine term is
+    taken only where some weight is not."""
+    a, b = _pairs(c.shape[-1])
     weight = np.conj(c[..., a]) * c[..., b] * mat[..., a, b]
     x = (energies[..., a] - energies[..., b]) * tau_tilde
     moving = x != 0.0
-    window = np.ones(x.shape, dtype=complex)
-    window[moving] = (np.exp(1j * x[moving]) - 1.0) / (1j * x[moving])
-    return _population(c, mat) + 2.0 * np.sum(weight * window, axis=-1).real
+    # C order (the gathers above are not), so that each point's row is
+    # summed as its own solve sums it
+    pairs = np.divide(np.sin(x), x, out=np.ones(x.shape), where=moving)
+    pairs *= weight.real
+    if weight.imag.any():
+        cosine = np.divide(np.cos(x) - 1.0, x, out=np.zeros(x.shape),
+                           where=moving)
+        cosine *= weight.imag
+        pairs += cosine
+    return _population(c, mat) + 2.0 * np.sum(pairs, axis=-1)
 
 
 def _check_switch_on(spectrum: PendularSpectrum,
@@ -325,7 +354,9 @@ def switch_on_evolution(spectrum: PendularSpectrum,
     From the per-state amplitudes psi_n = c_n exp(-i(E_n - <H>)tau), with
     the conserved energy <H> = sum|c_n|^2 E_n as phase reference, each
     sector's coherence part is Re psi^H (M - diag M) psi over the populated
-    states of that sector; the population term is sum|c_n|^2 M_nn.
+    states of that sector, Re psi . Re(M psi) + Im psi . Im(M psi) with M
+    applied once to Re psi and Im psi together; the population term is
+    sum|c_n|^2 M_nn.
     <J^2>(tau) follows from energy conservation: <H> + eta<cos> + zeta<cos2>.
     """
     _check_switch_on(spectrum, coeffs)
@@ -346,8 +377,10 @@ def switch_on_evolution(spectrum: PendularSpectrum,
     coherence = {name: np.zeros((2, len(tau_grid))) for name in mats}
     for block, psi in _phased_blocks(tau_grid, c[order],
                                      spectrum.energies[order], energy):
+        parts = psi.view(np.float64)        # Re and Im interleaved
         for name, m in coupling.items():
-            terms = np.real(np.conj(psi) * (m @ psi))
+            products = parts * (m @ parts)
+            terms = products[:, 0::2] + products[:, 1::2]
             coherence[name][0, block] = terms[:n_a1].sum(axis=0)
             coherence[name][1, block] = terms[n_a1:].sum(axis=0)
 
@@ -380,7 +413,7 @@ def dominant_coherence_period(spectrum: PendularSpectrum,
     """
     _check_switch_on(spectrum, coeffs)
     populated = np.abs(coeffs.c) ** 2 > POPULATED_FLOOR
-    a, b = np.triu_indices(len(populated), 1)
+    a, b = _pairs(len(populated))
     beat = populated[a] & populated[b] & (spectrum.odd[a] == spectrum.odd[b])
     gaps = np.abs(spectrum.energies[a] - spectrum.energies[b])[beat]
     gaps = gaps[gaps != 0]

@@ -22,13 +22,19 @@ share a cutoff are stacked in chunks of at most _STACK_BYTES of sector
 Hamiltonians, and each chunk takes one batched eigensolve per sector,
 one vectorized state cut and one tail check. A point whose tail fails is
 solved again with the next cutoff. solve_spectrum is the stack of one
-point, so a stacked point equals its own solve bit for bit.
+point, so a stacked point equals its own solve bit for bit. The sector
+bands and the pi-probe weights are built once per size (lru_cache) and
+shared read-only, so the chunk's own work around the eigensolve is a few
+array passes: the sign fix is two matrix products (_pi_aligned), and the
+state cut sorts levels again only in rows with a tie near the cut
+(_merge).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,9 +57,17 @@ _TIE_ULPS = 4       # energies this many ulps of ||H|| apart are one level
 _STACK_BYTES = 1 << 19
 
 
+def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
 def _sector_bands(j_max: int, odd: bool) -> Tuple[np.ndarray, ...]:
     """The nonzero diagonals of one sector's operators: J^2, the cos^2
-    main diagonal, the cos first off-diagonal, the cos^2 second one."""
+    main diagonal, the cos first off-diagonal, the cos^2 second one.
+    Read-only: every call with (j_max, odd) returns the same arrays."""
     j = np.arange(1 if odd else 0, j_max + 1, dtype=float)
     n = len(j)
     q0 = np.full(n, 0.5)
@@ -63,7 +77,7 @@ def _sector_bands(j_max: int, odd: bool) -> Tuple[np.ndarray, ...]:
     if not odd:                                     # rows touching J = 0
         c1[0] = 1.0 / math.sqrt(2.0)
         q2[0] = math.sqrt(2.0) / 4.0
-    return j ** 2, q0, c1, q2
+    return _read_only(j ** 2, q0, c1, q2)
 
 
 def _banded(main, first, second) -> np.ndarray:
@@ -238,13 +252,23 @@ class SpectrumStack:
 _ALIGN_FLOOR = 1e-8
 
 
+@lru_cache(maxsize=None)
 def _pi_probe_weights(n_coeffs: int):
-    """Weights w with f(pi) = c @ value (even) and f'(pi) = c @ slope (odd)."""
+    """Weights w with f(pi) = c @ value (even) and f'(pi) = c @ slope (odd).
+    Read-only: every call with n_coeffs returns the same arrays."""
     j = np.arange(n_coeffs)
     value = (-1.0) ** j / math.sqrt(np.pi)
     slope = j * value
     value[0] = 1.0 / math.sqrt(2.0 * np.pi)
-    return value, slope
+    return _read_only(value, slope)
+
+
+@lru_cache(maxsize=None)
+def _pi_probe_columns(n_coeffs: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The columns (value, slope) of _pi_probe_weights, and their
+    magnitudes, as (n_coeffs, 2) matrices; read-only."""
+    weights = np.stack(_pi_probe_weights(n_coeffs), axis=1)
+    return _read_only(weights, np.abs(weights))
 
 
 def _pi_aligned(coeffs: np.ndarray, odd: np.ndarray) -> np.ndarray:
@@ -253,17 +277,25 @@ def _pi_aligned(coeffs: np.ndarray, odd: np.ndarray) -> np.ndarray:
     below _ALIGN_FLOOR times sum_J |c_J w_J| the largest-magnitude
     coefficient is made positive.
 
+    Both probes and both scales of every row are two matrix products with
+    the cached (value, slope) columns; each row keeps its sector's. The
+    largest coefficient is looked up only in rows whose probe is cancelled.
+
     A public contract: the sign of wavefunction and the amplitudes built
     from it. Bilinear outputs do not depend on it.
     """
-    value, slope = _pi_probe_weights(coeffs.shape[-1])
-    weights = np.where(odd[..., None], slope, value)
-    probe = np.einsum("...j,...j->...", coeffs, weights)
-    scale = np.einsum("...j,...j->...", np.abs(coeffs), np.abs(weights))
-    largest = np.take_along_axis(
-        coeffs, np.argmax(np.abs(coeffs), axis=-1)[..., None], axis=-1)[..., 0]
-    probe = np.where(np.abs(probe) > _ALIGN_FLOOR * scale, probe, largest)
-    return np.where((probe < 0)[..., None], -coeffs, coeffs)
+    weights, magnitudes = _pi_probe_columns(coeffs.shape[-1])
+    rows, odd_rows = coeffs.reshape(-1, coeffs.shape[-1]), odd.reshape(-1)
+    probes, scales = rows @ weights, np.abs(rows) @ magnitudes
+    probe = np.where(odd_rows, probes[:, 1], probes[:, 0])
+    scale = np.where(odd_rows, scales[:, 1], scales[:, 0])
+    flip = probe < 0
+    cancelled = np.flatnonzero(~(np.abs(probe) > _ALIGN_FLOOR * scale))
+    if cancelled.size:
+        near = rows[cancelled]
+        largest = near[np.arange(len(near)), np.argmax(np.abs(near), axis=-1)]
+        flip[cancelled] = largest < 0
+    return coeffs * np.where(flip, -1.0, 1.0).reshape(odd.shape + (1,))
 
 
 def _auto_j_max(params: InteractionParams, n_states: int) -> int:
@@ -340,18 +372,28 @@ def _merge(eta: np.ndarray, zeta: np.ndarray, w1: np.ndarray, w2: np.ndarray,
     energies = np.concatenate([w1[:, :k1], w2[:, :k2]], axis=1)
     odd = np.repeat([False, True], (k1, k2))
     rank = np.concatenate([np.arange(k1), np.arange(k2)])
-    tie = _tie(eta, zeta, j_max)
+    tie = _tie(eta, zeta, j_max)[:, None]
     order = np.argsort(energies, axis=1, kind="stable")
-    steps = np.diff(np.take_along_axis(energies, order, 1), axis=1)
-    level = np.cumsum(steps > tie[:, None], axis=1)
-    level = np.concatenate([np.zeros((len(order), 1), int), level], axis=1)
-    order = np.take_along_axis(
-        order, np.lexsort((rank[order], odd[order], level), axis=-1), 1)
-    kept = np.take_along_axis(energies, order[:, :n_states], 1)
-    dropped = np.concatenate([np.take_along_axis(energies, order[:, n_states:], 1),
-                              w1[:, k1:], w2[:, k2:]], axis=1)
-    cut_gap = dropped.min(axis=1) - kept.max(axis=1)
-    return kept, odd[order[:, :n_states]], rank[order[:, :n_states]], cut_gap
+    ordered = np.take_along_axis(energies, order, 1)
+    # a row whose first n_states + 1 levels are 0, 1, 2, ... keeps its
+    # order over the kept states: only rows with a tie there are sorted
+    # again by level, sector and rank
+    tied = np.flatnonzero(~(np.diff(ordered[:, :n_states + 1], axis=1)
+                            > tie).all(axis=1))
+    if tied.size:
+        sub = order[tied]
+        level = np.zeros(sub.shape, int)
+        np.cumsum(np.diff(ordered[tied], axis=1) > tie[tied], axis=1,
+                  out=level[:, 1:])
+        order[tied] = np.take_along_axis(
+            sub, np.lexsort((rank[sub], odd[sub], level), axis=-1), 1)
+        ordered[tied] = np.take_along_axis(energies[tied], order[tied], 1)
+    kept, keep = ordered[:, :n_states], order[:, :n_states]
+    dropped = np.minimum(
+        ordered[:, n_states:].min(axis=1, initial=np.inf),
+        np.minimum(w1[:, k1:].min(axis=1, initial=np.inf),
+                   w2[:, k2:].min(axis=1, initial=np.inf)))
+    return kept, odd[keep], rank[keep], dropped - kept.max(axis=1)
 
 
 def _solve_chunk(params: Sequence[InteractionParams], index: np.ndarray,
@@ -368,11 +410,9 @@ def _solve_chunk(params: Sequence[InteractionParams], index: np.ndarray,
         for odd in (False, True))
     energies, odd, rank, cut_gap = _merge(eta, zeta, w1, w2, n_states, j_max)
     coeffs = np.zeros((len(chunk), n_states, j_max + 1))
-    points = np.arange(len(chunk))[:, None]
     for sector, v, first in ((False, v1, 0), (True, v2, 1)):
-        rows = v.transpose(0, 2, 1)[points, np.minimum(rank, v.shape[-1] - 1)]
-        mask = odd == sector
-        coeffs[:, :, first:][mask] = rows[mask]
+        point, state = np.nonzero(odd == sector)
+        coeffs[point, state, first:] = v[point, :, rank[point, state]]
     return SpectrumStack(
         params=chunk, index=index, energies=energies, odd=odd,
         coefficients=_pi_aligned(coeffs, odd), j_max=j_max,

@@ -523,7 +523,8 @@ def check_adiabatic_limit() -> Tuple[bool, str]:
                    sample_stride=10 ** 9)
     spec = solve_spectrum(InteractionParams(-10.0, 25.0), 2)
     pop = abs(_projections(spec, 0, tr.coefficients[-1])) ** 2
-    return pop >= 0.99, f"final ground-state population {pop:.6f}"
+    return pop >= 0.99, (f"final ground-state population {pop:.6f} "
+                         f"(deficit {1.0 - pop:.2e})")
 
 
 ALL_CHECKS: List[Tuple[str, Callable[[], Tuple[bool, str]]]] = [

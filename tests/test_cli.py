@@ -580,14 +580,12 @@ def test_topology_map_resolution_floor(tmp_path, monkeypatch, capsys):
     assert "16" in capsys.readouterr().err
 
 
-def test_topology_map_outputs_and_env_threads(tmp_path, monkeypatch):
+def test_topology_map_outputs_and_ignored_threads(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv = ["topology-map", "--eta-range", "-32:-2:2", "--zeta-range",
             "5:35:2", "--tau-tilde", "12.566", "--n-states", "8",
             "--j-max", "32"]
-    monkeypatch.setenv("PLANAR_PENDULUM_THREADS", "2")
-    assert main(argv + ["--output", "t1.csv"]) == 0
-    monkeypatch.delenv("PLANAR_PENDULUM_THREADS")
+    assert main(argv + ["--output", "t1.csv", "--threads", "2"]) == 0
     assert main(argv + ["--output", "t2.csv", "--threads", "1"]) == 0
     assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
     overlays = json.loads((tmp_path / "t1_overlays.json").read_text())
@@ -837,15 +835,10 @@ def test_negative_values_after_flags(tmp_path, monkeypatch):
     assert len(read_csv(tmp_path / "neg.csv")) == 3
 
 
-@pytest.mark.parametrize("flags,env", [(["--threads", "0"], None),
-                                       ([], "0"), ([], "many")])
-def test_thread_count_ignored_outside_topology_map(tmp_path, monkeypatch,
-                                                   flags, env):
+@pytest.mark.parametrize("flags", [["--threads", "0"], []])
+def test_thread_flag_ignored_outside_topology_map(tmp_path, monkeypatch,
+                                                  flags):
     monkeypatch.chdir(tmp_path)
-    if env is None:
-        monkeypatch.delenv("PLANAR_PENDULUM_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("PLANAR_PENDULUM_THREADS", env)
     assert main(["spectrum", "--eta", "-10", "--zeta", "25", "--n-states",
                  "2", "--output", "s.csv"] + flags) == 0
     assert len(read_csv(tmp_path / "s.csv")) == 2

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planar_pendulum import (
     InteractionParams,
@@ -182,6 +183,51 @@ def test_time_average_matches_series_mean():
     series, _ = switch_on_evolution(spec, coeffs, tau)
     ref = float(np.trapezoid(series["cos"].values, tau)) / tau_tilde
     assert closed == pytest.approx(ref, abs=1e-6)
+
+
+def _complex_pair_average(c, energies, mat, tau_tilde):
+    # the window average pair by pair in complex arithmetic, each point's
+    # terms summed exactly; and the sum of their magnitudes
+    n = c.shape[-1]
+    diagonal = np.diagonal(mat, axis1=-2, axis2=-1)
+    terms = [np.abs(c) ** 2 * diagonal]
+    for a in range(n):
+        for b in range(a + 1, n):
+            x = (energies[..., a] - energies[..., b]) * tau_tilde
+            window = np.where(x == 0.0, 1.0, (np.exp(1j * x) - 1.0)
+                              / (1j * np.where(x == 0.0, 1.0, x)))
+            weight = np.conj(c[..., a]) * c[..., b] * mat[..., a, b]
+            terms.append(2.0 * (weight * window).real[..., None])
+    terms = np.concatenate(terms, axis=-1)
+    exact = np.array([math.fsum(t) for t in terms.reshape(-1, terms.shape[-1])])
+    return (exact.reshape(terms.shape[:-1]),
+            np.sum(np.abs(terms), axis=-1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), points=st.integers(1, 6),
+       n=st.integers(1, 20), column=st.booleans())
+def test_window_average_equals_the_complex_pair_formula(seed, points, n,
+                                                        column):
+    # random complex weights, or those of a switch-on column (even entries
+    # real, odd ones imaginary, no coupling across sectors: real weights);
+    # levels on a lattice, so that many pairs have x = 0
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((points, n)) + 1j * rng.standard_normal((points, n))
+    mat = rng.standard_normal((points, n, n))
+    mat = mat + mat.swapaxes(-1, -2)
+    if column:
+        odd = rng.random((points, n)) < 0.5
+        c = np.where(odd, 1j * c.imag, c.real + 0j)
+        mat = np.where(odd[..., :, None] == odd[..., None, :], mat, 0.0)
+    energies = 0.7 * rng.integers(0, 8, (points, n))
+    tau_tilde = rng.uniform(0.5, 20.0)
+    want, scale = _complex_pair_average(c, energies, mat, tau_tilde)
+    got = dynamics._window_average(c, energies, mat, tau_tilde)
+    assert np.all(np.abs(got - want) <= 1e-15 * scale)
+    for p in range(points):
+        assert dynamics._window_average(c[p], energies[p], mat[p],
+                                        tau_tilde) == got[p]
 
 
 @pytest.mark.parametrize("tau_tilde", [math.nan, math.inf, 0.0, -1.0])

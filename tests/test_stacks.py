@@ -21,11 +21,16 @@ from planar_pendulum import (
 import planar_pendulum.spectrum as spectrum_module
 from planar_pendulum.cli import main
 from planar_pendulum.spectrum import (
+    _ALIGN_FLOOR,
     _auto_j_max,
     _banded,
     _chunk_size,
     _element_stack,
+    _merge,
+    _pi_aligned,
+    _pi_probe_weights,
     _sector_bands,
+    _tie,
 )
 
 
@@ -208,3 +213,92 @@ def test_scan_rows_keep_scan_order(tmp_path, monkeypatch):
         n = int(r[2])
         assert r[3] == str(spec.labels[n])
         assert r[4] == "%.15g" % spec.energies[n]
+
+
+def _einsum_pi_aligned(coeffs, odd):
+    # the sign rule row by row: each row's probe and scale as one einsum
+    # with its own sector's weights, the largest coefficient looked up in
+    # every row
+    value, slope = _pi_probe_weights(coeffs.shape[-1])
+    weights = np.where(odd[..., None], slope, value)
+    probe = np.einsum("...j,...j->...", coeffs, weights)
+    scale = np.einsum("...j,...j->...", np.abs(coeffs), np.abs(weights))
+    largest = np.take_along_axis(
+        coeffs, np.argmax(np.abs(coeffs), axis=-1)[..., None], axis=-1)[..., 0]
+    cancelled = ~(np.abs(probe) > _ALIGN_FLOOR * scale)
+    probe = np.where(cancelled, largest, probe)
+    return np.where((probe < 0)[..., None], -coeffs, coeffs), cancelled
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), points=st.integers(1, 12),
+       n_states=st.integers(2, 20), j_max=st.integers(8, 48))
+def test_pi_aligned_equals_the_einsum_rule(seed, points, n_states, j_max):
+    # random rows in the padded layout; about a third of them have their
+    # probe projected out, so that they fall back to the largest coefficient
+    rng = np.random.default_rng(seed)
+    odd = rng.random((points, n_states)) < 0.5
+    odd[0, :2] = False, True
+    coeffs = rng.standard_normal((points, n_states, j_max + 1))
+    coeffs[..., 0] = np.where(odd, 0.0, coeffs[..., 0])
+    value, slope = _pi_probe_weights(j_max + 1)
+    weights = np.where(odd[..., None], slope, value)
+    cancel = rng.random((points, n_states)) < 0.35
+    cancel[0, :2] = True
+    projection = (np.einsum("...j,...j->...", coeffs, weights)
+                  / np.einsum("...j,...j->...", weights, weights))
+    coeffs -= np.where(cancel, projection, 0.0)[..., None] * weights
+    want, cancelled = _einsum_pi_aligned(coeffs, odd)
+    assert cancelled[0, :2].all()               # a fallback in each sector
+    assert np.array_equal(_pi_aligned(coeffs, odd), want)
+
+
+def _full_tie_sort_merge(eta, zeta, w1, w2, n_states, j_max):
+    # the state cut with every row sorted again by level, sector and rank
+    k1, k2 = min(n_states, w1.shape[1]), min(n_states, w2.shape[1])
+    energies = np.concatenate([w1[:, :k1], w2[:, :k2]], axis=1)
+    odd = np.repeat([False, True], (k1, k2))
+    rank = np.concatenate([np.arange(k1), np.arange(k2)])
+    tie = _tie(eta, zeta, j_max)
+    order = np.argsort(energies, axis=1, kind="stable")
+    steps = np.diff(np.take_along_axis(energies, order, 1), axis=1)
+    level = np.cumsum(steps > tie[:, None], axis=1)
+    level = np.concatenate([np.zeros((len(order), 1), int), level], axis=1)
+    order = np.take_along_axis(
+        order, np.lexsort((rank[order], odd[order], level), axis=-1), 1)
+    kept = np.take_along_axis(energies, order[:, :n_states], 1)
+    dropped = np.concatenate([np.take_along_axis(energies, order[:, n_states:], 1),
+                              w1[:, k1:], w2[:, k2:]], axis=1)
+    cut_gap = dropped.min(axis=1) - kept.max(axis=1)
+    return kept, odd[order[:, :n_states]], rank[order[:, :n_states]], cut_gap
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), points=st.integers(1, 12),
+       n_states=st.integers(1, 20), j_max=st.integers(10, 40))
+def test_merge_equals_the_full_tie_sort(seed, points, n_states, j_max):
+    # sector levels on a lattice of spacing 1/2: where the two sectors share
+    # lattice points their levels are exact ties, moved apart by up to 0.9
+    # of the tie width (one level) or by 3 of it (two levels); in rows whose
+    # sectors take even and odd lattice points apart no level is tied
+    rng = np.random.default_rng(seed)
+    eta = -rng.uniform(0.0, 40.0, points)
+    zeta = rng.uniform(0.0, 40.0, points)
+    tie = _tie(eta, zeta, j_max)[:, None]
+    count = n_states + 1
+    w1, w2 = np.empty((points, count)), np.empty((points, count))
+    for p in range(points):
+        if rng.random() < 0.3:
+            lattice = rng.permutation(4 * count)
+            w1[p], w2[p] = np.sort(lattice[:count] * 2), np.sort(lattice[
+                count:2 * count] * 2 + 1)
+        else:
+            w1[p], w2[p] = (np.sort(rng.choice(3 * count, count, replace=False))
+                            for _ in range(2))
+    shift = rng.choice([0.0, 0.9, -0.9, 3.0, -3.0], size=w2.shape)
+    w1, w2 = 0.5 * w1, 0.5 * w2 + shift * tie
+    w1, w2 = w1[:, :min(count, j_max + 1)], w2[:, :min(count, j_max)]
+    got = _merge(eta, zeta, w1, w2, n_states, j_max)
+    for a, b in zip(got, _full_tie_sort_merge(eta, zeta, w1, w2, n_states,
+                                              j_max)):
+        assert np.array_equal(a, b)
