@@ -835,10 +835,17 @@ def test_negative_values_after_flags(tmp_path, monkeypatch):
     assert len(read_csv(tmp_path / "neg.csv")) == 3
 
 
-@pytest.mark.parametrize("flags", [["--threads", "0"], []])
-def test_thread_flag_ignored_outside_topology_map(tmp_path, monkeypatch,
-                                                  flags):
+# the thread count is accepted and ignored from the command line or from a
+# config file's "threads" key (threads: that key's value, None for no file)
+@pytest.mark.parametrize("flags,threads", [(["--threads", "0"], None),
+                                           ([], 0), ([], 64)],
+                         ids=["flags0-None", "flags1-0", "flags2-many"])
+def test_thread_count_ignored_outside_topology_map(tmp_path, monkeypatch,
+                                                   flags, threads):
     monkeypatch.chdir(tmp_path)
+    if threads is not None:
+        (tmp_path / "c.json").write_text(json.dumps({"threads": threads}))
+        flags = flags + ["--config", "c.json"]
     assert main(["spectrum", "--eta", "-10", "--zeta", "25", "--n-states",
                  "2", "--output", "s.csv"] + flags) == 0
     assert len(read_csv(tmp_path / "s.csv")) == 2
