@@ -15,17 +15,9 @@ values and unknown keys are reported with the offending file:line.
 propagate's 'schedule' is the one key without a flag; it excludes the
 inline ramp flags.
 
-The manifest also carries 'diagnostics' for every command that solves a
-spectrum: the largest basis cutoff used and basis tail seen, the smallest
-cut gap (lowest dropped level minus highest kept one), the number of
-points whose automatic cutoff missed its first guess and was grown
-(cutoff_misses; not for crossings), for switch-on and topology-map the
-largest population deficit, and for crossings the
-largest window tail bound (noted for every window, with or without a
-crossing). propagate records the largest snapshot norm drift and grid
-tail, with a ramp the largest ramp window and edge weight checked on it
-(ramp_j_max, ramp_tail), and with a hold the largest hold cutoff and tail
-certificate (hold_j_max, hold_tail).
+The manifest also carries 'diagnostics' for every command but validate:
+how close the run came to its numerical limits, each key folded over the
+run by one rule (see _Limits).
 
 Scans over several (eta, zeta) points (spectrum, switch-on, switch-off,
 topology-map) solve them in stacks (solve_stacks) and write their rows in
@@ -54,6 +46,7 @@ import argparse
 import hashlib
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -237,35 +230,34 @@ def _sha256(path: str) -> str:
 
 
 class _Limits:
-    """How close one run's solves came to their numerical limits: the
-    largest cutoff and basis tail, the smallest cut gap, the number of
-    points solved again at a grown cutoff (cutoff_misses), for switch-on
-    populations the largest deficit 1 - sum_n |C_n|^2, for crossing
-    windows the largest tail bound, and for propagate the largest norm
-    drift, grid tail, ramp window and edge weight, and hold cutoff and
-    hold tail bound. Deterministic, so the manifest carries them beside
-    the outputs."""
+    """How close one run came to its numerical limits, by diagnostic key:
+    each solve's cutoff (j_max), basis tail and cut gap (lowest dropped
+    level minus highest kept one), cutoff_misses (solves grown past their
+    first guess), population_deficit (1 - sum_n |C_n|^2), crossings'
+    window tail_bound, and propagate's snapshot norm drift and grid tail,
+    ramp window and edge weight, and hold cutoff and tail certificate.
+
+    The key alone sets how its values fold over points, windows and holds:
+    cut_gap keeps the smallest, cutoff_misses the sum, and every other key
+    the largest. Deterministic, so the manifest carries them beside the
+    outputs."""
+
+    _FOLDS = {"cut_gap": min, "cutoff_misses": operator.add}
 
     def __init__(self):
         self.values: Dict[str, float] = {}
 
     def note(self, **values) -> None:
         for key, value in values.items():
-            self.values[key] = max(self.values.get(key, value), value)
-
-    def least(self, **values) -> None:
-        for key, value in values.items():
-            self.values[key] = min(self.values.get(key, value), value)
-
-    def count(self, **values) -> None:
-        for key, value in values.items():
-            self.values[key] = self.values.get(key, 0) + value
+            if key in self.values:
+                value = self._FOLDS.get(key, max)(self.values[key], value)
+            self.values[key] = value
 
     def solved(self, spec) -> None:
         """Note a PendularSpectrum, or a SpectrumStack's points."""
-        self.note(j_max=spec.j_max, basis_tail=float(np.max(spec.basis_tail)))
-        self.least(cut_gap=float(np.min(spec.cut_gap)))
-        self.count(cutoff_misses=int(np.count_nonzero(spec.grown)))
+        self.note(j_max=spec.j_max, basis_tail=float(np.max(spec.basis_tail)),
+                  cut_gap=float(np.min(spec.cut_gap)),
+                  cutoff_misses=int(np.count_nonzero(spec.grown)))
 
 
 def _write_manifest(stem: str, args: argparse.Namespace,
@@ -490,8 +482,7 @@ def _run_crossings(args: argparse.Namespace, limits: _Limits):
             float(zeta), (float(window[0]), float(window[-1])),
             tuple(args.pair), resolution=args.resolution, j_max=args.j_max)
         limits.note(j_max=records.j_max, basis_tail=records.basis_tail,
-                    tail_bound=records.tail_bound)
-        limits.least(cut_gap=records.cut_gap)
+                    tail_bound=records.tail_bound, cut_gap=records.cut_gap)
         for r in records:
             limits.note(basis_tail=r.basis_tail)
             rows.append((float(zeta), r.state_pair[0], r.state_pair[1],
@@ -512,14 +503,15 @@ def _run_switch_off(args: argparse.Namespace, limits: _Limits):
                            switch_off_populations)
 
     n0 = args.n0
+    tau = (None if args.tau_max is None
+           else make_tau_grid(args.tau_max, args.samples_per_period))
     rows, series = {}, {}
     for stack, points in _stacked_scan(args, limits, max(n0 + 1, 4)):
         for p, (i, eta, zeta, _) in enumerate(points):
             spec = stack.spectrum(p)
             rows[i] = [(eta, zeta, n0, rec.index, rec.probability)
                        for rec in switch_off_populations(spec, n0)]
-            if args.tau_max is not None:
-                tau = make_tau_grid(args.tau_max, args.samples_per_period)
+            if tau is not None:
                 ev = switch_off_evolution(switch_off_coefficients(spec, n0),
                                           tau)
                 series[i] = [_series_block((eta, zeta, n0), tau, ev,
@@ -533,24 +525,24 @@ def _run_switch_off(args: argparse.Namespace, limits: _Limits):
 
 
 def _run_switch_on(args: argparse.Namespace, limits: _Limits):
-    from .cqes import _switch_on_column, switch_on_coefficients
+    from .cqes import SwitchCoefficients, _switch_on_column
     from .dynamics import make_tau_grid, switch_on_evolution
 
     j0 = args.j0
+    tau = (None if args.tau_max is None
+           else make_tau_grid(args.tau_max, args.samples_per_period))
     rows, series = {}, {}
     for stack, points in _stacked_scan(args, limits, args.n_states):
-        populations = np.abs(_switch_on_column(stack.coefficients, stack.odd,
-                                               j0)) ** 2
+        column = _switch_on_column(stack.coefficients, stack.odd, j0)
         for p, ((i, eta, zeta, labels), probs) in enumerate(
-                zip(points, populations.tolist())):
+                zip(points, (np.abs(column) ** 2).tolist())):
             limits.note(population_deficit=1.0 - sum(probs))
             rows[i] = [(eta, zeta, j0, n, lab, prob)
                        for n, (lab, prob) in enumerate(zip(labels, probs))]
-            if args.tau_max is not None:
-                spec = stack.spectrum(p)
-                tau = make_tau_grid(args.tau_max, args.samples_per_period)
+            if tau is not None:
                 ser, _ = switch_on_evolution(
-                    spec, switch_on_coefficients(spec, j0), tau)
+                    stack.spectrum(p),
+                    SwitchCoefficients("switch_on", column[p]), tau)
                 series[i] = [_series_block(
                     (eta, zeta, j0), tau, ser, ("cos", "cos2", "J2", "energy"))]
     extras = {}
@@ -687,9 +679,8 @@ def _run_topology_map(args: argparse.Namespace, limits: _Limits):
         args.j0, args.tau_tilde, (len(etas), len(zetas)),
         n_states=args.n_states, j_max=args.j_max)
     limits.note(j_max=tmap.j_max, basis_tail=tmap.basis_tail,
-                population_deficit=tmap.population_deficit)
-    limits.least(cut_gap=tmap.cut_gap)
-    limits.count(cutoff_misses=tmap.cutoff_misses)
+                population_deficit=tmap.population_deficit,
+                cut_gap=tmap.cut_gap, cutoff_misses=tmap.cutoff_misses)
     rows = []
     for i, eta in enumerate(tmap.eta_values):
         for k, zeta in enumerate(tmap.zeta_values):

@@ -177,13 +177,6 @@ class Wavefunction:
     def norm(self) -> float:
         return float(grid_moments(self.amplitudes, self.grid).norm)
 
-    def overlap(self, other: "Wavefunction") -> complex:
-        if other.grid.n_points != self.grid.n_points:
-            raise ValueError("grids differ")
-        return complex(
-            np.sum(np.conj(self.amplitudes) * other.amplitudes)
-            * self.grid.dtheta)
-
     def expectation_cos(self) -> float:
         return float(grid_moments(self.amplitudes, self.grid).cos)
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import groupby, islice
@@ -281,26 +281,19 @@ def _hold_runs(schedule: PulseSchedule, dtau: float, nsteps: int
     """(first, last, fields) of each maximal run of steps first+1..last
     (step i spans [(i-1)*dtau, i*dtau]) that lies wholly inside a constant
     segment or past the schedule's end, in time order. A step that touches
-    a ramp belongs to none."""
+    a ramp belongs to none. A segment [lo, hi] runs from the first step
+    boundary k*dtau >= lo to the last one <= hi, k = 0..nsteps, both found
+    by binary search on the floats k*dtau themselves."""
     spans = [(lo, hi, (seg.eta.start, seg.zeta.start)) for seg, (lo, hi)
              in zip(schedule.segments, schedule.spans.tolist())
              if seg.duration > 0 and seg.eta.kind == seg.zeta.kind == "constant"]
     spans.append((schedule.total_duration, math.inf,
                   schedule.fields_at(math.inf)))
+    boundaries = range(nsteps + 1)
     runs: List[Tuple[int, int, Tuple[float, float]]] = []
     for lo, hi, fields in spans:
-        first = math.ceil(lo / dtau)        # the first step boundary >= lo
-        while first * dtau < lo:
-            first += 1
-        while first > 0 and (first - 1) * dtau >= lo:
-            first -= 1
-        last = nsteps                       # the last step boundary <= hi
-        if hi < nsteps * dtau:
-            last = math.floor(hi / dtau)
-            while last * dtau > hi:
-                last -= 1
-            while (last + 1) * dtau <= hi:
-                last += 1
+        first = bisect_left(boundaries, lo, key=lambda k: k * dtau)
+        last = bisect_right(boundaries, hi, key=lambda k: k * dtau) - 1
         if last <= first:
             continue
         if runs and runs[-1][1] == first and runs[-1][2] == fields:

@@ -253,21 +253,15 @@ _ALIGN_FLOOR = 1e-8
 
 
 @lru_cache(maxsize=None)
-def _pi_probe_weights(n_coeffs: int):
-    """Weights w with f(pi) = c @ value (even) and f'(pi) = c @ slope (odd).
-    Read-only: every call with n_coeffs returns the same arrays."""
+def _pi_probe_columns(n_coeffs: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The columns (value, slope) with f(pi) = c @ value (even states) and
+    f'(pi) = c @ slope (odd states), and their magnitudes, as (n_coeffs, 2)
+    matrices. Read-only: every call with n_coeffs returns the same arrays."""
     j = np.arange(n_coeffs)
     value = (-1.0) ** j / math.sqrt(np.pi)
     slope = j * value
     value[0] = 1.0 / math.sqrt(2.0 * np.pi)
-    return _read_only(value, slope)
-
-
-@lru_cache(maxsize=None)
-def _pi_probe_columns(n_coeffs: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The columns (value, slope) of _pi_probe_weights, and their
-    magnitudes, as (n_coeffs, 2) matrices; read-only."""
-    weights = np.stack(_pi_probe_weights(n_coeffs), axis=1)
+    weights = np.stack((value, slope), axis=1)
     return _read_only(weights, np.abs(weights))
 
 
@@ -638,7 +632,8 @@ def crossing_scan(zeta: float, eta_range: Tuple[float, float],
     and the refinement probes are unguarded; _tail_bound must hold again
     at lam = the largest coarse energy plus one coarse step, or ValueError
     is raised (at a given j_max, or at J_MAX_CAP). So the coarse grid is
-    scanned once. Records are guarded.
+    scanned once. Records are guarded, and their kappa is
+    InteractionParams.kappa, so zeta = 0 is refused before any solve.
 
     Each coarse interval where the Hellmann-Feynman gap slope (_gap_slope)
     goes from < 0 to >= 0 brackets a gap minimum, however narrow, refined
@@ -651,6 +646,9 @@ def crossing_scan(zeta: float, eta_range: Tuple[float, float],
     if pair[0] < 0 or pair[1] != pair[0] + 1:
         raise ValueError(f"pair must be adjacent states (n, n+1) with n >= 0, "
                          f"got {tuple(pair)}")
+    if zeta == 0:
+        raise ValueError("zeta must be > 0: a record's kappa = "
+                         "|eta|/sqrt(zeta) is undefined at zeta = 0")
     lo, hi = min(eta_range), max(eta_range)
     if resolution < 8:
         raise ValueError("resolution too small")
@@ -700,7 +698,7 @@ def crossing_scan(zeta: float, eta_range: Tuple[float, float],
         cut_gap = min(cut_gap, sp.cut_gap)
         records.append(CrossingRecord(
             state_pair=pair, eta_at_crossing=eta_c, zeta=zeta,
-            kappa=int(round(abs(eta_c) / math.sqrt(zeta))),
+            kappa=int(round(sp.params.kappa)),
             kind="genuine" if genuine else "avoided",
             min_gap=float(abs(sp.energies[pair[1]] - sp.energies[pair[0]])),
             j_max=cutoff, basis_tail=sp.basis_tail))

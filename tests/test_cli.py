@@ -246,6 +246,28 @@ def test_manifest_diagnostics(tmp_path, monkeypatch):
     assert sorted(diagnostics("s")) == ["basis_tail", "cut_gap",
                                         "cutoff_misses", "j_max"]
 
+    # scans whose points span several automatic cutoffs fold each key over
+    # the points as their own solves give it; (0, 7) at 6 states misses its
+    # first cutoff guess
+    scan = ["--eta-range", "-30:0:3.75", "--zeta-range", "7:62:11",
+            "--n-states", "6"]
+    specs = [solve_spectrum(InteractionParams(float(eta), float(zeta)), 6)
+             for zeta in parse_range("7:62:11")
+             for eta in parse_range("-30:0:3.75")]
+    assert len({spec.j_max for spec in specs}) > 1
+    assert any(spec.grown for spec in specs)
+    folded = {"j_max": max(spec.j_max for spec in specs),
+              "basis_tail": max(spec.basis_tail for spec in specs),
+              "cut_gap": min(spec.cut_gap for spec in specs),
+              "cutoff_misses": sum(spec.grown for spec in specs)}
+    assert main(["spectrum", *scan, "--output", "ss.csv"]) == 0
+    assert diagnostics("ss") == folded
+    assert main(["switch-on", *scan, "--j0", "1", "--output", "son.csv"]) == 0
+    folded["population_deficit"] = max(
+        1.0 - sum(r.probability for r in switch_on_populations(spec, 1))
+        for spec in specs)
+    assert diagnostics("son") == folded
+
     assert main(["propagate", "--n0", "1", "--eta-from", "-4",
                  "--zeta-from", "9", "--eta-to", "-10", "--zeta-to", "25",
                  "--ramp-duration", "0.1", "--hold-duration", "0.2",
@@ -682,6 +704,13 @@ _RAMP = ["propagate", "--j0", "0", "--eta-to", "-10", "--zeta-to", "25",
     pytest.param(["crossings", "--zeta", "16", "--eta-range", "-6:1:0.1",
                   "--pair", "1", "2"], "eta must be <= 0 by convention",
                  id="crossings-window-past-eta-0"),
+    # a record's kappa = |eta|/sqrt(zeta) has no value at zeta = 0; both
+    # windows hold a record
+    *(pytest.param(["crossings", *zeta, "--eta-range", "-5:0:0.5",
+                    "--pair", *pair], "error: crossings: zeta must be > 0",
+                   id=f"crossings-zeta-0-pair-{'-'.join(pair)}-{zeta[0][2:]}")
+      for zeta in (["--zeta", "0"], ["--zeta-range", "0:16:16"])
+      for pair in (["1", "2"], ["2", "3"])),
     # the propagate start states: a negative eigenstate index, and a start
     # past the grid_tail limit n/4 of --grid-points
     pytest.param(["propagate", "--n0", "-1", *_RAMP[3:]], "n0",

@@ -452,6 +452,22 @@ _BREAKS_ON_MIDPOINTS = [
     Segment(0.875, smooth_cosine(-6.0, 0.0), linear(8.0, 1.0))]
 
 
+def _breaks_near_steps(ulps, dtau=0.1, steps=(3, 5, 8, 12, 20)):
+    """Hold, ramp, hold, ramp, hold, whose breaks sit at k*dtau, k in
+    steps, each moved by its count of ulps (math.nextafter). Neighbouring
+    breaks lie within a factor 2, so each duration is their exact
+    difference and the spans add back up to the breaks bit for bit."""
+    breaks = [math.nextafter(k * dtau, math.copysign(math.inf, n)) if n
+              else k * dtau for k, n in zip(steps, ulps)]
+    durations = np.diff([0.0, *breaks]).tolist()
+    fields = [(constant(-4.0), constant(9.0)),
+              (linear(-4.0, -9.0), smooth_cosine(9.0, 20.0)),
+              (constant(-9.0), constant(20.0)),
+              (smooth_cosine(-9.0, -6.0), linear(20.0, 16.0)),
+              (constant(-6.0), constant(16.0))]
+    return [Segment(d, *f) for d, f in zip(durations, fields)]
+
+
 def _profile_value(profile, s):
     """Profile.value on one float, by math.cos."""
     if profile.kind == "constant":
@@ -614,6 +630,12 @@ def test_first_cutoff_of_a_unit_state_steps_by_8(eta, zeta, first):
     pytest.param(_ZERO_DURATION, 1e-2, 60, id="zero-duration-segments"),
     pytest.param(_BREAKS_ON_MIDPOINTS, 0.25, 6, id="breaks-on-midpoints"),
     pytest.param(_HOLD_BETWEEN_RAMPS, 0.03, 80, id="hold-between-ramps"),
+    # each break on a step boundary k*dtau or one ulp to either side of it
+    *(pytest.param(_breaks_near_steps(ulps), 0.1, 24, id=f"breaks-{name}")
+      for name, ulps in [("on-steps", (0,) * 5),
+                         ("one-ulp-below-steps", (-1,) * 5),
+                         ("one-ulp-above-steps", (1,) * 5),
+                         ("one-ulp-either-side", (1, -1, 0, -1, 1))]),
 ])
 def test_hold_runs_are_the_steps_without_a_ramp(segments, dtau, nsteps):
     """A step is in a hold run iff it lies in a constant segment or past

@@ -110,6 +110,20 @@ def test_crossing_scan_refuses_a_bad_pair(pair):
         crossing_scan(16.0, (-10.0, -6.0), pair, resolution=41)
 
 
+@pytest.mark.parametrize("pair", [(1, 2), (2, 3)])
+def test_crossing_scan_refuses_zeta_0_before_a_solve(monkeypatch, pair):
+    # a record's kappa = |eta|/sqrt(zeta) has no value at zeta = 0: the
+    # window is refused whether or not it holds a record, and nothing is
+    # solved first
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before refusing zeta = 0")
+
+    monkeypatch.setattr(spectrum_module, "solve_spectrum", no_solve)
+    monkeypatch.setattr(spectrum_module, "_solve_chunk", no_solve)
+    with pytest.raises(ValueError, match="zeta must be > 0"):
+        crossing_scan(0.0, (-5.0, 0.0), pair)
+
+
 @pytest.fixture
 def counted_probes(monkeypatch):
     """Record every refinement probe as (eta, value), and raise past a

@@ -28,7 +28,7 @@ from planar_pendulum.spectrum import (
     _element_stack,
     _merge,
     _pi_aligned,
-    _pi_probe_weights,
+    _pi_probe_columns,
     _sector_bands,
     _tie,
 )
@@ -219,7 +219,7 @@ def _einsum_pi_aligned(coeffs, odd):
     # the sign rule row by row: each row's probe and scale as one einsum
     # with its own sector's weights, the largest coefficient looked up in
     # every row
-    value, slope = _pi_probe_weights(coeffs.shape[-1])
+    value, slope = _pi_probe_columns(coeffs.shape[-1])[0].T
     weights = np.where(odd[..., None], slope, value)
     probe = np.einsum("...j,...j->...", coeffs, weights)
     scale = np.einsum("...j,...j->...", np.abs(coeffs), np.abs(weights))
@@ -241,7 +241,7 @@ def test_pi_aligned_equals_the_einsum_rule(seed, points, n_states, j_max):
     odd[0, :2] = False, True
     coeffs = rng.standard_normal((points, n_states, j_max + 1))
     coeffs[..., 0] = np.where(odd, 0.0, coeffs[..., 0])
-    value, slope = _pi_probe_weights(j_max + 1)
+    value, slope = _pi_probe_columns(j_max + 1)[0].T
     weights = np.where(odd[..., None], slope, value)
     cancel = rng.random((points, n_states)) < 0.35
     cancel[0, :2] = True

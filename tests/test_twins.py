@@ -12,7 +12,7 @@ from planar_pendulum import (
     switch_off_coefficients,
     switch_on_coefficients,
 )
-from planar_pendulum.spectrum import _ALIGN_FLOOR, _pi_probe_weights
+from planar_pendulum.spectrum import _ALIGN_FLOOR, _pi_probe_columns
 from planar_pendulum.twins import (
     quadrature_element_matrix,
     quadrature_switch_off_coefficients,
@@ -32,7 +32,7 @@ def _grid_pi_probe(spec, n, grid):
     # scale is the one solve_spectrum applies to the exact probe
     f = spec.wavefunction(n, grid).amplitudes.real
     mid = grid.n_points // 2
-    value, slope = _pi_probe_weights(spec.j_max + 1)
+    value, slope = _pi_probe_columns(spec.j_max + 1)[0].T
     if spec.labels[n] is SymmetryLabel.A1:
         probe, weights = f[mid], value
     else:
