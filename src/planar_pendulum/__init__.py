@@ -51,7 +51,6 @@ _EXPORTS = {
         "switch_on_coefficients",
     ),
     "dynamics": (
-        "CoherenceDecomposition",
         "ExpectationSeries",
         "PopulationRecord",
         "TopologyMap",

@@ -17,7 +17,7 @@ inline ramp flags.
 
 The manifest also carries 'diagnostics' for every command but validate:
 how close the run came to its numerical limits, each key folded over the
-run by one rule (see _Limits).
+run by one rule (see core.Limits).
 
 Scans over several (eta, zeta) points (spectrum, switch-on, switch-off,
 topology-map) solve them in stacks (solve_stacks) and write their rows in
@@ -46,7 +46,6 @@ import argparse
 import hashlib
 import json
 import math
-import operator
 import os
 import re
 import sys
@@ -65,6 +64,7 @@ from .core import (
     SAMPLES_PER_PERIOD,
     TAIL_TOL,
     InteractionParams,
+    Limits,
     SymmetryLabel,
     make_grid,
 )
@@ -229,39 +229,8 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-class _Limits:
-    """How close one run came to its numerical limits, by diagnostic key:
-    each solve's cutoff (j_max), basis tail and cut gap (lowest dropped
-    level minus highest kept one), cutoff_misses (solves grown past their
-    first guess), population_deficit (1 - sum_n |C_n|^2), crossings'
-    window tail_bound, and propagate's snapshot norm drift and grid tail,
-    ramp window and edge weight, and hold cutoff and tail certificate.
-
-    The key alone sets how its values fold over points, windows and holds:
-    cut_gap keeps the smallest, cutoff_misses the sum, and every other key
-    the largest. Deterministic, so the manifest carries them beside the
-    outputs."""
-
-    _FOLDS = {"cut_gap": min, "cutoff_misses": operator.add}
-
-    def __init__(self):
-        self.values: Dict[str, float] = {}
-
-    def note(self, **values) -> None:
-        for key, value in values.items():
-            if key in self.values:
-                value = self._FOLDS.get(key, max)(self.values[key], value)
-            self.values[key] = value
-
-    def solved(self, spec) -> None:
-        """Note a PendularSpectrum, or a SpectrumStack's points."""
-        self.note(j_max=spec.j_max, basis_tail=float(np.max(spec.basis_tail)),
-                  cut_gap=float(np.min(spec.cut_gap)),
-                  cutoff_misses=int(np.count_nonzero(spec.grown)))
-
-
 def _write_manifest(stem: str, args: argparse.Namespace,
-                    outputs: List[str], limits: _Limits) -> str:
+                    outputs: List[str], limits: Limits) -> str:
     path = stem + ".manifest.json"
     manifest = {
         "command": args.command,
@@ -273,8 +242,8 @@ def _write_manifest(stem: str, args: argparse.Namespace,
             for p in outputs
         ],
     }
-    if limits.values:
-        manifest["diagnostics"] = limits.values
+    if limits:
+        manifest["diagnostics"] = limits
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -436,7 +405,7 @@ def _scan_points(args: argparse.Namespace) -> List[Tuple[float, float]]:
 _LABEL_TEXT = (str(SymmetryLabel.A1), str(SymmetryLabel.A2))
 
 
-def _stacked_scan(args: argparse.Namespace, limits: _Limits, n_states: int):
+def _stacked_scan(args: argparse.Namespace, limits: Limits, n_states: int):
     """Yield (stack, points) for the scan points of spectrum, switch-on
     or switch-off, n_states states each, solved in stacks (solve_stacks):
     points[p] is the scan position, eta, zeta and state labels of the
@@ -456,7 +425,7 @@ def _in_scan_order(per_point: Dict[int, List]) -> List:
     return list(chain.from_iterable(per_point[i] for i in sorted(per_point)))
 
 
-def _run_spectrum(args: argparse.Namespace, limits: _Limits):
+def _run_spectrum(args: argparse.Namespace, limits: Limits):
     rows = {}
     for stack, points in _stacked_scan(args, limits, args.n_states):
         for (i, eta, zeta, labels), energies in zip(points,
@@ -467,7 +436,7 @@ def _run_spectrum(args: argparse.Namespace, limits: _Limits):
             {})
 
 
-def _run_crossings(args: argparse.Namespace, limits: _Limits):
+def _run_crossings(args: argparse.Namespace, limits: Limits):
     from .spectrum import crossing_scan
 
     if args.eta_range is None:
@@ -497,7 +466,7 @@ def _series_block(point: Tuple, tau: np.ndarray, series: Dict,
     return Block(point, (tau, *(series[name].values for name in names)))
 
 
-def _run_switch_off(args: argparse.Namespace, limits: _Limits):
+def _run_switch_off(args: argparse.Namespace, limits: Limits):
     from .cqes import switch_off_coefficients
     from .dynamics import (make_tau_grid, switch_off_evolution,
                            switch_off_populations)
@@ -524,9 +493,10 @@ def _run_switch_off(args: argparse.Namespace, limits: _Limits):
             extras)
 
 
-def _run_switch_on(args: argparse.Namespace, limits: _Limits):
+def _run_switch_on(args: argparse.Namespace, limits: Limits):
     from .cqes import SwitchCoefficients, _switch_on_column
-    from .dynamics import make_tau_grid, switch_on_evolution
+    from .dynamics import (_population_deficit, make_tau_grid,
+                           switch_on_evolution)
 
     j0 = args.j0
     tau = (None if args.tau_max is None
@@ -534,13 +504,13 @@ def _run_switch_on(args: argparse.Namespace, limits: _Limits):
     rows, series = {}, {}
     for stack, points in _stacked_scan(args, limits, args.n_states):
         column = _switch_on_column(stack.coefficients, stack.odd, j0)
+        limits.note(population_deficit=_population_deficit(column))
         for p, ((i, eta, zeta, labels), probs) in enumerate(
                 zip(points, (np.abs(column) ** 2).tolist())):
-            limits.note(population_deficit=1.0 - sum(probs))
             rows[i] = [(eta, zeta, j0, n, lab, prob)
                        for n, (lab, prob) in enumerate(zip(labels, probs))]
             if tau is not None:
-                ser, _ = switch_on_evolution(
+                ser = switch_on_evolution(
                     stack.spectrum(p),
                     SwitchCoefficients("switch_on", column[p]), tau)
                 series[i] = [_series_block(
@@ -607,7 +577,7 @@ RAMP_FLAGS = ("eta-from", "zeta-from", "eta-to", "zeta-to", "ramp-duration",
               "hold-duration", "shape")
 
 
-def _run_propagate(args: argparse.Namespace, limits: _Limits):
+def _run_propagate(args: argparse.Namespace, limits: Limits):
     from .propagate import PulseSchedule, propagate
     from .spectrum import solve_spectrum
 
@@ -651,12 +621,10 @@ def _run_propagate(args: argparse.Namespace, limits: _Limits):
     traj = propagate(start, schedule, dtau=args.dtau,
                      sample_stride=args.sample_stride, duration=args.tau_end)
     limits.note(norm_drift=traj.norm_drift, grid_tail=traj.grid_tail)
-    if traj.ramp_limits:
-        windows, edges = zip(*traj.ramp_limits)
-        limits.note(ramp_j_max=max(windows), ramp_tail=max(edges))
-    if traj.hold_limits:
-        cutoffs, tails = zip(*traj.hold_limits)
-        limits.note(hold_j_max=max(cutoffs), hold_tail=max(tails))
+    for window, edge in traj.ramp_limits:
+        limits.note(ramp_j_max=window, ramp_tail=edge)
+    for cutoff, tail in traj.hold_limits:
+        limits.note(hold_j_max=cutoff, hold_tail=tail)
     series = ("cos", "cos2", "J2", "energy")
     columns = [traj.tau_samples, *traj.fields.T,
                *(traj.observables[k].values for k in series), traj.norms]
@@ -664,7 +632,7 @@ def _run_propagate(args: argparse.Namespace, limits: _Limits):
             Blocks([Block((), tuple(columns))]), {})
 
 
-def _run_topology_map(args: argparse.Namespace, limits: _Limits):
+def _run_topology_map(args: argparse.Namespace, limits: Limits):
     from .dynamics import topology_map
 
     if args.eta_range is None or args.zeta_range is None:
@@ -678,9 +646,7 @@ def _run_topology_map(args: argparse.Namespace, limits: _Limits):
         (float(etas[0]), float(etas[-1])),
         args.j0, args.tau_tilde, (len(etas), len(zetas)),
         n_states=args.n_states, j_max=args.j_max)
-    limits.note(j_max=tmap.j_max, basis_tail=tmap.basis_tail,
-                population_deficit=tmap.population_deficit,
-                cut_gap=tmap.cut_gap, cutoff_misses=tmap.cutoff_misses)
+    limits.note(**tmap.limits)
     rows = []
     for i, eta in enumerate(tmap.eta_values):
         for k, zeta in enumerate(tmap.zeta_values):
@@ -845,7 +811,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             args = _with_config(parser, argv, args)
         if command == "validate":
             return _run_validate(args)
-        limits = _Limits()
+        limits = Limits()
         columns, rows, extras = _RUNNERS[command](args, limits)
     except ConfigError as exc:
         print(exc.render(), file=sys.stderr)

@@ -1,5 +1,6 @@
 """Fundamental types for the planar rotor: interaction parameters, angular
-grids, wavefunctions, and free-rotor states.
+grids, wavefunctions, and free-rotor states; and Limits, the fold of a
+run's numerical limits that topology_map and the CLI manifest share.
 
 Everything is dimensionless: energies in units of the rotational constant,
 time in units of hbar over that constant, so the rotational period is 2*pi.
@@ -14,6 +15,7 @@ convention (a positive eta is the same physics shifted by pi).
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
@@ -271,3 +273,32 @@ def potential_shape(params: InteractionParams) -> PotentialShape:
     theta_b = math.acos(-eta / (2.0 * zeta))
     vb = eta * eta / (4.0 * zeta)
     return PotentialShape("double-well", theta_b, vpi, v0, vb)
+
+
+class Limits(dict):
+    """How close one run came to its numerical limits, by diagnostic key:
+    each solve's cutoff (j_max), basis tail and cut gap (lowest dropped
+    level minus highest kept one), cutoff_misses (solves grown past their
+    first guess), population_deficit (1 - sum_n |C_n|^2), crossings'
+    window tail_bound, and propagate's snapshot norm drift and grid tail,
+    ramp window and edge weight, and hold cutoff and tail certificate.
+
+    The key alone sets how its values fold over points, windows and holds:
+    cut_gap keeps the smallest, cutoff_misses the sum, and every other key
+    the largest. A dict of the folded values: one result's limits merge
+    by note(**other), and the manifest dumps them beside the outputs, as
+    they are deterministic."""
+
+    _FOLDS = {"cut_gap": min, "cutoff_misses": operator.add}
+
+    def note(self, **values) -> None:
+        for key, value in values.items():
+            if key in self:
+                value = self._FOLDS.get(key, max)(self[key], value)
+            self[key] = value
+
+    def solved(self, spec) -> None:
+        """Note a PendularSpectrum, or a SpectrumStack's points."""
+        self.note(j_max=spec.j_max, basis_tail=float(np.max(spec.basis_tail)),
+                  cut_gap=float(np.min(spec.cut_gap)),
+                  cutoff_misses=int(np.count_nonzero(spec.grown)))

@@ -23,8 +23,9 @@ first block; each sample's phase is the product of its block's two
 factors, corrected to first order for the few ulps by which the grid is
 not uniform; a non-uniform grid is phased sample by sample instead
 (_phased_blocks). The phase arguments are carried exactly, so the series
-stay within a few roundings of exp at any tau. The switch-on coherence sums
-take M psi as one real product with Re psi and Im psi side by side. The
+stay within a few roundings of exp at any tau. The switch-on coherence is
+one sum over both sectors (M is zero across them), taking M psi as one
+real product with Re psi and Im psi side by side. The
 time average sums the same-sector pairs in closed form (_window_average),
 in real arithmetic (sin x/x, and (cos x - 1)/x only for complex weights),
 stacked over the points of a map chunk or for one spectrum alike, each
@@ -40,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import SAMPLES_PER_PERIOD, InteractionParams, SymmetryLabel
+from .core import SAMPLES_PER_PERIOD, InteractionParams, Limits, SymmetryLabel
 from .cqes import (
     SwitchCoefficients,
     _switch_on_column,
@@ -276,6 +277,12 @@ def switch_on_populations(spectrum: PendularSpectrum, j0: int
             for n, label in enumerate(spectrum.labels)]
 
 
+def _population_deficit(column: np.ndarray) -> float:
+    """The largest 1 - sum_n |C_n|^2 over the points (rows) of a switch-on
+    column, each row summed in state order as its populations add."""
+    return max(1.0 - sum(probs) for probs in (np.abs(column) ** 2).tolist())
+
+
 def _population(c: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """Static population term sum_n |c_n|^2 M_nn, over any leading axes."""
     return np.sum(np.abs(c) ** 2 * np.diagonal(mat, axis1=-2, axis2=-1).real,
@@ -326,37 +333,18 @@ def _check_switch_on(spectrum: PendularSpectrum,
         raise ValueError("coefficient vector does not match spectrum size")
 
 
-@dataclass(frozen=True)
-class CoherenceDecomposition:
-    """Static population term and per-sector coherence parts of one
-    observable's switch-on signal. The coherence parts oscillate around
-    zero and are not bounded observables themselves, so they are plain
-    arrays on the parent tau grid."""
-
-    observable: str
-    tau_grid: np.ndarray
-    population: float
-    coherence_a1: np.ndarray
-    coherence_a2: np.ndarray
-
-    def recombined(self) -> np.ndarray:
-        return self.population + self.coherence_a1 + self.coherence_a2
-
-
 def switch_on_evolution(spectrum: PendularSpectrum,
                         coeffs: SwitchCoefficients,
-                        tau_grid: np.ndarray
-                        ) -> Tuple[Dict[str, ExpectationSeries],
-                                   Dict[str, CoherenceDecomposition]]:
-    """Series plus population/coherence decompositions after switch-on.
+                        tau_grid: np.ndarray) -> Dict[str, ExpectationSeries]:
+    """The {cos, cos2, J2, energy} series after switch-on.
 
-    Returns ({cos, cos2, J2, energy} series, {cos, cos2} decompositions).
     From the per-state amplitudes psi_n = c_n exp(-i(E_n - <H>)tau), with
-    the conserved energy <H> = sum|c_n|^2 E_n as phase reference, each
-    sector's coherence part is Re psi^H (M - diag M) psi over the populated
-    states of that sector, Re psi . Re(M psi) + Im psi . Im(M psi) with M
-    applied once to Re psi and Im psi together; the population term is
-    sum|c_n|^2 M_nn.
+    the conserved energy <H> = sum|c_n|^2 E_n as phase reference, the
+    coherence part of <cos> and <cos2> is one sum Re psi^H (M - diag M) psi
+    over the populated states in energy order, Re psi . Re(M psi) + Im psi
+    . Im(M psi) with M applied once to Re psi and Im psi together. M is
+    exactly zero across the symmetry sectors, so only same-sector pairs
+    add. The population term sum|c_n|^2 M_nn is added after.
     <J^2>(tau) follows from energy conservation: <H> + eta<cos> + zeta<cos2>.
     """
     _check_switch_on(spectrum, coeffs)
@@ -365,40 +353,27 @@ def switch_on_evolution(spectrum: PendularSpectrum,
     energy = float(np.sum(np.abs(c) ** 2 * spectrum.energies))
     mats = {name: sector_element_matrix(spectrum, name)
             for name in ("cos", "cos2")}
-    # populated states, A1 sector first; the element matrices vanish
-    # across sectors, so each sector's rows of psi^H M psi are its own part
     populated = np.flatnonzero(c)
-    order = populated[np.argsort(spectrum.odd[populated], kind="stable")]
-    n_a1 = int(np.count_nonzero(~spectrum.odd[order]))
     coupling = {}
     for name, mat in mats.items():
-        coupling[name] = mat[np.ix_(order, order)]
+        coupling[name] = mat[np.ix_(populated, populated)]
         np.fill_diagonal(coupling[name], 0.0)
-    coherence = {name: np.zeros((2, len(tau_grid))) for name in mats}
-    for block, psi in _phased_blocks(tau_grid, c[order],
-                                     spectrum.energies[order], energy):
+    coherence = {name: np.zeros(len(tau_grid)) for name in mats}
+    for block, psi in _phased_blocks(tau_grid, c[populated],
+                                     spectrum.energies[populated], energy):
         parts = psi.view(np.float64)        # Re and Im interleaved
         for name, m in coupling.items():
             products = parts * (m @ parts)
-            terms = products[:, 0::2] + products[:, 1::2]
-            coherence[name][0, block] = terms[:n_a1].sum(axis=0)
-            coherence[name][1, block] = terms[n_a1:].sum(axis=0)
-
-    totals, decomps = {}, {}
-    for name, mat in mats.items():
-        decomps[name] = CoherenceDecomposition(
-            observable=name, tau_grid=tau_grid,
-            population=float(_population(c, mat)),
-            coherence_a1=coherence[name][0], coherence_a2=coherence[name][1])
-        totals[name] = decomps[name].recombined()
+            coherence[name][block] = (products[:, 0::2]
+                                      + products[:, 1::2]).sum(axis=0)
+    totals = {name: float(_population(c, mat)) + coherence[name]
+              for name, mat in mats.items()}
 
     eta, zeta = spectrum.params.eta, spectrum.params.zeta
     j2_vals = energy + eta * totals["cos"] + zeta * totals["cos2"]
-
-    series = {name: ExpectationSeries(tau_grid, vals, name)
-              for name, vals in (*totals.items(), ("J2", j2_vals),
-                                 ("energy", np.full_like(tau_grid, energy)))}
-    return series, decomps
+    return {name: ExpectationSeries(tau_grid, vals, name)
+            for name, vals in (*totals.items(), ("J2", j2_vals),
+                               ("energy", np.full_like(tau_grid, energy)))}
 
 
 def dominant_coherence_period(spectrum: PendularSpectrum,
@@ -450,7 +425,9 @@ class TopologyMap:
     values[i, j] belongs to (eta_values[i], zeta_values[j]). kappa_loci
     holds {kappa: eta(zeta) curve samples} for the integer-index curves
     eta = -kappa*sqrt(zeta); well_boundary is |eta| = 2*zeta, above which
-    (in |eta|) the potential has a single well.
+    (in |eta|) the potential has a single well. limits folds every point's
+    solve (Limits.solved) and population deficit over the map, as the
+    manifest reports them.
     """
 
     eta_values: np.ndarray
@@ -460,14 +437,7 @@ class TopologyMap:
     tau_tilde: float
     kappa_loci: Dict[int, np.ndarray] = field(default_factory=dict)
     well_boundary: Optional[np.ndarray] = None
-    # over all points: the largest cutoff, basis tail and population
-    # deficit 1 - sum_n |C_n|^2 of the solved states, the smallest cut gap,
-    # and how many points were solved again at a grown cutoff
-    j_max: int = 0
-    basis_tail: float = 0.0
-    population_deficit: float = 0.0
-    cut_gap: float = math.inf
-    cutoff_misses: int = 0
+    limits: Limits = field(default_factory=Limits)
 
 
 def topology_map(zeta_range: Tuple[float, float], eta_range: Tuple[float, float],
@@ -495,17 +465,13 @@ def topology_map(zeta_range: Tuple[float, float], eta_range: Tuple[float, float]
     points = [InteractionParams(float(eta), float(zeta))
               for eta in eta_values for zeta in zeta_values]
     values = np.empty(len(points))
-    cutoff, tail, deficit, cut_gap, misses = 0, 0.0, 0.0, math.inf, 0
+    limits = Limits()
     for stack in solve_stacks(points, n_states, j_max):
         c = _switch_on_column(stack.coefficients, stack.odd, j0)
         mat = _element_stack(stack.coefficients, stack.odd, "cos")
         values[stack.index] = _window_average(c, stack.energies, mat, tau_tilde)
-        cutoff = max(cutoff, stack.j_max)
-        tail = max(tail, float(stack.basis_tail.max()))
-        deficit = max(deficit, float(np.max(1.0 - np.sum(np.abs(c) ** 2,
-                                                          axis=-1))))
-        cut_gap = min(cut_gap, float(stack.cut_gap.min()))
-        misses += int(np.count_nonzero(stack.grown))
+        limits.solved(stack)
+        limits.note(population_deficit=_population_deficit(c))
     values = values.reshape(n_eta, n_zeta)
 
     zq = np.sqrt(np.maximum(zeta_values, 0.0))
@@ -525,6 +491,4 @@ def topology_map(zeta_range: Tuple[float, float], eta_range: Tuple[float, float]
     return TopologyMap(eta_values=eta_values, zeta_values=zeta_values,
                        values=values, j0=j0, tau_tilde=tau_tilde,
                        kappa_loci=loci, well_boundary=boundary,
-                       j_max=cutoff, basis_tail=tail,
-                       population_deficit=deficit, cut_gap=cut_gap,
-                       cutoff_misses=misses)
+                       limits=limits)

@@ -319,7 +319,7 @@ def check_switch_on_energy() -> Tuple[bool, str]:
     for j0, zeta in ((0, 25.0), (1, 25.0), (2, 16.0)):
         spec = solve_spectrum(InteractionParams(-10.0, zeta), 28)
         cq = quadrature_switch_on_coefficients(spec, j0)
-        ser, _ = switch_on_evolution(spec, cq, make_tau_grid(2.0 * math.pi))
+        ser = switch_on_evolution(spec, cq, make_tau_grid(2.0 * math.pi))
         target = j0 ** 2 - zeta / 2.0
         worst = max(worst, float(np.max(np.abs(ser["energy"].values - target))))
     return _fail_detail(worst, 1e-8, "max |<H> - (J0^2 - zeta/2)|")
@@ -330,7 +330,7 @@ def check_coherence_sector_split() -> Tuple[bool, str]:
     # sum over every state pair with unmasked quadrature element matrices
     spec = solve_spectrum(InteractionParams(-10.0, 25.0), 16)
     tau = make_tau_grid(2.0 * math.pi)
-    basis, _ = switch_on_evolution(spec, switch_on_coefficients(spec, 1), tau)
+    basis = switch_on_evolution(spec, switch_on_coefficients(spec, 1), tau)
     grid = make_grid()
     c = quadrature_switch_on_coefficients(spec, 1, grid).c
     d = c * np.exp(-1j * np.outer(tau, spec.energies))
@@ -348,7 +348,7 @@ def check_time_average_closure() -> Tuple[bool, str]:
     tau_tilde = 4.0 * math.pi
     closed = time_averaged_orientation(spec, cq, tau_tilde)
     tau = np.linspace(0.0, tau_tilde, 32769)
-    ser, _ = switch_on_evolution(spec, cq, tau)
+    ser = switch_on_evolution(spec, cq, tau)
     direct = float(np.trapezoid(ser["cos"].values, tau)) / tau_tilde
     return _fail_detail(abs(closed - direct), 1e-6,
                         "|closed form - series quadrature|")

@@ -168,7 +168,7 @@ def test_criterion_06_energy_identities():
     for j0, zeta in ((0, 25.0), (1, 25.0), (2, 16.0)):
         spec = solve_spectrum(InteractionParams(-10.0, zeta), 28)
         cq = quadrature_switch_on_coefficients(spec, j0)
-        ser, _ = switch_on_evolution(spec, cq, make_tau_grid(TWO_PI))
+        ser = switch_on_evolution(spec, cq, make_tau_grid(TWO_PI))
         target = j0 * j0 - zeta / 2.0
         worst_e = max(worst_e,
                       float(np.max(np.abs(ser["energy"].values - target))))
@@ -233,7 +233,7 @@ def test_criterion_08_coherence_period():
     # the slowest beat must also be the strongest line in <cos>(tau):
     # Hann-windowed spectrum over eight reference periods
     tau = make_tau_grid(8.0 * target)
-    series, _ = switch_on_evolution(spec, co, tau)
+    series = switch_on_evolution(spec, co, tau)
     x = series["cos"].values[:-1]
     x = (x - x.mean()) * np.hanning(len(x))
     omega = TWO_PI * np.fft.rfftfreq(len(x), tau[1] - tau[0])

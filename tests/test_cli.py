@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from planar_pendulum import (
     InteractionParams,
     make_tau_grid,
+    propagate,
     solve_spectrum,
     solve_stacks,
     switch_off_coefficients,
@@ -24,6 +25,7 @@ from planar_pendulum import (
     switch_on_populations,
 )
 import planar_pendulum.cli as cli
+from planar_pendulum.core import DEFAULT_DTAU, DEFAULT_GRID_POINTS
 from planar_pendulum.cli import (BLOCK_ROWS, OPTIONS, Block, Blocks,
                                  ConfigError, _fmt, _write_csv,
                                  _write_json_table, main, parse_range)
@@ -286,6 +288,70 @@ def test_manifest_diagnostics(tmp_path, monkeypatch):
                               "ramp_tail"]
     for run in (held, ramped):
         assert run["ramp_j_max"] % 8 == 0 and 0 < run["ramp_tail"] <= 1e-12
+
+
+def test_topology_map_manifest_folds_its_points(tmp_path, monkeypatch):
+    # a 16 x 16 map whose points span several automatic cutoffs, one of
+    # them grown past its first guess: each diagnostic is the fold of the
+    # points' own solves, and the deficit their largest 1 - sum_n |C_n|^2
+    monkeypatch.chdir(tmp_path)
+    assert main(["topology-map", "--eta-range", "-30:0:2", "--zeta-range",
+                 "7:37:2", "--n-states", "6", "--output", "map.csv"]) == 0
+    manifest = json.loads((tmp_path / "map.manifest.json").read_text())
+    specs = [solve_spectrum(InteractionParams(float(eta), float(zeta)), 6)
+             for eta in np.linspace(-30.0, 0.0, 16)
+             for zeta in np.linspace(7.0, 37.0, 16)]
+    assert len({spec.j_max for spec in specs}) > 1
+    assert sum(spec.grown for spec in specs) == 1
+    assert manifest["diagnostics"] == {
+        "j_max": max(spec.j_max for spec in specs),
+        "basis_tail": max(spec.basis_tail for spec in specs),
+        "cut_gap": min(spec.cut_gap for spec in specs),
+        "cutoff_misses": 1,
+        "population_deficit": max(
+            1.0 - sum(r.probability for r in switch_on_populations(spec, 1))
+            for spec in specs)}
+
+
+def test_propagate_manifest_folds_every_ramp_and_hold(tmp_path, monkeypatch):
+    # two ramps and two holds: the deep first hold needs the wider cutoff,
+    # the shallow second one leaves the larger tail, so only a per-key
+    # fold reports both
+    monkeypatch.chdir(tmp_path)
+
+    def ramp(duration, eta, zeta):
+        return {"duration": duration,
+                "eta": {"profile": "linear", "from": eta[0], "to": eta[1]},
+                "zeta": {"profile": "linear", "from": zeta[0], "to": zeta[1]}}
+
+    def hold(duration, eta, zeta):
+        return {"duration": duration,
+                "eta": {"profile": "constant", "value": eta},
+                "zeta": {"profile": "constant", "value": zeta}}
+
+    schedule = {"segments": [
+        ramp(0.05, (0, -40), (0, 120)), hold(0.2, -40, 120),
+        ramp(0.05, (-40, -10), (120, 25)), hold(0.2, -10, 25)]}
+    cfg = tmp_path / "sched.json"
+    cfg.write_text(json.dumps({"schedule": schedule}))
+    assert main(["propagate", "--config", str(cfg), "--j0", "1",
+                 "--output", "p.csv"]) == 0
+    diagnostics = json.loads(
+        (tmp_path / "p.manifest.json").read_text())["diagnostics"]
+
+    band = DEFAULT_GRID_POINTS // 2 - 1      # the CLI's J0 = 1 start row
+    start = np.eye(1, 2 * band + 1, band + 1, dtype=complex)[0]
+    traj = propagate(start, cli._schedule_from_config(schedule),
+                     dtau=DEFAULT_DTAU)
+    assert len(traj.ramp_limits) > 1 and len(traj.hold_limits) == 2
+    windows, edges = zip(*traj.ramp_limits)
+    cutoffs, tails = zip(*traj.hold_limits)
+    # the first hold has the larger cutoff, the second the larger tail
+    assert cutoffs[0] > cutoffs[1] and tails[0] < tails[1]
+    assert (diagnostics["ramp_j_max"], diagnostics["ramp_tail"]) == (
+        max(windows), max(edges))
+    assert (diagnostics["hold_j_max"], diagnostics["hold_tail"]) == (
+        max(cutoffs), max(tails))
 
 
 def test_a_near_doublet_at_the_state_cut_shows_in_the_cut_gap(tmp_path,
@@ -840,7 +906,7 @@ def test_scan_series_are_written_in_scan_order(tmp_path, monkeypatch):
     on, off = [], []
     for p in points:
         spec = solve_spectrum(p, 6)
-        ser, _ = switch_on_evolution(spec, switch_on_coefficients(spec, 2),
+        ser = switch_on_evolution(spec, switch_on_coefficients(spec, 2),
                                      tau)
         on += zip(repeat(p.eta), repeat(p.zeta), repeat(2), tau,
                   *(ser[k].values for k in ("cos", "cos2", "J2", "energy")))

@@ -122,7 +122,7 @@ def test_switch_on_energy_identity(j0, zeta):
     spec = solve_spectrum(InteractionParams(-10.0, zeta), 28)
     coeffs = quadrature_switch_on_coefficients(spec, j0)
     tau = make_tau_grid(2.0 * math.pi, samples_per_period=64)
-    series, _ = switch_on_evolution(spec, coeffs, tau)
+    series = switch_on_evolution(spec, coeffs, tau)
     e = series["energy"].values
     assert e.max() - e.min() < 1e-10
     assert abs(e[0] - (j0 * j0 - zeta / 2.0)) < 1e-8
@@ -132,21 +132,11 @@ def test_kinetic_budget_combines_orientation_series():
     spec = solve_spectrum(InteractionParams(-10.0, 25.0), 28)
     coeffs = quadrature_switch_on_coefficients(spec, 1)
     tau = make_tau_grid(math.pi, samples_per_period=32)
-    series, _ = switch_on_evolution(spec, coeffs, tau)
+    series = switch_on_evolution(spec, coeffs, tau)
     rebuilt = (series["energy"].values
                + (-10.0) * series["cos"].values
                + 25.0 * series["cos2"].values)
     assert np.abs(series["J2"].values - rebuilt).max() < 1e-10
-
-
-def test_coherence_split_recombines():
-    spec = solve_spectrum(InteractionParams(-10.0, 25.0), 20)
-    coeffs = quadrature_switch_on_coefficients(spec, 1)
-    tau = make_tau_grid(math.pi, samples_per_period=64)
-    series, parts = switch_on_evolution(spec, coeffs, tau)
-    for name in ("cos", "cos2"):
-        assert np.abs(parts[name].recombined()
-                      - series[name].values).max() < 1e-12
 
 
 def test_selection_enforcement_is_a_noop():
@@ -154,7 +144,7 @@ def test_selection_enforcement_is_a_noop():
     # over every state pair with unmasked 512-point quadrature elements
     spec = solve_spectrum(InteractionParams(-10.0, 25.0), 20)
     tau = make_tau_grid(math.pi, samples_per_period=32)
-    a, _ = switch_on_evolution(spec, switch_on_coefficients(spec, 1), tau)
+    a = switch_on_evolution(spec, switch_on_coefficients(spec, 1), tau)
     grid = make_grid(512)
     f = np.stack([spec.wavefunction(n, grid).amplitudes.real
                   for n in range(20)])
@@ -180,7 +170,7 @@ def test_time_average_matches_series_mean():
     tau_tilde = 4.0 * math.pi
     closed = time_averaged_orientation(spec, coeffs, tau_tilde)
     tau = np.linspace(0.0, tau_tilde, 32769)
-    series, _ = switch_on_evolution(spec, coeffs, tau)
+    series = switch_on_evolution(spec, coeffs, tau)
     ref = float(np.trapezoid(series["cos"].values, tau)) / tau_tilde
     assert closed == pytest.approx(ref, abs=1e-6)
 
@@ -387,7 +377,7 @@ def series_errors():
         spec = solve_spectrum(InteractionParams(eta, zeta), 20)
         for tau, picks in ORACLE_GRIDS:
             coeffs = switch_on_coefficients(spec, j0)
-            series, _ = switch_on_evolution(spec, coeffs, tau)
+            series = switch_on_evolution(spec, coeffs, tau)
             for name in ("cos", "cos2"):
                 want = _mp_switch_on(mp, spec, coeffs.c, name, tau[picks])
                 err = np.abs(series[name].values[picks] - want).max()

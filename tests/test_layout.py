@@ -139,7 +139,7 @@ def test_root_names_resolve_on_first_use():
 
 def test_package_root_exports_no_twin():
     exported = set(planar_pendulum.__all__)
-    assert len(planar_pendulum.__all__) == len(exported) == 40
+    assert len(planar_pendulum.__all__) == len(exported) == 39
     assert not exported & set(MOVED)
     assert not exported & {"ALL_CHECKS", "CheckResult", "run_all"}
     for name in MOVED:
