@@ -7,8 +7,10 @@ with midpoint fields, evaluated _FIELD_STEPS steps at a time; a potential
 kick exp(-i dtau V / 2) is a convolution with its Fourier taps, a
 half-grid cosine sum of the kick minus 1 (_kick_taps), and between reads
 the second half kick of a step and the first of the next are one (Feit,
-Fleck & Steiger, J. Comput. Phys. 47, 412 (1982)). Holds are evolved
-exactly (_exact_hold): one eigh per parity sector, then exp(-i E_n t).
+Fleck & Steiger, J. Comput. Phys. 47, 412 (1982)). Each convolution is
+one call of the C kernel that np.convolve ends in (_correlate), which the
+mirrored taps make bit-identical to it. Holds are evolved exactly
+(_exact_hold): one eigh per parity sector, then exp(-i E_n t).
 Both guard their cutoff at TAIL_TOL up to the band, and a ramp's window
 grows to hold its kick taps, merged or half; truncation is the only
 departure from unitarity, so norm drift is a diagnostic and is never
@@ -36,6 +38,9 @@ from itertools import groupby, islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+# np.convolve(a, v, mode) is this C kernel on v[::-1] after its Python
+# wrapper's checks, for v no longer than a (numpy >= 2.0)
+from numpy._core.multiarray import correlate as _correlate
 
 from .core import DEFAULT_DTAU, AngularGrid, GridMoments, InteractionParams
 from .dynamics import ExpectationSeries
@@ -462,15 +467,18 @@ def _ramp(coeffs: np.ndarray, schedule: PulseSchedule, first: int,
     taps, except after a step in ends or a checked one, and in blocks of
     FINITE_CHECK_STEPS steps at the band. Each block takes one _kick_taps
     call, for its split steps' half kicks and its merged ones, indexed by
-    a tap row per step. The midpoint fields are evaluated _FIELD_STEPS
-    steps at a time, and a restart within those steps reuses them. The
-    window starts at _first_cutoff of the ramp's largest fields, capped at
-    the band. A block's taps, half or merged, must fit in the window, and
-    after the block the state must be finite (else RuntimeError) and the
-    largest |c_J| on its outer TAIL_ROWS slots <= TAIL_TOL; otherwise the
-    window grows by a quarter (to a multiple of 8, and at least to the
-    taps) and the ramp restarts. At the band, taps wider than it or a norm
-    drift above _NORM_TOL raise RuntimeError."""
+    a tap row per step, so a merged step is one in-place kinetic multiply
+    and one _correlate call on its row: the taps are mirrored and no wider
+    than the window, so that is np.convolve(c, taps, "same") bit for bit.
+    The midpoint fields are evaluated _FIELD_STEPS steps at a time, and a
+    restart within those steps reuses them. The window starts at
+    _first_cutoff of the ramp's largest fields, capped at the band. A
+    block's taps, half or merged, must fit in the window, and after the
+    block the state must be finite (else RuntimeError) and the largest
+    |c_J| on its outer TAIL_ROWS slots <= TAIL_TOL; otherwise the window
+    grows by a quarter (to a multiple of 8, and at least to the taps) and
+    the ramp restarts. At the band, taps wider than it or a norm drift
+    above _NORM_TOL raise RuntimeError."""
     band = len(coeffs) // 2
     last = ends[-1]
     j_max = min(band, _first_cutoff(
@@ -516,17 +524,18 @@ def _ramp(coeffs: np.ndarray, schedule: PulseSchedule, first: int,
             # next half kick is the row after it
             row = np.where(split, np.cumsum(own),
                            len(halves) + np.cumsum(~split)) - 1
-            # each convolve returns a new array, so c can be kept as is
-            c = np.convolve(c, taps[0], "same")
+            # each _correlate returns a new array, so c can be kept as is
+            kicks = list(taps)
+            c = _correlate(c, kicks[0], "same")
             for k, r, cut, snap in zip(range(n), row.tolist(),
                                        split.tolist(), shot.tolist()):
                 c *= kinetic
-                c = np.convolve(c, taps[r], "same")
+                c = _correlate(c, kicks[r], "same")
                 if cut:
                     if snap:
                         snaps.append(c)
                     if k + 1 < n:
-                        c = np.convolve(c, taps[r + 1], "same")
+                        c = _correlate(c, kicks[r + 1], "same")
             checked, step = step, step + n
             if not np.isfinite(c).all():
                 raise RuntimeError(

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from planar_pendulum import (
     InteractionParams,
     dominant_coherence_period,
-    free_rotor_wavefunction,
     make_grid,
     make_tau_grid,
     solve_spectrum,

@@ -217,6 +217,18 @@ def test_propagate_never_calls_the_grid_twin(monkeypatch):
         assert traj.norm_drift <= 1e-10 and traj.grid_tail <= 1e-12
 
 
+def test_a_ramp_step_never_calls_numpy_convolve(monkeypatch):
+    # _ramp's kicks call the C kernel np.convolve ends in, bound in
+    # propagate, and never pay the Python wrapper on the way
+    monkeypatch.setattr(np, "convolve", lambda *args, **kwargs:
+                        pytest.fail("propagate called numpy.convolve"))
+    schedule = planar_pendulum.PulseSchedule.switch(0.0, 0.0, -10.0, 25.0,
+                                                    0.5, 0.0)
+    traj = planar_pendulum.propagate(np.eye(1, 255, 128)[0], schedule)
+    assert len(traj.ramp_limits) == 1 and len(traj.norms) == 501
+    assert traj.norm_drift <= 1e-10
+
+
 @pytest.mark.parametrize("start", [["--j0", "2"], ["--n0", "1"]])
 def test_the_cli_propagate_start_is_no_grid_state(tmp_path, monkeypatch,
                                                   start):

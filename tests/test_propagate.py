@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import warnings
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -27,10 +28,12 @@ from planar_pendulum.cli import main
 from planar_pendulum.propagate import (
     FINITE_CHECK_STEPS,
     _FIELD_STEPS,
+    _NORM_TOL,
     _TAP_FLOOR,
     Trajectory,
     _band_moments,
     _exact_hold,
+    _field_bound,
     _first_cutoff,
     _hold_runs,
     _kick_taps,
@@ -41,7 +44,8 @@ from planar_pendulum.propagate import (
     linear,
     smooth_cosine,
 )
-from planar_pendulum.spectrum import _signed_expansion
+from planar_pendulum.spectrum import (TAIL_ROWS, TAIL_TOL, _round_up8,
+                                      _signed_expansion)
 from planar_pendulum.twins import grid_state, second_order_accuracy_check
 from planar_pendulum.validation import (RAMP_TWIN_CASES, _free_rotor_row,
                                         ramp_twin_deviations)
@@ -371,6 +375,29 @@ def test_kick_taps_convolve_as_the_grid_kick_multiplies(eta, zeta, dtau,
     product = amps * np.exp(0.5j * dtau * cos * (eta + zeta * cos))
     assert np.max(np.abs(kicked - Wavefunction(g, product, normalize=False)
                          .free_rotor_coefficients(window))) <= 1e-14
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(eta=st.floats(-120.0, 120.0), zeta=st.floats(-200.0, 200.0),
+       dtau=st.floats(1e-5, 0.1), room=st.floats(0.0, 3.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(eta=-40.0, zeta=120.0, dtau=0.05, room=0.0, seed=0)
+def test_the_bound_kernel_is_the_convolution(eta, zeta, dtau, room, seed):
+    """_ramp's kernel, numpy's C correlate bound in propagate, equals
+    np.convolve(c, t, "same") bit for bit for the mirrored taps of a half
+    and a merged kick, on windows from the taps' width to four times it."""
+    rng = np.random.default_rng(seed)
+    for taps in _kick_taps([(eta, zeta), (2 * eta, 2 * zeta)], dtau, 255):
+        assert _same_bits(taps, taps[::-1].copy())
+        width = len(taps) // 2
+        j = width + round(room * width)
+        c = rng.normal(size=2 * j + 1) + 1j * rng.normal(size=2 * j + 1)
+        assert _same_bits(propagate_module._correlate(c, taps, "same"),
+                          np.convolve(c, taps, "same"))
 
 
 def _fft_kick_taps(fields, dtau, limit):
@@ -943,3 +970,107 @@ def test_half_taps_wider_than_the_window_regrow_it():
     for values, name in ((cos, "cos"), (cos2, "cos2")):
         assert np.abs(traj.observables[name].values - values).max() <= 1e-13
     assert np.abs(traj.norms - norm).max() <= 1e-13
+
+
+def _convolve_ramp(coeffs, schedule, first, ends, dtau):
+    """_ramp's loop with each kick an np.convolve call, as it was before
+    the bound kernel: the reference _ramp must match bit for bit."""
+    band = len(coeffs) // 2
+    last = ends[-1]
+    j_max = min(band, _first_cutoff(
+        _weight(coeffs), *_field_bound(schedule, first * dtau, last * dtau)))
+    fields_from, fields = first, np.empty((0, 2))
+    while True:
+        c = coeffs[band - j_max:band + j_max + 1]
+        kinetic = np.exp(-1j * np.arange(-j_max, j_max + 1) ** 2 * dtau)
+        snaps = []
+        tail, step, width = 0.0, first, 0
+        while step < last:
+            n = min(FINITE_CHECK_STEPS, last - step)
+            if not fields_from <= step < fields_from + len(fields):
+                fields_from = step
+                fields = schedule.fields((np.arange(
+                    step, min(step + _FIELD_STEPS, last)) + 0.5) * dtau)
+            block = fields[step - fields_from:][:n]
+            shot = np.zeros(n, dtype=bool)
+            shot[np.array(ends[bisect_right(ends, step):
+                               bisect_right(ends, step + n)], dtype=int)
+                 - step - 1] = True
+            split = shot.copy() if j_max < band else np.ones(n, dtype=bool)
+            split[-1] = True
+            own = split.copy()
+            own[1:] |= split[:-1]
+            own[0] = True
+            halves, merged = np.flatnonzero(own), np.flatnonzero(~split)
+            taps = _kick_taps(np.concatenate([
+                block[halves], block[merged] + block[merged + 1]]), dtau, band)
+            width = len(taps[0]) // 2
+            if width > j_max == band:
+                raise RuntimeError(f"taps reach |p| = {width}")
+            if width > j_max:
+                break
+            row = np.where(split, np.cumsum(own),
+                           len(halves) + np.cumsum(~split)) - 1
+            c = np.convolve(c, taps[0], "same")
+            for k, r, cut, snap in zip(range(n), row.tolist(),
+                                       split.tolist(), shot.tolist()):
+                c *= kinetic
+                c = np.convolve(c, taps[r], "same")
+                if cut:
+                    if snap:
+                        snaps.append(c)
+                    if k + 1 < n:
+                        c = np.convolve(c, taps[r + 1], "same")
+            checked, step = step, step + n
+            if not np.isfinite(c).all():
+                raise RuntimeError("non-finite amplitudes")
+            edge = max(float(abs(c[:TAIL_ROWS]).max()),
+                       float(abs(c[-TAIL_ROWS:]).max()))
+            tail = max(tail, edge)
+            if edge > TAIL_TOL and j_max < band:
+                break
+            if j_max == band:
+                drift = abs(math.sqrt(float(np.vdot(c, c).real)) - 1.0)
+                if not drift <= _NORM_TOL:
+                    raise RuntimeError(f"norm drift {drift:.1e}")
+        else:
+            return snaps, j_max, tail
+        j_max = min(band, max(_round_up8(1.25 * j_max), width))
+
+
+@settings(max_examples=60, deadline=None)
+@given(eta=st.floats(-40.0, 0.0), zeta=st.floats(0.0, 120.0),
+       shape=st.sampled_from(["linear", "smooth_cosine"]),
+       j0=st.integers(-3, 3), points=st.sampled_from([32, 512]),
+       dtau=st.floats(1e-3, 0.02), first=st.integers(0, 40),
+       steps=st.integers(1, 300), stride=st.integers(1, 80))
+# past the first _FIELD_STEPS midpoint fields, from a ramp begun at step 30
+@example(eta=-20.0, zeta=60.0, shape="linear", j0=2, points=512, dtau=1e-3,
+         first=30, steps=1100, stride=37)
+# J0 = 40 outgrows its first window, 48, and regrows it to 64
+@example(eta=-10.0, zeta=25.0, shape="smooth_cosine", j0=40, points=512,
+         dtau=1e-3, first=0, steps=200, stride=100)
+# at 32 points the window is the band 15, and every step is split
+@example(eta=-10.0, zeta=25.0, shape="smooth_cosine", j0=1, points=32,
+         dtau=1e-3, first=0, steps=300, stride=100)
+def test_ramp_matches_the_convolve_loop(eta, zeta, shape, j0, points, dtau,
+                                        first, steps, stride):
+    """_ramp returns the convolve loop's snapshot rows, window and edge
+    weight bit for bit, or raises where it raises, on ramps that start
+    within the schedule, over snapshot strides, regrown windows and the
+    grid's band."""
+    last = first + steps
+    sch = PulseSchedule.switch(0.0, 0.0, eta, zeta, last * dtau, 0.0,
+                               shape=shape)
+    start = _free_rotor_row(j0, points)
+    ends = [*range(first + stride, last, stride), last]
+    try:
+        want = _convolve_ramp(start, sch, first, ends, dtau)
+    except RuntimeError:
+        with pytest.raises(RuntimeError):
+            propagate_module._ramp(start, sch, first, ends, dtau)
+        return
+    snaps, j_max, tail = propagate_module._ramp(start, sch, first, ends, dtau)
+    assert (j_max, tail) == want[1:]
+    assert len(snaps) == len(want[0]) == len(ends)
+    assert all(map(_same_bits, snaps, want[0]))
